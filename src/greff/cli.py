@@ -128,16 +128,7 @@ def cmd_graduality(path: str, cfg: RunConfig, out=sys.stdout, err=sys.stderr) ->
         case_seed = cfg.seed * 100_003 + i
         pair = conf.imprecisify(program, random.Random(case_seed))
         assert pair is not None
-        res = conf.check_graduality_pair(pair, fuel=cfg.fuel)
-        rec = conf.CaseRecord(
-            "graduality",
-            case_seed,
-            str(res.verdict).split(" ")[0],
-            conf.describe_outcome(res.left) if res.left is not None else "static",
-            conf.describe_outcome(res.right) if res.right is not None else "static",
-            0,
-            0,
-        )
+        rec = conf.graduality_record(case_seed, pair, fuel=cfg.fuel)
         print(rec.to_json(), file=out)
         if rec.verdict == "violated":
             violations += 1

@@ -888,6 +888,11 @@ def run_graduality_case(seed: int, fuel: int = 200_000) -> Optional[CaseRecord]:
     pair = imprecisify(program, rng)
     if pair is None:
         return None
+    return graduality_record(seed, pair, fuel=fuel)
+
+
+def graduality_record(seed: int, pair: PrecisionPair, fuel: int) -> CaseRecord:
+    """Check one precision pair and record it under the seed that drew it."""
     res = check_graduality_pair(pair, fuel=fuel)
     return CaseRecord(
         "graduality",

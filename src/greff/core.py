@@ -15,7 +15,6 @@ effect type at the first raise or latent-effect application.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -23,7 +22,6 @@ from .typesys import (
     Arrow,
     Bool,
     Concrete,
-    DYN,
     Dyn,
     EMPTY,
     EffectType,
@@ -253,44 +251,7 @@ def is_value(t: Term) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Free variables and substitution
-
-
-def free_vars(t: Term) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset({t.name})
-    if isinstance(t, (BoolLit, UnitLit, StrLit, EmptyQueue, Err)):
-        return frozenset()
-    if isinstance(t, Lam):
-        return free_vars(t.body) - {t.var}
-    if isinstance(t, Fix):
-        return free_vars(t.body) - {t.var}
-    if isinstance(t, App):
-        return free_vars(t.fn) | free_vars(t.arg)
-    if isinstance(t, Let):
-        return free_vars(t.bound) | (free_vars(t.body) - {t.var})
-    if isinstance(t, If):
-        return free_vars(t.cond) | free_vars(t.then) | free_vars(t.els)
-    if isinstance(t, Concat):
-        return free_vars(t.left) | free_vars(t.right)
-    if isinstance(t, Enqueue):
-        return free_vars(t.queue) | free_vars(t.elem)
-    if isinstance(t, CaseQueue):
-        return (
-            free_vars(t.scrutinee)
-            | free_vars(t.empty_body)
-            | (free_vars(t.cons_body) - {t.head_var, t.rest_var})
-        )
-    if isinstance(t, Raise):
-        return free_vars(t.payload)
-    if isinstance(t, Handle):
-        out = free_vars(t.scrutinee) | (free_vars(t.ret_body) - {t.ret_var})
-        for c in t.clauses:
-            out |= free_vars(c.body) - {c.payload_var, c.resume_var}
-        return out
-    if isinstance(t, (ValUpcast, ValDowncast, EffUpcast, EffDowncast)):
-        return free_vars(t.body)
-    raise TypeError(f"not a term: {t!r}")
+# Substitution
 
 
 def subst(t: Term, name: str, value: Term) -> Term:
@@ -609,7 +570,7 @@ def _brief(term: Term) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Printer (round-trippable s-expressions)
+# Printer (s-expressions)
 
 
 def _q(s: str) -> str:
@@ -696,159 +657,3 @@ def pretty(t: Term) -> str:
     if isinstance(t, EffDowncast):
         return f"(edn {pretty_type(t.lo)} {pretty_type(t.hi)} {pretty(t.body)})"
     raise TypeError(f"not a term: {t!r}")
-
-
-# ---------------------------------------------------------------------------
-# Reader
-
-
-class CoreReadError(Exception):
-    pass
-
-
-def _tokenize(s: str):
-    i, n = 0, len(s)
-    while i < n:
-        c = s[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            yield c
-            i += 1
-        elif c == '"':
-            buf = io.StringIO()
-            i += 1
-            while i < n and s[i] != '"':
-                if s[i] == "\\":
-                    i += 1
-                    if i >= n:
-                        raise CoreReadError("dangling escape")
-                buf.write(s[i])
-                i += 1
-            if i >= n:
-                raise CoreReadError("unterminated string")
-            i += 1
-            yield ("str", buf.getvalue())
-        else:
-            j = i
-            while j < n and not s[j].isspace() and s[j] not in '()"':
-                j += 1
-            yield s[i:j]
-            i = j
-
-
-def _read_sexp(tokens, pos=0):
-    if pos >= len(tokens):
-        raise CoreReadError("unexpected end of input")
-    tok = tokens[pos]
-    if tok == "(":
-        items = []
-        pos += 1
-        while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = _read_sexp(tokens, pos)
-            items.append(item)
-        if pos >= len(tokens):
-            raise CoreReadError("missing )")
-        return items, pos + 1
-    if tok == ")":
-        raise CoreReadError("unexpected )")
-    return tok, pos + 1
-
-
-def _sexp_type(x):
-    if x == "bool":
-        return Bool()
-    if x == "unit":
-        return Unit()
-    if x == "str":
-        return Str()
-    if x == "dyn":
-        return DYN
-    if isinstance(x, list) and x:
-        head = x[0]
-        if head == "queue":
-            return QueueOf(_sexp_type(x[1]))
-        if head == "arrow":
-            return Arrow(_sexp_type(x[1]), _sexp_type(x[2]), _sexp_type(x[3]))
-        if head == "eff":
-            return Concrete(
-                {e[0]: OpSig(_sexp_type(e[1]), _sexp_type(e[2])) for e in x[1:]}
-            )
-    raise CoreReadError(f"bad type form: {x!r}")
-
-
-def _sexp_term(x) -> Term:
-    if x == "true":
-        return TRUE
-    if x == "false":
-        return FALSE
-    if x == "unit":
-        return UNIT
-    if x == "err":
-        return Err()
-    if not isinstance(x, list) or not x:
-        raise CoreReadError(f"bad term form: {x!r}")
-    head = x[0]
-    if head == "var":
-        return Var(x[1])
-    if head == "str":
-        tag, value = x[1]
-        assert tag == "str"
-        return StrLit(value)
-    if head == "lam":
-        (var, ann) = x[1]
-        return Lam(var, _sexp_type(ann), _sexp_term(x[2]))
-    if head == "fix":
-        body = _sexp_term(x[3])
-        assert isinstance(body, Lam)
-        return Fix(x[1], _sexp_type(x[2]), body)
-    if head == "app":
-        return App(_sexp_term(x[1]), _sexp_term(x[2]))
-    if head == "let":
-        return Let(_sexp_term(x[2]), x[1], _sexp_term(x[3]))
-    if head == "if":
-        return If(_sexp_term(x[1]), _sexp_term(x[2]), _sexp_term(x[3]))
-    if head == "concat":
-        return Concat(_sexp_term(x[1]), _sexp_term(x[2]))
-    if head == "emptyq":
-        return EmptyQueue(_sexp_type(x[1]))
-    if head == "enq":
-        return Enqueue(_sexp_term(x[1]), _sexp_term(x[2]))
-    if head == "caseq":
-        head_var, rest_var, cons = x[3]
-        return CaseQueue(
-            _sexp_term(x[1]), _sexp_term(x[2]), head_var, rest_var, _sexp_term(cons)
-        )
-    if head == "raise":
-        return Raise(x[1], _sexp_type(x[2]), _sexp_type(x[3]), _sexp_term(x[4]))
-    if head == "handle":
-        deep = x[1] == "deep"
-        scrutinee = _sexp_term(x[2])
-        ret = x[3]
-        assert ret[0] == "ret"
-        clauses = tuple(
-            Clause(c[0], c[1], c[2], _sexp_term(c[5]), _sexp_type(c[3]), _sexp_type(c[4]))
-            for c in x[4]
-        )
-        return Handle(
-            scrutinee, ret[1], _sexp_term(ret[2]), clauses,
-            _sexp_type(x[5]), _sexp_type(x[6]), deep,
-        )
-    if head == "vup":
-        return ValUpcast(_sexp_type(x[1]), _sexp_type(x[2]), _sexp_term(x[3]))
-    if head == "vdn":
-        return ValDowncast(_sexp_type(x[1]), _sexp_type(x[2]), _sexp_term(x[3]))
-    if head == "eup":
-        return EffUpcast(_sexp_type(x[1]), _sexp_type(x[2]), _sexp_term(x[3]))
-    if head == "edn":
-        return EffDowncast(_sexp_type(x[1]), _sexp_type(x[2]), _sexp_term(x[3]))
-    raise CoreReadError(f"bad term form: {x!r}")
-
-
-def parse_core(s: str) -> Term:
-    """Inverse of pretty: parse_core(pretty(t)) == t."""
-    tokens = list(_tokenize(s))
-    sexp, pos = _read_sexp(tokens)
-    if pos != len(tokens):
-        raise CoreReadError("trailing input")
-    return _sexp_term(sexp)

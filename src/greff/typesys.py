@@ -13,9 +13,8 @@ Four relations are implemented:
   gradual_subtype  A <~ B     subtyping up to precision (adds ? axioms)
   compatible       A ~ B      gradual subtyping in both directions
 
-plus the gradual join/meet used when elaboration combines branch types,
-the least upper bound in <= used by the core typechecker, and precision
-derivations (proof terms for |_) with their composition.
+plus the gradual join/meet used when elaboration combines branch types
+and the least upper bound in <= used by the core typechecker.
 """
 
 from __future__ import annotations
@@ -26,14 +25,6 @@ from typing import Iterable, Mapping, Optional, Union
 
 class JoinUndefined(Exception):
     """Raised when a join/meet/lub does not exist."""
-
-
-class EndpointMismatch(Exception):
-    """Raised when composing derivations whose endpoints do not meet."""
-
-
-class DerivationError(Exception):
-    """Raised when no precision derivation exists for the given endpoints."""
 
 
 class SignatureError(Exception):
@@ -453,164 +444,3 @@ def glb(t: Type, u: Type) -> Type:
             out[name] = OpSig(glb(a.req, b.req), lub(a.resp, b.resp))
         return Concrete(out)
     raise JoinUndefined(f"{t} glb {u}")
-
-
-# ---------------------------------------------------------------------------
-# Precision derivations
-
-
-@dataclass(frozen=True)
-class BoolRefl:
-    pass
-
-
-@dataclass(frozen=True)
-class UnitRefl:
-    pass
-
-
-@dataclass(frozen=True)
-class StrRefl:
-    pass
-
-
-@dataclass(frozen=True)
-class QueueCong:
-    elem: "Derivation"
-
-
-@dataclass(frozen=True)
-class ArrowCong:
-    dom: "Derivation"
-    eff: "Derivation"
-    cod: "Derivation"
-
-
-@dataclass(frozen=True)
-class DynRefl:
-    """? |_ ?"""
-
-
-@dataclass(frozen=True)
-class Inj:
-    """sigma_c |_ ?, via a derivation sigma_c |_ Sigma-at-support(sigma_c)."""
-
-    inner: "Derivation"
-
-
-@dataclass(frozen=True)
-class ConcreteCong:
-    """Pointwise derivations between concrete effects with equal domains."""
-
-    ops: tuple[tuple[str, tuple["Derivation", "Derivation"]], ...]
-
-    def __init__(self, ops):
-        object.__setattr__(self, "ops", tuple(sorted(dict(ops).items())))
-
-
-Derivation = Union[BoolRefl, UnitRefl, StrRefl, QueueCong, ArrowCong, DynRefl, Inj, ConcreteCong]
-
-
-def derive_precision(sig: Signature, t: Type, u: Type) -> Derivation:
-    """The unique derivation of t |_ u, or DerivationError if unrelated."""
-    if isinstance(t, Bool) and isinstance(u, Bool):
-        return BoolRefl()
-    if isinstance(t, Unit) and isinstance(u, Unit):
-        return UnitRefl()
-    if isinstance(t, Str) and isinstance(u, Str):
-        return StrRefl()
-    if isinstance(t, QueueOf) and isinstance(u, QueueOf):
-        return QueueCong(derive_precision(sig, t.elem, u.elem))
-    if isinstance(t, Arrow) and isinstance(u, Arrow):
-        return ArrowCong(
-            derive_precision(sig, t.dom, u.dom),
-            derive_precision(sig, t.eff, u.eff),
-            derive_precision(sig, t.cod, u.cod),
-        )
-    if isinstance(t, Dyn) and isinstance(u, Dyn):
-        return DynRefl()
-    if isinstance(t, Concrete) and isinstance(u, Dyn):
-        lifted = sig.at(t.names())
-        return Inj(derive_precision(sig, t, lifted))
-    if isinstance(t, Concrete) and isinstance(u, Concrete):
-        if t.names() != u.names():
-            raise DerivationError(f"effect domains differ: {t} vs {u}")
-        table = dict(u.ops)
-        ops = {}
-        for name, op in t.ops:
-            other = table[name]
-            ops[name] = (
-                derive_precision(sig, op.req, other.req),
-                derive_precision(sig, op.resp, other.resp),
-            )
-        return ConcreteCong(ops)
-    raise DerivationError(f"no precision derivation for {t} |_ {u}")
-
-
-def endpoints(d: Derivation, sig: Signature) -> tuple[Type, Type]:
-    """The (lower, upper) endpoints a derivation proves related."""
-    if isinstance(d, BoolRefl):
-        return Bool(), Bool()
-    if isinstance(d, UnitRefl):
-        return Unit(), Unit()
-    if isinstance(d, StrRefl):
-        return Str(), Str()
-    if isinstance(d, QueueCong):
-        lo, hi = endpoints(d.elem, sig)
-        return QueueOf(lo), QueueOf(hi)
-    if isinstance(d, ArrowCong):
-        dlo, dhi = endpoints(d.dom, sig)
-        elo, ehi = endpoints(d.eff, sig)
-        clo, chi = endpoints(d.cod, sig)
-        return Arrow(dlo, elo, clo), Arrow(dhi, ehi, chi)
-    if isinstance(d, DynRefl):
-        return DYN, DYN
-    if isinstance(d, Inj):
-        lo, hi = endpoints(d.inner, sig)
-        if not isinstance(lo, Concrete) or hi != sig.at(lo.names()):
-            raise DerivationError("Inj must reach the signature typing of its support")
-        return lo, DYN
-    if isinstance(d, ConcreteCong):
-        lo_ops, hi_ops = {}, {}
-        for name, (dr, ds) in d.ops:
-            rlo, rhi = endpoints(dr, sig)
-            slo, shi = endpoints(ds, sig)
-            lo_ops[name] = OpSig(rlo, slo)
-            hi_ops[name] = OpSig(rhi, shi)
-        return Concrete(lo_ops), Concrete(hi_ops)
-    raise TypeError(f"not a derivation: {d!r}")
-
-
-def compose_derivations(d1: Derivation, d2: Derivation) -> Derivation:
-    """Cut: from t |_ u and u |_ v produce t |_ v."""
-    if isinstance(d1, (BoolRefl, UnitRefl, StrRefl)) and type(d1) is type(d2):
-        return d1
-    if isinstance(d1, QueueCong) and isinstance(d2, QueueCong):
-        return QueueCong(compose_derivations(d1.elem, d2.elem))
-    if isinstance(d1, ArrowCong) and isinstance(d2, ArrowCong):
-        return ArrowCong(
-            compose_derivations(d1.dom, d2.dom),
-            compose_derivations(d1.eff, d2.eff),
-            compose_derivations(d1.cod, d2.cod),
-        )
-    if isinstance(d1, DynRefl) and isinstance(d2, DynRefl):
-        return DynRefl()
-    if isinstance(d1, Inj) and isinstance(d2, DynRefl):
-        return d1
-    if isinstance(d1, ConcreteCong) and isinstance(d2, Inj):
-        return Inj(compose_derivations(d1, d2.inner))
-    if isinstance(d1, ConcreteCong) and isinstance(d2, ConcreteCong):
-        left, right = dict(d1.ops), dict(d2.ops)
-        if set(left) != set(right):
-            raise EndpointMismatch("concrete derivation domains differ")
-        ops = {}
-        for name in left:
-            (r1, s1), (r2, s2) = left[name], right[name]
-            ops[name] = (compose_derivations(r1, r2), compose_derivations(s1, s2))
-        return ConcreteCong(ops)
-    raise EndpointMismatch(f"cannot compose {type(d1).__name__} with {type(d2).__name__}")
-
-
-def reflexivity(t: Type, sig: Signature) -> Derivation:
-    """The derivation of t |_ t."""
-    return derive_precision(sig, t, t)

@@ -1,18 +1,15 @@
-"""Type relations: subtyping, precision, gradual subtyping, joins, derivations."""
+"""Type relations: subtyping, precision, gradual subtyping, joins."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from greff.typesys import (
     Arrow,
     Bool,
     Concrete,
-    ConcreteCong,
     DYN,
-    DerivationError,
     Dyn,
     EMPTY,
-    Inj,
     JoinUndefined,
     OpSig,
     QueueOf,
@@ -20,9 +17,6 @@ from greff.typesys import (
     Str,
     Unit,
     compatible,
-    compose_derivations,
-    derive_precision,
-    endpoints,
     erase,
     glb,
     gradual_join,
@@ -30,7 +24,6 @@ from greff.typesys import (
     gradual_subtype,
     lub,
     precision,
-    reflexivity,
     subtype,
     wellformed,
 )
@@ -290,70 +283,3 @@ def test_lub_union_glb_intersection():
     assert glb(PY, only_fork) == EMPTY
     assert subtype(PY, lub(PY, only_fork))
     assert subtype(only_fork, lub(PY, only_fork))
-
-
-# ---------------------------------------------------------------------------
-# derivations
-
-
-@given(any_types)
-def test_reflexivity_endpoints(t):
-    d = reflexivity(t, SIG)
-    assert endpoints(d, SIG) == (t, t)
-
-
-@given(any_types)
-def test_derivation_roundtrip_with_erasure(t):
-    d = derive_precision(SIG, t, erase(t))
-    lo, hi = endpoints(d, SIG)
-    assert lo == t and hi == erase(t)
-
-
-def test_derivation_unique_shape():
-    d1 = derive_precision(SIG, PY, DYN)
-    d2 = derive_precision(SIG, PY, DYN)
-    assert d1 == d2
-    assert isinstance(d1, Inj)
-    assert isinstance(d1.inner, ConcreteCong)
-
-
-def test_derivation_rejects_unrelated():
-    with pytest.raises(DerivationError):
-        derive_precision(SIG, DYN, PY)
-    with pytest.raises(DerivationError):
-        derive_precision(SIG, PY, FPY)
-
-
-@given(value_types())
-def test_compose_with_reflexivity_is_identity(t):
-    mid = erase(t)
-    d = derive_precision(SIG, t, mid)
-    assert compose_derivations(reflexivity(t, SIG), d) == d
-    assert compose_derivations(d, reflexivity(mid, SIG)) == d
-
-
-def test_compose_through_dyn():
-    d1 = derive_precision(SIG, Arrow(UNIT, PY, UNIT), THUNK_DYN)
-    d2 = derive_precision(SIG, THUNK_DYN, THUNK_DYN)
-    composed = compose_derivations(d1, d2)
-    assert endpoints(composed, SIG) == (Arrow(UNIT, PY, UNIT), THUNK_DYN)
-    assert composed == d1
-
-
-def test_compose_concrete_into_inj():
-    precise = Concrete({"fork": OpSig(Arrow(UNIT, PY, UNIT), UNIT)})
-    looser = Concrete({"fork": OpSig(THUNK_DYN, UNIT)})
-    c = derive_precision(SIG, precise, looser)
-    inj = derive_precision(SIG, looser, DYN)
-    composed = compose_derivations(c, inj)
-    assert endpoints(composed, SIG) == (precise, DYN)
-    assert composed == derive_precision(SIG, precise, DYN)
-
-
-@settings(max_examples=60)
-@given(value_types())
-def test_compose_matches_direct_derivation(t):
-    # t |_ erase(t) |_ erase(t), composed, equals the direct derivation
-    d1 = derive_precision(SIG, t, erase(t))
-    d2 = reflexivity(erase(t), SIG)
-    assert compose_derivations(d1, d2) == derive_precision(SIG, t, erase(t))
