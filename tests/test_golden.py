@@ -1,28 +1,38 @@
 """Golden outputs, pinned byte for byte against files in tests/golden/.
 
-Two things are pinned: the JSONL that `greff conformance --seed 0
---cases 25` prints, and, for every program in corpus/, the exit code
-and stdout of `greff check`, `greff elab` and `greff run`, plus the
-machine's step count for programs that elaborate.  A change that should
-keep behaviour identical must leave both files unchanged.  After an
-intended change of behaviour, `python tests/test_golden.py` rewrites
-them from the current code, and the diff shows what moved.
+Three things are pinned: the JSONL that `greff conformance --seed 0
+--cases 25` prints; for every program in corpus/, the exit code and
+stdout of `greff check`, `greff elab` and `greff run`, plus the
+machine's step count for programs that elaborate; and, for a fixed set
+of machine runs, the outcome, the step count and a digest of every
+traced rule with its detail.  A change that should keep behaviour
+identical must leave all three files unchanged.  After an intended
+change of behaviour, `python tests/test_golden.py` rewrites them from
+the current code, and the diff shows what moved.
 """
 
+import hashlib
 import io
 import json
 from pathlib import Path
 
 import pytest
 
-from greff import cli, elaborate
+from greff import cli, core, elaborate, gen
+from greff import conformance as conf
 from greff import eval as ev
+from greff.surface import ParseError
+from programs import queue_walk_source
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CONFORMANCE_ARGS = ("conformance", "--seed", "0", "--cases", "25")
 CONFORMANCE_FILE = GOLDEN / "conformance_seed0_cases25.jsonl"
 CORPUS_FILE = GOLDEN / "corpus.json"
+MACHINE_FILE = GOLDEN / "machine.json"
+STATIC_ERRORS = (ParseError, elaborate.ElabError, core.TypeCheckError)
+MACHINE_CORE_SEEDS = range(300)
+MACHINE_CORE_FUEL = 100_000
 
 
 def _cli(*argv: str) -> tuple[int, str]:
@@ -57,6 +67,43 @@ def _expected_corpus() -> dict:
     return json.loads(CORPUS_FILE.read_bytes().decode("utf-8"))
 
 
+def _machine_programs() -> list[tuple[str, object, object, int]]:
+    """(name, signature, core term, fuel) for every pinned machine run."""
+    runs = []
+    for seed in MACHINE_CORE_SEEDS:
+        sig, term, _ = gen.gen_core_program(seed)
+        runs.append((f"core-{seed:03d}", sig, term, MACHINE_CORE_FUEL))
+    for row in ("print", "?"):
+        res = elaborate.elab_source(queue_walk_source(64, row))
+        runs.append((f"queue-walk-64-{row}", res.sig, res.term, ev.DEFAULT_FUEL))
+    for path in _corpus_programs():
+        try:
+            res = elaborate.elab_source(path.read_text(encoding="utf-8"))
+        except STATIC_ERRORS:
+            continue
+        runs.append((f"corpus-{path.stem}", res.sig, res.term, ev.DEFAULT_FUEL))
+    return runs
+
+
+def observe_machine(sig, term, fuel: int) -> dict:
+    """Outcome, step count and the sha256 of the traced (rule, detail) lines."""
+    digest = hashlib.sha256()
+
+    def trace(rule: str, detail: str) -> None:
+        digest.update(f"{rule}\t{detail}\n".encode("utf-8"))
+
+    result = ev.run(sig, term, fuel=fuel, trace=trace)
+    return {
+        "outcome": conf.describe_outcome(result.outcome),
+        "steps": result.steps,
+        "trace_sha256": digest.hexdigest(),
+    }
+
+
+def observe_machine_runs() -> dict:
+    return {name: observe_machine(sig, term, fuel) for name, sig, term, fuel in _machine_programs()}
+
+
 def test_conformance_seed0_jsonl_is_unchanged():
     assert observe_conformance().encode("utf-8") == CONFORMANCE_FILE.read_bytes()
 
@@ -70,12 +117,23 @@ def test_corpus_outputs_are_unchanged(path):
     assert observe_corpus(path) == _expected_corpus()[path.name]
 
 
+def test_machine_runs_are_unchanged():
+    expected = json.loads(MACHINE_FILE.read_bytes().decode("utf-8"))
+    got = observe_machine_runs()
+    assert sorted(got) == sorted(expected)
+    moved = [name for name in expected if got[name] != expected[name]]
+    assert not moved, f"{len(moved)} runs moved, first: {moved[:5]}"
+
+
+def _dump(obj) -> bytes:
+    return (json.dumps(obj, indent=1, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
+
+
 def write_golden() -> None:
     GOLDEN.mkdir(exist_ok=True)
     CONFORMANCE_FILE.write_bytes(observe_conformance().encode("utf-8"))
-    corpus = {p.name: observe_corpus(p) for p in _corpus_programs()}
-    text = json.dumps(corpus, indent=1, sort_keys=True, ensure_ascii=False) + "\n"
-    CORPUS_FILE.write_bytes(text.encode("utf-8"))
+    CORPUS_FILE.write_bytes(_dump({p.name: observe_corpus(p) for p in _corpus_programs()}))
+    MACHINE_FILE.write_bytes(_dump(observe_machine_runs()))
 
 
 if __name__ == "__main__":
