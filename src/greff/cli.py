@@ -15,6 +15,7 @@ the flags, and the seed:
     4   a conformance or graduality batch found a violation
     5   an operation reached the top level unhandled
     64  bad invocation or unreadable input
+    70  internal error: a bug in greff, reported on one line
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ EXIT_FUEL = 3
 EXIT_VIOLATION = 4
 EXIT_UNCAUGHT = 5
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70  # EX_SOFTWARE
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,13 @@ class RunConfig:
 
 class _UsageError(Exception):
     pass
+
+
+def _config(**knobs) -> RunConfig:
+    try:
+        return RunConfig(**knobs)
+    except ValueError as e:
+        raise _UsageError(str(e)) from e
 
 
 class _Parser(argparse.ArgumentParser):
@@ -186,22 +195,23 @@ def main(argv=None, out=sys.stdout, err=sys.stderr) -> int:
         if ns.command == "elab":
             return cmd_elab(ns.file, out=out)
         if ns.command == "run":
-            cfg = RunConfig(fuel=ns.fuel, tracing=ns.trace)
+            cfg = _config(fuel=ns.fuel, tracing=ns.trace)
             return cmd_run(ns.file, cfg, out=out, err=err)
         if ns.command == "graduality":
-            cfg = RunConfig(fuel=ns.fuel, seed=ns.seed, cases=ns.cases)
+            cfg = _config(fuel=ns.fuel, seed=ns.seed, cases=ns.cases)
             return cmd_graduality(ns.file, cfg, out=out, err=err)
-        cfg = RunConfig(fuel=ns.fuel, seed=ns.seed, cases=ns.cases)
+        cfg = _config(fuel=ns.fuel, seed=ns.seed, cases=ns.cases)
         return cmd_conformance(cfg, out=out, err=err)
     except _UsageError as e:
-        print(f"usage error: {e}", file=err)
-        return EXIT_USAGE
-    except ValueError as e:
         print(f"usage error: {e}", file=err)
         return EXIT_USAGE
     except (ParseError, elaborate.ElabError, core.TypeCheckError) as e:
         print(f"static error: {e}", file=err)
         return EXIT_STATIC
+    except Exception as e:  # StuckState, ReferenceBug, or a crash: all bugs
+        message = f"{type(e).__name__}: {e}".replace("\n", " ")
+        print(f"internal error: {message}", file=err)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -238,18 +238,6 @@ FALSE = BoolLit(False)
 UNIT = UnitLit()
 
 
-def is_value(t: Term) -> bool:
-    """Syntactic values: results of evaluation."""
-    if isinstance(t, (BoolLit, UnitLit, StrLit, Lam, EmptyQueue)):
-        return True
-    if isinstance(t, Enqueue):
-        return is_value(t.queue) and is_value(t.elem)
-    if isinstance(t, (ValUpcast, ValDowncast)):
-        # casts between arrow types wrap values into proxies
-        return isinstance(t.lo, Arrow) and isinstance(t.hi, Arrow) and is_value(t.body)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Substitution
 

@@ -1,13 +1,25 @@
-"""Frame-stack interpreter for core terms.
+"""Frame-stack interpreter for core terms: an environment machine.
 
-Evaluation is small-step over a machine state: a control (the term
-being evaluated, a value being returned, or an operation being raised)
-plus a stack of frames, one per evaluation-context layer.  A raised
-operation walks the stack one frame per step; frames that neither
-handle nor intercept the operation are captured, and when a handler
-with a matching clause is found the captured frames are read back as
-an ordinary lambda bound to the clause's resumption variable.  Deep
-handlers rewrap themselves inside that lambda, shallow ones do not.
+Evaluation is small-step over a machine state: a control (a term being
+evaluated in an environment, a runtime value being returned, or an
+operation being raised) plus a persistent stack of frames, one per
+evaluation-context layer, each carrying the environment of the term it
+holds.  Binding extends an environment; nothing is substituted while
+the machine runs, so a step costs the same however large the program
+or its data.  After Felleisen & Friedman's CEK machine.
+
+Runtime values are the literals themselves, closures, queues backed by
+shared lists, arrow-cast proxies and resumptions.  A recursive function
+binds its own name to a fix-closure, which is not a value: looking it
+up unrolls the fixpoint again.
+
+A raised operation walks the stack one frame per step; frames that
+neither handle nor intercept the operation are captured, and when a
+handler with a matching clause is found the captured frames become a
+resumption bound to the clause's resumption variable.  Deep handlers
+add themselves as the outermost captured frame, shallow ones do not.
+Applying a resumption replays its frames one step per frame, as if the
+captured context had been read back as a term and evaluated again.
 
 Effect casts are transparent to returning values.  A raise crossing an
 upcast is re-raised with its payload and response rewrapped between the
@@ -17,22 +29,23 @@ when the source row is dynamic and the target omits it.  Casts between
 arrow types are inert proxy values that fire at application, casting
 the argument one way and the effects and result the other.
 
-All binding is by substitution of closed values, so any intermediate
-state reads back (reify) as a closed term that typechecks; the suite
-samples exactly that.  The direct-style evaluator in reference.py
-implements the same semantics with none of this machinery and serves
-as the cross-check.
+Every state still denotes a closed term: reify reads it back by
+substituting environments into the terms they close over, which is
+done only when asked for (a final value, a sampled state, a traced
+rule's detail).  That term typechecks; the suite samples exactly that.
+The direct-style evaluator in reference.py implements the same
+semantics with none of this machinery and serves as the cross-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from . import core
 from .typesys import (
     Arrow,
-    Concrete,
     Dyn,
     EffectType,
     OpSig,
@@ -43,6 +56,8 @@ from .typesys import (
 )
 
 DEFAULT_FUEL = 1_000_000
+
+_record = dataclass(slots=True, eq=False)
 
 
 class StuckState(Exception):
@@ -77,90 +92,227 @@ Outcome = Union[Value, Error, UncaughtRaise, FuelExhausted]
 
 
 # ---------------------------------------------------------------------------
-# Frames: one per evaluation-context layer
+# Persistent stacks
+
+Env = Mapping[str, object]
+NO_ENV: Env = MappingProxyType({})
 
 
-@dataclass(frozen=True)
+class Stack:
+    """An immutable linked stack: O(1) push and pop, iterated from the top."""
+
+    __slots__ = ("top", "rest", "depth")
+
+    def __init__(self, top=None, rest: Optional["Stack"] = None):
+        self.top = top
+        self.rest = rest
+        self.depth = 0 if rest is None else rest.depth + 1
+
+    def __len__(self) -> int:
+        return self.depth
+
+    def __iter__(self):
+        node = self
+        while node.depth:
+            yield node.top
+            node = node.rest
+
+
+EMPTY_STACK = Stack()
+
+
+class Captured:
+    """The frames a raise has walked past, iterated innermost first.
+
+    Frames walked past join at the outer end; the response casts that
+    effect casts add join at the inner end.  Both joins are O(1).
+    """
+
+    __slots__ = ("inner", "outer")
+
+    def __init__(self, inner: Stack = EMPTY_STACK, outer: Stack = EMPTY_STACK):
+        self.inner = inner  # innermost on top
+        self.outer = outer  # outermost on top
+
+    def __len__(self) -> int:
+        return self.inner.depth + self.outer.depth
+
+    def __iter__(self):
+        yield from self.inner
+        yield from reversed(tuple(self.outer))
+
+
+# ---------------------------------------------------------------------------
+# Runtime values (literals are their own runtime values)
+
+
+@_record
+class Closure:
+    lam: core.Lam
+    env: Env
+    term: Optional[core.Term] = None  # the read-back, filled on demand
+
+
+@_record
+class FixClosure:
+    """fix f. lam in its environment.  Bound to f in the body's
+    environment but never a value: evaluating f unrolls it again."""
+
+    fix: core.Fix
+    env: Env
+    body_env: Env = field(init=False)
+    term: Optional[core.Term] = None
+
+    def __post_init__(self):
+        self.body_env = {**self.env, self.fix.var: self}
+
+
+@_record
+class QueueVal:
+    """A queue: the window buf[start:end], oldest first.
+
+    Queues are persistent and share their lists.  A window is never
+    written inside; enqueueing appends in place when the window ends at
+    the list's end, so no other window can see the new element, and
+    copies the window otherwise.  Enqueue and dequeue are O(1) on a
+    queue that is used once.
+    """
+
+    elem: ValueType  # the annotation of the queue's empty end
+    buf: list
+    start: int
+    end: int
+
+    def items(self) -> list:
+        return self.buf[self.start : self.end]
+
+    def enqueue(self, x: object) -> "QueueVal":
+        buf, start = self.buf, self.start
+        if len(buf) != self.end:
+            buf, start = buf[start : self.end], 0
+        buf.append(x)
+        return QueueVal(self.elem, buf, start, len(buf))
+
+
+@_record
+class Proxy:
+    """A function value wrapped in an arrow cast, fired at application."""
+
+    up: bool
+    lo: Arrow
+    hi: Arrow
+    fn: object
+
+
+@_record
+class Resumption:
+    """The frames a handled raise captured, innermost first.
+
+    Applying it to y replays them around y.  values counts the innermost
+    frames that turn a value into a value (enqueues, arrow casts); the
+    replay returns those in a single step.
+    """
+
+    var: str  # the fresh name its read-back binds
+    resp: ValueType
+    frames: tuple
+    values: int
+    term: Optional[core.Term] = None
+
+
+# ---------------------------------------------------------------------------
+# Frames: one per evaluation-context layer.  Frames that hold a term
+# hold the environment that closes it.
+
+
+@_record
 class AppFun:
     arg: core.Term
+    env: Env = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@_record
 class AppArg:
-    fn: core.Term  # a value
+    fn: object  # a value
 
 
-@dataclass(frozen=True)
+@_record
 class LetBody:
     var: str
     body: core.Term
+    env: Env = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@_record
 class IfBranches:
     then: core.Term
     els: core.Term
+    env: Env = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@_record
 class ConcatLeft:
     right: core.Term
+    env: Env = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@_record
 class ConcatRight:
-    left: core.Term  # a value
+    left: core.StrLit  # a value
 
 
-@dataclass(frozen=True)
+@_record
 class EnqueueQueue:
     elem: core.Term
+    env: Env = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@_record
 class EnqueueElem:
-    queue: core.Term  # a value
+    queue: QueueVal  # a value
 
 
-@dataclass(frozen=True)
+@_record
 class CaseFrame:
     empty_body: core.Term
     head_var: str
     rest_var: str
     cons_body: core.Term
+    env: Env = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@_record
 class RaisePayload:
     op: str
     req: ValueType
     resp: ValueType
 
 
-@dataclass(frozen=True)
+@_record
 class HandleFrame:
     handle: core.Handle
+    env: Env = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@_record
 class ValUpFrame:
     lo: ValueType
     hi: ValueType
 
 
-@dataclass(frozen=True)
+@_record
 class ValDownFrame:
     lo: ValueType
     hi: ValueType
 
 
-@dataclass(frozen=True)
+@_record
 class EffUpFrame:
     lo: EffectType
     hi: EffectType
 
 
-@dataclass(frozen=True)
+@_record
 class EffDownFrame:
     lo: EffectType
     hi: EffectType
@@ -173,21 +325,35 @@ Frame = Union[
 ]
 
 
+@_record
+class Replay:
+    """A resumption's innermost `depth` frames plugged around its argument.
+
+    Only ever a whole control term or a whole term held by a frame,
+    never part of a core term.
+    """
+
+    k: Resumption
+    depth: int
+    arg: object
+
+
 # ---------------------------------------------------------------------------
 # Machine states
 
 
-@dataclass(frozen=True)
+@_record
 class Evaluating:
     term: core.Term
+    env: Env
 
 
-@dataclass(frozen=True)
+@_record
 class Returning:
-    value: core.Term
+    value: object
 
 
-@dataclass(frozen=True)
+@_record
 class Raising:
     """An operation searching outward for its handler.
 
@@ -199,22 +365,204 @@ class Raising:
     op: str
     req: ValueType
     resp: ValueType
-    payload: core.Term
-    captured: tuple[Frame, ...]
+    payload: object
+    captured: Captured
 
 
 Control = Union[Evaluating, Returning, Raising]
 
 
-@dataclass(frozen=True)
+@_record
 class MachineState:
-    frames: tuple[Frame, ...]  # outermost first
+    frames: Stack  # innermost on top
     control: Control
 
 
-@dataclass(frozen=True)
+@_record
 class Terminal:
     outcome: Outcome
+
+
+# ---------------------------------------------------------------------------
+# Values of value terms
+
+_ATOMS = frozenset({core.BoolLit, core.UnitLit, core.StrLit, core.Lam, core.EmptyQueue})
+
+
+def _is_value(t: core.Term, env: Env) -> bool:
+    """Whether t, closed by env, is a syntactic value."""
+    tt = type(t)
+    if tt in _ATOMS:
+        return True
+    if tt is core.Var:
+        v = env.get(t.name)
+        return v is not None and type(v) is not FixClosure
+    if tt is core.Enqueue:
+        return _is_value(t.queue, env) and _is_value(t.elem, env)
+    if tt is core.ValUpcast or tt is core.ValDowncast:
+        # casts between arrow types wrap values into proxies
+        return isinstance(t.lo, Arrow) and isinstance(t.hi, Arrow) and _is_value(t.body, env)
+    return False
+
+
+def _val(t: core.Term, env: Env) -> object:
+    """The runtime value of a value term closed by env."""
+    tt = type(t)
+    if tt is core.Var:
+        return env[t.name]
+    if tt is core.Lam:
+        return Closure(t, env)
+    if tt is core.EmptyQueue:
+        return QueueVal(t.elem, [], 0, 0)
+    if tt is core.Enqueue:
+        q = _val(t.queue, env)
+        return q.enqueue(_val(t.elem, env))
+    if tt is core.ValUpcast:
+        return Proxy(True, t.lo, t.hi, _val(t.body, env))
+    if tt is core.ValDowncast:
+        return Proxy(False, t.lo, t.hi, _val(t.body, env))
+    return t  # a literal
+
+
+def cast_value(v: object, up: bool, lo: ValueType, hi: ValueType) -> object:
+    """Apply a value cast to a value; takes lo to hi when up, hi to lo otherwise.
+
+    Ground casts dissolve, queue casts distribute over the elements, and
+    arrow casts wrap the value into a proxy that fires at application.
+    """
+    if lo == hi:
+        return v
+    if isinstance(lo, QueueOf) and isinstance(hi, QueueOf):
+        if not isinstance(v, QueueVal):
+            raise StuckState(f"queue cast over a non-queue: {v!r}")
+        items = [cast_value(x, up, lo.elem, hi.elem) for x in v.items()]
+        return QueueVal(hi.elem if up else lo.elem, items, 0, len(items))
+    if isinstance(lo, Arrow) and isinstance(hi, Arrow):
+        return Proxy(up, lo, hi, v)
+    # base types are only precision-related to themselves
+    return v
+
+
+def _keeps_value(f: Frame) -> bool:
+    """Whether f plugged around a value reads back as a value."""
+    tf = type(f)
+    if tf is EnqueueElem:
+        return True
+    if tf is EnqueueQueue:
+        return _is_value(f.elem, f.env)
+    if tf is ValUpFrame or tf is ValDownFrame:
+        return isinstance(f.lo, Arrow) and isinstance(f.hi, Arrow)
+    return False
+
+
+def _plug_value(f: Frame, v: object) -> object:
+    """The value f plugged around v returns; f keeps values."""
+    tf = type(f)
+    if tf is EnqueueQueue:
+        return v.enqueue(_val(f.elem, f.env))
+    if tf is EnqueueElem:
+        return f.queue.enqueue(v)
+    return Proxy(tf is ValUpFrame, f.lo, f.hi, v)
+
+
+# ---------------------------------------------------------------------------
+# Read-back: states as the closed terms they denote
+
+
+def _back(v: object) -> core.Term:
+    """The closed value term a runtime value stands for."""
+    tv = type(v)
+    if tv is QueueVal:
+        out: core.Term = core.EmptyQueue(v.elem)
+        for x in v.items():
+            out = core.Enqueue(out, _back(x))
+        return out
+    if tv is Proxy:
+        return (core.ValUpcast if v.up else core.ValDowncast)(v.lo, v.hi, _back(v.fn))
+    if tv is Closure or tv is FixClosure or tv is Resumption:
+        if v.term is None:
+            if tv is Resumption:
+                body = reify_frames(v.frames, core.Var(v.var))
+                v.term = core.Lam(v.var, v.resp, body)
+            else:
+                v.term = _close(v.lam if tv is Closure else v.fix, v.env)
+        return v.term
+    return v  # a literal
+
+
+def _close(t: core.Term, env: Env, bound: tuple[str, ...] = ()) -> core.Term:
+    """t with env substituted for its free names, except those in bound."""
+    if type(t) is Replay:
+        return reify_frames(t.k.frames[: t.depth], _back(t.arg))
+    for name, v in env.items():
+        if name not in bound:
+            t = core.subst(t, name, _back(v))
+    return t
+
+
+def _wrap(f: Frame, hole: core.Term) -> core.Term:
+    """Rebuild the term layer a frame stands for, with hole plugged in."""
+    tf = type(f)
+    if tf is AppFun:
+        return core.App(hole, _close(f.arg, f.env))
+    if tf is AppArg:
+        return core.App(_back(f.fn), hole)
+    if tf is LetBody:
+        return core.Let(hole, f.var, _close(f.body, f.env, (f.var,)))
+    if tf is IfBranches:
+        return core.If(hole, _close(f.then, f.env), _close(f.els, f.env))
+    if tf is ConcatLeft:
+        return core.Concat(hole, _close(f.right, f.env))
+    if tf is ConcatRight:
+        return core.Concat(f.left, hole)
+    if tf is EnqueueQueue:
+        return core.Enqueue(hole, _close(f.elem, f.env))
+    if tf is EnqueueElem:
+        return core.Enqueue(_back(f.queue), hole)
+    if tf is CaseFrame:
+        return core.CaseQueue(
+            hole,
+            _close(f.empty_body, f.env),
+            f.head_var,
+            f.rest_var,
+            _close(f.cons_body, f.env, (f.head_var, f.rest_var)),
+        )
+    if tf is RaisePayload:
+        return core.Raise(f.op, f.req, f.resp, hole)
+    if tf is HandleFrame:
+        h = _close(f.handle, f.env)
+        return core.Handle(
+            hole, h.ret_var, h.ret_body, h.clauses, h.result_eff, h.result_type, h.deep
+        )
+    if tf is ValUpFrame:
+        return core.ValUpcast(f.lo, f.hi, hole)
+    if tf is ValDownFrame:
+        return core.ValDowncast(f.lo, f.hi, hole)
+    if tf is EffUpFrame:
+        return core.EffUpcast(f.lo, f.hi, hole)
+    if tf is EffDownFrame:
+        return core.EffDowncast(f.lo, f.hi, hole)
+    raise StuckState(f"not a frame: {f!r}")
+
+
+def reify_frames(frames: Iterable[Frame], hole: core.Term) -> core.Term:
+    """Plug hole into a sequence of frames given innermost first."""
+    for f in frames:
+        hole = _wrap(f, hole)
+    return hole
+
+
+def reify(state: MachineState) -> core.Term:
+    """Read the whole state back as the closed term it denotes."""
+    c = state.control
+    if isinstance(c, Evaluating):
+        inner = _close(c.term, c.env)
+    elif isinstance(c, Returning):
+        inner = _back(c.value)
+    else:
+        raise_node = core.Raise(c.op, c.req, c.resp, _back(c.payload))
+        inner = reify_frames(c.captured, raise_node)
+    return reify_frames(state.frames, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -233,101 +581,7 @@ def _typing(eff: EffectType, op: str, sig: Signature) -> OpSig:
     return got
 
 
-def cast_value(v: core.Term, up: bool, lo: ValueType, hi: ValueType) -> core.Term:
-    """Apply a value cast to a value; takes lo to hi when up, hi to lo otherwise.
-
-    Ground casts dissolve, queue casts distribute over the elements, and
-    arrow casts wrap the value into a proxy that fires at application.
-    """
-    if lo == hi:
-        return v
-    if isinstance(lo, QueueOf) and isinstance(hi, QueueOf):
-        if isinstance(v, core.EmptyQueue):
-            return core.EmptyQueue(hi.elem if up else lo.elem)
-        if isinstance(v, core.Enqueue):
-            return core.Enqueue(
-                cast_value(v.queue, up, lo, hi),
-                cast_value(v.elem, up, lo.elem, hi.elem),
-            )
-        raise StuckState(f"queue cast over a non-queue: {v!r}")
-    if isinstance(lo, Arrow) and isinstance(hi, Arrow):
-        return core.ValUpcast(lo, hi, v) if up else core.ValDowncast(lo, hi, v)
-    # base types are only precision-related to themselves
-    return v
-
-
-def _uncons(q: core.Term) -> Optional[tuple[core.Term, core.Term]]:
-    """Oldest element and the rest, or None when empty."""
-    if isinstance(q, core.EmptyQueue):
-        return None
-    if isinstance(q, core.Enqueue):
-        got = _uncons(q.queue)
-        if got is None:
-            return q.elem, q.queue
-        head, rest = got
-        return head, core.Enqueue(rest, q.elem)
-    raise StuckState(f"not a queue value: {q!r}")
-
-
-def _wrap(f: Frame, hole: core.Term) -> core.Term:
-    """Rebuild the term layer a frame stands for, with hole plugged in."""
-    if isinstance(f, AppFun):
-        return core.App(hole, f.arg)
-    if isinstance(f, AppArg):
-        return core.App(f.fn, hole)
-    if isinstance(f, LetBody):
-        return core.Let(hole, f.var, f.body)
-    if isinstance(f, IfBranches):
-        return core.If(hole, f.then, f.els)
-    if isinstance(f, ConcatLeft):
-        return core.Concat(hole, f.right)
-    if isinstance(f, ConcatRight):
-        return core.Concat(f.left, hole)
-    if isinstance(f, EnqueueQueue):
-        return core.Enqueue(hole, f.elem)
-    if isinstance(f, EnqueueElem):
-        return core.Enqueue(f.queue, hole)
-    if isinstance(f, CaseFrame):
-        return core.CaseQueue(hole, f.empty_body, f.head_var, f.rest_var, f.cons_body)
-    if isinstance(f, RaisePayload):
-        return core.Raise(f.op, f.req, f.resp, hole)
-    if isinstance(f, HandleFrame):
-        h = f.handle
-        return core.Handle(
-            hole, h.ret_var, h.ret_body, h.clauses, h.result_eff, h.result_type, h.deep
-        )
-    if isinstance(f, ValUpFrame):
-        return core.ValUpcast(f.lo, f.hi, hole)
-    if isinstance(f, ValDownFrame):
-        return core.ValDowncast(f.lo, f.hi, hole)
-    if isinstance(f, EffUpFrame):
-        return core.EffUpcast(f.lo, f.hi, hole)
-    if isinstance(f, EffDownFrame):
-        return core.EffDowncast(f.lo, f.hi, hole)
-    raise StuckState(f"not a frame: {f!r}")
-
-
-def reify_frames(frames: tuple[Frame, ...], hole: core.Term) -> core.Term:
-    """Plug hole into a sequence of frames given innermost first."""
-    for f in frames:
-        hole = _wrap(f, hole)
-    return hole
-
-
-def reify(state: MachineState) -> core.Term:
-    """Read the whole state back as the closed term it denotes."""
-    c = state.control
-    if isinstance(c, Evaluating):
-        inner = c.term
-    elif isinstance(c, Returning):
-        inner = c.value
-    else:
-        raise_node = core.Raise(c.op, c.req, c.resp, c.payload)
-        inner = reify_frames(c.captured, raise_node)
-    return reify_frames(tuple(reversed(state.frames)), inner)
-
-
-def apart(sig: Signature, frames: tuple[Frame, ...], op: str) -> bool:
+def apart(sig: Signature, frames: Iterable[Frame], op: str) -> bool:
     """True when no frame handles or cast-intercepts op."""
     for f in frames:
         if isinstance(f, HandleFrame) and f.handle.clause(op) is not None:
@@ -339,6 +593,13 @@ def apart(sig: Signature, frames: tuple[Frame, ...], op: str) -> bool:
         if isinstance(f, EffDownFrame) and _mentions(f.hi, op, sig):
             return False
     return True
+
+
+# a proxy applies its target to the cast argument by evaluating _APPLY
+# with the two bound; a replay evaluates a frame's value as _HELD.  No
+# source name contains %, so these bindings never shadow the program's.
+_APPLY = core.App(core.Var("%f"), core.Var("%x"))
+_HELD = core.Var("%v")
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +617,7 @@ class Machine:
         return f"%r{self._fresh}"
 
     def initial(self, term: core.Term) -> MachineState:
-        return MachineState((), Evaluating(term))
+        return MachineState(EMPTY_STACK, Evaluating(term, NO_ENV))
 
     def _fire(self, rule: str, detail: str = "") -> None:
         if self.trace is not None:
@@ -364,180 +625,232 @@ class Machine:
 
     def step(self, s: MachineState) -> Union[MachineState, Terminal]:
         c = s.control
-        if isinstance(c, Evaluating):
-            return self._step_eval(s.frames, c.term)
-        if isinstance(c, Returning):
+        tc = type(c)
+        if tc is Evaluating:
+            return self._step_eval(s.frames, c.term, c.env)
+        if tc is Returning:
             return self._step_return(s.frames, c.value)
         return self._step_raise(s.frames, c)
 
-    def _step_eval(self, frames, t) -> Union[MachineState, Terminal]:
-        if core.is_value(t):
-            self._fire("value", core._brief(t))
-            return MachineState(frames, Returning(t))
-        if isinstance(t, core.Fix):
+    def _returns(self, frames: Stack, v: object) -> MachineState:
+        if self.trace is not None:
+            self.trace("value", core._brief(_back(v)))
+        return MachineState(frames, Returning(v))
+
+    def _step_eval(self, frames: Stack, t, env: Env) -> Union[MachineState, Terminal]:
+        tt = type(t)
+        if tt is core.Var:
+            v = env.get(t.name)
+            if type(v) is FixClosure:
+                self._fire("fix", v.fix.var)
+                return MachineState(frames, Evaluating(v.fix.body, v.body_env))
+            if v is None:
+                raise StuckState(f"cannot evaluate {core._brief(t)}")
+            return self._returns(frames, v)
+        if tt in _ATOMS:
+            return self._returns(frames, _val(t, env))
+        if tt is core.App:
+            return MachineState(Stack(AppFun(t.arg, env), frames), Evaluating(t.fn, env))
+        if tt is core.Let:
+            f = LetBody(t.var, t.body, env)
+            return MachineState(Stack(f, frames), Evaluating(t.bound, env))
+        if tt is core.CaseQueue:
+            f = CaseFrame(t.empty_body, t.head_var, t.rest_var, t.cons_body, env)
+            return MachineState(Stack(f, frames), Evaluating(t.scrutinee, env))
+        if tt is core.Fix:
             self._fire("fix", t.var)
-            return MachineState(frames, Evaluating(core.subst(t.body, t.var, t)))
-        if isinstance(t, core.App):
-            return MachineState(frames + (AppFun(t.arg),), Evaluating(t.fn))
-        if isinstance(t, core.Let):
-            return MachineState(frames + (LetBody(t.var, t.body),), Evaluating(t.bound))
-        if isinstance(t, core.If):
-            return MachineState(frames + (IfBranches(t.then, t.els),), Evaluating(t.cond))
-        if isinstance(t, core.Concat):
-            return MachineState(frames + (ConcatLeft(t.right),), Evaluating(t.left))
-        if isinstance(t, core.Enqueue):
-            return MachineState(frames + (EnqueueQueue(t.elem),), Evaluating(t.queue))
-        if isinstance(t, core.CaseQueue):
-            f = CaseFrame(t.empty_body, t.head_var, t.rest_var, t.cons_body)
-            return MachineState(frames + (f,), Evaluating(t.scrutinee))
-        if isinstance(t, core.Raise):
-            return MachineState(
-                frames + (RaisePayload(t.op, t.req, t.resp),), Evaluating(t.payload)
-            )
-        if isinstance(t, core.Handle):
-            return MachineState(frames + (HandleFrame(t),), Evaluating(t.scrutinee))
-        if isinstance(t, core.Err):
+            return MachineState(frames, Evaluating(t.body, FixClosure(t, env).body_env))
+        if tt is core.Concat:
+            return MachineState(Stack(ConcatLeft(t.right, env), frames), Evaluating(t.left, env))
+        if tt is core.If:
+            f = IfBranches(t.then, t.els, env)
+            return MachineState(Stack(f, frames), Evaluating(t.cond, env))
+        if tt is core.Raise:
+            f = RaisePayload(t.op, t.req, t.resp)
+            return MachineState(Stack(f, frames), Evaluating(t.payload, env))
+        if tt is core.Handle:
+            return MachineState(Stack(HandleFrame(t, env), frames), Evaluating(t.scrutinee, env))
+        if tt is Replay:
+            return self._replay(frames, t)
+        if tt is core.Enqueue or tt is core.ValUpcast or tt is core.ValDowncast:
+            if _is_value(t, env):
+                return self._returns(frames, _val(t, env))
+            if tt is core.Enqueue:
+                f = EnqueueQueue(t.elem, env)
+                return MachineState(Stack(f, frames), Evaluating(t.queue, env))
+            f = (ValUpFrame if tt is core.ValUpcast else ValDownFrame)(t.lo, t.hi)
+            return MachineState(Stack(f, frames), Evaluating(t.body, env))
+        if tt is core.EffUpcast or tt is core.EffDowncast:
+            f = (EffUpFrame if tt is core.EffUpcast else EffDownFrame)(t.lo, t.hi)
+            return MachineState(Stack(f, frames), Evaluating(t.body, env))
+        if tt is core.Err:
             self._fire("err")
             return Terminal(Error())
-        if isinstance(t, core.ValUpcast):
-            return MachineState(frames + (ValUpFrame(t.lo, t.hi),), Evaluating(t.body))
-        if isinstance(t, core.ValDowncast):
-            return MachineState(frames + (ValDownFrame(t.lo, t.hi),), Evaluating(t.body))
-        if isinstance(t, core.EffUpcast):
-            return MachineState(frames + (EffUpFrame(t.lo, t.hi),), Evaluating(t.body))
-        if isinstance(t, core.EffDowncast):
-            return MachineState(frames + (EffDownFrame(t.lo, t.hi),), Evaluating(t.body))
-        raise StuckState(f"cannot evaluate {core._brief(t)}")
+        raise StuckState(f"cannot evaluate {t!r}")
 
-    def _apply(self, frames, fn, arg) -> Union[MachineState, Terminal]:
-        if isinstance(fn, core.Lam):
+    def _replay(self, frames: Stack, t: Replay) -> MachineState:
+        """Evaluate the read-back of a resumption's frames around its argument.
+
+        Each frame costs what decomposing its term layer costs: one step,
+        or three for a frame that holds a value (the value is evaluated
+        again and returned).  Frames that keep a value a value do not
+        decompose: the whole value returns in one step.
+        """
+        k, n = t.k, t.depth
+        if n <= k.values:
+            v = t.arg
+            for f in k.frames[:n]:
+                v = _plug_value(f, v)
+            return self._returns(frames, v)
+        f = k.frames[n - 1]
+        inner = Replay(k, n - 1, t.arg)
+        tf = type(f)
+        if tf is AppArg:
+            return MachineState(Stack(AppFun(inner), frames), Evaluating(_HELD, {"%v": f.fn}))
+        if tf is ConcatRight:
+            return MachineState(
+                Stack(ConcatLeft(inner), frames), Evaluating(_HELD, {"%v": f.left})
+            )
+        if tf is EnqueueElem:
+            return MachineState(
+                Stack(EnqueueQueue(inner), frames), Evaluating(_HELD, {"%v": f.queue})
+            )
+        return MachineState(Stack(f, frames), Evaluating(inner, NO_ENV))
+
+    def _apply(self, frames: Stack, fn: object, arg: object) -> MachineState:
+        tf = type(fn)
+        if tf is Closure:
+            lam = fn.lam
+            self._fire("beta", lam.var)
+            return MachineState(frames, Evaluating(lam.body, {**fn.env, lam.var: arg}))
+        if tf is Resumption:
             self._fire("beta", fn.var)
-            return MachineState(frames, Evaluating(core.subst(fn.body, fn.var, arg)))
-        if isinstance(fn, core.ValUpcast):
+            return MachineState(frames, Evaluating(Replay(fn, len(fn.frames), arg), NO_ENV))
+        if tf is Proxy:
             lo, hi = fn.lo, fn.hi
-            self._fire("fun-upcast")
-            arg_cast = cast_value(arg, False, lo.dom, hi.dom)
-            frames = frames + (ValUpFrame(lo.cod, hi.cod), EffUpFrame(lo.eff, hi.eff))
-            return MachineState(frames, Evaluating(core.App(fn.body, arg_cast)))
-        if isinstance(fn, core.ValDowncast):
-            lo, hi = fn.lo, fn.hi
-            self._fire("fun-downcast")
-            arg_cast = cast_value(arg, True, lo.dom, hi.dom)
-            frames = frames + (ValDownFrame(lo.cod, hi.cod), EffDownFrame(lo.eff, hi.eff))
-            return MachineState(frames, Evaluating(core.App(fn.body, arg_cast)))
-        raise StuckState(f"applied a non-function: {core._brief(fn)}")
+            if fn.up:
+                self._fire("fun-upcast")
+                frames = Stack(ValUpFrame(lo.cod, hi.cod), frames)
+                frames = Stack(EffUpFrame(lo.eff, hi.eff), frames)
+            else:
+                self._fire("fun-downcast")
+                frames = Stack(ValDownFrame(lo.cod, hi.cod), frames)
+                frames = Stack(EffDownFrame(lo.eff, hi.eff), frames)
+            arg = cast_value(arg, not fn.up, lo.dom, hi.dom)
+            return MachineState(frames, Evaluating(_APPLY, {"%f": fn.fn, "%x": arg}))
+        raise StuckState(f"applied a non-function: {core._brief(_back(fn))}")
 
-    def _step_return(self, frames, v) -> Union[MachineState, Terminal]:
-        if not frames:
-            return Terminal(Value(v))
-        f, frames = frames[-1], frames[:-1]
-        if isinstance(f, AppFun):
-            return MachineState(frames + (AppArg(v),), Evaluating(f.arg))
-        if isinstance(f, AppArg):
+    def _step_return(self, frames: Stack, v: object) -> Union[MachineState, Terminal]:
+        if not frames.depth:
+            return Terminal(Value(_back(v)))
+        f, frames = frames.top, frames.rest
+        tf = type(f)
+        if tf is AppFun:
+            return MachineState(Stack(AppArg(v), frames), Evaluating(f.arg, f.env))
+        if tf is AppArg:
             return self._apply(frames, f.fn, v)
-        if isinstance(f, LetBody):
+        if tf is LetBody:
             self._fire("let", f.var)
-            return MachineState(frames, Evaluating(core.subst(f.body, f.var, v)))
-        if isinstance(f, IfBranches):
-            if not isinstance(v, core.BoolLit):
-                raise StuckState(f"if on a non-boolean: {core._brief(v)}")
-            self._fire("if-true" if v.value else "if-false")
-            return MachineState(frames, Evaluating(f.then if v.value else f.els))
-        if isinstance(f, ConcatLeft):
-            return MachineState(frames + (ConcatRight(v),), Evaluating(f.right))
-        if isinstance(f, ConcatRight):
-            if not isinstance(f.left, core.StrLit) or not isinstance(v, core.StrLit):
+            return MachineState(frames, Evaluating(f.body, {**f.env, f.var: v}))
+        if tf is EffUpFrame or tf is EffDownFrame:
+            self._fire("eff-upcast-value" if tf is EffUpFrame else "eff-downcast-value")
+            return MachineState(frames, Returning(v))
+        if tf is CaseFrame:
+            if type(v) is not QueueVal:
+                raise StuckState(f"not a queue value: {v!r}")
+            if v.start == v.end:
+                self._fire("case-empty")
+                return MachineState(frames, Evaluating(f.empty_body, f.env))
+            self._fire("case-dequeue")
+            # the head wins when both binders share a name
+            rest = QueueVal(v.elem, v.buf, v.start + 1, v.end)
+            env = {**f.env, f.rest_var: rest, f.head_var: v.buf[v.start]}
+            return MachineState(frames, Evaluating(f.cons_body, env))
+        if tf is ConcatLeft:
+            return MachineState(Stack(ConcatRight(v), frames), Evaluating(f.right, f.env))
+        if tf is ConcatRight:
+            if type(f.left) is not core.StrLit or type(v) is not core.StrLit:
                 raise StuckState("concat on non-strings")
             self._fire("concat")
             return MachineState(frames, Returning(core.StrLit(f.left.value + v.value)))
-        if isinstance(f, EnqueueQueue):
-            return MachineState(frames + (EnqueueElem(v),), Evaluating(f.elem))
-        if isinstance(f, EnqueueElem):
-            self._fire("enqueue")
-            return MachineState(frames, Returning(core.Enqueue(f.queue, v)))
-        if isinstance(f, CaseFrame):
-            got = _uncons(v)
-            if got is None:
-                self._fire("case-empty")
-                return MachineState(frames, Evaluating(f.empty_body))
-            head, rest = got
-            self._fire("case-dequeue")
-            body = core.subst(f.cons_body, f.head_var, head)
-            body = core.subst(body, f.rest_var, rest)
-            return MachineState(frames, Evaluating(body))
-        if isinstance(f, RaisePayload):
+        if tf is RaisePayload:
             self._fire("raise", f.op)
-            return MachineState(frames, Raising(f.op, f.req, f.resp, v, ()))
-        if isinstance(f, HandleFrame):
+            return MachineState(frames, Raising(f.op, f.req, f.resp, v, Captured()))
+        if tf is ValUpFrame or tf is ValDownFrame:
+            up = tf is ValUpFrame
+            self._fire("val-upcast" if up else "val-downcast")
+            return MachineState(frames, Returning(cast_value(v, up, f.lo, f.hi)))
+        if tf is HandleFrame:
             h = f.handle
             self._fire("handle-value")
-            return MachineState(frames, Evaluating(core.subst(h.ret_body, h.ret_var, v)))
-        if isinstance(f, ValUpFrame):
-            self._fire("val-upcast")
-            return MachineState(frames, Returning(cast_value(v, True, f.lo, f.hi)))
-        if isinstance(f, ValDownFrame):
-            self._fire("val-downcast")
-            return MachineState(frames, Returning(cast_value(v, False, f.lo, f.hi)))
-        if isinstance(f, EffUpFrame):
-            self._fire("eff-upcast-value")
-            return MachineState(frames, Returning(v))
-        if isinstance(f, EffDownFrame):
-            self._fire("eff-downcast-value")
-            return MachineState(frames, Returning(v))
+            return MachineState(frames, Evaluating(h.ret_body, {**f.env, h.ret_var: v}))
+        if tf is IfBranches:
+            if type(v) is not core.BoolLit:
+                raise StuckState(f"if on a non-boolean: {core._brief(_back(v))}")
+            self._fire("if-true" if v.value else "if-false")
+            return MachineState(frames, Evaluating(f.then if v.value else f.els, f.env))
+        if tf is EnqueueQueue:
+            return MachineState(Stack(EnqueueElem(v), frames), Evaluating(f.elem, f.env))
+        if tf is EnqueueElem:
+            self._fire("enqueue")
+            return MachineState(frames, Returning(f.queue.enqueue(v)))
         raise StuckState(f"not a frame: {f!r}")
 
-    def _step_raise(self, frames, r: Raising) -> Union[MachineState, Terminal]:
-        if not frames:
+    def _step_raise(self, frames: Stack, r: Raising) -> Union[MachineState, Terminal]:
+        if not frames.depth:
             self._fire("uncaught", r.op)
             return Terminal(UncaughtRaise(r.op))
-        f, frames = frames[-1], frames[:-1]
-        if isinstance(f, HandleFrame):
-            h = f.handle
-            clause = h.clause(r.op)
+        f, frames = frames.top, frames.rest
+        tf = type(f)
+        if tf is HandleFrame:
+            clause = f.handle.clause(r.op)
             if clause is not None:
                 return self._handler_beta(frames, f, clause, r)
-        elif isinstance(f, EffUpFrame):
+        elif tf is EffUpFrame:
             if _mentions(f.hi, r.op, self.sig):
                 self._fire("eff-upcast-raise", r.op)
                 inner = _typing(f.lo, r.op, self.sig)
                 outer = _typing(f.hi, r.op, self.sig)
                 payload = cast_value(r.payload, True, inner.req, outer.req)
-                captured = (ValDownFrame(inner.resp, outer.resp),) + r.captured + (f,)
+                captured = Captured(
+                    Stack(ValDownFrame(inner.resp, outer.resp), r.captured.inner),
+                    Stack(f, r.captured.outer),
+                )
                 return MachineState(
                     frames, Raising(r.op, outer.req, outer.resp, payload, captured)
                 )
-        elif isinstance(f, EffDownFrame):
+        elif tf is EffDownFrame:
             if _mentions(f.lo, r.op, self.sig):
                 self._fire("eff-downcast-raise", r.op)
                 inner = _typing(f.lo, r.op, self.sig)
                 outer = _typing(f.hi, r.op, self.sig)
                 payload = cast_value(r.payload, False, inner.req, outer.req)
-                captured = (ValUpFrame(inner.resp, outer.resp),) + r.captured + (f,)
+                captured = Captured(
+                    Stack(ValUpFrame(inner.resp, outer.resp), r.captured.inner),
+                    Stack(f, r.captured.outer),
+                )
                 return MachineState(
                     frames, Raising(r.op, inner.req, inner.resp, payload, captured)
                 )
             if isinstance(f.hi, Dyn):
                 # the dynamic row let the operation out; the target traps it
                 self._fire("bad-downcast", r.op)
-                return MachineState(frames, Evaluating(core.Err()))
+                return MachineState(frames, Evaluating(core.Err(), NO_ENV))
         self._fire("capture", r.op)
-        return MachineState(
-            frames, Raising(r.op, r.req, r.resp, r.payload, r.captured + (f,))
-        )
+        captured = Captured(r.captured.inner, Stack(f, r.captured.outer))
+        return MachineState(frames, Raising(r.op, r.req, r.resp, r.payload, captured))
 
     def _handler_beta(self, frames, f: HandleFrame, clause, r: Raising):
         h = f.handle
         self._fire("handler-beta", f"{r.op}{' deep' if h.deep else ''}")
-        y = self.fresh_resume()
-        body = reify_frames(r.captured, core.Var(y))
-        if h.deep:
-            body = core.Handle(
-                body, h.ret_var, h.ret_body, h.clauses, h.result_eff, h.result_type, True
-            )
-        resume = core.Lam(y, clause.resp, body)
-        t = core.subst(clause.body, clause.payload_var, r.payload)
-        t = core.subst(t, clause.resume_var, resume)
-        return MachineState(frames, Evaluating(t))
+        captured = tuple(r.captured) + ((f,) if h.deep else ())
+        values = 0
+        while values < len(captured) and _keeps_value(captured[values]):
+            values += 1
+        k = Resumption(self.fresh_resume(), clause.resp, captured, values)
+        # the payload wins when both binders share a name
+        env = {**f.env, clause.resume_var: k, clause.payload_var: r.payload}
+        return MachineState(frames, Evaluating(clause.body, env))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,11 @@
-"""Surface programs that tests build at a chosen size."""
+"""Programs that several tests run: a surface program built at a chosen
+size, and core terms that exercise resumptions."""
+
+from greff.core import (
+    UNIT, App, CaseQueue, Clause, Concat, EmptyQueue, Enqueue, Handle, Lam, Let,
+    Raise, StrLit, ValDowncast, ValUpcast, Var,
+)
+from greff.typesys import DYN, EMPTY, Arrow, Concrete, OpSig, QueueOf, Signature, Str, Unit
 
 
 def queue_walk_source(n: int, row: str = "print", elem: str = "a") -> str:
@@ -36,3 +43,68 @@ define main : str =
     ret _ -> ""
     print(s, k) -> (k ()) ++ s
 """
+
+
+def resumption_cases():
+    """(name, signature, core term) for handled raises whose resumptions
+    replay every kind of captured frame.
+
+    A raise in a queue element, a queue, under arrow casts, in a
+    function argument or a concat's right operand; resumptions applied
+    twice, returned as the result, and stored in a queue.  Every term
+    typechecks.
+    """
+    s, u = Str(), Unit()
+    qs = QueueOf(s)
+    fn, fn_dyn = Arrow(s, EMPTY, s), Arrow(s, DYN, s)
+    sig = Signature({"ask": OpSig(u, s), "getf": OpSig(u, fn_dyn), "getq": OpSig(u, qs)})
+    ask = Raise("ask", u, s, UNIT)
+    asks = Concrete({"ask": OpSig(u, s)})
+
+    def handle(body, op, resp, clause, ty, deep=True, eff=EMPTY, ret=None):
+        c = Clause(op, "p", "k", clause, u, resp)
+        return Handle(body, "x", ret or Var("x"), (c,), eff, ty, deep)
+
+    def twice(a, b, keep):
+        return Let(App(Var("k"), StrLit(a)), "r1", Let(App(Var("k"), StrLit(b)), "r2", Var(keep)))
+
+    x_ask_z = Enqueue(Enqueue(Enqueue(EmptyQueue(s), StrLit("x")), ask), StrLit("z"))
+    get_q = Raise("getq", u, qs, UNIT)
+    w = App(Var("k"), Enqueue(EmptyQueue(s), StrLit("w")))
+    cases = {
+        "enqueue-elem-first-shot": handle(x_ask_z, "ask", s, twice("a", "b", "r1"), qs),
+        "enqueue-elem-second-shot": handle(x_ask_z, "ask", s, twice("a", "b", "r2"), qs),
+        "enqueue-elem-replayed": handle(
+            Enqueue(Enqueue(EmptyQueue(s), StrLit("x")), Concat(StrLit("a"), ask)),
+            "ask", s, twice("b", "c", "r1"), qs,
+        ),
+        "enqueue-queue": handle(
+            Enqueue(Enqueue(get_q, StrLit("y")), StrLit("z")), "getq", qs, w, qs
+        ),
+        "enqueue-queue-replayed": handle(
+            Enqueue(get_q, Concat(StrLit("y"), StrLit("z"))), "getq", qs, w, qs
+        ),
+        "arrow-casts": handle(
+            App(ValDowncast(fn, fn_dyn, ValUpcast(fn, fn_dyn, Raise("getf", u, fn, UNIT))), StrLit("x")),
+            "getf", fn, App(Var("k"), Lam("s", s, Concat(Var("s"), StrLit("!")))), s,
+        ),
+        "argument-and-concat": handle(
+            Concat(StrLit("pre"), App(Lam("s", s, Concat(Var("s"), StrLit("?"))), ask)),
+            "ask", s, Concat(App(Var("k"), StrLit("a")), App(Var("k"), StrLit("b"))), s,
+        ),
+        "returned": handle(
+            Concat(StrLit("pre"), ask), "ask", s, Var("k"), Arrow(s, asks, s),
+            deep=False, ret=Lam("y", s, Var("x")),
+        ),
+        "shallow-twice": handle(
+            Concat(ask, ask), "ask", s, Concat(App(Var("k"), StrLit("a")), StrLit("|")), s,
+            deep=False, eff=asks,
+        ),
+        "stored-in-queue": handle(
+            Concat(StrLit("a"), ask), "ask", s,
+            CaseQueue(Enqueue(EmptyQueue(fn), Var("k")), StrLit("none"), "f", "r",
+                      App(Var("f"), StrLit("b"))),
+            s,
+        ),
+    }
+    return [(name, sig, term) for name, term in cases.items()]

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from greff import cli
+from greff import eval as ev
+from programs import queue_walk_source
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -72,6 +74,14 @@ def test_run_uncaught_operation(tmp_path):
     assert "ping" in err
 
 
+def test_run_walks_a_queue_of_4096(tmp_path):
+    src = tmp_path / "walk.greff"
+    src.write_text(queue_walk_source(4096, elem="q"))
+    code, out, err = invoke("run", str(src))
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out == "q" * 4096 + "\n"
+
+
 def test_run_trace_logs_rules():
     code, out, err = invoke(
         "run", str(CORPUS / "threads_precise.greff"), "--trace"
@@ -128,6 +138,27 @@ def test_run_config_validates():
         cli.RunConfig(fuel=0)
     with pytest.raises(ValueError):
         cli.RunConfig(cases=0)
+
+
+# ---------------------------------------------------------------------------
+# internal errors
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (ev.StuckState("no rule for this"), "internal error: StuckState: no rule for this"),
+        (RuntimeError("two\nlines"), "internal error: RuntimeError: two lines"),
+    ],
+)
+def test_internal_error_is_one_line(monkeypatch, exc, line):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(ev, "run", broken)
+    code, out, err = invoke("run", str(CORPUS / "threads_precise.greff"))
+    assert (code, out, err) == (70, "", line + "\n")
+    assert cli.EXIT_INTERNAL == 70
 
 
 # ---------------------------------------------------------------------------

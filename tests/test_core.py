@@ -30,7 +30,6 @@ from greff.core import (
     ValUpcast,
     Var,
     WellFormednessError,
-    is_value,
     pretty,
     pretty_type,
     subst,
@@ -225,7 +224,6 @@ def test_value_cast_typing():
 def test_queue_rules():
     q = Enqueue(EmptyQueue(BOOL), TRUE)
     assert check(q) == (EMPTY, QueueOf(BOOL))
-    assert is_value(q)
     m = CaseQueue(q, FALSE, "x", "rest", Var("x"))
     assert check(m) == (EMPTY, BOOL)
     with pytest.raises(TypeCheckError):

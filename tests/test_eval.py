@@ -59,6 +59,8 @@ from greff.typesys import (
     Unit,
 )
 
+from programs import resumption_cases
+
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
 BOOL, UNIT_T, STR = Bool(), Unit(), Str()
@@ -295,6 +297,48 @@ def test_intermediate_states_retypecheck():
     out = run(res.sig, res.term, fuel=100_000, sample=sample, sample_every=50)
     assert out.outcome == Value(StrLit("1a2b"))
     assert checked, "sampling never fired"
+
+
+@pytest.mark.parametrize(
+    "name, sig, term", resumption_cases(), ids=[c[0] for c in resumption_cases()]
+)
+def test_resumption_replay_preserves_types_at_every_step(name, sig, term):
+    # every intermediate state, replays of captured frames included,
+    # reads back as a term whose typing is below the program's
+    from greff.typesys import subtype
+
+    eff0, val0 = core.typecheck(sig, {}, term)
+
+    def sample(state):
+        eff, val = core.typecheck(sig, {}, reify(state))
+        assert subtype(eff, eff0) and subtype(val, val0)
+
+    got = run(sig, term, sample=sample, sample_every=1).outcome
+    want = reference.evaluate(sig, term)
+    if isinstance(want, Value) and isinstance(want.value, reference.Opaque):
+        assert isinstance(got, Value) and isinstance(got.value, Lam)
+    else:
+        assert got == want
+
+
+def test_untraced_run_never_reads_back(monkeypatch):
+    # tracing off: no rule detail is printed and no state is read back
+    calls = {"pretty": 0, "subst": 0}
+
+    def counting(name):
+        orig = getattr(core, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return orig(*args)
+
+        return counted
+
+    res = elab_source((CORPUS / "threads_precise.greff").read_text())
+    for name in calls:
+        monkeypatch.setattr(core, name, counting(name))
+    assert run(res.sig, res.term, trace=None).outcome == Value(StrLit("1a2b"))
+    assert calls == {"pretty": 0, "subst": 0}
 
 
 # ---------------------------------------------------------------------------

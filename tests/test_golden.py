@@ -22,7 +22,7 @@ from greff import cli, core, elaborate, gen
 from greff import conformance as conf
 from greff import eval as ev
 from greff.surface import ParseError
-from programs import queue_walk_source
+from programs import queue_walk_source, resumption_cases
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -76,6 +76,8 @@ def _machine_programs() -> list[tuple[str, object, object, int]]:
     for row in ("print", "?"):
         res = elaborate.elab_source(queue_walk_source(64, row))
         runs.append((f"queue-walk-64-{row}", res.sig, res.term, ev.DEFAULT_FUEL))
+    for name, sig, term in resumption_cases():
+        runs.append((f"resumption-{name}", sig, term, ev.DEFAULT_FUEL))
     for path in _corpus_programs():
         try:
             res = elaborate.elab_source(path.read_text(encoding="utf-8"))
@@ -101,7 +103,8 @@ def observe_machine(sig, term, fuel: int) -> dict:
 
 
 def observe_machine_runs() -> dict:
-    return {name: observe_machine(sig, term, fuel) for name, sig, term, fuel in _machine_programs()}
+    runs = _machine_programs()
+    return {name: observe_machine(sig, term, fuel) for name, sig, term, fuel in runs}
 
 
 def test_conformance_seed0_jsonl_is_unchanged():
@@ -126,7 +129,8 @@ def test_machine_runs_are_unchanged():
 
 
 def _dump(obj) -> bytes:
-    return (json.dumps(obj, indent=1, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
+    text = json.dumps(obj, indent=1, sort_keys=True, ensure_ascii=False) + "\n"
+    return text.encode("utf-8")
 
 
 def write_golden() -> None:
