@@ -36,7 +36,7 @@ def main() -> int:
           f"{'steps p50':>9s} {'steps max':>9s}")
     for check, recs in sorted(by_check.items()):
         verdicts = collections.Counter(r.verdict for r in recs)
-        steps = sorted(r.steps_left for r in recs) or [0]
+        steps = sorted(max(r.steps_left, r.steps_right) for r in recs) or [0]
         print(f"{check:24s} {len(recs):6d} {verdicts['holds']:6d} "
               f"{verdicts['inconclusive']:6d} {verdicts['violated']:5d} "
               f"{int(statistics.median(steps)):9d} {steps[-1]:9d}")

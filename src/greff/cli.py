@@ -134,10 +134,10 @@ def cmd_graduality(path: str, cfg: RunConfig, out=sys.stdout, err=sys.stderr) ->
         return EXIT_OK
     violations = 0
     for i in range(cfg.cases):
-        case_seed = cfg.seed * 100_003 + i
-        pair = conf.imprecisify(program, random.Random(case_seed))
+        seed = conf.case_seed(cfg.seed, i)
+        pair = conf.imprecisify(program, random.Random(seed))
         assert pair is not None
-        rec = conf.graduality_record(case_seed, pair, fuel=cfg.fuel)
+        rec = conf.graduality_record(seed, pair, fuel=cfg.fuel)
         print(rec.to_json(), file=out)
         if rec.verdict == "violated":
             violations += 1

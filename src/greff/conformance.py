@@ -17,16 +17,17 @@ running both sides of an equation to an outcome:
 Semantic comparison is observational and therefore an approximation:
 two terms count as equal when closing harnesses drive them to the same
 ground outcome within the fuel budget.  Verdicts say so: a fuel-starved
-side yields Inconclusive, never Violated.
+side makes a case inconclusive, never violated.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from . import core
 from . import elaborate
@@ -57,33 +58,7 @@ class DecompositionFailed(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Outcome order
-
-
-@dataclass(frozen=True)
-class Holds:
-    def __str__(self) -> str:
-        return "holds"
-
-
-@dataclass(frozen=True)
-class Violated:
-    left: str
-    right: str
-
-    def __str__(self) -> str:
-        return f"violated ({self.left} vs {self.right})"
-
-
-@dataclass(frozen=True)
-class Inconclusive:
-    reason: str
-
-    def __str__(self) -> str:
-        return f"inconclusive ({self.reason})"
-
-
-OrderVerdict = Union[Holds, Violated, Inconclusive]
+# Verdicts
 
 
 def describe_outcome(o: ev.Outcome) -> str:
@@ -96,39 +71,26 @@ def describe_outcome(o: ev.Outcome) -> str:
     return f"fuel ({o.steps})"
 
 
-def order_outcomes(left: ev.Outcome, right: ev.Outcome) -> OrderVerdict:
-    """Does `right` refine `left` observationally?
-
-    The more-precise side may fail where the less-precise side succeeds,
-    never the other way around; agreeing terminal outcomes always relate.
-    """
-    if isinstance(left, ev.Error):
-        return Holds()
-    lf, rf = isinstance(left, ev.FuelExhausted), isinstance(right, ev.FuelExhausted)
-    if lf and rf:
-        return Holds()
-    if lf:
-        return Inconclusive("fuel-left")
-    if rf:
-        return Inconclusive("fuel-right")
-    if left == right:
-        return Holds()
-    return Violated(describe_outcome(left), describe_outcome(right))
-
-
-def semantic_order(
-    sig: Signature, left: core.Term, right: core.Term, fuel: int = ev.DEFAULT_FUEL
-) -> tuple[OrderVerdict, ev.Outcome, ev.Outcome]:
-    """Run both closed ground-typed terms and order their outcomes."""
-    lo = ev.run(sig, left, fuel=fuel).outcome
-    ro = ev.run(sig, right, fuel=fuel).outcome
-    return order_outcomes(lo, ro), lo, ro
-
-
 def outcomes_equal(left: ev.Outcome, right: ev.Outcome) -> bool:
-    if isinstance(left, ev.FuelExhausted) and isinstance(right, ev.FuelExhausted):
-        return True
     return left == right
+
+
+def verdict(outcomes: Sequence[ev.Outcome], ordered: bool = False) -> str:
+    """Judge a case: "holds", "violated" or "inconclusive".
+
+    Every outcome must equal the first.  With `ordered` the first side is
+    the more precise one, which may stop with a cast error where the
+    others succeed, never the other way around.  A side out of fuel
+    decides nothing, so it makes the case inconclusive.
+    """
+    first = outcomes[0]
+    if ordered and isinstance(first, ev.Error):
+        return "holds"
+    if any(isinstance(o, ev.FuelExhausted) for o in outcomes):
+        return "inconclusive"
+    if all(outcomes_equal(first, o) for o in outcomes[1:]):
+        return "holds"
+    return "violated"
 
 
 # ---------------------------------------------------------------------------
@@ -519,40 +481,6 @@ def syntactic_precision(a, b) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Graduality on program pairs
-
-
-@dataclass(frozen=True)
-class GradualityResult:
-    verdict: OrderVerdict
-    left: Optional[ev.Outcome]  # precise
-    right: Optional[ev.Outcome]  # imprecise
-    static_only: bool = False
-
-
-def check_graduality_pair(
-    pair: PrecisionPair, fuel: int = 200_000
-) -> GradualityResult:
-    """Elaborate and run both sides; the imprecise one must do no worse.
-
-    If the precise program elaborates, the imprecise one must too; at
-    runtime the imprecise outcome must refine the precise one.
-    """
-    try:
-        pres = elaborate.elab_program(pair.precise)
-    except elaborate.ElabError:
-        return GradualityResult(Holds(), None, None, static_only=True)
-    try:
-        impr = elaborate.elab_program(pair.imprecise)
-    except elaborate.ElabError as exc:
-        return GradualityResult(
-            Violated("elaborates", f"static error: {exc}"), None, None, True
-        )
-    verdict, lo, ro = semantic_order(pres.sig, pres.term, impr.term, fuel)
-    return GradualityResult(verdict, lo, ro)
-
-
-# ---------------------------------------------------------------------------
 # Law cases: each builds (sig, left, right) closed ground terms
 
 
@@ -617,10 +545,6 @@ def _ground_harness_ctx(
     return wrap
 
 
-def _ground_harness(g: gen._CoreGen, ty: ValueType, t: core.Term) -> core.Term:
-    return _ground_harness_ctx(g, ty)(t)
-
-
 @dataclass(frozen=True)
 class LawCase:
     sig: Signature
@@ -648,7 +572,7 @@ def case_effect_cast_vs_handler(seed: int) -> LawCase:
         cast: core.Term = core.EffDowncast(back, DYN, up)
     else:
         cast = up
-    primitive = _ground_harness(g, gen.STR, cast)
+    primitive = _ground_harness_ctx(g, gen.STR)(cast)
     expanded = expand_casts(g.sig, primitive, effect=True)
     return LawCase(g.sig, primitive, expanded)
 
@@ -672,7 +596,7 @@ def case_fun_cast_vs_wrapper(seed: int) -> LawCase:
         cast = core.ValDowncast(out_ty, hi, cast)
     else:
         out_ty = hi
-    primitive = _ground_harness(g, out_ty, cast)
+    primitive = _ground_harness_ctx(g, out_ty)(cast)
     expanded = expand_casts(g.sig, primitive, effect=False, function=True)
     return LawCase(g.sig, primitive, expanded)
 
@@ -847,20 +771,31 @@ class CaseRecord:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
 
+def _record(
+    check: str,
+    seed: int,
+    sig: Signature,
+    terms: Sequence[core.Term],
+    fuel: int,
+    ordered: bool = False,
+) -> CaseRecord:
+    """Run every term and judge the outcomes against the first one's."""
+    runs = [ev.run(sig, t, fuel=fuel) for t in terms]
+    outs = [r.outcome for r in runs]
+    return CaseRecord(
+        check,
+        seed,
+        verdict(outs, ordered),
+        describe_outcome(outs[0]),
+        "; ".join(describe_outcome(o) for o in outs[1:]),
+        runs[0].steps,
+        max(r.steps for r in runs[1:]),
+    )
+
+
 def run_law_case(law: str, seed: int, fuel: int = 200_000) -> CaseRecord:
     case = LAWS[law](seed)
-    lr = ev.run(case.sig, case.left, fuel=fuel)
-    rr = ev.run(case.sig, case.right, fuel=fuel)
-    equal = outcomes_equal(lr.outcome, rr.outcome)
-    return CaseRecord(
-        law,
-        seed,
-        "holds" if equal else "violated",
-        describe_outcome(lr.outcome),
-        describe_outcome(rr.outcome),
-        lr.steps,
-        rr.steps,
-    )
+    return _record(law, seed, case.sig, (case.left, case.right), fuel)
 
 
 def run_factorization_case(seed: int, fuel: int = 200_000) -> Optional[CaseRecord]:
@@ -868,18 +803,7 @@ def run_factorization_case(seed: int, fuel: int = 200_000) -> Optional[CaseRecor
     if got is None:
         return None
     sig, variants = got
-    runs = [ev.run(sig, v, fuel=fuel) for v in variants]
-    outs = [r.outcome for r in runs]
-    equal = all(outcomes_equal(outs[0], o) for o in outs[1:])
-    return CaseRecord(
-        "factorization",
-        seed,
-        "holds" if equal else "violated",
-        describe_outcome(outs[0]),
-        "; ".join(describe_outcome(o) for o in outs[1:]),
-        runs[0].steps,
-        max(r.steps for r in runs[1:]),
-    )
+    return _record("factorization", seed, sig, variants, fuel)
 
 
 def run_graduality_case(seed: int, fuel: int = 200_000) -> Optional[CaseRecord]:
@@ -892,17 +816,26 @@ def run_graduality_case(seed: int, fuel: int = 200_000) -> Optional[CaseRecord]:
 
 
 def graduality_record(seed: int, pair: PrecisionPair, fuel: int) -> CaseRecord:
-    """Check one precision pair and record it under the seed that drew it."""
-    res = check_graduality_pair(pair, fuel=fuel)
-    return CaseRecord(
-        "graduality",
-        seed,
-        str(res.verdict).split(" ")[0],
-        describe_outcome(res.left) if res.left is not None else "static",
-        describe_outcome(res.right) if res.right is not None else "static",
-        0,
-        0,
-    )
+    """Check one precision pair and record it under the seed that drew it.
+
+    If the precise program elaborates, the imprecise one must too; at
+    runtime the imprecise outcome must refine the precise one.
+    """
+    try:
+        pres = elaborate.elab_program(pair.precise)
+    except elaborate.ElabError:
+        return CaseRecord("graduality", seed, "holds", "static", "static", 0, 0)
+    try:
+        impr = elaborate.elab_program(pair.imprecise)
+    except elaborate.ElabError:
+        return CaseRecord("graduality", seed, "violated", "static", "static", 0, 0)
+    terms = (pres.term, impr.term)
+    return _record("graduality", seed, pres.sig, terms, fuel, ordered=True)
+
+
+def case_seed(seed: int, i: int) -> int:
+    """The seed of case i in a batch drawn from one master seed."""
+    return seed * 100_003 + i
 
 
 @dataclass
@@ -926,34 +859,21 @@ def run_conformance(
     """Run every law batch from one master seed; verdicts never lie.
 
     Each case derives its seed from the master seed, so the whole report
-    is reproducible from a single number.
+    is reproducible from a single number.  Factorization and graduality
+    skip seeds that draw no case, up to four times as many draws.
     """
     report = ConformanceReport()
 
-    def record(r: Optional[CaseRecord]):
-        if r is None:
-            return
+    def record(r: CaseRecord):
         report.records.append(r)
         if emit is not None:
             emit(r.to_json())
 
     for law in LAWS:
         for i in range(cases_per_law):
-            record(run_law_case(law, seed * 100_003 + i, fuel=fuel))
-    extra = 0
-    found = 0
-    while found < cases_per_law and extra < cases_per_law * 4:
-        r = run_factorization_case(seed * 100_003 + extra, fuel=fuel)
-        extra += 1
-        if r is not None:
-            found += 1
-            record(r)
-    drawn = 0
-    kept = 0
-    while kept < cases_per_law and drawn < cases_per_law * 4:
-        r = run_graduality_case(seed * 100_003 + drawn, fuel=fuel)
-        drawn += 1
-        if r is not None:
-            kept += 1
+            record(run_law_case(law, case_seed(seed, i), fuel=fuel))
+    for run_case in (run_factorization_case, run_graduality_case):
+        drawn = (run_case(case_seed(seed, i), fuel) for i in range(4 * cases_per_law))
+        for r in itertools.islice(filter(None, drawn), cases_per_law):
             record(r)
     return report

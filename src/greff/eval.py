@@ -762,9 +762,9 @@ class Machine:
                 self._fire("case-empty")
                 return MachineState(frames, Evaluating(f.empty_body, f.env))
             self._fire("case-dequeue")
-            # the head wins when both binders share a name
+            # the rest wins when both binders share a name
             rest = QueueVal(v.elem, v.buf, v.start + 1, v.end)
-            env = {**f.env, f.rest_var: rest, f.head_var: v.buf[v.start]}
+            env = {**f.env, f.head_var: v.buf[v.start], f.rest_var: rest}
             return MachineState(frames, Evaluating(f.cons_body, env))
         if tf is ConcatLeft:
             return MachineState(Stack(ConcatRight(v), frames), Evaluating(f.right, f.env))
@@ -848,8 +848,8 @@ class Machine:
         while values < len(captured) and _keeps_value(captured[values]):
             values += 1
         k = Resumption(self.fresh_resume(), clause.resp, captured, values)
-        # the payload wins when both binders share a name
-        env = {**f.env, clause.resume_var: k, clause.payload_var: r.payload}
+        # the resumption wins when both binders share a name
+        env = {**f.env, clause.payload_var: r.payload, clause.resume_var: k}
         return MachineState(frames, Evaluating(clause.body, env))
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from greff import cli
+from greff import cli, elaborate, reference
 from greff import eval as ev
 from programs import queue_walk_source
 
@@ -80,6 +80,42 @@ def test_run_walks_a_queue_of_4096(tmp_path):
     code, out, err = invoke("run", str(src))
     assert (code, err) == (cli.EXIT_OK, "")
     assert out == "q" * 4096 + "\n"
+
+
+SHARED_BINDERS = {
+    "dequeue": (
+        "module Main where\n\n"
+        "define main : str =\n"
+        '  match enqueue (enqueue (enqueue (empty :: Queue str) "a") "b") "c" with\n'
+        '    empty -> "none"\n'
+        "    dequeue(x, x) -> (match x with\n"
+        '      empty -> "mt"\n'
+        "      dequeue(y, _) -> y)\n"
+    ),
+    "clause": (
+        "module Ops where\n"
+        "effect ask : 1 ~> str\n\n"
+        "module Main where\n"
+        "import Ops.ask : 1 ~> str\n\n"
+        "define main : str =\n"
+        '  handle [] str (ask() ++ "!") with\n'
+        "    ret r -> r\n"
+        '    ask(k, k) -> (k "hi")\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_BINDERS))
+def test_run_binds_a_shared_name_like_the_typechecker(tmp_path, name):
+    # the second binder wins: the rest of the queue, the resumption
+    src = tmp_path / f"{name}.greff"
+    src.write_text(SHARED_BINDERS[name])
+    res = elaborate.elab_source(SHARED_BINDERS[name])
+    expected = reference.evaluate(res.sig, res.term)
+    assert isinstance(expected, ev.Value)
+    code, out, err = invoke("run", str(src))
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out == expected.value.value + "\n"
 
 
 def test_run_trace_logs_rules():
@@ -203,6 +239,15 @@ def test_conformance_batch():
     checks = {json.loads(line)["check"] for line in lines}
     assert "factorization" in checks and "graduality" in checks
     assert "0 violations" in err
+
+
+def test_conformance_out_of_fuel_is_inconclusive():
+    code, out, err = invoke("conformance", "--cases", "2", "--fuel", "5")
+    assert code == cli.EXIT_OK
+    assert "0 violations" in err
+    ran = [r for r in map(json.loads, out.splitlines()) if r["left"] != "static"]
+    assert ran
+    assert {r["verdict"] for r in ran} == {"inconclusive"}
 
 
 # ---------------------------------------------------------------------------

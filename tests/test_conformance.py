@@ -33,58 +33,52 @@ SIG = Signature(
 
 
 # ---------------------------------------------------------------------------
-# Outcome ordering
+# Verdicts
 
 
 TRUE = ev.Value(core.BoolLit(True))
 FALSE = ev.Value(core.BoolLit(False))
+ASK, TICK = ev.UncaughtRaise("ask"), ev.UncaughtRaise("tick")
+FUEL = ev.FuelExhausted(100)
+
+# name -> (sides, ordered, verdict); a side that is a core term is run first
+VERDICTS = {
+    "ordered-error-vs-value": ((ev.Error(), TRUE), True, "holds"),
+    "ordered-error-vs-error": ((ev.Error(), ev.Error()), True, "holds"),
+    "ordered-error-vs-uncaught": ((ev.Error(), ASK), True, "holds"),
+    "ordered-equal-values": ((TRUE, TRUE), True, "holds"),
+    "ordered-equal-uncaught": ((TICK, TICK), True, "holds"),
+    "ordered-fuel-both": ((FUEL, ev.FuelExhausted(7)), True, "inconclusive"),
+    "ordered-fuel-first": ((FUEL, TRUE), True, "inconclusive"),
+    "ordered-fuel-second": ((TRUE, FUEL), True, "inconclusive"),
+    "ordered-values-differ": ((TRUE, FALSE), True, "violated"),
+    "ordered-value-vs-error": ((TRUE, ev.Error()), True, "violated"),
+    "fuel-both": ((ev.FuelExhausted(3), ev.FuelExhausted(9)), False, "inconclusive"),
+    "fuel-vs-value": ((ev.FuelExhausted(3), ev.Value(True)), False, "inconclusive"),
+    "equal-values": ((ev.Value("a"), ev.Value("a")), False, "holds"),
+    "error-vs-value": ((ev.Error(), TRUE), False, "violated"),
+    "third-side-differs": ((TRUE, TRUE, FALSE), False, "violated"),
+    "run-equal-values": ((core.BoolLit(True), core.BoolLit(True)), True, "holds"),
+    "run-error-first": ((core.Err(), core.BoolLit(False)), True, "holds"),
+    "run-error-second": ((core.BoolLit(True), core.Err()), True, "violated"),
+}
 
 
-def test_order_error_on_left_always_holds():
-    assert conf.order_outcomes(ev.Error(), TRUE) == conf.Holds()
-    assert conf.order_outcomes(ev.Error(), ev.Error()) == conf.Holds()
-    assert conf.order_outcomes(ev.Error(), ev.UncaughtRaise("ask")) == conf.Holds()
+@pytest.mark.parametrize("name", VERDICTS)
+def test_verdict(name):
+    sides, ordered, expected = VERDICTS[name]
+    outcomes = [
+        ev.run(SIG, x).outcome if isinstance(x, core.Term) else x for x in sides
+    ]
+    assert conf.verdict(outcomes, ordered=ordered) == expected
 
 
-def test_order_equal_outcomes_hold():
-    assert conf.order_outcomes(TRUE, TRUE) == conf.Holds()
-    assert conf.order_outcomes(
-        ev.UncaughtRaise("tick"), ev.UncaughtRaise("tick")
-    ) == conf.Holds()
-
-
-def test_order_fuel_cases():
-    fuel = ev.FuelExhausted(100)
-    assert conf.order_outcomes(fuel, ev.FuelExhausted(7)) == conf.Holds()
-    one = conf.order_outcomes(fuel, TRUE)
-    assert isinstance(one, conf.Inconclusive) and "left" in one.reason
-    other = conf.order_outcomes(TRUE, fuel)
-    assert isinstance(other, conf.Inconclusive) and "right" in other.reason
-
-
-def test_order_disagreement_is_violated():
-    v = conf.order_outcomes(TRUE, FALSE)
-    assert isinstance(v, conf.Violated)
-    v = conf.order_outcomes(TRUE, ev.Error())
-    assert isinstance(v, conf.Violated)
-
-
-def test_outcomes_equal_treats_fuel_as_equal():
-    assert conf.outcomes_equal(ev.FuelExhausted(3), ev.FuelExhausted(9))
-    assert not conf.outcomes_equal(ev.FuelExhausted(3), ev.Value(True))
-    assert conf.outcomes_equal(ev.Value("a"), ev.Value("a"))
-
-
-def test_semantic_order_runs_both_sides():
-    verdict, left, right = conf.semantic_order(
-        SIG, core.BoolLit(True), core.BoolLit(True)
-    )
-    assert verdict == conf.Holds()
-    assert left == TRUE and right == TRUE
-    verdict, _, _ = conf.semantic_order(SIG, core.Err(), core.BoolLit(False))
-    assert verdict == conf.Holds()
-    verdict, _, _ = conf.semantic_order(SIG, core.BoolLit(True), core.Err())
-    assert isinstance(verdict, conf.Violated)
+def test_a_case_short_of_fuel_is_inconclusive():
+    full = conf.run_law_case("effect-cast-handler", 0)
+    assert full.verdict == "holds" and full.steps_left != full.steps_right
+    for fuel in (min(full.steps_left, full.steps_right), 3):
+        rec = conf.run_law_case("effect-cast-handler", 0, fuel=fuel)
+        assert rec.verdict == "inconclusive", (fuel, rec.left, rec.right)
 
 
 def test_describe_outcome():
