@@ -16,11 +16,14 @@ the flags, and the seed:
     5   an operation reached the top level unhandled
     64  bad invocation or unreadable input
     70  internal error: a bug in greff, reported on one line
+    141 the reader closed the output early (128 + SIGPIPE); nothing
+        more is written
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -40,6 +43,7 @@ EXIT_VIOLATION = 4
 EXIT_UNCAUGHT = 5
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70  # EX_SOFTWARE
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 
 @dataclass(frozen=True)
@@ -186,28 +190,39 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _command(ns: argparse.Namespace, out, err) -> int:
+    if ns.command == "check":
+        return cmd_check(ns.file, out=out)
+    if ns.command == "elab":
+        return cmd_elab(ns.file, out=out)
+    if ns.command == "run":
+        cfg = _config(fuel=ns.fuel, tracing=ns.trace)
+        return cmd_run(ns.file, cfg, out=out, err=err)
+    if ns.command == "graduality":
+        cfg = _config(fuel=ns.fuel, seed=ns.seed, cases=ns.cases)
+        return cmd_graduality(ns.file, cfg, out=out, err=err)
+    cfg = _config(fuel=ns.fuel, seed=ns.seed, cases=ns.cases)
+    return cmd_conformance(cfg, out=out, err=err)
+
+
 def main(argv=None, out=sys.stdout, err=sys.stderr) -> int:
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-        if ns.command == "check":
-            return cmd_check(ns.file, out=out)
-        if ns.command == "elab":
-            return cmd_elab(ns.file, out=out)
-        if ns.command == "run":
-            cfg = _config(fuel=ns.fuel, tracing=ns.trace)
-            return cmd_run(ns.file, cfg, out=out, err=err)
-        if ns.command == "graduality":
-            cfg = _config(fuel=ns.fuel, seed=ns.seed, cases=ns.cases)
-            return cmd_graduality(ns.file, cfg, out=out, err=err)
-        cfg = _config(fuel=ns.fuel, seed=ns.seed, cases=ns.cases)
-        return cmd_conformance(cfg, out=out, err=err)
+        code = _command(parser.parse_args(argv), out, err)
+        out.flush()  # a closed pipe must fail here, not in the flush at exit
+        return code
     except _UsageError as e:
         print(f"usage error: {e}", file=err)
         return EXIT_USAGE
     except (ParseError, elaborate.ElabError, core.TypeCheckError) as e:
         print(f"static error: {e}", file=err)
         return EXIT_STATIC
+    except BrokenPipeError:
+        # the reader is gone: write nothing more, and send the interpreter's
+        # flush at exit to devnull instead of the closed pipe
+        for stream in {out, err} & {sys.stdout, sys.stderr}:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return EXIT_PIPE
     except Exception as e:  # StuckState, ReferenceBug, or a crash: all bugs
         message = f"{type(e).__name__}: {e}".replace("\n", " ")
         print(f"internal error: {message}", file=err)

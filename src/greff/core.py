@@ -611,7 +611,13 @@ def pretty(t: Term) -> str:
     if isinstance(t, EmptyQueue):
         return f"(emptyq {pretty_type(t.elem)})"
     if isinstance(t, Enqueue):
-        return f"(enq {pretty(t.queue)} {pretty(t.elem)})"
+        # down the spine by iteration: a queue's length must not be a depth
+        elems = []
+        while isinstance(t, Enqueue):
+            elems.append(t.elem)
+            t = t.queue
+        closes = "".join(f" {pretty(e)})" for e in reversed(elems))
+        return "(enq " * len(elems) + pretty(t) + closes
     if isinstance(t, CaseQueue):
         return (
             f"(caseq {pretty(t.scrutinee)} {pretty(t.empty_body)} "

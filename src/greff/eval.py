@@ -18,8 +18,8 @@ neither handle nor intercept the operation are captured, and when a
 handler with a matching clause is found the captured frames become a
 resumption bound to the clause's resumption variable.  Deep handlers
 add themselves as the outermost captured frame, shallow ones do not.
-Applying a resumption replays its frames one step per frame, as if the
-captured context had been read back as a term and evaluated again.
+Applying a resumption pushes its frames back onto the stack and returns
+the argument to them, all in one step.
 
 Effect casts are transparent to returning values.  A raise crossing an
 upcast is re-raised with its payload and response rewrapped between the
@@ -208,15 +208,12 @@ class Proxy:
 class Resumption:
     """The frames a handled raise captured, innermost first.
 
-    Applying it to y replays them around y.  values counts the innermost
-    frames that turn a value into a value (enqueues, arrow casts); the
-    replay returns those in a single step.
+    Applying it to y pushes them back onto the stack and returns y.
     """
 
     var: str  # the fresh name its read-back binds
     resp: ValueType
     frames: tuple
-    values: int
     term: Optional[core.Term] = None
 
 
@@ -228,7 +225,7 @@ class Resumption:
 @_record
 class AppFun:
     arg: core.Term
-    env: Env = field(default_factory=dict)
+    env: Env
 
 
 @_record
@@ -253,7 +250,7 @@ class IfBranches:
 @_record
 class ConcatLeft:
     right: core.Term
-    env: Env = field(default_factory=dict)
+    env: Env
 
 
 @_record
@@ -264,7 +261,7 @@ class ConcatRight:
 @_record
 class EnqueueQueue:
     elem: core.Term
-    env: Env = field(default_factory=dict)
+    env: Env
 
 
 @_record
@@ -323,19 +320,6 @@ Frame = Union[
     EnqueueQueue, EnqueueElem, CaseFrame, RaisePayload, HandleFrame,
     ValUpFrame, ValDownFrame, EffUpFrame, EffDownFrame,
 ]
-
-
-@_record
-class Replay:
-    """A resumption's innermost `depth` frames plugged around its argument.
-
-    Only ever a whole control term or a whole term held by a frame,
-    never part of a core term.
-    """
-
-    k: Resumption
-    depth: int
-    arg: object
 
 
 # ---------------------------------------------------------------------------
@@ -443,28 +427,6 @@ def cast_value(v: object, up: bool, lo: ValueType, hi: ValueType) -> object:
     return v
 
 
-def _keeps_value(f: Frame) -> bool:
-    """Whether f plugged around a value reads back as a value."""
-    tf = type(f)
-    if tf is EnqueueElem:
-        return True
-    if tf is EnqueueQueue:
-        return _is_value(f.elem, f.env)
-    if tf is ValUpFrame or tf is ValDownFrame:
-        return isinstance(f.lo, Arrow) and isinstance(f.hi, Arrow)
-    return False
-
-
-def _plug_value(f: Frame, v: object) -> object:
-    """The value f plugged around v returns; f keeps values."""
-    tf = type(f)
-    if tf is EnqueueQueue:
-        return v.enqueue(_val(f.elem, f.env))
-    if tf is EnqueueElem:
-        return f.queue.enqueue(v)
-    return Proxy(tf is ValUpFrame, f.lo, f.hi, v)
-
-
 # ---------------------------------------------------------------------------
 # Read-back: states as the closed terms they denote
 
@@ -492,8 +454,6 @@ def _back(v: object) -> core.Term:
 
 def _close(t: core.Term, env: Env, bound: tuple[str, ...] = ()) -> core.Term:
     """t with env substituted for its free names, except those in bound."""
-    if type(t) is Replay:
-        return reify_frames(t.k.frames[: t.depth], _back(t.arg))
     for name, v in env.items():
         if name not in bound:
             t = core.subst(t, name, _back(v))
@@ -595,13 +555,6 @@ def apart(sig: Signature, frames: Iterable[Frame], op: str) -> bool:
     return True
 
 
-# a proxy applies its target to the cast argument by evaluating _APPLY
-# with the two bound; a replay evaluates a frame's value as _HELD.  No
-# source name contains %, so these bindings never shadow the program's.
-_APPLY = core.App(core.Var("%f"), core.Var("%x"))
-_HELD = core.Var("%v")
-
-
 # ---------------------------------------------------------------------------
 # The step function
 
@@ -670,8 +623,6 @@ class Machine:
             return MachineState(Stack(f, frames), Evaluating(t.payload, env))
         if tt is core.Handle:
             return MachineState(Stack(HandleFrame(t, env), frames), Evaluating(t.scrutinee, env))
-        if tt is Replay:
-            return self._replay(frames, t)
         if tt is core.Enqueue or tt is core.ValUpcast or tt is core.ValDowncast:
             if _is_value(t, env):
                 return self._returns(frames, _val(t, env))
@@ -688,35 +639,6 @@ class Machine:
             return Terminal(Error())
         raise StuckState(f"cannot evaluate {t!r}")
 
-    def _replay(self, frames: Stack, t: Replay) -> MachineState:
-        """Evaluate the read-back of a resumption's frames around its argument.
-
-        Each frame costs what decomposing its term layer costs: one step,
-        or three for a frame that holds a value (the value is evaluated
-        again and returned).  Frames that keep a value a value do not
-        decompose: the whole value returns in one step.
-        """
-        k, n = t.k, t.depth
-        if n <= k.values:
-            v = t.arg
-            for f in k.frames[:n]:
-                v = _plug_value(f, v)
-            return self._returns(frames, v)
-        f = k.frames[n - 1]
-        inner = Replay(k, n - 1, t.arg)
-        tf = type(f)
-        if tf is AppArg:
-            return MachineState(Stack(AppFun(inner), frames), Evaluating(_HELD, {"%v": f.fn}))
-        if tf is ConcatRight:
-            return MachineState(
-                Stack(ConcatLeft(inner), frames), Evaluating(_HELD, {"%v": f.left})
-            )
-        if tf is EnqueueElem:
-            return MachineState(
-                Stack(EnqueueQueue(inner), frames), Evaluating(_HELD, {"%v": f.queue})
-            )
-        return MachineState(Stack(f, frames), Evaluating(inner, NO_ENV))
-
     def _apply(self, frames: Stack, fn: object, arg: object) -> MachineState:
         tf = type(fn)
         if tf is Closure:
@@ -725,7 +647,9 @@ class Machine:
             return MachineState(frames, Evaluating(lam.body, {**fn.env, lam.var: arg}))
         if tf is Resumption:
             self._fire("beta", fn.var)
-            return MachineState(frames, Evaluating(Replay(fn, len(fn.frames), arg), NO_ENV))
+            for f in reversed(fn.frames):
+                frames = Stack(f, frames)
+            return MachineState(frames, Returning(arg))
         if tf is Proxy:
             lo, hi = fn.lo, fn.hi
             if fn.up:
@@ -737,7 +661,7 @@ class Machine:
                 frames = Stack(ValDownFrame(lo.cod, hi.cod), frames)
                 frames = Stack(EffDownFrame(lo.eff, hi.eff), frames)
             arg = cast_value(arg, not fn.up, lo.dom, hi.dom)
-            return MachineState(frames, Evaluating(_APPLY, {"%f": fn.fn, "%x": arg}))
+            return MachineState(Stack(AppArg(fn.fn), frames), Returning(arg))
         raise StuckState(f"applied a non-function: {core._brief(_back(fn))}")
 
     def _step_return(self, frames: Stack, v: object) -> Union[MachineState, Terminal]:
@@ -844,10 +768,7 @@ class Machine:
         h = f.handle
         self._fire("handler-beta", f"{r.op}{' deep' if h.deep else ''}")
         captured = tuple(r.captured) + ((f,) if h.deep else ())
-        values = 0
-        while values < len(captured) and _keeps_value(captured[values]):
-            values += 1
-        k = Resumption(self.fresh_resume(), clause.resp, captured, values)
+        k = Resumption(self.fresh_resume(), clause.resp, captured)
         # the resumption wins when both binders share a name
         env = {**f.env, clause.payload_var: r.payload, clause.resume_var: k}
         return MachineState(frames, Evaluating(clause.body, env))

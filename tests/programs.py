@@ -1,4 +1,4 @@
-"""Programs that several tests run: a surface program built at a chosen
+"""Programs that several tests run: surface programs built at a chosen
 size, and core terms that exercise resumptions."""
 
 from greff.core import (
@@ -6,6 +6,25 @@ from greff.core import (
     Raise, StrLit, ValDowncast, ValUpcast, Var,
 )
 from greff.typesys import DYN, EMPTY, Arrow, Concrete, OpSig, QueueOf, Signature, Str, Unit
+
+
+_DBL = """define dbl : Queue str -[]> Queue str -[]> Queue str =
+  lambda acc. lambda q. match q with
+    empty -> acc
+    dequeue(x, q') -> dbl (enqueue (enqueue acc x) x) q'
+"""
+
+
+def _doubled(n: int, elem: str) -> str:
+    """An expression for a queue of n copies of elem, built by doubling;
+    n must be a power of two."""
+    k = n.bit_length() - 1
+    if n != 1 << k:
+        raise ValueError(f"queue size {n} is not a power of two")
+    q = f'enqueue empty "{elem}"'
+    for _ in range(k):
+        q = f"dbl empty ({q})"
+    return q
 
 
 def queue_walk_source(n: int, row: str = "print", elem: str = "a") -> str:
@@ -16,38 +35,38 @@ def queue_walk_source(n: int, row: str = "print", elem: str = "a") -> str:
     n must be a power of two; row is the walker's effect row, `print` or
     `?`.
     """
-    k = n.bit_length() - 1
-    if n != 1 << k:
-        raise ValueError(f"queue size {n} is not a power of two")
-    q = f'enqueue empty "{elem}"'
-    for _ in range(k):
-        q = f"dbl empty ({q})"
     return f"""module Ops where
 effect print : str ~> 1
 
 module Main where
 import Ops.print : str ~> 1
 
-define dbl : Queue str -[]> Queue str -[]> Queue str =
-  lambda acc. lambda q. match q with
-    empty -> acc
-    dequeue(x, q') -> dbl (enqueue (enqueue acc x) x) q'
-
+{_DBL}
 define walk : Queue str -[{row}]> 1 =
   lambda q. match q with
     empty -> ()
     dequeue(x, q') -> print(x); walk q'
 
 define main : str =
-  handle [] str (walk ({q})) with
+  handle [] str (walk ({_doubled(n, elem)})) with
     ret _ -> ""
     print(s, k) -> (k ()) ++ s
 """
 
 
+def queue_source(n: int, elem: str = "a") -> str:
+    """A program whose value is a queue of n copies of elem, built by
+    doubling; n must be a power of two."""
+    return f"""module Main where
+
+{_DBL}
+define main : Queue str = {_doubled(n, elem)}
+"""
+
+
 def resumption_cases():
     """(name, signature, core term) for handled raises whose resumptions
-    replay every kind of captured frame.
+    resume every kind of captured frame.
 
     A raise in a queue element, a queue, under arrow casts, in a
     function argument or a concat's right operand; resumptions applied

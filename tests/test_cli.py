@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 from greff import cli, elaborate, reference
 from greff import eval as ev
-from programs import queue_walk_source
+from programs import queue_source, queue_walk_source
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -80,6 +81,14 @@ def test_run_walks_a_queue_of_4096(tmp_path):
     code, out, err = invoke("run", str(src))
     assert (code, err) == (cli.EXIT_OK, "")
     assert out == "q" * 4096 + "\n"
+
+
+def test_run_prints_a_queue_of_2048(tmp_path):
+    src = tmp_path / "queue.greff"
+    src.write_text(queue_source(2048))
+    code, out, err = invoke("run", str(src))
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out == "(enq " * 2048 + "(emptyq str)" + ' (str "a"))' * 2048 + "\n"
 
 
 SHARED_BINDERS = {
@@ -197,6 +206,17 @@ def test_internal_error_is_one_line(monkeypatch, exc, line):
     assert cli.EXIT_INTERNAL == 70
 
 
+def test_a_closed_pipe_returns_141_and_writes_nothing_more():
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    err = io.StringIO()
+    code = cli.main(["run", str(CORPUS / "threads_precise.greff")], out=Closed(), err=err)
+    assert (code, err.getvalue()) == (cli.EXIT_PIPE, "")
+    assert cli.EXIT_PIPE == 141
+
+
 # ---------------------------------------------------------------------------
 # batches
 
@@ -262,3 +282,21 @@ def test_module_invocation_roundtrip():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1a2b"
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_module_invocation_into_a_closed_pipe(buffered):
+    # the reader is gone before greff writes a byte.  Unbuffered, the first
+    # record fails; buffered, the flush after the summary line does, and the
+    # interpreter's own flush at exit must not report it again
+    read, write = os.pipe()
+    os.close(read)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    argv = ["-m", "greff.cli", "conformance", "--cases", "2", "--fuel", "5"]
+    proc = subprocess.run(
+        [sys.executable, *([] if buffered else ["-u"]), *argv],
+        stdout=write, stderr=subprocess.PIPE, env=env, text=True,
+    )
+    os.close(write)
+    summary = "16 cases, 0 violations\n" if buffered else ""
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE, summary)

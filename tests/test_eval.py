@@ -321,6 +321,40 @@ def test_resumption_replay_preserves_types_at_every_step(name, sig, term):
         assert got == want
 
 
+def _applying_programs():
+    """The resumption cases and the corpus mixes, which apply both
+    resumptions and arrow-cast proxies."""
+    programs = resumption_cases()
+    for path in sorted(CORPUS.glob("combo_*.greff")):
+        res = elab_source(path.read_text())
+        programs.append((path.stem, res.sig, res.term))
+    return programs
+
+
+APPLYING = _applying_programs()
+
+
+@pytest.mark.parametrize("name, sig, term", APPLYING, ids=[p[0] for p in APPLYING])
+def test_resumption_and_proxy_return_their_argument_at_once(name, sig, term):
+    # applying a resumption pushes its frames and returns the argument to
+    # them; applying a proxy pushes its casts and the target's application
+    # and returns the cast argument: the argument is never evaluated again
+    applied, after = [], []
+
+    def trace(rule, detail):
+        resumes = rule == "beta" and detail.startswith("%r")
+        applied.append(resumes or rule in ("fun-upcast", "fun-downcast"))
+
+    def sample(state):
+        if applied and applied[-1]:
+            after.append(type(state.control))
+        applied.clear()
+
+    run(sig, term, trace=trace, sample=sample, sample_every=1)
+    assert after == [ev.Returning] * len(after)
+    assert after or name == "returned"  # that case never applies its resumption
+
+
 def test_untraced_run_never_reads_back(monkeypatch):
     # tracing off: no rule detail is printed and no state is read back
     calls = {"pretty": 0, "subst": 0}

@@ -8,7 +8,10 @@ of machine runs, the outcome, the step count and a digest of every
 traced rule with its detail.  A change that should keep behaviour
 identical must leave all three files unchanged.  After an intended
 change of behaviour, `python tests/test_golden.py` rewrites them from
-the current code, and the diff shows what moved.
+the current code.  It first prints what moved, keeping step counts
+apart: the machine runs whose outcome changed and those whose steps or
+trace alone did, the corpus programs whose outputs changed, and the
+JSONL lines that changed outside `steps_left`/`steps_right`.
 """
 
 import hashlib
@@ -133,11 +136,48 @@ def _dump(obj) -> bytes:
     return text.encode("utf-8")
 
 
+def _old(path: Path) -> str:
+    return path.read_text(encoding="utf-8") if path.exists() else ""
+
+
+def _jsonl(text: str) -> dict:
+    lines = enumerate(text.splitlines(), 1)
+    return {f"line {i:03d}": json.loads(line) for i, line in lines}
+
+
+def _moved(old: dict, new: dict, ignore: tuple[str, ...] = ()) -> list[str]:
+    """Keys whose entries differ between old and new in a field outside ignore."""
+
+    def kept(entry):
+        return entry and {k: v for k, v in entry.items() if k not in ignore}
+
+    keys = sorted(old.keys() | new.keys())
+    return [key for key in keys if kept(old.get(key)) != kept(new.get(key))]
+
+
+def _report(what: str, names: list[str]) -> None:
+    print(f"{len(names)} {what}" + (": " + ", ".join(names) if names else ""))
+
+
 def write_golden() -> None:
+    """Rewrite the three files, first printing what moved in each."""
+    machine = observe_machine_runs()
+    corpus = {p.name: observe_corpus(p) for p in _corpus_programs()}
+    conformance = observe_conformance()
+    old_machine = json.loads(_old(MACHINE_FILE) or "{}")
+    outcomes = _moved(old_machine, machine, ("steps", "trace_sha256"))
+    steps = [name for name in _moved(old_machine, machine) if name not in outcomes]
+    _report("machine runs changed outcome", outcomes)
+    _report("machine runs changed only steps or trace", steps)
+    old_corpus = json.loads(_old(CORPUS_FILE) or "{}")
+    _report("corpus programs changed outside steps", _moved(old_corpus, corpus, ("steps",)))
+    old_lines = _jsonl(_old(CONFORMANCE_FILE))
+    lines = _moved(old_lines, _jsonl(conformance), ("steps_left", "steps_right"))
+    _report("conformance lines changed outside steps_left/steps_right", lines)
     GOLDEN.mkdir(exist_ok=True)
-    CONFORMANCE_FILE.write_bytes(observe_conformance().encode("utf-8"))
-    CORPUS_FILE.write_bytes(_dump({p.name: observe_corpus(p) for p in _corpus_programs()}))
-    MACHINE_FILE.write_bytes(_dump(observe_machine_runs()))
+    CONFORMANCE_FILE.write_bytes(conformance.encode("utf-8"))
+    CORPUS_FILE.write_bytes(_dump(corpus))
+    MACHINE_FILE.write_bytes(_dump(machine))
 
 
 if __name__ == "__main__":
