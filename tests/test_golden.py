@@ -1,22 +1,25 @@
 """Golden outputs, pinned byte for byte against files in tests/golden/.
 
-Three things are pinned: the JSONL that `greff conformance --seed 0
+Four things are pinned: the JSONL that `greff conformance --seed 0
 --cases 25` prints; for every program in corpus/, the exit code and
 stdout of `greff check`, `greff elab` and `greff run`, plus the
-machine's step count for programs that elaborate; and, for a fixed set
-of machine runs, the outcome, the step count and a digest of every
-traced rule with its detail.  A change that should keep behaviour
-identical must leave all three files unchanged.  After an intended
-change of behaviour, `python tests/test_golden.py` rewrites them from
-the current code.  It first prints what moved, keeping step counts
-apart: the machine runs whose outcome changed and those whose steps or
-trace alone did, the corpus programs whose outputs changed, and the
-JSONL lines that changed outside `steps_left`/`steps_right`.
+machine's step count for programs that elaborate; for a fixed set of
+machine runs, the outcome, the step count and a digest of every traced
+rule with its detail; and for generated surface programs and their
+imprecise variants, a digest of the elaborated core term and the
+program's typing.  A change that should keep behaviour identical must
+leave all four files unchanged.  After an intended change of behaviour,
+`python tests/test_golden.py` rewrites them from the current code.  It
+first prints what moved, keeping step counts apart: the machine runs
+whose outcome changed and those whose steps or trace alone did, the
+corpus programs whose outputs changed, the elaborations that changed,
+and the JSONL lines that changed outside `steps_left`/`steps_right`.
 """
 
 import hashlib
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -33,9 +36,11 @@ CONFORMANCE_ARGS = ("conformance", "--seed", "0", "--cases", "25")
 CONFORMANCE_FILE = GOLDEN / "conformance_seed0_cases25.jsonl"
 CORPUS_FILE = GOLDEN / "corpus.json"
 MACHINE_FILE = GOLDEN / "machine.json"
+ELAB_FILE = GOLDEN / "elab.json"
 STATIC_ERRORS = (ParseError, elaborate.ElabError, core.TypeCheckError)
 MACHINE_CORE_SEEDS = range(300)
 MACHINE_CORE_FUEL = 100_000
+ELAB_SEEDS = range(300)
 
 
 def _cli(*argv: str) -> tuple[int, str]:
@@ -110,6 +115,28 @@ def observe_machine_runs() -> dict:
     return {name: observe_machine(sig, term, fuel) for name, sig, term, fuel in runs}
 
 
+def observe_elab(program) -> dict:
+    """The sha256 of the elaborated core term and the typing, or the error."""
+    try:
+        res = elaborate.elab_program(program)
+    except elaborate.ElabError as e:
+        return {"error": str(e)}
+    digest = hashlib.sha256(core.pretty(res.term).encode("utf-8"))
+    return {"core_sha256": digest.hexdigest(), "typing": f"{res.eff} ! {res.val}"}
+
+
+def observe_elaborations() -> dict:
+    """Each generated surface program's elaboration, and its imprecise variant's."""
+    out = {}
+    for seed in ELAB_SEEDS:
+        program = gen.gen_surface_program(seed)
+        out[f"surface-{seed:03d}"] = observe_elab(program)
+        pair = conf.imprecisify(program, random.Random(seed))
+        if pair is not None:
+            out[f"surface-{seed:03d}-imprecise"] = observe_elab(pair.imprecise)
+    return out
+
+
 def test_conformance_seed0_jsonl_is_unchanged():
     assert observe_conformance().encode("utf-8") == CONFORMANCE_FILE.read_bytes()
 
@@ -129,6 +156,14 @@ def test_machine_runs_are_unchanged():
     assert sorted(got) == sorted(expected)
     moved = [name for name in expected if got[name] != expected[name]]
     assert not moved, f"{len(moved)} runs moved, first: {moved[:5]}"
+
+
+def test_elaborations_are_unchanged():
+    expected = json.loads(ELAB_FILE.read_bytes().decode("utf-8"))
+    got = observe_elaborations()
+    assert sorted(got) == sorted(expected)
+    moved = [name for name in expected if got[name] != expected[name]]
+    assert not moved, f"{len(moved)} elaborations moved, first: {moved[:5]}"
 
 
 def _dump(obj) -> bytes:
@@ -160,9 +195,10 @@ def _report(what: str, names: list[str]) -> None:
 
 
 def write_golden() -> None:
-    """Rewrite the three files, first printing what moved in each."""
+    """Rewrite the four files, first printing what moved in each."""
     machine = observe_machine_runs()
     corpus = {p.name: observe_corpus(p) for p in _corpus_programs()}
+    elab = observe_elaborations()
     conformance = observe_conformance()
     old_machine = json.loads(_old(MACHINE_FILE) or "{}")
     outcomes = _moved(old_machine, machine, ("steps", "trace_sha256"))
@@ -171,6 +207,7 @@ def write_golden() -> None:
     _report("machine runs changed only steps or trace", steps)
     old_corpus = json.loads(_old(CORPUS_FILE) or "{}")
     _report("corpus programs changed outside steps", _moved(old_corpus, corpus, ("steps",)))
+    _report("elaborations changed", _moved(json.loads(_old(ELAB_FILE) or "{}"), elab))
     old_lines = _jsonl(_old(CONFORMANCE_FILE))
     lines = _moved(old_lines, _jsonl(conformance), ("steps_left", "steps_right"))
     _report("conformance lines changed outside steps_left/steps_right", lines)
@@ -178,6 +215,7 @@ def write_golden() -> None:
     CONFORMANCE_FILE.write_bytes(conformance.encode("utf-8"))
     CORPUS_FILE.write_bytes(_dump(corpus))
     MACHINE_FILE.write_bytes(_dump(machine))
+    ELAB_FILE.write_bytes(_dump(elab))
 
 
 if __name__ == "__main__":
