@@ -12,13 +12,14 @@ endpoints (`up to erased source, down from erased target`) and an effect
 cast routes through the dynamic effect type.  Identity components are
 elided, so a cast between equal types disappears entirely.
 
-Where several subterm effect rows meet (let, if, application, handlers) the
-combined row is their gradual join, in which the dynamic row absorbs:
-as soon as one operand is dynamic the whole position is dynamic, and the
-concrete operands are upcast into it.  Checks are deferred to the places
-that demand a concrete row (handler boundaries, annotations, imports)
-rather than planted around every dynamic subterm, so mixing precision
-never introduces failure points that the fully dynamic program lacks.
+Wherever subterm effect rows meet (let, if, ++, enqueue, match, raise,
+application, the module chain) one method, `_Elab.sequence`, combines
+them into their gradual join, in which the dynamic row absorbs: as soon
+as one operand is dynamic the whole position is dynamic, and the concrete
+operands are upcast into it.  Checks are deferred to the places that
+demand a concrete row (handler boundaries, annotations, imports) rather
+than planted around every dynamic subterm, so mixing precision never
+introduces failure points that the fully dynamic program lacks.
 
 Handlers cast their scrutinee so that every effect it may raise is either
 caught by a clause or present in the result row.  With a concrete scrutinee
@@ -185,14 +186,32 @@ class _Elab:
             term = core.EffDowncast(target, DYN, term)
         return term
 
-    def join(self, pos, *effs: EffectType) -> EffectType:
-        out = effs[0]
-        for e in effs[1:]:
-            try:
-                out = gradual_join(out, e)
-            except JoinUndefined as exc:
-                raise ElabError(f"cannot combine effect rows: {exc}", pos) from exc
+    def sequence(self, pos, *operands, latent=()) -> list:
+        """The sequencing rule.  Each operand is a (term, row) pair; `latent`
+        rows (a function's, at a call) join in without a term.  Returns the
+        gradual join of all the rows, then each term cast up to it."""
+        sigma = operands[0][1]
+        try:
+            for _, row in operands[1:]:
+                if row is not sigma:  # the join of a row with itself is that row
+                    sigma = gradual_join(sigma, row)
+            for row in latent:
+                sigma = gradual_join(sigma, row)
+        except JoinUndefined as exc:
+            raise ElabError(f"cannot combine effect rows: {exc}", pos) from exc
+        out = [sigma]
+        for term, row in operands:
+            out.append(self.cast_eff(sigma, row, term, pos))
         return out
+
+    def branches(self, pos, left, lval, right, rval) -> tuple:
+        """The gradual join of two branches' value types, each branch cast to it."""
+        try:
+            out = gradual_join(lval, rval)
+        except JoinUndefined as exc:
+            raise ElabError(f"branches do not agree: {exc}", pos) from exc
+        left = self.cast_value(out, lval, left, pos)
+        return out, left, self.cast_value(out, rval, right, pos)
 
     # -- terms
 
@@ -226,9 +245,7 @@ class _Elab:
             elif isinstance(hint, Arrow):
                 dom = hint.dom
             else:
-                raise ElabError(
-                    f"parameter {t.var} needs a type annotation", t.pos
-                )
+                raise ElabError(f"parameter {t.var} needs a type annotation", t.pos)
             body_hint = hint.cod if isinstance(hint, Arrow) else None
             inner = dict(gamma_val)
             inner[t.var] = (t.var, dom)
@@ -241,71 +258,35 @@ class _Elab:
             inner = dict(gamma_val)
             inner[t.var] = (t.var, bval)
             body, neff, nval = self.elab_term(t.body, gamma_eff, inner, hint)
-            sigma = self.join(t.pos, beff, neff)
-            return (
-                core.Let(
-                    self.cast_eff(sigma, beff, bound, t.pos),
-                    t.var,
-                    self.cast_eff(sigma, neff, body, t.pos),
-                ),
-                sigma,
-                nval,
-            )
+            sigma, bound, body = self.sequence(t.pos, (bound, beff), (body, neff))
+            return core.Let(bound, t.var, body), sigma, nval
         if isinstance(t, s.SIf):
             cond, ceff, cval = self.elab_term(t.cond, gamma_eff, gamma_val)
             if cval != Bool():
                 raise ElabError(f"condition has type {cval}, not bool", t.pos)
             then, teff, tval = self.elab_term(t.then, gamma_eff, gamma_val, hint)
             els, eeff, eval_ = self.elab_term(t.els, gamma_eff, gamma_val, hint)
-            try:
-                out_val = gradual_join(tval, eval_)
-            except JoinUndefined as exc:
-                raise ElabError(f"branches do not agree: {exc}", t.pos) from exc
-            sigma = self.join(t.pos, ceff, teff, eeff)
-            return (
-                core.If(
-                    self.cast_eff(sigma, ceff, cond, t.pos),
-                    self.cast_eff(
-                        sigma, teff, self.cast_value(out_val, tval, then, t.pos), t.pos
-                    ),
-                    self.cast_eff(
-                        sigma, eeff, self.cast_value(out_val, eval_, els, t.pos), t.pos
-                    ),
-                ),
-                sigma,
-                out_val,
+            out_val, then, els = self.branches(t.pos, then, tval, els, eval_)
+            sigma, cond, then, els = self.sequence(
+                t.pos, (cond, ceff), (then, teff), (els, eeff)
             )
+            return core.If(cond, then, els), sigma, out_val
         if isinstance(t, s.SConcat):
             left, leff, lval = self.elab_term(t.left, gamma_eff, gamma_val)
             right, reff, rval = self.elab_term(t.right, gamma_eff, gamma_val)
             if lval != Str() or rval != Str():
                 raise ElabError(f"++ needs str operands, got {lval} and {rval}", t.pos)
-            sigma = self.join(t.pos, leff, reff)
-            return (
-                core.Concat(
-                    self.cast_eff(sigma, leff, left, t.pos),
-                    self.cast_eff(sigma, reff, right, t.pos),
-                ),
-                sigma,
-                Str(),
-            )
+            sigma, left, right = self.sequence(t.pos, (left, leff), (right, reff))
+            return core.Concat(left, right), sigma, Str()
         if isinstance(t, s.SEnqueue):
             q_hint = hint if isinstance(hint, QueueOf) else None
             q, qeff, qval = self.elab_term(t.queue, gamma_eff, gamma_val, q_hint)
             if not isinstance(qval, QueueOf):
                 raise ElabError(f"enqueue needs a queue, got {qval}", t.pos)
             v, veff, vval = self.elab_term(t.elem, gamma_eff, gamma_val, qval.elem)
-            sigma = self.join(t.pos, qeff, veff)
-            return (
-                core.Enqueue(
-                    self.cast_eff(sigma, qeff, q, t.pos),
-                    self.cast_value(
-                        qval.elem, vval, self.cast_eff(sigma, veff, v, t.pos), t.pos
-                    ),
-                ),
-                sigma,
-                qval,
-            )
+            sigma, q, v = self.sequence(t.pos, (q, qeff), (v, veff))
+            v = self.cast_value(qval.elem, vval, v, t.pos)
+            return core.Enqueue(q, v), sigma, qval
         if isinstance(t, s.SMatch):
             scr, seff, sval = self.elab_term(t.scrutinee, gamma_eff, gamma_val)
             if not isinstance(sval, QueueOf):
@@ -315,26 +296,12 @@ class _Elab:
             inner[t.head_var] = (t.head_var, sval.elem)
             inner[t.rest_var] = (t.rest_var, sval)
             cons, ceff, cval = self.elab_term(t.cons_body, gamma_eff, inner, hint)
-            try:
-                out_val = gradual_join(eval_, cval)
-            except JoinUndefined as exc:
-                raise ElabError(f"branches do not agree: {exc}", t.pos) from exc
-            sigma = self.join(t.pos, seff, eeff, ceff)
-            return (
-                core.CaseQueue(
-                    self.cast_eff(sigma, seff, scr, t.pos),
-                    self.cast_eff(
-                        sigma, eeff, self.cast_value(out_val, eval_, empty, t.pos), t.pos
-                    ),
-                    t.head_var,
-                    t.rest_var,
-                    self.cast_eff(
-                        sigma, ceff, self.cast_value(out_val, cval, cons, t.pos), t.pos
-                    ),
-                ),
-                sigma,
-                out_val,
+            out_val, empty, cons = self.branches(t.pos, empty, eval_, cons, cval)
+            sigma, scr, empty, cons = self.sequence(
+                t.pos, (scr, seff), (empty, eeff), (cons, ceff)
             )
+            cases = core.CaseQueue(scr, empty, t.head_var, t.rest_var, cons)
+            return cases, sigma, out_val
         if isinstance(t, s.SRaise):
             if t.op not in gamma_eff:
                 raise ElabError(f"unknown effect {t.op}", t.pos)
@@ -344,19 +311,12 @@ class _Elab:
                 raise ElabError(
                     f"{t.op} expects a request of type {req}, got {pval}", t.pos
                 )
-            one = Concrete({t.op: OpSig(req, resp)})
-            sigma = self.join(t.pos, peff, one)
             x = self.fresh()
             raised = core.Raise(t.op, req, resp, self.cast_value(req, pval, core.Var(x), t.pos))
-            return (
-                core.Let(
-                    self.cast_eff(sigma, peff, payload, t.pos),
-                    x,
-                    self.cast_eff(sigma, one, raised, t.pos),
-                ),
-                sigma,
-                resp,
+            sigma, payload, raised = self.sequence(
+                t.pos, (payload, peff), (raised, Concrete({t.op: OpSig(req, resp)}))
             )
+            return core.Let(payload, x, raised), sigma, resp
         if isinstance(t, s.SHandle):
             return self._elab_handle(t, gamma_eff, gamma_val)
         if isinstance(t, s.SAscribeType):
@@ -382,17 +342,14 @@ class _Elab:
             raise ElabError(
                 f"argument has type {aval}, not coercible to {fval.dom}", t.pos
             )
-        sigma = self.join(t.pos, feff, aeff, fval.eff)
-        fn_cast = self.cast_eff(sigma, feff, fn, t.pos)
+        sigma, fn, arg = self.sequence(
+            t.pos, (fn, feff), (arg, aeff), latent=(fval.eff,)
+        )
         # widen the latent row to the combined row so the call itself is
         # typeable at sigma; the join absorbs ?, so this is always an upcast
-        fn_cast = self.cast_value(
-            Arrow(fval.dom, sigma, fval.cod), fval, fn_cast, t.pos
-        )
-        arg_cast = self.cast_value(
-            fval.dom, aval, self.cast_eff(sigma, aeff, arg, t.pos), t.pos
-        )
-        return core.App(fn_cast, arg_cast), sigma, fval.cod
+        fn = self.cast_value(Arrow(fval.dom, sigma, fval.cod), fval, fn, t.pos)
+        arg = self.cast_value(fval.dom, aval, arg, t.pos)
+        return core.App(fn, arg), sigma, fval.cod
 
     def _scrutinee_row(self, seff, sigma, caught: tuple[str, ...], gamma_eff, pos):
         """The row the handler scrutinee is cast to, so that everything it
@@ -420,34 +377,33 @@ class _Elab:
             return Concrete(out)
         return DYN
 
+    def _conform(self, what: str, elaborated, sigma, out_val, pos) -> core.Term:
+        """Check an elaborated handler body (the return clause or a clause)
+        against the handler's annotated row and type, and cast it to them."""
+        body, eff, val = elaborated
+        if not gradual_subtype(val, out_val):
+            raise ElabError(f"{what} has type {val}, not coercible to {out_val}", pos)
+        if not gradual_subtype(eff, sigma):
+            raise ElabError(f"{what} has effects {eff}, not coercible to {sigma}", pos)
+        return self.cast_eff(sigma, eff, self.cast_value(out_val, val, body, pos), pos)
+
     def _elab_handle(self, t: s.SHandle, gamma_eff, gamma_val):
         sigma = self.elab_eff(t.eff_ann, gamma_eff)
         out_val = self.elab_type(t.type_ann, gamma_eff)
         scr, seff, sval = self.elab_term(t.scrutinee, gamma_eff, gamma_val)
-        ops = [c.op for c in t.clauses]
-        if len(set(ops)) != len(ops):
+        caught = tuple(c.op for c in t.clauses)
+        if len(set(caught)) != len(caught):
             raise ElabError("duplicate handler clauses", t.pos)
         for c in t.clauses:
             if c.op not in gamma_eff:
                 raise ElabError(f"unknown effect {c.op}", c.pos)
-        caught = tuple(ops)
         scr_row = self._scrutinee_row(seff, sigma, caught, gamma_eff, t.pos)
         scr_cast = self.cast_eff(scr_row, seff, scr, t.pos)
 
         inner = dict(gamma_val)
         inner[t.ret_var] = (t.ret_var, sval)
-        ret, reff, rval = self.elab_term(t.ret_body, gamma_eff, inner, out_val)
-        if not gradual_subtype(rval, out_val):
-            raise ElabError(
-                f"return clause has type {rval}, not coercible to {out_val}", t.pos
-            )
-        if not gradual_subtype(reff, sigma):
-            raise ElabError(
-                f"return clause has effects {reff}, not coercible to {sigma}", t.pos
-            )
-        ret_cast = self.cast_eff(
-            sigma, reff, self.cast_value(out_val, rval, ret, t.pos), t.pos
-        )
+        ret = self.elab_term(t.ret_body, gamma_eff, inner, out_val)
+        ret_cast = self._conform("return clause", ret, sigma, out_val, t.pos)
 
         clauses = []
         for c in t.clauses:
@@ -459,29 +415,15 @@ class _Elab:
             cinner = dict(gamma_val)
             cinner[c.payload_var] = (c.payload_var, req)
             cinner[c.resume_var] = (c.resume_var, k_type)
-            body, ceff, cval = self.elab_term(c.body, gamma_eff, cinner, out_val)
-            if not gradual_subtype(cval, out_val):
-                raise ElabError(
-                    f"clause {c.op} has type {cval}, not coercible to {out_val}", c.pos
-                )
-            if not gradual_subtype(ceff, sigma):
-                raise ElabError(
-                    f"clause {c.op} has effects {ceff}, not coercible to {sigma}", c.pos
-                )
-            body_cast = self.cast_eff(
-                sigma, ceff, self.cast_value(out_val, cval, body, c.pos), c.pos
-            )
+            body = self.elab_term(c.body, gamma_eff, cinner, out_val)
+            body_cast = self._conform(f"clause {c.op}", body, sigma, out_val, c.pos)
             clauses.append(
                 core.Clause(c.op, c.payload_var, c.resume_var, body_cast, req, resp)
             )
-        return (
-            core.Handle(
-                scr_cast, t.ret_var, ret_cast, tuple(clauses), sigma, out_val,
-                deep=t.deep,
-            ),
-            sigma,
-            out_val,
+        handle = core.Handle(
+            scr_cast, t.ret_var, ret_cast, tuple(clauses), sigma, out_val, t.deep
         )
+        return handle, sigma, out_val
 
     # -- declarations
 
@@ -604,13 +546,8 @@ class _Elab:
             self.elab_decl(d, gamma_eff, gamma_val)
         term, eff, val = self.elab_term(p.main_term, gamma_eff, gamma_val)
         for name, bound, beff in reversed(self.bindings):
-            sigma = self.join(None, beff, eff)
-            term = core.Let(
-                self.cast_eff(sigma, beff, bound, None),
-                name,
-                self.cast_eff(sigma, eff, term, None),
-            )
-            eff = sigma
+            eff, bound, term = self.sequence(None, (bound, beff), (term, eff))
+            term = core.Let(bound, name, term)
         return ElabResult(self.sig, term, eff, val)
 
 
