@@ -85,6 +85,9 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise _UsageError(f"cannot read {path}: {e.strerror}")
+    except UnicodeDecodeError as e:
+        where = f"{e.reason} at byte {e.start}"
+        raise _UsageError(f"cannot read {path}: not UTF-8 ({where})")
 
 
 def _elab(path: str) -> elaborate.ElabResult:

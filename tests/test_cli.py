@@ -173,6 +173,16 @@ def test_missing_file_is_usage():
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("command", ["check", "elab", "run", "graduality"])
+def test_a_file_that_is_not_utf8_is_usage(tmp_path, command):
+    path = tmp_path / "latin1.greff"
+    path.write_bytes('main "caf\xe9"'.encode("latin-1"))
+    code, out, err = invoke(command, str(path))
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    why = "not UTF-8 (invalid continuation byte at byte 9)"
+    assert err == f"usage error: cannot read {path}: {why}\n"
+
+
 def test_nonpositive_fuel_is_usage():
     code, _, _ = invoke("run", str(CORPUS / "threads_precise.greff"), "--fuel", "0")
     assert code == cli.EXIT_USAGE
