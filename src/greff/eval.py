@@ -808,6 +808,3 @@ def run(
             sample(state)
     return RunResult(FuelExhausted(fuel), fuel)
 
-
-def evaluate(sig: Signature, term: core.Term, fuel: int = DEFAULT_FUEL) -> Outcome:
-    return run(sig, term, fuel).outcome

@@ -42,7 +42,6 @@ from greff.eval import (
     UncaughtRaise,
     Value,
     apart,
-    evaluate,
     reify,
     run,
 )
@@ -84,45 +83,45 @@ def test_beta_in_one_application():
 
 
 def test_if_picks_branches():
-    assert evaluate(SIG0, If(BoolLit(True), BoolLit(False), Err())) == Value(BoolLit(False))
-    assert evaluate(SIG0, If(BoolLit(False), Err(), BoolLit(True))) == Value(BoolLit(True))
+    assert run(SIG0, If(BoolLit(True), BoolLit(False), Err())).outcome == Value(BoolLit(False))
+    assert run(SIG0, If(BoolLit(False), Err(), BoolLit(True))).outcome == Value(BoolLit(True))
 
 
 def test_err_discards_everything():
     t = Let(Concat(StrLit("a"), Err()), "x", BoolLit(True))
-    assert evaluate(SIG0, t) == Error()
+    assert run(SIG0, t).outcome == Error()
 
 
 def test_handle_value_runs_return_clause():
     h = Handle(StrLit("v"), "x", Concat(Var("x"), StrLit("!")), (), EMPTY, STR)
-    assert evaluate(SIG0, h) == Value(StrLit("v!"))
+    assert run(SIG0, h).outcome == Value(StrLit("v!"))
 
 
 def test_effect_casts_dissolve_on_values():
     t = EffDowncast(EMPTY, DYN, EffUpcast(EMPTY, DYN, StrLit("v")))
-    assert evaluate(SIG0, t) == Value(StrLit("v"))
+    assert run(SIG0, t).outcome == Value(StrLit("v"))
 
 
 def test_bad_downcast_steps_to_error():
     raisin = EffUpcast(PING_ROW, DYN, Raise("ping", UNIT_T, UNIT_T, UnitLit()))
     sig = Signature({"ping": OpSig(UNIT_T, UNIT_T), "ask": OpSig(UNIT_T, STR)})
     t = EffDowncast(Concrete({"ask": OpSig(UNIT_T, STR)}), DYN, raisin)
-    assert evaluate(sig, t) == Error()
+    assert run(sig, t).outcome == Error()
 
 
 def test_uncaught_raise_outcome():
-    assert evaluate(PING, Raise("ping", UNIT_T, UNIT_T, UnitLit())) == UncaughtRaise("ping")
+    assert run(PING, Raise("ping", UNIT_T, UNIT_T, UnitLit())).outcome == UncaughtRaise("ping")
 
 
 def test_fuel_exhausted_reports_steps():
     loop = Fix("f", Arrow(UNIT_T, EMPTY, UNIT_T), Lam("u", UNIT_T, App(Var("f"), Var("u"))))
-    out = evaluate(SIG0, App(loop, UnitLit()), fuel=100)
+    out = run(SIG0, App(loop, UnitLit()), fuel=100).outcome
     assert out == FuelExhausted(100)
 
 
 def test_open_term_is_stuck():
     with pytest.raises(StuckState):
-        evaluate(SIG0, Var("ghost"))
+        run(SIG0, Var("ghost"))
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +145,11 @@ def _ask_handler(body, deep):
 
 
 def test_deep_handler_recatches():
-    assert evaluate(ASK, _ask_handler(_ask_twice(), deep=True)) == Value(StrLit("aa"))
+    assert run(ASK, _ask_handler(_ask_twice(), deep=True)).outcome == Value(StrLit("aa"))
 
 
 def test_shallow_handler_does_not_recatch():
-    assert evaluate(ASK, _ask_handler(_ask_twice(), deep=False)) == UncaughtRaise("ask")
+    assert run(ASK, _ask_handler(_ask_twice(), deep=False)).outcome == UncaughtRaise("ask")
 
 
 def test_forwarded_op_keeps_inner_handler_installed():
@@ -178,7 +177,7 @@ def test_forwarded_op_keeps_inner_handler_installed():
         STR,
         deep=True,
     )
-    assert evaluate(sig, outer) == Value(StrLit("a!"))
+    assert run(sig, outer).outcome == Value(StrLit("a!"))
 
 
 def test_raise_crossing_upcast_then_downcast_is_caught():
@@ -194,7 +193,7 @@ def test_raise_crossing_upcast_then_downcast_is_caught():
         BOOL,
         deep=True,
     )
-    assert evaluate(PING, h) == Value(BoolLit(True))
+    assert run(PING, h).outcome == Value(BoolLit(True))
 
 
 def test_fun_proxies_fire_at_application():
@@ -202,7 +201,7 @@ def test_fun_proxies_fire_at_application():
     lo = Arrow(STR, EMPTY, STR)
     hi = Arrow(STR, DYN, STR)
     up_then_down = ValDowncast(lo, hi, ValUpcast(lo, hi, ident))
-    assert evaluate(SIG0, App(up_then_down, StrLit("ok"))) == Value(StrLit("ok"))
+    assert run(SIG0, App(up_then_down, StrLit("ok"))).outcome == Value(StrLit("ok"))
 
 
 def test_queue_casts_distribute():
@@ -216,7 +215,7 @@ def test_queue_casts_distribute():
         "r",
         App(Var("f"), StrLit("q")),
     )
-    assert evaluate(SIG0, t) == Value(StrLit("q"))
+    assert run(SIG0, t).outcome == Value(StrLit("q"))
 
 
 # ---------------------------------------------------------------------------
@@ -401,5 +400,5 @@ def test_determinism_same_trace(name):
 
 def test_bad_downcast_corpus_errors():
     res = elab_source((CORPUS / "bad_downcast.greff").read_text())
-    assert evaluate(res.sig, res.term) == Error()
+    assert run(res.sig, res.term).outcome == Error()
     assert reference.evaluate(res.sig, res.term) == Error()
