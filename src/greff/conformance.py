@@ -213,21 +213,16 @@ def _fresh_counter(prefix: str = "%c") -> Callable[[str], str]:
 
 
 def expand_casts(
-    sig: Signature,
-    term: core.Term,
-    gamma: Optional[dict[str, ValueType]] = None,
-    effect: bool = True,
-    function: bool = False,
+    sig: Signature, term: core.Term, effect: bool = True, function: bool = False
 ) -> core.Term:
-    """Replace primitive casts by their handler/eta expansions, bottom-up.
+    """Replace a closed term's primitive casts by their expansions, bottom-up.
 
     With `effect`, every effect cast becomes the equivalent deep handler;
     with `function`, every value cast between arrow types becomes the
     equivalent wrapper lambda.  Typing environments are tracked so the
     handler's result type (the value type of the cast body) is known.
     """
-    fresh = _fresh_counter()
-    return _expand(sig, dict(gamma or {}), term, effect, function, fresh)
+    return _expand(sig, {}, term, effect, function, _fresh_counter())
 
 
 def _expand(sig, gamma, t, effect, function, fresh) -> core.Term:
@@ -399,44 +394,46 @@ def cast_factorizations(
 # Surface precision: sites, the imprecisifier, syntactic precision
 
 
-def _is_node(x) -> bool:
-    return dataclasses.is_dataclass(x) and not isinstance(x, type)
+# every surface node class with its field names, so walks never ask
+# dataclasses per node; declarations and imports are not walked: their
+# typings are interface facts, not annotations of the program under them
+_FIELDS = {
+    cls: tuple(f.name for f in dataclasses.fields(cls))
+    for cls in vars(s).values()
+    if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+}
+_INTERFACE = (s.SEffectDecl, s.SImportEffect, s.SImportValue)
 
 
-def _rewrite_names(node, counter: list[int], chosen: Optional[set[int]]):
-    """Walk the tree counting concrete row annotations, replacing chosen ones.
-
-    Declarations and imports are left alone: their typings are interface
-    facts, not annotations of the program under them.
-    """
+def count_effect_sites(node) -> int:
+    """The number of concrete row annotations, the sites imprecisify may blur."""
     if isinstance(node, s.SNames):
-        idx = counter[0]
+        return 1
+    if type(node) not in _FIELDS or isinstance(node, _INTERFACE):
+        return 0
+    n = 0
+    for name in _FIELDS[type(node)]:
+        v = getattr(node, name)
+        for x in v if isinstance(v, tuple) else (v,):
+            n += count_effect_sites(x)
+    return n
+
+
+def _rewrite_names(node, counter: list[int], chosen: set[int]):
+    """Walk the tree numbering concrete row annotations, turning chosen ones to ?."""
+    if isinstance(node, s.SNames):
         counter[0] += 1
-        if chosen is not None and idx in chosen:
-            return s.SDynEff()
-        return node
-    if not _is_node(node) or isinstance(
-        node, (s.SEffectDecl, s.SImportEffect, s.SImportValue)
-    ):
+        return s.SDynEff() if counter[0] - 1 in chosen else node
+    if type(node) not in _FIELDS or isinstance(node, _INTERFACE):
         return node
     kwargs = {}
-    for f in dataclasses.fields(node):
-        v = getattr(node, f.name)
+    for name in _FIELDS[type(node)]:
+        v = getattr(node, name)
         if isinstance(v, tuple):
-            kwargs[f.name] = tuple(
-                _rewrite_names(x, counter, chosen) if _is_node(x) else x for x in v
-            )
-        elif _is_node(v):
-            kwargs[f.name] = _rewrite_names(v, counter, chosen)
+            kwargs[name] = tuple([_rewrite_names(x, counter, chosen) for x in v])
         else:
-            kwargs[f.name] = v
+            kwargs[name] = _rewrite_names(v, counter, chosen)
     return type(node)(**kwargs)
-
-
-def count_effect_sites(p: s.SProgram) -> int:
-    counter = [0]
-    _rewrite_names(p, counter, None)
-    return counter[0]
 
 
 @dataclass(frozen=True)
@@ -462,21 +459,18 @@ def syntactic_precision(a, b) -> bool:
         return isinstance(a, (s.SNames, s.SDynEff))
     if type(a) is not type(b):
         return False
-    if not _is_node(a):
+    if type(a) not in _FIELDS:
         return a == b
-    for f in dataclasses.fields(a):
-        va, vb = getattr(a, f.name), getattr(b, f.name)
+    for name in _FIELDS[type(a)]:
+        va, vb = getattr(a, name), getattr(b, name)
         if isinstance(va, tuple) and isinstance(vb, tuple):
-            if len(va) != len(vb):
+            if len(va) != len(vb) or not all(map(syntactic_precision, va, vb)):
                 return False
-            if not all(syntactic_precision(x, y) for x, y in zip(va, vb)):
-                return False
-        elif _is_node(va) or _is_node(vb):
+        elif type(va) in _FIELDS or type(vb) in _FIELDS:
             if not syntactic_precision(va, vb):
                 return False
-        elif va != vb:
-            if f.name != "pos":
-                return False
+        elif va != vb and name != "pos":
+            return False
     return True
 
 
@@ -552,10 +546,9 @@ class LawCase:
     right: core.Term
 
 
-def _gen_ctx(seed: int, higher_order: bool = False) -> tuple[random.Random, gen._CoreGen]:
+def _gen_ctx(seed: int) -> tuple[random.Random, gen._CoreGen]:
     rng = random.Random(seed)
-    sig = gen.gen_signature(rng, higher_order=higher_order)
-    return rng, gen._CoreGen(rng, sig, gen.GenConfig(depth=3))
+    return rng, gen._CoreGen(rng, gen.gen_signature(rng))
 
 
 def case_effect_cast_vs_handler(seed: int) -> LawCase:

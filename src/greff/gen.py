@@ -7,17 +7,17 @@ only ever happens under a handler for the raised operation.  All
 randomness flows through one random.Random per artifact, making every
 output a pure function of its seed.
 
-Bounds follow the suite defaults: nesting depth at most 6, at most 3
-declared operations, two modules (declarations plus a main block), and a
-bias knob controlling how often an effect annotation is written as ?
-instead of spelled out.
+Bounds are fixed: term nesting up to DEPTH, at most three declared
+operations, two modules (declarations plus a main block).  An effect
+annotation is left as ? rather than spelled out with chance DYN_BIAS, and
+a core subterm is wrapped in a cast retraction with chance CAST_RATE.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
 from . import core
 from . import surface as s
@@ -41,14 +41,9 @@ BOOL, UNIT, STR = Bool(), Unit(), Str()
 OP_NAMES = ("ask", "tick", "emit")
 GROUND = (BOOL, UNIT, STR)
 STRINGS = ("a", "b", "c", "d")
-
-
-@dataclass(frozen=True)
-class GenConfig:
-    depth: int = 4
-    max_effects: int = 3
-    dyn_bias: float = 0.5  # chance an effect annotation is left dynamic
-    cast_rate: float = 0.2  # chance a core subterm gets wrapped in casts
+DEPTH = 4
+DYN_BIAS = 0.5  # chance an effect annotation is left dynamic
+CAST_RATE = 0.2  # chance a core subterm gets wrapped in casts
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +64,6 @@ _SEnv = Mapping[str, tuple[s.SType, frozenset[str]]]
 @dataclass
 class _SurfaceGen:
     rng: random.Random
-    cfg: GenConfig
     ops: dict[str, tuple[s.SType, s.SType]]  # name -> (req, resp)
     fresh: int = 0
 
@@ -79,7 +73,7 @@ class _SurfaceGen:
 
     def row_ann(self, used: frozenset[str], limit: frozenset[str]) -> s.SEffect:
         """An annotation covering used, padded only from limit, or left ?."""
-        if self.rng.random() < self.cfg.dyn_bias:
+        if self.rng.random() < DYN_BIAS:
             return s.SDynEff()
         extra = [o for o in sorted(limit - used) if self.rng.random() < 0.3]
         return s.SNames(tuple(sorted(used | set(extra))))
@@ -107,7 +101,7 @@ class _SurfaceGen:
         if depth > 0 and rng.random() < 0.15:
             out = s.SAscribeType(out, ty)
         if depth > 0 and rng.random() < 0.15:
-            if rng.random() < self.cfg.dyn_bias:
+            if rng.random() < DYN_BIAS:
                 out = s.SAscribeEff(out, s.SDynEff())
             else:
                 out = s.SAscribeEff(out, s.SNames(tuple(sorted(used))))
@@ -208,7 +202,7 @@ class _SurfaceGen:
         )
         return s.SHandle(True, eff_ann, ty, scr, rv, ret, tuple(clauses)), total
 
-    def program(self) -> s.SProgram:
+    def program(self, depth: int) -> s.SProgram:
         rng = self.rng
         decls = tuple(
             s.SEffectDecl(op, req, resp) for op, (req, resp) in self.ops.items()
@@ -224,7 +218,7 @@ class _SurfaceGen:
             may_raise = frozenset(o for o in self.ops if rng.random() < 0.5)
             arg = self.name("a")
             body, used = self.term(
-                cod, may_raise, {**env, arg: (dom, _NONE)}, self.cfg.depth - 1
+                cod, may_raise, {**env, arg: (dom, _NONE)}, depth - 1
             )
             row = self.row_ann(used, may_raise)
             ann = s.SArrow(dom, row, cod)
@@ -232,21 +226,20 @@ class _SurfaceGen:
             static = frozenset(row.names) if isinstance(row, s.SNames) else used
             env[fname] = (ann, static)
         ty = rng.choice((s.SBool(), s.SStr()))
-        term, _ = self.term(ty, frozenset(), env, self.cfg.depth)
+        term, _ = self.term(ty, frozenset(), env, depth)
         return s.SProgram((s.SModule("Ops", decls),), tuple(main_decls), term)
 
 
-def gen_surface_program(seed: int, cfg: Optional[GenConfig] = None) -> s.SProgram:
+def gen_surface_program(seed: int) -> s.SProgram:
     """A closed two-module surface program of ground type.
 
     Raises only happen under a handler for the operation, so a drawn
     program runs to a ground value (casts aside) as well as typechecking.
     """
-    cfg = cfg or GenConfig()
     rng = random.Random(seed)
-    n = rng.randint(1, cfg.max_effects)
+    n = rng.randint(1, len(OP_NAMES))
     ops = {op: (_ground_stype(rng), _ground_stype(rng)) for op in OP_NAMES[:n]}
-    return _SurfaceGen(rng, cfg, ops).program()
+    return _SurfaceGen(rng, ops).program(DEPTH)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +307,6 @@ def loosen(rng: random.Random, t, p: float = 0.5):
 class _CoreGen:
     rng: random.Random
     sig: Signature
-    cfg: GenConfig
     fresh: int = field(default=0)
 
     def name(self, base: str = "x") -> str:
@@ -432,7 +424,7 @@ class _CoreGen:
             out = self._fold_queue(allowed, env, depth)
         else:
             out = self._handle(ty, allowed, env, depth)
-        if depth > 0 and rng.random() < self.cfg.cast_rate:
+        if depth > 0 and rng.random() < CAST_RATE:
             out = self._wrap_casts(out, ty, allowed)
         return out
 
@@ -515,20 +507,14 @@ def gen_core_term(
     sig: Signature,
     ty: ValueType,
     allowed: frozenset[str] = frozenset(),
-    cfg: Optional[GenConfig] = None,
-    env: Optional[Mapping[str, ValueType]] = None,
 ) -> core.Term:
-    """A core term of type ty letting at most `allowed` escape."""
-    cfg = cfg or GenConfig()
-    return _CoreGen(rng, sig, cfg).term(ty, allowed, dict(env or {}), cfg.depth)
+    """A closed core term of type ty letting at most `allowed` escape."""
+    return _CoreGen(rng, sig).term(ty, allowed, {}, DEPTH)
 
 
-def gen_core_program(
-    seed: int, cfg: Optional[GenConfig] = None
-) -> tuple[Signature, core.Term, ValueType]:
+def gen_core_program(seed: int) -> tuple[Signature, core.Term, ValueType]:
     """A closed well-typed core term with no operation escaping."""
-    cfg = cfg or GenConfig()
     rng = random.Random(seed)
     sig = gen_signature(rng)
     ty = rng.choice((BOOL, STR))
-    return sig, gen_core_term(rng, sig, ty, frozenset(), cfg), ty
+    return sig, gen_core_term(rng, sig, ty), ty

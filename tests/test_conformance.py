@@ -215,7 +215,7 @@ def test_cast_factorizations_typecheck():
         if not gradual_subtype(a, b):
             continue
         rng = random.Random(seed + 1)
-        g = gen._CoreGen(rng, sig, gen.GenConfig(depth=2))
+        g = gen._CoreGen(rng, sig)
         m = g.value(a, frozenset(), {}, 2)
         for v in conf.cast_factorizations(a, b, m):
             eff, val = core.typecheck(sig, {}, v)
