@@ -31,7 +31,7 @@ uncaught operations must already sit in the result row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import core, surface as s
