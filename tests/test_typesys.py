@@ -88,6 +88,23 @@ def value_types(max_depth=3):
 any_types = st.one_of(value_types(), effect_types)
 
 
+@st.composite
+def same_shape_pairs(draw):
+    """Two types with one skeleton whose rows are drawn independently."""
+
+    def redecorate(t):
+        if isinstance(t, QueueOf):
+            return QueueOf(redecorate(t.elem))
+        if isinstance(t, Arrow):
+            return Arrow(redecorate(t.dom), draw(effect_types), redecorate(t.cod))
+        if isinstance(t, (Dyn, Concrete)):
+            return draw(effect_types)
+        return t
+
+    t = draw(any_types)
+    return redecorate(t), redecorate(t)
+
+
 # ---------------------------------------------------------------------------
 # erasure
 
@@ -283,3 +300,22 @@ def test_lub_union_glb_intersection():
     assert glb(PY, only_fork) == EMPTY
     assert subtype(PY, lub(PY, only_fork))
     assert subtype(only_fork, lub(PY, only_fork))
+
+
+@given(same_shape_pairs())
+def test_defined_bounds_bound_both_inputs(pair):
+    # an arrow's domain and an operation's response flip the bound, so
+    # pairs of one shape reach the contravariant positions
+    t, u = pair
+    for bound, above, below in (
+        (lub, True, subtype),
+        (glb, False, subtype),
+        (gradual_join, True, gradual_subtype),
+        (gradual_meet, False, gradual_subtype),
+    ):
+        try:
+            b = bound(t, u)
+        except JoinUndefined:
+            continue
+        for x in (t, u):
+            assert below(x, b) if above else below(b, x), (bound.__name__, t, u, b)
