@@ -108,17 +108,13 @@ def _re_raise(
     """The clause body re-raising op across value casts, feeding the resume.
 
     `send` is the typing the clause receives the payload at, `recv` the
-    typing of the re-raise.  Going up, payloads are upcast and responses
-    come back down; going down the duals.
+    typing of the re-raise.  The payload crosses in the cast's direction
+    and the response comes back the other way.
     """
-    if up:
-        pay: core.Term = core.ValUpcast(send.req, recv.req, core.Var(payload_var))
-        raised: core.Term = core.Raise(op, recv.req, recv.resp, pay)
-        out: core.Term = core.ValDowncast(send.resp, recv.resp, raised)
-    else:
-        pay = core.ValDowncast(recv.req, send.req, core.Var(payload_var))
-        raised = core.Raise(op, recv.req, recv.resp, pay)
-        out = core.ValUpcast(recv.resp, send.resp, raised)
+    lo, hi = (send, recv) if up else (recv, send)
+    pay = (core.ValUpcast if up else core.ValDowncast)(lo.req, hi.req, core.Var(payload_var))
+    raised = core.Raise(op, recv.req, recv.resp, pay)
+    out: core.Term = (core.ValDowncast if up else core.ValUpcast)(lo.resp, hi.resp, raised)
     if isinstance(result_eff, Dyn):
         # a bare raise has a concrete one-operation row, which no typing
         # rule lets sit directly under a dynamic ambient; the identity
@@ -135,42 +131,30 @@ def expand_effect_cast(
 ) -> core.Handle:
     """The deep handler a primitive effect cast is equivalent to.
 
-    An upcast handles every operation of its lower row and re-raises at
-    the higher row's typing; a downcast handles every operation the
-    higher row can raise, re-raising the ones the lower row admits and
-    erroring on the rest.
+    It handles every operation its source row can raise (the lower row
+    of an upcast, the higher row of a downcast), re-raising each at the
+    target row's typing and erroring on those the target omits; an
+    upcast's target omits none.
     """
     up = isinstance(cast, core.EffUpcast)
-    lo_ops = ops_of(cast.lo, sig)
-    hi_ops = ops_of(cast.hi, sig)
-    result_eff = cast.hi if up else cast.lo
+    source, target = (cast.lo, cast.hi) if up else (cast.hi, cast.lo)
+    target_ops = ops_of(target, sig)
     clauses = []
-    if up:
-        for op, lo_sig in lo_ops.items():
-            x, k = fresh("x"), fresh("k")
-            hi_sig = hi_ops[op]
-            body = core.App(
-                core.Var(k), _re_raise(op, x, lo_sig, hi_sig, True, result_eff)
-            )
-            clauses.append(core.Clause(op, x, k, body, lo_sig.req, lo_sig.resp))
-    else:
-        for op, hi_sig in hi_ops.items():
-            x, k = fresh("x"), fresh("k")
-            lo_sig = lo_ops.get(op)
-            if lo_sig is None:
-                body: core.Term = core.Err()
-            else:
-                body = core.App(
-                    core.Var(k), _re_raise(op, x, hi_sig, lo_sig, False, result_eff)
-                )
-            clauses.append(core.Clause(op, x, k, body, hi_sig.req, hi_sig.resp))
+    for op, send in ops_of(source, sig).items():
+        x, k = fresh("x"), fresh("k")
+        recv = target_ops.get(op)
+        if recv is None:
+            body: core.Term = core.Err()
+        else:
+            body = core.App(core.Var(k), _re_raise(op, x, send, recv, up, target))
+        clauses.append(core.Clause(op, x, k, body, send.req, send.resp))
     rv = fresh("x")
     return core.Handle(
         cast.body,
         rv,
         core.Var(rv),
         tuple(clauses),
-        result_eff,
+        target,
         result_type,
         deep=True,
     )
@@ -186,20 +170,14 @@ def expand_fun_cast(
     """
     lo, hi = cast.lo, cast.hi
     assert isinstance(lo, Arrow) and isinstance(hi, Arrow)
+    up = isinstance(cast, core.ValUpcast)
     g, x = fresh("g"), fresh("x")
-    if isinstance(cast, core.ValUpcast):
-        inner = core.App(core.Var(g), core.ValDowncast(lo.dom, hi.dom, core.Var(x)))
-        body = core.ValUpcast(
-            lo.cod, hi.cod, core.EffUpcast(lo.eff, hi.eff, inner)
-        )
-        wrapper: core.Term = core.Lam(x, hi.dom, body)
-    else:
-        inner = core.App(core.Var(g), core.ValUpcast(lo.dom, hi.dom, core.Var(x)))
-        body = core.ValDowncast(
-            lo.cod, hi.cod, core.EffDowncast(lo.eff, hi.eff, inner)
-        )
-        wrapper = core.Lam(x, lo.dom, body)
-    return core.Let(cast.body, g, wrapper)
+    arg = (core.ValDowncast if up else core.ValUpcast)(lo.dom, hi.dom, core.Var(x))
+    inner = (core.EffUpcast if up else core.EffDowncast)(
+        lo.eff, hi.eff, core.App(core.Var(g), arg)
+    )
+    body = (core.ValUpcast if up else core.ValDowncast)(lo.cod, hi.cod, inner)
+    return core.Let(cast.body, g, core.Lam(x, hi.dom if up else lo.dom, body))
 
 
 def _fresh_counter(prefix: str = "%c") -> Callable[[str], str]:
@@ -462,6 +440,8 @@ def syntactic_precision(a, b) -> bool:
     if type(a) not in _FIELDS:
         return a == b
     for name in _FIELDS[type(a)]:
+        if name == "pos":
+            continue
         va, vb = getattr(a, name), getattr(b, name)
         if isinstance(va, tuple) and isinstance(vb, tuple):
             if len(va) != len(vb) or not all(map(syntactic_precision, va, vb)):
@@ -469,7 +449,7 @@ def syntactic_precision(a, b) -> bool:
         elif type(va) in _FIELDS or type(vb) in _FIELDS:
             if not syntactic_precision(va, vb):
                 return False
-        elif va != vb and name != "pos":
+        elif va != vb:
             return False
     return True
 

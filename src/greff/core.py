@@ -587,6 +587,9 @@ def pretty_type(t) -> str:
     raise TypeError(f"not a type: {t!r}")
 
 
+_CAST_TAGS = {ValUpcast: "vup", ValDowncast: "vdn", EffUpcast: "eup", EffDowncast: "edn"}
+
+
 def pretty(t: Term) -> str:
     if isinstance(t, Var):
         return f"(var {t.name})"
@@ -642,12 +645,7 @@ def pretty(t: Term) -> str:
         )
     if isinstance(t, Err):
         return "err"
-    if isinstance(t, ValUpcast):
-        return f"(vup {pretty_type(t.lo)} {pretty_type(t.hi)} {pretty(t.body)})"
-    if isinstance(t, ValDowncast):
-        return f"(vdn {pretty_type(t.lo)} {pretty_type(t.hi)} {pretty(t.body)})"
-    if isinstance(t, EffUpcast):
-        return f"(eup {pretty_type(t.lo)} {pretty_type(t.hi)} {pretty(t.body)})"
-    if isinstance(t, EffDowncast):
-        return f"(edn {pretty_type(t.lo)} {pretty_type(t.hi)} {pretty(t.body)})"
+    tag = _CAST_TAGS.get(type(t))
+    if tag is not None:
+        return f"({tag} {pretty_type(t.lo)} {pretty_type(t.hi)} {pretty(t.body)})"
     raise TypeError(f"not a term: {t!r}")

@@ -237,14 +237,14 @@ class AppArg:
 class LetBody:
     var: str
     body: core.Term
-    env: Env = field(default_factory=dict)
+    env: Env
 
 
 @_record
 class IfBranches:
     then: core.Term
     els: core.Term
-    env: Env = field(default_factory=dict)
+    env: Env
 
 
 @_record
@@ -275,7 +275,7 @@ class CaseFrame:
     head_var: str
     rest_var: str
     cons_body: core.Term
-    env: Env = field(default_factory=dict)
+    env: Env
 
 
 @_record
@@ -288,29 +288,19 @@ class RaisePayload:
 @_record
 class HandleFrame:
     handle: core.Handle
-    env: Env = field(default_factory=dict)
+    env: Env
 
 
 @_record
-class ValUpFrame:
+class ValCastFrame:  # like Proxy: lo to hi when up, hi to lo otherwise
+    up: bool
     lo: ValueType
     hi: ValueType
 
 
 @_record
-class ValDownFrame:
-    lo: ValueType
-    hi: ValueType
-
-
-@_record
-class EffUpFrame:
-    lo: EffectType
-    hi: EffectType
-
-
-@_record
-class EffDownFrame:
+class EffCastFrame:
+    up: bool
     lo: EffectType
     hi: EffectType
 
@@ -318,7 +308,7 @@ class EffDownFrame:
 Frame = Union[
     AppFun, AppArg, LetBody, IfBranches, ConcatLeft, ConcatRight,
     EnqueueQueue, EnqueueElem, CaseFrame, RaisePayload, HandleFrame,
-    ValUpFrame, ValDownFrame, EffUpFrame, EffDownFrame,
+    ValCastFrame, EffCastFrame,
 ]
 
 
@@ -401,10 +391,8 @@ def _val(t: core.Term, env: Env) -> object:
     if tt is core.Enqueue:
         q = _val(t.queue, env)
         return q.enqueue(_val(t.elem, env))
-    if tt is core.ValUpcast:
-        return Proxy(True, t.lo, t.hi, _val(t.body, env))
-    if tt is core.ValDowncast:
-        return Proxy(False, t.lo, t.hi, _val(t.body, env))
+    if tt is core.ValUpcast or tt is core.ValDowncast:
+        return Proxy(tt is core.ValUpcast, t.lo, t.hi, _val(t.body, env))
     return t  # a literal
 
 
@@ -494,14 +482,10 @@ def _wrap(f: Frame, hole: core.Term) -> core.Term:
         return core.Handle(
             hole, h.ret_var, h.ret_body, h.clauses, h.result_eff, h.result_type, h.deep
         )
-    if tf is ValUpFrame:
-        return core.ValUpcast(f.lo, f.hi, hole)
-    if tf is ValDownFrame:
-        return core.ValDowncast(f.lo, f.hi, hole)
-    if tf is EffUpFrame:
-        return core.EffUpcast(f.lo, f.hi, hole)
-    if tf is EffDownFrame:
-        return core.EffDowncast(f.lo, f.hi, hole)
+    if tf is ValCastFrame:
+        return (core.ValUpcast if f.up else core.ValDowncast)(f.lo, f.hi, hole)
+    if tf is EffCastFrame:
+        return (core.EffUpcast if f.up else core.EffDowncast)(f.lo, f.hi, hole)
     raise StuckState(f"not a frame: {f!r}")
 
 
@@ -542,15 +526,15 @@ def _typing(eff: EffectType, op: str, sig: Signature) -> OpSig:
 
 
 def apart(sig: Signature, frames: Iterable[Frame], op: str) -> bool:
-    """True when no frame handles or cast-intercepts op."""
+    """True when no frame handles or cast-intercepts op.
+
+    An effect cast intercepts op when its upper row mentions it: by
+    precision the lower row mentions nothing the upper row does not.
+    """
     for f in frames:
         if isinstance(f, HandleFrame) and f.handle.clause(op) is not None:
             return False
-        if isinstance(f, EffUpFrame) and (
-            _mentions(f.lo, op, sig) or _mentions(f.hi, op, sig)
-        ):
-            return False
-        if isinstance(f, EffDownFrame) and _mentions(f.hi, op, sig):
+        if isinstance(f, EffCastFrame) and _mentions(f.hi, op, sig):
             return False
     return True
 
@@ -629,10 +613,10 @@ class Machine:
             if tt is core.Enqueue:
                 f = EnqueueQueue(t.elem, env)
                 return MachineState(Stack(f, frames), Evaluating(t.queue, env))
-            f = (ValUpFrame if tt is core.ValUpcast else ValDownFrame)(t.lo, t.hi)
+            f = ValCastFrame(tt is core.ValUpcast, t.lo, t.hi)
             return MachineState(Stack(f, frames), Evaluating(t.body, env))
         if tt is core.EffUpcast or tt is core.EffDowncast:
-            f = (EffUpFrame if tt is core.EffUpcast else EffDownFrame)(t.lo, t.hi)
+            f = EffCastFrame(tt is core.EffUpcast, t.lo, t.hi)
             return MachineState(Stack(f, frames), Evaluating(t.body, env))
         if tt is core.Err:
             self._fire("err")
@@ -651,16 +635,11 @@ class Machine:
                 frames = Stack(f, frames)
             return MachineState(frames, Returning(arg))
         if tf is Proxy:
-            lo, hi = fn.lo, fn.hi
-            if fn.up:
-                self._fire("fun-upcast")
-                frames = Stack(ValUpFrame(lo.cod, hi.cod), frames)
-                frames = Stack(EffUpFrame(lo.eff, hi.eff), frames)
-            else:
-                self._fire("fun-downcast")
-                frames = Stack(ValDownFrame(lo.cod, hi.cod), frames)
-                frames = Stack(EffDownFrame(lo.eff, hi.eff), frames)
-            arg = cast_value(arg, not fn.up, lo.dom, hi.dom)
+            up, lo, hi = fn.up, fn.lo, fn.hi
+            self._fire("fun-upcast" if up else "fun-downcast")
+            frames = Stack(ValCastFrame(up, lo.cod, hi.cod), frames)
+            frames = Stack(EffCastFrame(up, lo.eff, hi.eff), frames)
+            arg = cast_value(arg, not up, lo.dom, hi.dom)
             return MachineState(Stack(AppArg(fn.fn), frames), Returning(arg))
         raise StuckState(f"applied a non-function: {core._brief(_back(fn))}")
 
@@ -676,8 +655,8 @@ class Machine:
         if tf is LetBody:
             self._fire("let", f.var)
             return MachineState(frames, Evaluating(f.body, {**f.env, f.var: v}))
-        if tf is EffUpFrame or tf is EffDownFrame:
-            self._fire("eff-upcast-value" if tf is EffUpFrame else "eff-downcast-value")
+        if tf is EffCastFrame:
+            self._fire("eff-upcast-value" if f.up else "eff-downcast-value")
             return MachineState(frames, Returning(v))
         if tf is CaseFrame:
             if type(v) is not QueueVal:
@@ -700,10 +679,9 @@ class Machine:
         if tf is RaisePayload:
             self._fire("raise", f.op)
             return MachineState(frames, Raising(f.op, f.req, f.resp, v, Captured()))
-        if tf is ValUpFrame or tf is ValDownFrame:
-            up = tf is ValUpFrame
-            self._fire("val-upcast" if up else "val-downcast")
-            return MachineState(frames, Returning(cast_value(v, up, f.lo, f.hi)))
+        if tf is ValCastFrame:
+            self._fire("val-upcast" if f.up else "val-downcast")
+            return MachineState(frames, Returning(cast_value(v, f.up, f.lo, f.hi)))
         if tf is HandleFrame:
             h = f.handle
             self._fire("handle-value")
@@ -730,33 +708,23 @@ class Machine:
             clause = f.handle.clause(r.op)
             if clause is not None:
                 return self._handler_beta(frames, f, clause, r)
-        elif tf is EffUpFrame:
-            if _mentions(f.hi, r.op, self.sig):
-                self._fire("eff-upcast-raise", r.op)
-                inner = _typing(f.lo, r.op, self.sig)
-                outer = _typing(f.hi, r.op, self.sig)
-                payload = cast_value(r.payload, True, inner.req, outer.req)
+        elif tf is EffCastFrame:
+            up = f.up
+            # the raise crosses when the row it goes out to mentions op
+            if _mentions(f.hi if up else f.lo, r.op, self.sig):
+                self._fire("eff-upcast-raise" if up else "eff-downcast-raise", r.op)
+                lo = _typing(f.lo, r.op, self.sig)
+                hi = _typing(f.hi, r.op, self.sig)
+                payload = cast_value(r.payload, up, lo.req, hi.req)
                 captured = Captured(
-                    Stack(ValDownFrame(inner.resp, outer.resp), r.captured.inner),
+                    Stack(ValCastFrame(not up, lo.resp, hi.resp), r.captured.inner),
                     Stack(f, r.captured.outer),
                 )
+                out = hi if up else lo
                 return MachineState(
-                    frames, Raising(r.op, outer.req, outer.resp, payload, captured)
+                    frames, Raising(r.op, out.req, out.resp, payload, captured)
                 )
-        elif tf is EffDownFrame:
-            if _mentions(f.lo, r.op, self.sig):
-                self._fire("eff-downcast-raise", r.op)
-                inner = _typing(f.lo, r.op, self.sig)
-                outer = _typing(f.hi, r.op, self.sig)
-                payload = cast_value(r.payload, False, inner.req, outer.req)
-                captured = Captured(
-                    Stack(ValUpFrame(inner.resp, outer.resp), r.captured.inner),
-                    Stack(f, r.captured.outer),
-                )
-                return MachineState(
-                    frames, Raising(r.op, inner.req, inner.resp, payload, captured)
-                )
-            if isinstance(f.hi, Dyn):
+            if not up and isinstance(f.hi, Dyn):
                 # the dynamic row let the operation out; the target traps it
                 self._fire("bad-downcast", r.op)
                 return MachineState(frames, Evaluating(core.Err(), NO_ENV))

@@ -91,14 +91,13 @@ class Dyn:
 
 
 @dataclass(frozen=True)
-class Concrete:
+class _OpTable:
     """A finite map from operation names to typings, kept name-sorted."""
 
     ops: tuple[tuple[str, OpSig], ...]
 
     def __init__(self, ops: Union[Mapping[str, OpSig], Iterable[tuple[str, OpSig]]]):
-        items = sorted(dict(ops).items())
-        object.__setattr__(self, "ops", tuple(items))
+        object.__setattr__(self, "ops", tuple(sorted(dict(ops).items())))
 
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.ops)
@@ -108,6 +107,11 @@ class Concrete:
 
     def __contains__(self, name: str) -> bool:
         return any(n == name for n, _ in self.ops)
+
+
+@dataclass(frozen=True, init=False)
+class Concrete(_OpTable):
+    """A concrete effect type: the operations it may raise, at their typings."""
 
     def __str__(self) -> str:
         return "[" + ",".join(self.names()) + "]"
@@ -138,27 +142,15 @@ def is_effect_type(t: Type) -> bool:
 # Signatures
 
 
-@dataclass(frozen=True)
-class Signature:
+@dataclass(frozen=True, init=False)
+class Signature(_OpTable):
     """Declared operations at their non-tracking (fully erased) typings."""
 
-    ops: tuple[tuple[str, OpSig], ...]
-
     def __init__(self, ops: Union[Mapping[str, OpSig], Iterable[tuple[str, OpSig]]]):
-        items = sorted(dict(ops).items())
-        for name, sig in items:
+        super().__init__(ops)
+        for name, sig in self.ops:
             if sig.req != erase(sig.req) or sig.resp != erase(sig.resp):
                 raise SignatureError(f"signature typing of {name} is not erased: {sig}")
-        object.__setattr__(self, "ops", tuple(items))
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.ops)
-
-    def get(self, name: str) -> Optional[OpSig]:
-        return dict(self.ops).get(name)
-
-    def __contains__(self, name: str) -> bool:
-        return any(n == name for n, _ in self.ops)
 
     def at(self, names: Iterable[str]) -> Concrete:
         """The concrete effect giving `names` their signature typings."""
@@ -326,71 +318,48 @@ def compatible(t: Type, u: Type) -> bool:
 
 
 def gradual_join(t: Type, u: Type) -> Type:
-    if isinstance(t, (Bool, Unit, Str)):
-        if t == u:
-            return t
-        raise JoinUndefined(f"{t} join {u}")
+    return _gradual_bound(t, u, True)
+
+
+def gradual_meet(t: Type, u: Type) -> Type:
+    return _gradual_bound(t, u, False)
+
+
+def _gradual_bound(t: Type, u: Type, up: bool) -> Type:
+    """The gradual join of t and u when up, their meet otherwise; domains flip up."""
+    if isinstance(t, (Bool, Unit, Str)) and t == u:
+        return t
     if isinstance(t, QueueOf) and isinstance(u, QueueOf):
-        return QueueOf(gradual_join(t.elem, u.elem))
+        return QueueOf(_gradual_bound(t.elem, u.elem, up))
     if isinstance(t, Arrow) and isinstance(u, Arrow):
         return Arrow(
-            gradual_meet(t.dom, u.dom),
-            gradual_join(t.eff, u.eff),
-            gradual_join(t.cod, u.cod),
+            _gradual_bound(t.dom, u.dom, not up),
+            _gradual_bound(t.eff, u.eff, up),
+            _gradual_bound(t.cod, u.cod, up),
         )
     if is_effect_type(t) and is_effect_type(u):
         # ? absorbs on join: merging a dynamic row with anything yields the
         # dynamic row, so mixed-precision merges defer checks to casts rather
         # than committing the result to one side's concrete row.  (Committing
         # would plant a concrete downcast around the dynamic subterm, which
-        # errors on effects the other side never mentioned.)
+        # errors on effects the other side never mentioned.)  Dually ? is the
+        # identity on meet, and the concrete side wins.
         if isinstance(t, Dyn) or isinstance(u, Dyn):
-            return DYN
-        return _concrete_merge(t, u, join=True)
-    raise JoinUndefined(f"{t} join {u}")
-
-
-def gradual_meet(t: Type, u: Type) -> Type:
-    if isinstance(t, (Bool, Unit, Str)):
-        if t == u:
-            return t
-        raise JoinUndefined(f"{t} meet {u}")
-    if isinstance(t, QueueOf) and isinstance(u, QueueOf):
-        return QueueOf(gradual_meet(t.elem, u.elem))
-    if isinstance(t, Arrow) and isinstance(u, Arrow):
-        return Arrow(
-            gradual_join(t.dom, u.dom),
-            gradual_meet(t.eff, u.eff),
-            gradual_meet(t.cod, u.cod),
-        )
-    if is_effect_type(t) and is_effect_type(u):
-        # Dual to join: ? is the identity on meet, the concrete side wins.
-        if isinstance(t, Dyn):
-            return u
-        if isinstance(u, Dyn):
-            return t
-        return _concrete_merge(t, u, join=False)
-    raise JoinUndefined(f"{t} meet {u}")
-
-
-def _concrete_merge(t: Concrete, u: Concrete, join: bool) -> Concrete:
-    """Join: union of domains; meet: intersection.  Shared names must carry
-    the same typing on both sides (elaboration always merges types drawn from
-    one module context, where this holds)."""
-    left, right = dict(t.ops), dict(u.ops)
-    out: dict[str, OpSig] = {}
-    for name in set(left) | set(right):
-        a, b = left.get(name), right.get(name)
-        if a is not None and b is not None:
-            if a != b:
-                raise JoinUndefined(f"operation {name} carries {a} and {b}")
-            if join:
-                out[name] = OpSig(gradual_join(a.req, b.req), gradual_meet(a.resp, b.resp))
-            else:
-                out[name] = OpSig(gradual_meet(a.req, b.req), gradual_join(a.resp, b.resp))
-        elif join:
-            out[name] = a if a is not None else b  # type: ignore[assignment]
-    return Concrete(out)
+            return DYN if up else (u if isinstance(t, Dyn) else t)
+        # join: union of domains; meet: intersection.  Shared names must carry
+        # one typing (elaboration merges types from one module context).
+        left, right = dict(t.ops), dict(u.ops)
+        out: dict[str, OpSig] = {}
+        for name in set(left) | set(right):
+            a, b = left.get(name), right.get(name)
+            if a is not None and b is not None:
+                if a != b:
+                    raise JoinUndefined(f"operation {name} carries {a} and {b}")
+                out[name] = a
+            elif up:
+                out[name] = a if a is not None else b  # type: ignore[assignment]
+        return Concrete(out)
+    raise JoinUndefined(f"{t} {'join' if up else 'meet'} {u}")
 
 
 # ---------------------------------------------------------------------------
@@ -398,49 +367,36 @@ def _concrete_merge(t: Concrete, u: Concrete, join: bool) -> Concrete:
 
 
 def lub(t: Type, u: Type) -> Type:
-    if isinstance(t, (Bool, Unit, Str)):
-        if t == u:
-            return t
-        raise JoinUndefined(f"{t} lub {u}")
-    if isinstance(t, QueueOf) and isinstance(u, QueueOf):
-        return QueueOf(lub(t.elem, u.elem))
-    if isinstance(t, Arrow) and isinstance(u, Arrow):
-        return Arrow(glb(t.dom, u.dom), lub(t.eff, u.eff), lub(t.cod, u.cod))
-    if is_effect_type(t) and is_effect_type(u):
-        if isinstance(t, Dyn) and isinstance(u, Dyn):
-            return DYN
-        if isinstance(t, Dyn) or isinstance(u, Dyn):
-            raise JoinUndefined("? has no common bound with a concrete effect in <=")
-        left, right = dict(t.ops), dict(u.ops)
-        out: dict[str, OpSig] = {}
-        for name in set(left) | set(right):
-            a, b = left.get(name), right.get(name)
-            if a is not None and b is not None:
-                out[name] = OpSig(lub(a.req, b.req), glb(a.resp, b.resp))
-            else:
-                out[name] = a if a is not None else b  # type: ignore[assignment]
-        return Concrete(out)
-    raise JoinUndefined(f"{t} lub {u}")
+    return _bound(t, u, True)
 
 
 def glb(t: Type, u: Type) -> Type:
-    if isinstance(t, (Bool, Unit, Str)):
-        if t == u:
-            return t
-        raise JoinUndefined(f"{t} glb {u}")
+    return _bound(t, u, False)
+
+
+def _bound(t: Type, u: Type, up: bool) -> Type:
+    """The lub of t and u in <= when up, their glb otherwise; domains and responses flip up."""
+    if isinstance(t, (Bool, Unit, Str)) and t == u:
+        return t
     if isinstance(t, QueueOf) and isinstance(u, QueueOf):
-        return QueueOf(glb(t.elem, u.elem))
+        return QueueOf(_bound(t.elem, u.elem, up))
     if isinstance(t, Arrow) and isinstance(u, Arrow):
-        return Arrow(lub(t.dom, u.dom), glb(t.eff, u.eff), glb(t.cod, u.cod))
+        return Arrow(
+            _bound(t.dom, u.dom, not up), _bound(t.eff, u.eff, up), _bound(t.cod, u.cod, up)
+        )
     if is_effect_type(t) and is_effect_type(u):
         if isinstance(t, Dyn) and isinstance(u, Dyn):
             return DYN
         if isinstance(t, Dyn) or isinstance(u, Dyn):
             raise JoinUndefined("? has no common bound with a concrete effect in <=")
+        # lub: union of domains; glb: intersection
         left, right = dict(t.ops), dict(u.ops)
         out: dict[str, OpSig] = {}
-        for name in set(left) & set(right):
-            a, b = left[name], right[name]
-            out[name] = OpSig(glb(a.req, b.req), lub(a.resp, b.resp))
+        for name in (set(left) | set(right)) if up else (set(left) & set(right)):
+            a, b = left.get(name), right.get(name)
+            if a is not None and b is not None:
+                out[name] = OpSig(_bound(a.req, b.req, up), _bound(a.resp, b.resp, not up))
+            else:
+                out[name] = a if a is not None else b  # type: ignore[assignment]
         return Concrete(out)
-    raise JoinUndefined(f"{t} glb {u}")
+    raise JoinUndefined(f"{t} {'lub' if up else 'glb'} {u}")

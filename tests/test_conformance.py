@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greff import conformance as conf, core, eval as ev, gen
+from greff import conformance as conf, core, eval as ev, gen, surface as s
 from greff.typesys import (
     DYN,
     Arrow,
@@ -266,6 +266,12 @@ def test_syntactic_precision_is_reflexive():
     for seed in range(20):
         p = gen.gen_surface_program(seed)
         assert conf.syntactic_precision(p, p)
+
+
+def test_syntactic_precision_ignores_positions():
+    for seed in range(5):
+        text = s.pretty_program(gen.gen_surface_program(seed))
+        assert conf.syntactic_precision(s.parse_program(text), s.parse_program("\n" + text))
 
 
 def test_syntactic_precision_rejects_unrelated():

@@ -30,8 +30,8 @@ from greff.core import (
 )
 from greff.elaborate import elab_source
 from greff.eval import (
-    EffDownFrame,
-    EffUpFrame,
+    NO_ENV,
+    EffCastFrame,
     Error,
     FuelExhausted,
     HandleFrame,
@@ -232,16 +232,16 @@ def test_apart_blocked_by_handler_clause():
         (Clause("ping", "p", "k", UnitLit(), UNIT_T, UNIT_T),),
         EMPTY, UNIT_T,
     )
-    assert not apart(PING, (HandleFrame(h),), "ping")
-    assert apart(PING, (HandleFrame(h),), "ask")
+    assert not apart(PING, (HandleFrame(h, NO_ENV),), "ping")
+    assert apart(PING, (HandleFrame(h, NO_ENV),), "ask")
 
 
 def test_apart_blocked_by_effect_casts():
-    assert not apart(PING, (EffUpFrame(PING_ROW, DYN),), "ping")
-    assert not apart(PING, (EffDownFrame(PING_ROW, DYN),), "ping")
-    assert not apart(PING, (EffDownFrame(EMPTY, DYN),), "ping")
-    assert apart(PING, (EffDownFrame(EMPTY, PING_ROW),), "ask")
-    assert apart(PING, (LetBody("x", Var("x")),), "ping")
+    assert not apart(PING, (EffCastFrame(True, PING_ROW, DYN),), "ping")
+    assert not apart(PING, (EffCastFrame(False, PING_ROW, DYN),), "ping")
+    assert not apart(PING, (EffCastFrame(False, EMPTY, DYN),), "ping")
+    assert apart(PING, (EffCastFrame(False, EMPTY, PING_ROW),), "ask")
+    assert apart(PING, (LetBody("x", Var("x"), NO_ENV),), "ping")
 
 
 def test_raising_captured_frames_stay_apart():

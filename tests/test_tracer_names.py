@@ -1,18 +1,22 @@
 """The benchmark's tracer names greff functions that must keep existing.
 
-perfbench/tracer.py wraps greff functions by (module, attribute) name and
-counts typesys calls where other modules import them.  A deletion or
-rename in greff that drops one of those names would break only the
-traced benchmark run, so this test resolves every name up front.
+perfbench/tracer.py wraps greff functions by (module, attribute) name,
+counts typesys calls where other modules import them, and reads machine
+states as they pass; perfbench/run.py counts core casts by class name.
+A deletion or rename in greff that drops one of those names would break
+only the benchmark run, so this test resolves every name up front.
 """
 
+import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
 import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _load_tracer():
@@ -47,3 +51,25 @@ def test_every_counter_names_a_python_function_where_it_is_imported():
         assert inspect.isfunction(fn), f"typesys.{name}"
         for mod_name in importers:
             assert getattr(_greff(mod_name), name) is fn, f"{mod_name}.{name}"
+
+
+def test_every_counted_cast_names_a_core_class():
+    # read the script's constant without running the script
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    (casts,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "CASTS" for t in node.targets)
+    ]
+    core = _greff("core")
+    assert casts
+    for name in casts:
+        assert dataclasses.is_dataclass(getattr(core, name)), f"core.{name}"
+
+
+def test_the_state_hook_reads_machine_fields():
+    ev = _greff("eval")
+    assert {"frames", "control"} <= {f.name for f in dataclasses.fields(ev.MachineState)}
+    assert "captured" in {f.name for f in dataclasses.fields(ev.Raising)}
+    assert {"trace", "sample", "sample_every"} <= set(inspect.signature(ev.run).parameters)

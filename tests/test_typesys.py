@@ -182,6 +182,8 @@ def test_precision_examples():
     assert not precision(PY, FPY), "concrete precision needs equal domains"
     assert precision(Arrow(UNIT, PY, UNIT), THUNK_DYN)
     assert precision(FPY, Concrete(dict(SIG.at(["fork", "print", "yield"]).ops)))
+    # an effect and a signature with the same operations stay different things
+    assert SIG != Concrete(SIG.ops) and Concrete(SIG.ops) != SIG
 
 
 @given(any_types)
