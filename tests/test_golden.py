@@ -1,19 +1,23 @@
 """Golden outputs, pinned byte for byte against files in tests/golden/.
 
-Four things are pinned: the JSONL that `greff conformance --seed 0
+Five things are pinned: the JSONL that `greff conformance --seed 0
 --cases 25` prints; for every program in corpus/, the exit code and
 stdout of `greff check`, `greff elab` and `greff run`, plus the
 machine's step count for programs that elaborate; for a fixed set of
 machine runs, the outcome, the step count and a digest of every traced
-rule with its detail; and for generated surface programs and their
+rule with its detail; for generated surface programs and their
 imprecise variants, a digest of the elaborated core term and the
-program's typing.  A change that should keep behaviour identical must
-leave all four files unchanged.  After an intended change of behaviour,
+program's typing; and for the same generated programs printed back to
+source, the corpus files and seeded one-character mutations of both, a
+digest of the token stream or the lexer's error, and for the mutations
+the parser's error.  A change that should keep behaviour identical must
+leave all five files unchanged.  After an intended change of behaviour,
 `python tests/test_golden.py` rewrites them from the current code.  It
 first prints what moved, keeping step counts apart: the machine runs
 whose outcome changed and those whose steps or trace alone did, the
 corpus programs whose outputs changed, the elaborations that changed,
-and the JSONL lines that changed outside `steps_left`/`steps_right`.
+the token streams that changed, and the JSONL lines that changed
+outside `steps_left`/`steps_right`.
 """
 
 import hashlib
@@ -27,7 +31,7 @@ import pytest
 from greff import cli, core, elaborate, gen
 from greff import conformance as conf
 from greff import eval as ev
-from greff.surface import ParseError
+from greff.surface import ParseError, parse_program, pretty_program, tokenize
 from programs import queue_walk_source, resumption_cases
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -37,10 +41,15 @@ CONFORMANCE_FILE = GOLDEN / "conformance_seed0_cases25.jsonl"
 CORPUS_FILE = GOLDEN / "corpus.json"
 MACHINE_FILE = GOLDEN / "machine.json"
 ELAB_FILE = GOLDEN / "elab.json"
+TOKENS_FILE = GOLDEN / "tokens.json"
 STATIC_ERRORS = (ParseError, elaborate.ElabError, core.TypeCheckError)
 MACHINE_CORE_SEEDS = range(300)
 MACHINE_CORE_FUEL = 100_000
 ELAB_SEEDS = range(300)
+MUTATIONS_PER_SOURCE = 2
+# blanks the lexer must skip, characters it must reject (numerals that are
+# not letters among them), and the starts of strings, comments and punctuation
+MUTATION_CHARS = " \n\r\x1c\"\\-'()[]:>1x\u00bd\u00b2#"
 
 
 def _cli(*argv: str) -> tuple[int, str]:
@@ -137,6 +146,58 @@ def observe_elaborations() -> dict:
     return out
 
 
+def observe_lex(src: str) -> dict:
+    """The sha256 of the (kind, text, line, col) stream, or the lexer's error."""
+    try:
+        tokens = tokenize(src)
+    except ParseError as e:
+        return {"error": str(e)}
+    digest = hashlib.sha256()
+    for t in tokens:
+        digest.update(f"{t.kind}\t{t.text!r}\t{t.line}\t{t.col}\n".encode("utf-8"))
+    return {"tokens": len(tokens), "tokens_sha256": digest.hexdigest()}
+
+
+def _mutate(src: str, rng: random.Random) -> str:
+    """src with one character replaced, deleted, or inserted."""
+    i = rng.randrange(len(src))
+    c = rng.choice(MUTATION_CHARS)
+    how = rng.choice(("replace", "delete", "insert"))
+    if how == "replace":
+        return src[:i] + c + src[i + 1 :]
+    if how == "delete":
+        return src[:i] + src[i + 1 :]
+    return src[:i] + c + src[i:]
+
+
+def observe_mutation(src: str) -> dict:
+    """observe_lex of src, plus the parser's error or "ok"."""
+    obs = observe_lex(src)
+    try:
+        parse_program(src)
+        obs["parse"] = "ok"
+    except ParseError as e:
+        obs["parse"] = str(e)
+    return obs
+
+
+def observe_token_streams() -> dict:
+    """Every generated and corpus program's tokens, and its mutations' outcomes."""
+    sources = {
+        f"surface-{seed:03d}": pretty_program(gen.gen_surface_program(seed))
+        for seed in ELAB_SEEDS
+    }
+    for path in _corpus_programs():
+        sources[f"corpus-{path.stem}"] = path.read_text(encoding="utf-8")
+    out = {}
+    for name, src in sources.items():
+        out[name] = observe_lex(src)
+        for m in range(MUTATIONS_PER_SOURCE):
+            mutant = _mutate(src, random.Random(f"{name}/{m}"))
+            out[f"{name}-mutation-{m}"] = observe_mutation(mutant)
+    return out
+
+
 def test_conformance_seed0_jsonl_is_unchanged():
     assert observe_conformance().encode("utf-8") == CONFORMANCE_FILE.read_bytes()
 
@@ -164,6 +225,14 @@ def test_elaborations_are_unchanged():
     assert sorted(got) == sorted(expected)
     moved = [name for name in expected if got[name] != expected[name]]
     assert not moved, f"{len(moved)} elaborations moved, first: {moved[:5]}"
+
+
+def test_token_streams_are_unchanged():
+    expected = json.loads(TOKENS_FILE.read_bytes().decode("utf-8"))
+    got = observe_token_streams()
+    assert sorted(got) == sorted(expected)
+    moved = [name for name in expected if got[name] != expected[name]]
+    assert not moved, f"{len(moved)} token streams moved, first: {moved[:5]}"
 
 
 def _dump(obj) -> bytes:
@@ -195,10 +264,11 @@ def _report(what: str, names: list[str]) -> None:
 
 
 def write_golden() -> None:
-    """Rewrite the four files, first printing what moved in each."""
+    """Rewrite the five files, first printing what moved in each."""
     machine = observe_machine_runs()
     corpus = {p.name: observe_corpus(p) for p in _corpus_programs()}
     elab = observe_elaborations()
+    tokens = observe_token_streams()
     conformance = observe_conformance()
     old_machine = json.loads(_old(MACHINE_FILE) or "{}")
     outcomes = _moved(old_machine, machine, ("steps", "trace_sha256"))
@@ -208,6 +278,8 @@ def write_golden() -> None:
     old_corpus = json.loads(_old(CORPUS_FILE) or "{}")
     _report("corpus programs changed outside steps", _moved(old_corpus, corpus, ("steps",)))
     _report("elaborations changed", _moved(json.loads(_old(ELAB_FILE) or "{}"), elab))
+    old_tokens = json.loads(_old(TOKENS_FILE) or "{}")
+    _report("token streams or parse errors changed", _moved(old_tokens, tokens))
     old_lines = _jsonl(_old(CONFORMANCE_FILE))
     lines = _moved(old_lines, _jsonl(conformance), ("steps_left", "steps_right"))
     _report("conformance lines changed outside steps_left/steps_right", lines)
@@ -216,6 +288,7 @@ def write_golden() -> None:
     CORPUS_FILE.write_bytes(_dump(corpus))
     MACHINE_FILE.write_bytes(_dump(machine))
     ELAB_FILE.write_bytes(_dump(elab))
+    TOKENS_FILE.write_bytes(_dump(tokens))
 
 
 if __name__ == "__main__":
