@@ -9,7 +9,8 @@ Exit codes are part of the interface and depend only on the input file,
 the flags, and the seed:
 
     0   success (a run ends in a value)
-    1   static error: lexing, parsing, elaboration, or typechecking
+    1   static error: lexing, parsing (a term nested too deeply among
+        them), elaboration, or typechecking
     2   the machine stopped with a cast error
     3   fuel ran out
     4   a conformance or graduality batch found a violation
@@ -23,6 +24,7 @@ the flags, and the seed:
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -164,6 +166,7 @@ def cmd_conformance(cfg: RunConfig, out=sys.stdout, err=sys.stderr) -> int:
     return EXIT_VIOLATION if bad else EXIT_OK
 
 
+@functools.cache  # built on the first call and reused: parse_args keeps no state
 def _build_parser() -> _Parser:
     p = _Parser(prog="greff", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)

@@ -31,12 +31,19 @@ Handler clause sequences carry no separators, so the application parser
 stops when the upcoming tokens look like a clause head (`name(x, k) ->`,
 `ret x ->`, `empty ->`, or `dequeue(x, q) ->`); no expression form can
 produce those token shapes.
+
+Nesting is limited, so that every later phase stays within Python's default
+recursion limit.  Each term, argument or type parsed inside another is one
+level deeper (a pair of parentheses costs two), and each link of a `++`,
+application or `::` chain puts the whole chain so far one level deeper.
+Past MAX_DEPTH (100) levels the parser reports a ParseError at the token.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 
 class ParseError(Exception):
@@ -57,12 +64,26 @@ KEYWORDS = {
     "true", "false", "bool", "str", "Queue",
 }
 
-_PUNCT2 = ("::", "++", "-[", "]>", "->", "~>")
-_PUNCT1 = "(){}[],.;:=?"
+# One match skips blanks and `--` comments, then takes one token; the
+# alternatives are tried in order (`::` before `:`), and `bad` takes any other
+# character, so no match fails.  `[^\W\d]` also admits numerals that are not
+# letters (`½`, `²`), so `tokenize` checks non-ASCII identifiers itself.
+_TOKEN = re.compile(
+    r"""(?:\s|--[^\n]*)*
+    (?:(?P<string>"(?:[^"\\]|\\.)*")
+      |(?P<punct>::|\+\+|-\[|\]>|->|~>|[(){}\[\],.;:=?])
+      |(?P<one>1)
+      |(?P<ident>[^\W\d](?:\w|-(?=[^\W\d]))*'*)
+      |(?P<eof>\Z)
+      |(?P<bad>.))""",
+    re.VERBOSE | re.DOTALL,
+)
+_OPEN_STRING = re.compile(r'"(?:[^"\\]|\\.)*', re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident, string, one, punct, eof
     text: str
     line: int
@@ -73,88 +94,39 @@ def _is_ident_start(c: str) -> bool:
     return c.isalpha() or c == "_"
 
 
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c == "_"
-
-
 def tokenize(src: str) -> list[Token]:
     out: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-
-    def advance(k: int):
-        nonlocal i, line, col
-        for _ in range(k):
-            if src[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            advance(1)
-            continue
-        if src.startswith("--", i):
-            while i < n and src[i] != "\n":
-                advance(1)
-            continue
-        start_line, start_col = line, col
-        if c == '"':
-            advance(1)
-            buf = []
-            while i < n and src[i] != '"':
-                if src[i] == "\\":
-                    advance(1)
-                    if i >= n:
-                        raise ParseError("dangling escape in string", line, col)
-                    esc = src[i]
-                    buf.append({"n": "\n", "t": "\t"}.get(esc, esc))
-                    advance(1)
-                else:
-                    buf.append(src[i])
-                    advance(1)
-            if i >= n:
-                raise ParseError("unterminated string literal", start_line, start_col)
-            advance(1)
-            out.append(Token("string", "".join(buf), start_line, start_col))
-            continue
-        two = src[i : i + 2]
-        if two in _PUNCT2:
-            out.append(Token("punct", two, start_line, start_col))
-            advance(2)
-            continue
-        if c == "1":
-            out.append(Token("one", "1", start_line, start_col))
-            advance(1)
-            continue
-        if c in _PUNCT1:
-            out.append(Token("punct", c, start_line, start_col))
-            advance(1)
-            continue
-        if _is_ident_start(c):
-            j = i
-            while j < n:
-                if _is_ident_char(src[j]):
-                    j += 1
-                elif (
-                    src[j] == "-"
-                    and j + 1 < n
-                    and _is_ident_start(src[j + 1])
-                ):
-                    j += 1
-                else:
-                    break
-            while j < n and src[j] == "'":
-                j += 1
-            text = src[i:j]
-            advance(j - i)
-            out.append(Token("ident", text, start_line, start_col))
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    out.append(Token("eof", "", line, col))
+    line, line_start, last = 1, 0, 0
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        start, end = m.span(kind)
+        nl = src.rfind("\n", last, start)  # lines are counted between token starts
+        if nl >= 0:
+            line += src.count("\n", last, nl) + 1
+            line_start = nl + 1
+        last = start
+        col = start - line_start + 1
+        text = src[start:end]
+        if kind == "ident" and not text.isascii():
+            if not _is_ident_start(text[0]):
+                raise ParseError(f"unexpected character {text[0]!r}", line, col)
+            for k, c in enumerate(text):
+                if c == "-" and not _is_ident_start(text[k + 1]):
+                    raise ParseError("unexpected character '-'", line, col + k)
+        elif kind == "string":
+            text = text[1:-1]
+            if "\\" in text:
+                text = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), text)
+        elif kind == "bad":
+            if text != '"':
+                raise ParseError(f"unexpected character {text!r}", line, col)
+            if _OPEN_STRING.match(src, start).end() < len(src):  # ends in a lone backslash
+                line, col = src.count("\n") + 1, len(src) - src.rfind("\n")
+                raise ParseError("dangling escape in string", line, col)
+            raise ParseError("unterminated string literal", line, col)
+        out.append(Token(kind, text, line, col))
+        if kind == "eof":  # the match after it would be an empty eof again
+            break
     return out
 
 
@@ -414,16 +386,41 @@ class SProgram:
 # Parser
 
 
+MAX_DEPTH = 100  # nesting levels the parser allows; see the module docstring
+_LOOKAHEAD = 6  # the most tokens past the current one that the parser peeks
+
+
+def _nested(parse):
+    """parse, one nesting level deeper; see the module docstring."""
+
+    def nested(self, *args):
+        depth = self.depth = self.depth + 1
+        if depth > self.peak:
+            self._deepen(depth)
+        node = parse(self, *args)
+        self.depth = depth - 1
+        return node
+
+    return nested
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.toks = tokens
+        # eof sentinels past the end, so that peek needs no bounds check
+        self.toks = tokens + tokens[-1:] * _LOOKAHEAD
         self.pos = 0
+        # nesting levels: the current one, and the deepest reached since
+        # the innermost chain began (the deepest overall outside chains)
+        self.depth = self.peak = 0
         self.effects: set[str] = set()
 
     # -- token plumbing
 
     def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
+        return self.toks[self.pos + k]
+
+    def where(self) -> tuple[int, int]:
+        return self.toks[self.pos][2:]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -432,7 +429,7 @@ class _Parser:
         return t
 
     def at(self, text: str, k: int = 0) -> bool:
-        t = self.peek(k)
+        t = self.toks[self.pos + k]
         return t.text == text and t.kind in ("punct", "ident")
 
     def expect(self, text: str) -> Token:
@@ -448,15 +445,20 @@ class _Parser:
         return self.next()
 
     def _err(self, msg: str):
-        t = self.peek()
-        raise ParseError(msg, t.line, t.col)
+        raise ParseError(msg, *self.where())
+
+    def _deepen(self, peak: int):
+        if peak > MAX_DEPTH:
+            self._err(f"nested more than {MAX_DEPTH} levels deep")
+        self.peak = peak
 
     # -- types
 
+    @_nested
     def parse_type(self) -> SType:
         left = self.type_atom()
         if self.at("-["):
-            pos = (self.peek().line, self.peek().col)
+            pos = self.where()
             self.next()
             eff = self.effect_names()
             self.expect("]>")
@@ -464,18 +466,16 @@ class _Parser:
             return SArrow(left, eff, cod, pos=pos)
         return left
 
+    @_nested
     def type_atom(self) -> SType:
         t = self.peek()
         pos = (t.line, t.col)
         if t.kind == "one":
             self.next()
             return SUnit(pos=pos)
-        if self.at("bool"):
+        if self.at("bool") or self.at("str"):
             self.next()
-            return SBool(pos=pos)
-        if self.at("str"):
-            self.next()
-            return SStr(pos=pos)
+            return SBool(pos=pos) if t.text == "bool" else SStr(pos=pos)
         if self.at("Queue"):
             self.next()
             return SQueue(self.type_atom(), pos=pos)
@@ -495,39 +495,36 @@ class _Parser:
         names = []
         while self.peek().kind == "ident":
             names.append(self.ident("effect name").text)
-            if self.at(","):
-                self.next()
-            else:
+            if not self.at(","):
                 break
+            self.next()
         return SNames(tuple(names), pos=pos)
 
     # -- clause-head lookahead (see module docstring)
 
     def _at_clause_head(self) -> bool:
         t0, t1 = self.peek(0), self.peek(1)
-        if t0.kind != "ident":
-            return False
-        if t0.text == "ret" and t1.kind == "ident" and self.at("->", 2):
-            return True
-        if t0.text == "empty" and t1.text == "->":
-            return True
-        if (
-            t1.text == "("
-            and self.peek(2).kind == "ident"
-            and self.at(",", 3)
-            and self.peek(4).kind == "ident"
-            and self.at(")", 5)
-            and self.at("->", 6)
-        ):
-            return True
-        return False
+        return t0.kind == "ident" and (
+            (t0.text == "ret" and t1.kind == "ident" and self.at("->", 2))
+            or (t0.text == "empty" and t1.text == "->")
+            or (
+                t1.text == "("
+                and self.peek(2).kind == "ident"
+                and self.at(",", 3)
+                and self.peek(4).kind == "ident"
+                and self.at(")", 5)
+                and self.at("->", 6)
+            )
+        )
 
     # -- terms
 
+    @_nested
     def parse_term(self) -> STerm:
         t = self.peek()
         pos = (t.line, t.col)
-        if self.at("lambda"):
+        form = t.text if t.kind == "ident" else ""
+        if form == "lambda":
             self.next()
             var = self.ident("parameter").text
             ann = None
@@ -536,45 +533,48 @@ class _Parser:
                 ann = self.parse_type()
             self.expect(".")
             return SLam(var, ann, self.parse_term(), pos=pos)
-        if self.at("let"):
+        if form == "let":
             self.next()
             var = self.ident("binder").text
             self.expect("=")
             bound = self.parse_term()
             self.expect("in")
             return SLet(var, bound, self.parse_term(), pos=pos)
-        if self.at("if"):
+        if form == "if":
             self.next()
             cond = self.parse_term()
             self.expect("then")
             then = self.parse_term()
             self.expect("else")
             return SIf(cond, then, self.parse_term(), pos=pos)
-        if self.at("match"):
+        if form == "match":
             return self.parse_match()
-        if self.at("handle") or self.at("shallow-handle"):
+        if form in ("handle", "shallow-handle"):
             return self.parse_handle()
-        if self.at("raise"):
+        if form == "raise":
+            outer, self.peak = self.peak, self.depth
             self.next()
             op = self.ident("effect name").text
             payload = self.parse_atom()
             term = SRaise(op, payload, pos=pos)
-            return self.seq_tail(self.asc_tail(term))
+            return self.seq_tail(self.asc_tail(term, outer))
         return self.seq_tail(self.parse_ascribed())
 
     def seq_tail(self, term: STerm) -> STerm:
         if self.at(";"):
-            pos = (self.peek().line, self.peek().col)
+            pos = self.where()
             self.next()
             return SLet("_", term, self.parse_term(), pos=pos)
         return term
 
     def parse_ascribed(self) -> STerm:
-        return self.asc_tail(self.parse_concat())
+        outer, self.peak = self.peak, self.depth
+        return self.asc_tail(self.parse_concat(), outer)
 
-    def asc_tail(self, term: STerm) -> STerm:
+    def asc_tail(self, term: STerm, outer: int) -> STerm:
         while self.at("::"):
-            pos = (self.peek().line, self.peek().col)
+            pos = self.where()
+            self._deepen(self.peak + 1)  # the chain so far sinks a level
             self.next()
             if self.at("["):
                 self.next()
@@ -583,21 +583,23 @@ class _Parser:
                 term = SAscribeEff(term, eff, pos=pos)
             else:
                 term = SAscribeType(term, self.parse_type(), pos=pos)
+        self.peak = max(self.peak, outer)
         return term
 
     def parse_concat(self) -> STerm:
+        outer, self.peak = self.peak, self.depth
         left = self.parse_app()
         while self.at("++"):
-            pos = (self.peek().line, self.peek().col)
+            pos = self.where()
+            self._deepen(self.peak + 1)  # the chain so far sinks a level
             self.next()
             left = SConcat(left, self.parse_app(), pos=pos)
+        self.peak = max(self.peak, outer)
         return left
 
     def _at_atom(self) -> bool:
         t = self.peek()
-        if t.kind in ("string",):
-            return True
-        if t.text == "(":
+        if t.kind == "string" or t.text == "(":
             return True
         if t.kind == "ident":
             if t.text == "main" and self.at("{", 1):
@@ -606,25 +608,37 @@ class _Parser:
         return False
 
     def parse_app(self) -> STerm:
+        outer, self.peak = self.peak, self.depth
         head = self.parse_atom()
         while self._at_atom() and not self._at_clause_head():
-            pos = (self.peek().line, self.peek().col)
-            arg = self.parse_atom()
-            head = SApp(head, arg, pos=pos)
+            pos = self.where()
+            self._deepen(self.peak + 1)  # the chain so far sinks a level
+            head = SApp(head, self.parse_atom(), pos=pos)
+        self.peak = max(self.peak, outer)
         return head
 
+    @_nested
     def parse_atom(self) -> STerm:
         t = self.peek()
         pos = (t.line, t.col)
+        if t.kind == "ident" and t.text not in KEYWORDS:
+            self.next()
+            if t.text in self.effects and self.at("("):
+                self.next()
+                if self.at(")"):
+                    self.next()
+                    payload: STerm = SUnitLit(pos=pos)
+                else:
+                    payload = self.parse_term()
+                    self.expect(")")
+                return SRaise(t.text, payload, pos=pos)
+            return SVar(t.text, pos=pos)
         if t.kind == "string":
             self.next()
             return SStrLit(t.text, pos=pos)
-        if self.at("true"):
+        if self.at("true") or self.at("false"):
             self.next()
-            return SBoolLit(True, pos=pos)
-        if self.at("false"):
-            self.next()
-            return SBoolLit(False, pos=pos)
+            return SBoolLit(t.text == "true", pos=pos)
         if self.at("empty"):
             self.next()
             return SEmptyQueue(pos=pos)
@@ -641,22 +655,10 @@ class _Parser:
             inner = self.parse_term()
             self.expect(")")
             return inner
-        if t.kind == "ident" and t.text not in KEYWORDS:
-            self.next()
-            if t.text in self.effects and self.at("("):
-                self.next()
-                if self.at(")"):
-                    self.next()
-                    payload: STerm = SUnitLit(pos=pos)
-                else:
-                    payload = self.parse_term()
-                    self.expect(")")
-                return SRaise(t.text, payload, pos=pos)
-            return SVar(t.text, pos=pos)
         self._err(f"expected a term, found {t.text or t.kind!r}")
 
     def parse_match(self) -> STerm:
-        pos = (self.peek().line, self.peek().col)
+        pos = self.where()
         self.expect("match")
         scrutinee = self.parse_ascribed()
         self.expect("with")
@@ -689,7 +691,7 @@ class _Parser:
         ret_body = self.parse_term()
         clauses = []
         while self._at_clause_head():
-            cpos = (self.peek().line, self.peek().col)
+            cpos = self.where()
             op = self.ident("effect name").text
             self.expect("(")
             payload_var = self.ident("binder").text
@@ -749,7 +751,7 @@ class _Parser:
         return self.at("effect") or self.at("import") or self.at("define")
 
     def parse_module(self) -> SModule:
-        pos = (self.peek().line, self.peek().col)
+        pos = self.where()
         self.expect("module")
         name = self.ident("module name").text
         self.expect("where")
@@ -760,7 +762,7 @@ class _Parser:
         return SModule(name, tuple(decls), pos=pos)
 
     def parse_program(self) -> SProgram:
-        pos = (self.peek().line, self.peek().col)
+        pos = self.where()
         modules = []
         while self.at("module"):
             modules.append(self.parse_module())
@@ -785,10 +787,7 @@ class _Parser:
             last = modules[-1]
             if not (last.decls and isinstance(last.decls[-1], SDefine)
                     and last.decls[-1].name == "main"):
-                t = self.peek()
-                raise ParseError(
-                    "module Main must end with a define main", t.line, t.col
-                )
+                self._err("module Main must end with a define main")
             main_def = last.decls[-1]
             term = SAscribeType(main_def.body, main_def.ann, pos=main_def.pos)
             program = SProgram(

@@ -1,15 +1,17 @@
 """The command line driver's outputs and exit codes."""
 
+import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from greff import cli, elaborate, reference
+from greff import cli, elaborate, reference, surface
 from greff import eval as ev
 from programs import queue_source, queue_walk_source
 
@@ -188,11 +190,89 @@ def test_nonpositive_fuel_is_usage():
     assert code == cli.EXIT_USAGE
 
 
+def test_the_argument_parser_is_built_once(monkeypatch):
+    path = str(CORPUS / "threads_precise.greff")
+    calls = [("check", path), ("run", "--fuel", "x", path), ("run", path), ("check", path)]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(invoke(*argv))
+    assert [code for code, _, _ in fresh] == [0, cli.EXIT_USAGE, 0, 0]
+
+    built = 0
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    building_calls = 0
+    reused = []
+    for argv in calls + calls[:1] * 6:  # 10 calls in all
+        before = built
+        reused.append(invoke(*argv))
+        building_calls += built > before
+    assert reused[: len(calls)] == fresh
+    assert building_calls <= 1
+
+
 def test_run_config_validates():
     with pytest.raises(ValueError):
         cli.RunConfig(fuel=0)
     with pytest.raises(ValueError):
         cli.RunConfig(cases=0)
+
+
+# ---------------------------------------------------------------------------
+# deep input
+
+DEEP_TERMS = {
+    "parentheses": lambda n: "(" * n + '"a"' + ")" * n,
+    "let": lambda n: 'let x = "a" in ' * n + "x",
+    "lambda": lambda n: "lambda x : 1. " * n + '"a"',
+    "concat": lambda n: " ++ ".join(['"a"'] * n),
+}
+
+
+def _deep_program(shape: str, n: int) -> str:
+    return f"main {{\n{DEEP_TERMS[shape](n)}\n}}\n"
+
+
+def _deepest_accepted(shape: str) -> int:
+    lo, hi = 1, 10_000  # the parser accepts depth lo and rejects depth hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            surface.parse_program(_deep_program(shape, mid))
+            lo = mid
+        except surface.ParseError:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("shape", DEEP_TERMS)
+def test_a_term_nested_10000_deep_is_a_static_error(tmp_path, shape):
+    path = tmp_path / "deep.greff"
+    path.write_text(_deep_program(shape, 10_000))
+    for command in ("check", "elab", "run"):
+        code, out, err = invoke(command, str(path))
+        assert (code, out) == (cli.EXIT_STATIC, "")
+        limit = surface.MAX_DEPTH
+        assert re.fullmatch(rf"static error: 2:\d+: nested more than {limit} levels deep\n", err)
+
+
+@pytest.mark.parametrize("shape", DEEP_TERMS)
+def test_the_deepest_accepted_term_checks_elaborates_and_runs(tmp_path, shape):
+    assert sys.getrecursionlimit() == 1000  # the interpreter's default
+    n = _deepest_accepted(shape)
+    assert n > surface.MAX_DEPTH // 3  # a pair of parentheses costs two levels
+    path = tmp_path / "deep.greff"
+    path.write_text(_deep_program(shape, n))
+    for command in ("check", "elab", "run"):
+        code, _, err = invoke(command, str(path))
+        assert (code, err) == (cli.EXIT_OK, "")
 
 
 # ---------------------------------------------------------------------------

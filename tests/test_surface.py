@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from greff.surface import (
-    ParseError, SApp, SArrow, SAscribeEff, SAscribeType, SBool, SBoolLit,
+    MAX_DEPTH, ParseError, SApp, SArrow, SAscribeEff, SAscribeType, SBool, SBoolLit,
     SClause, SConcat, SDefine, SDynEff, SEffectDecl, SEmptyQueue, SEnqueue,
     SHandle, SIf, SImportEffect, SImportValue, SLam, SLet, SMatch, SNames,
     SQueue, SRaise, SStr, SStrLit, SUnit, SUnitLit, SVar, parse_program,
@@ -45,6 +45,54 @@ def test_lex_positions():
 def test_lex_rejects_stray_characters():
     with pytest.raises(ParseError):
         tokenize("a # b")
+
+
+# (source, its (kind, text, line, col) stream or its ParseError string),
+# as the earlier character-at-a-time lexer gave them
+LEX_EDGE_CASES = [
+    # numerals that are not letters start no identifier, nor a dashed part
+    ("½", "1:1: unexpected character '½'"),
+    ("²x", "1:1: unexpected character '²'"),
+    ("Ⅻ", "1:1: unexpected character 'Ⅻ'"),
+    ("a-½", "1:2: unexpected character '-'"),
+    ("a-Ⅻ", "1:2: unexpected character '-'"),
+    ("é-b a-é", [("ident", "é-b", 1, 1), ("ident", "a-é", 1, 5),
+                           ("eof", "", 1, 8)]),
+    ("a-b'", [("ident", "a-b'", 1, 1), ("eof", "", 1, 5)]),
+    ("q''-x", "1:4: unexpected character '-'"),
+    ("a-", "1:2: unexpected character '-'"),
+    ("x--c", [("ident", "x", 1, 1), ("eof", "", 1, 5)]),
+    ("-", "1:1: unexpected character '-'"),
+    ("12", "1:2: unexpected character '2'"),
+    # a comment that ends the input, and no input at all
+    ("x -- no newline", [("ident", "x", 1, 1), ("eof", "", 1, 16)]),
+    ("", [("eof", "", 1, 1)]),
+    # blanks other than space and newline take a column, not a line
+    ("a\rb", [("ident", "a", 1, 1), ("ident", "b", 1, 3), ("eof", "", 1, 4)]),
+    ("a\u00a0b", [("ident", "a", 1, 1), ("ident", "b", 1, 3), ("eof", "", 1, 4)]),
+    ("a\x1cb", [("ident", "a", 1, 1), ("ident", "b", 1, 3), ("eof", "", 1, 4)]),
+    ("a\u2028b", [("ident", "a", 1, 1), ("ident", "b", 1, 3), ("eof", "", 1, 4)]),
+    # a string's newline moves the next token's line
+    ('"a\nb" c', [("string", "a\nb", 1, 1), ("ident", "c", 2, 4), ("eof", "", 2, 5)]),
+    ('"a\\nb\\t\\q"', [("string", "a\nb\tq", 1, 1), ("eof", "", 1, 11)]),
+    ('x\n\n  "s" y', [("ident", "x", 1, 1), ("string", "s", 3, 3), ("ident", "y", 3, 7),
+                    ("eof", "", 3, 8)]),
+    # an unterminated string is reported at its quote, a dangling escape
+    # at the end of the input
+    ('"abc', "1:1: unterminated string literal"),
+    ('x\n"ab', "2:1: unterminated string literal"),
+    ('"a\\', "1:4: dangling escape in string"),
+    ('"a\n\\', "2:2: dangling escape in string"),
+]
+
+
+@pytest.mark.parametrize("src, expected", LEX_EDGE_CASES)
+def test_lex_edge_cases(src, expected):
+    try:
+        got = [(t.kind, t.text, t.line, t.col) for t in tokenize(src)]
+    except ParseError as e:
+        got = str(e)
+    assert got == expected
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +225,37 @@ def test_parse_error_positions():
 def test_reject_trailing_tokens():
     with pytest.raises(ParseError):
         parse_term("x y)")
+
+
+@pytest.mark.parametrize(
+    "parse, src, token",
+    [
+        (parse_term, "(" * 200 + "x" + ")" * 200, "("),
+        (parse_term, "let x = y in " * 200 + "x", "y"),
+        (parse_term, "lambda x. " * 200 + "x", "lambda"),
+        (parse_term, "x; " * 200 + "x", "x"),
+        (parse_term, " ++ ".join(["x"] * 200), "++"),
+        (parse_term, "f" + " x" * 200, "x"),
+        (parse_term, "x" + " :: str" * 200, "::"),
+        (parse_type, "Queue " * 200 + "str", "Queue"),
+        (parse_type, "1 -[]> " * 200 + "1", "1"),
+    ],
+    ids=["parentheses", "let", "lambda", "seq", "concat", "app", "ascription", "queue",
+         "arrow"],
+)
+def test_nesting_limit_names_the_token_that_goes_too_deep(parse, src, token):
+    with pytest.raises(ParseError) as e:
+        parse(src)
+    assert str(e.value) == f"1:{e.value.col}: nested more than {MAX_DEPTH} levels deep"
+    assert src[e.value.col - 1 :].startswith(token)
+
+
+def test_a_chain_counts_one_level_per_link():
+    # the term is one level and its first operand a second, so a flat
+    # chain may have MAX_DEPTH - 2 links
+    assert parse_term(" ++ ".join(["x"] * (MAX_DEPTH - 1)))
+    with pytest.raises(ParseError):
+        parse_term(" ++ ".join(["x"] * MAX_DEPTH))
 
 
 # ---------------------------------------------------------------------------
