@@ -256,11 +256,11 @@ def _deepest_accepted(shape: str) -> int:
 def test_a_term_nested_10000_deep_is_a_static_error(tmp_path, shape):
     path = tmp_path / "deep.greff"
     path.write_text(_deep_program(shape, 10_000))
+    message = rf"static error: 2:\d+: nested more than {surface.MAX_DEPTH} levels deep\n"
     for command in ("check", "elab", "run"):
         code, out, err = invoke(command, str(path))
         assert (code, out) == (cli.EXIT_STATIC, "")
-        limit = surface.MAX_DEPTH
-        assert re.fullmatch(rf"static error: 2:\d+: nested more than {limit} levels deep\n", err)
+        assert re.fullmatch(message, err)
 
 
 @pytest.mark.parametrize("shape", DEEP_TERMS)

@@ -47,8 +47,7 @@ def test_lex_rejects_stray_characters():
         tokenize("a # b")
 
 
-# (source, its (kind, text, line, col) stream or its ParseError string),
-# as the earlier character-at-a-time lexer gave them
+# (source, its (kind, text, line, col) stream or its ParseError string)
 LEX_EDGE_CASES = [
     # numerals that are not letters start no identifier, nor a dashed part
     ("½", "1:1: unexpected character '½'"),
