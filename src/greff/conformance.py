@@ -741,7 +741,7 @@ class CaseRecord:
     steps_right: int
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
 
 def _record(

@@ -29,6 +29,15 @@ when the source row is dynamic and the target omits it.  Casts between
 arrow types are inert proxy values that fire at application, casting
 the argument one way and the effects and result the other.
 
+The machine runs on three registers, frames, a and b, and builds no
+MachineState, Evaluating or Returning per step: each rule returns the
+next three as a tuple, (frames, term, env) to evaluate, (frames,
+RETURN, value) to return, (frames, RAISE, raising) to raise, or
+(frames, HALT, outcome) at the end.  A MachineState, whose control is
+an Evaluating, Returning or Raising, is the same state as one object:
+Machine.step and run's sample hook build it from the registers
+(_state), and reify reads it.
+
 Every state still denotes a closed term: reify reads it back by
 substituting environments into the terms they close over, which is
 done only when asked for (a final value, a sampled state, a traced
@@ -357,6 +366,10 @@ class Terminal:
     outcome: Outcome
 
 
+# what the machine's second register holds when it is not a term
+RETURN, RAISE, HALT = object(), object(), object()
+
+
 # ---------------------------------------------------------------------------
 # Values of value terms
 
@@ -564,144 +577,142 @@ class Machine:
         c = s.control
         tc = type(c)
         if tc is Evaluating:
-            return self._step_eval(s.frames, c.term, c.env)
-        if tc is Returning:
-            return self._step_return(s.frames, c.value)
-        return self._step_raise(s.frames, c)
+            frames, a, b = self._step_eval(s.frames, c.term, c.env)
+        elif tc is Returning:
+            frames, a, b = self._step_return(s.frames, c.value)
+        else:
+            frames, a, b = self._step_raise(s.frames, c)
+        return Terminal(b) if a is HALT else _state(frames, a, b)
 
-    def _returns(self, frames: Stack, v: object) -> MachineState:
+    def _returns(self, frames: Stack, v: object) -> tuple:
         if self.trace is not None:
             self.trace("value", core._brief(_back(v)))
-        return MachineState(frames, Returning(v))
+        return frames, RETURN, v
 
-    def _step_eval(self, frames: Stack, t, env: Env) -> Union[MachineState, Terminal]:
+    def _step_eval(self, frames: Stack, t, env: Env) -> tuple:
         tt = type(t)
         if tt is core.Var:
             v = env.get(t.name)
             if type(v) is FixClosure:
                 self._fire("fix", v.fix.var)
-                return MachineState(frames, Evaluating(v.fix.body, v.body_env))
+                return frames, v.fix.body, v.body_env
             if v is None:
                 raise StuckState(f"cannot evaluate {core._brief(t)}")
             return self._returns(frames, v)
         if tt in _ATOMS:
             return self._returns(frames, _val(t, env))
         if tt is core.App:
-            return MachineState(Stack(AppFun(t.arg, env), frames), Evaluating(t.fn, env))
+            return Stack(AppFun(t.arg, env), frames), t.fn, env
         if tt is core.Let:
-            f = LetBody(t.var, t.body, env)
-            return MachineState(Stack(f, frames), Evaluating(t.bound, env))
+            return Stack(LetBody(t.var, t.body, env), frames), t.bound, env
         if tt is core.CaseQueue:
             f = CaseFrame(t.empty_body, t.head_var, t.rest_var, t.cons_body, env)
-            return MachineState(Stack(f, frames), Evaluating(t.scrutinee, env))
+            return Stack(f, frames), t.scrutinee, env
         if tt is core.Fix:
             self._fire("fix", t.var)
-            return MachineState(frames, Evaluating(t.body, FixClosure(t, env).body_env))
+            return frames, t.body, FixClosure(t, env).body_env
         if tt is core.Concat:
-            return MachineState(Stack(ConcatLeft(t.right, env), frames), Evaluating(t.left, env))
+            return Stack(ConcatLeft(t.right, env), frames), t.left, env
         if tt is core.If:
-            f = IfBranches(t.then, t.els, env)
-            return MachineState(Stack(f, frames), Evaluating(t.cond, env))
+            return Stack(IfBranches(t.then, t.els, env), frames), t.cond, env
         if tt is core.Raise:
-            f = RaisePayload(t.op, t.req, t.resp)
-            return MachineState(Stack(f, frames), Evaluating(t.payload, env))
+            return Stack(RaisePayload(t.op, t.req, t.resp), frames), t.payload, env
         if tt is core.Handle:
-            return MachineState(Stack(HandleFrame(t, env), frames), Evaluating(t.scrutinee, env))
+            return Stack(HandleFrame(t, env), frames), t.scrutinee, env
         if tt is core.Enqueue or tt is core.ValUpcast or tt is core.ValDowncast:
             if _is_value(t, env):
                 return self._returns(frames, _val(t, env))
             if tt is core.Enqueue:
-                f = EnqueueQueue(t.elem, env)
-                return MachineState(Stack(f, frames), Evaluating(t.queue, env))
+                return Stack(EnqueueQueue(t.elem, env), frames), t.queue, env
             f = ValCastFrame(tt is core.ValUpcast, t.lo, t.hi)
-            return MachineState(Stack(f, frames), Evaluating(t.body, env))
+            return Stack(f, frames), t.body, env
         if tt is core.EffUpcast or tt is core.EffDowncast:
             f = EffCastFrame(tt is core.EffUpcast, t.lo, t.hi)
-            return MachineState(Stack(f, frames), Evaluating(t.body, env))
+            return Stack(f, frames), t.body, env
         if tt is core.Err:
             self._fire("err")
-            return Terminal(Error())
+            return frames, HALT, Error()
         raise StuckState(f"cannot evaluate {t!r}")
 
-    def _apply(self, frames: Stack, fn: object, arg: object) -> MachineState:
+    def _apply(self, frames: Stack, fn: object, arg: object) -> tuple:
         tf = type(fn)
         if tf is Closure:
             lam = fn.lam
             self._fire("beta", lam.var)
-            return MachineState(frames, Evaluating(lam.body, {**fn.env, lam.var: arg}))
+            return frames, lam.body, {**fn.env, lam.var: arg}
         if tf is Resumption:
             self._fire("beta", fn.var)
             for f in reversed(fn.frames):
                 frames = Stack(f, frames)
-            return MachineState(frames, Returning(arg))
+            return frames, RETURN, arg
         if tf is Proxy:
             up, lo, hi = fn.up, fn.lo, fn.hi
             self._fire("fun-upcast" if up else "fun-downcast")
             frames = Stack(ValCastFrame(up, lo.cod, hi.cod), frames)
             frames = Stack(EffCastFrame(up, lo.eff, hi.eff), frames)
             arg = cast_value(arg, not up, lo.dom, hi.dom)
-            return MachineState(Stack(AppArg(fn.fn), frames), Returning(arg))
+            return Stack(AppArg(fn.fn), frames), RETURN, arg
         raise StuckState(f"applied a non-function: {core._brief(_back(fn))}")
 
-    def _step_return(self, frames: Stack, v: object) -> Union[MachineState, Terminal]:
+    def _step_return(self, frames: Stack, v: object) -> tuple:
         if not frames.depth:
-            return Terminal(Value(_back(v)))
+            return frames, HALT, Value(_back(v))
         f, frames = frames.top, frames.rest
         tf = type(f)
         if tf is AppFun:
-            return MachineState(Stack(AppArg(v), frames), Evaluating(f.arg, f.env))
+            return Stack(AppArg(v), frames), f.arg, f.env
         if tf is AppArg:
             return self._apply(frames, f.fn, v)
         if tf is LetBody:
             self._fire("let", f.var)
-            return MachineState(frames, Evaluating(f.body, {**f.env, f.var: v}))
+            return frames, f.body, {**f.env, f.var: v}
         if tf is EffCastFrame:
             self._fire("eff-upcast-value" if f.up else "eff-downcast-value")
-            return MachineState(frames, Returning(v))
+            return frames, RETURN, v
         if tf is CaseFrame:
             if type(v) is not QueueVal:
                 raise StuckState(f"not a queue value: {v!r}")
             if v.start == v.end:
                 self._fire("case-empty")
-                return MachineState(frames, Evaluating(f.empty_body, f.env))
+                return frames, f.empty_body, f.env
             self._fire("case-dequeue")
             # the rest wins when both binders share a name
             rest = QueueVal(v.elem, v.buf, v.start + 1, v.end)
             env = {**f.env, f.head_var: v.buf[v.start], f.rest_var: rest}
-            return MachineState(frames, Evaluating(f.cons_body, env))
+            return frames, f.cons_body, env
         if tf is ConcatLeft:
-            return MachineState(Stack(ConcatRight(v), frames), Evaluating(f.right, f.env))
+            return Stack(ConcatRight(v), frames), f.right, f.env
         if tf is ConcatRight:
             if type(f.left) is not core.StrLit or type(v) is not core.StrLit:
                 raise StuckState("concat on non-strings")
             self._fire("concat")
-            return MachineState(frames, Returning(core.StrLit(f.left.value + v.value)))
+            return frames, RETURN, core.StrLit(f.left.value + v.value)
         if tf is RaisePayload:
             self._fire("raise", f.op)
-            return MachineState(frames, Raising(f.op, f.req, f.resp, v, Captured()))
+            return frames, RAISE, Raising(f.op, f.req, f.resp, v, Captured())
         if tf is ValCastFrame:
             self._fire("val-upcast" if f.up else "val-downcast")
-            return MachineState(frames, Returning(cast_value(v, f.up, f.lo, f.hi)))
+            return frames, RETURN, cast_value(v, f.up, f.lo, f.hi)
         if tf is HandleFrame:
             h = f.handle
             self._fire("handle-value")
-            return MachineState(frames, Evaluating(h.ret_body, {**f.env, h.ret_var: v}))
+            return frames, h.ret_body, {**f.env, h.ret_var: v}
         if tf is IfBranches:
             if type(v) is not core.BoolLit:
                 raise StuckState(f"if on a non-boolean: {core._brief(_back(v))}")
             self._fire("if-true" if v.value else "if-false")
-            return MachineState(frames, Evaluating(f.then if v.value else f.els, f.env))
+            return frames, f.then if v.value else f.els, f.env
         if tf is EnqueueQueue:
-            return MachineState(Stack(EnqueueElem(v), frames), Evaluating(f.elem, f.env))
+            return Stack(EnqueueElem(v), frames), f.elem, f.env
         if tf is EnqueueElem:
             self._fire("enqueue")
-            return MachineState(frames, Returning(f.queue.enqueue(v)))
+            return frames, RETURN, f.queue.enqueue(v)
         raise StuckState(f"not a frame: {f!r}")
 
-    def _step_raise(self, frames: Stack, r: Raising) -> Union[MachineState, Terminal]:
+    def _step_raise(self, frames: Stack, r: Raising) -> tuple:
         if not frames.depth:
             self._fire("uncaught", r.op)
-            return Terminal(UncaughtRaise(r.op))
+            return frames, HALT, UncaughtRaise(r.op)
         f, frames = frames.top, frames.rest
         tf = type(f)
         if tf is HandleFrame:
@@ -721,25 +732,32 @@ class Machine:
                     Stack(f, r.captured.outer),
                 )
                 out = hi if up else lo
-                return MachineState(
-                    frames, Raising(r.op, out.req, out.resp, payload, captured)
-                )
+                return frames, RAISE, Raising(r.op, out.req, out.resp, payload, captured)
             if not up and isinstance(f.hi, Dyn):
                 # the dynamic row let the operation out; the target traps it
                 self._fire("bad-downcast", r.op)
-                return MachineState(frames, Evaluating(core.Err(), NO_ENV))
+                return frames, core.Err(), NO_ENV
         self._fire("capture", r.op)
         captured = Captured(r.captured.inner, Stack(f, r.captured.outer))
-        return MachineState(frames, Raising(r.op, r.req, r.resp, r.payload, captured))
+        return frames, RAISE, Raising(r.op, r.req, r.resp, r.payload, captured)
 
-    def _handler_beta(self, frames, f: HandleFrame, clause, r: Raising):
+    def _handler_beta(self, frames, f: HandleFrame, clause, r: Raising) -> tuple:
         h = f.handle
         self._fire("handler-beta", f"{r.op}{' deep' if h.deep else ''}")
         captured = tuple(r.captured) + ((f,) if h.deep else ())
         k = Resumption(self.fresh_resume(), clause.resp, captured)
         # the resumption wins when both binders share a name
         env = {**f.env, clause.payload_var: r.payload, clause.resume_var: k}
-        return MachineState(frames, Evaluating(clause.body, env))
+        return frames, clause.body, env
+
+
+def _state(frames: Stack, a, b) -> MachineState:
+    """The MachineState that the registers frames, a, b stand for."""
+    if a is RETURN:
+        return MachineState(frames, Returning(b))
+    if a is RAISE:
+        return MachineState(frames, b)
+    return MachineState(frames, Evaluating(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -760,19 +778,25 @@ def run(
     sample: Optional[Callable[[MachineState], None]] = None,
     sample_every: int = 97,
 ) -> RunResult:
-    """Iterate step up to fuel times, reporting the outcome and steps used.
+    """Step up to fuel times, reporting the outcome and steps used.
 
     sample, when given, sees the machine state every sample_every steps;
     the soundness suite uses it to retypecheck intermediate states.
     """
     machine = Machine(sig, trace)
-    state = machine.initial(term)
-    for n in range(fuel):
-        nxt = machine.step(state)
-        if isinstance(nxt, Terminal):
-            return RunResult(nxt.outcome, n + 1)
-        state = nxt
-        if sample is not None and (n + 1) % sample_every == 0:
-            sample(state)
+    step_eval, step_return, step_raise = (
+        machine._step_eval, machine._step_return, machine._step_raise
+    )
+    frames, a, b = EMPTY_STACK, term, NO_ENV
+    for n in range(1, fuel + 1):
+        if a is RETURN:
+            frames, a, b = step_return(frames, b)
+        elif a is RAISE:
+            frames, a, b = step_raise(frames, b)
+        else:
+            frames, a, b = step_eval(frames, a, b)
+        if a is HALT:
+            return RunResult(b, n)
+        if sample is not None and n % sample_every == 0:
+            sample(_state(frames, a, b))
     return RunResult(FuelExhausted(fuel), fuel)
-

@@ -38,6 +38,14 @@ class ReferenceBug(Exception):
     """No case applies: unreachable on typechecked closed input."""
 
 
+@dataclass(frozen=True)
+class DepthExhausted:
+    """The host stack ran out after steps units of fuel: an outcome of
+    this evaluator only, since the machine keeps its stack on the heap."""
+
+    steps: int
+
+
 class _OutOfFuel(Exception):
     pass
 
@@ -344,20 +352,26 @@ def _reify(v: object) -> object:
     return Opaque("function")
 
 
-def evaluate(sig: Signature, term: core.Term, fuel: int = DEFAULT_FUEL) -> Outcome:
+def evaluate(
+    sig: Signature, term: core.Term, fuel: int = DEFAULT_FUEL
+) -> Union[Outcome, DepthExhausted]:
     """Run a closed term to an Outcome, spending one fuel per subterm visited.
 
-    The host stack bounds this evaluator too; running out of it is
-    reported as exhaustion, the same resource read through a different
-    meter.
+    The host stack bounds this evaluator too, at a recursion limit of at
+    least 100,000.  A term nested too deeply for it, such as a long
+    chain of ++, ends in DepthExhausted with the fuel spent so far, not
+    in FuelExhausted: it would have needed more stack, not more fuel, and
+    the machine, whose stack is on the heap, may well finish it.
     """
     budget = _Budget(fuel)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 100_000))
     try:
         res = _Ref(sig, budget)._eval(term, {})
-    except (_OutOfFuel, RecursionError):
+    except _OutOfFuel:
         return FuelExhausted(fuel)
+    except RecursionError:
+        return DepthExhausted(fuel - budget.left)
     finally:
         sys.setrecursionlimit(limit)
     if isinstance(res, Done):

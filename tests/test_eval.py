@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from greff import core, eval as ev, reference
+from greff import core, eval as ev, gen, reference
 from greff.core import (
     App,
     BoolLit,
@@ -372,6 +372,49 @@ def test_untraced_run_never_reads_back(monkeypatch):
         monkeypatch.setattr(core, name, counting(name))
     assert run(res.sig, res.term, trace=None).outcome == Value(StrLit("1a2b"))
     assert calls == {"pretty": 0, "subst": 0}
+
+
+def test_untraced_run_builds_no_state_object(monkeypatch):
+    # the machine runs on its registers: a state object is built only
+    # for Machine.step and the sample hook
+    built = {"MachineState": 0, "Evaluating": 0, "Returning": 0}
+
+    def counting(cls):
+        class Counted(cls):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built[cls.__name__] += 1
+                super().__init__(*args)
+
+        return Counted
+
+    res = elab_source((CORPUS / "threads_precise.greff").read_text())
+    for name in built:
+        monkeypatch.setattr(ev, name, counting(getattr(ev, name)))
+    assert run(res.sig, res.term, trace=None).outcome == Value(StrLit("1a2b"))
+    assert built == {"MachineState": 0, "Evaluating": 0, "Returning": 0}
+
+
+ONE_MACHINE = APPLYING + [
+    (f"gen-{seed}", *gen.gen_core_program(seed)[:2]) for seed in range(50)
+]
+
+
+@pytest.mark.parametrize("name, sig, term", ONE_MACHINE, ids=[p[0] for p in ONE_MACHINE])
+def test_run_and_step_are_one_machine(name, sig, term):
+    # Machine.step from Machine.initial takes the steps run takes, to the
+    # same outcome, through the states run's sample hook is shown
+    sampled = []
+    got = run(sig, term, fuel=100_000, sample=lambda s: sampled.append(reify(s)), sample_every=1)
+    machine = Machine(sig)
+    state, stepped = machine.initial(term), []
+    while not isinstance(state, Terminal):
+        state = machine.step(state)
+        if not isinstance(state, Terminal):
+            stepped.append(reify(state))
+    assert (state.outcome, len(stepped) + 1) == (got.outcome, got.steps)
+    assert sampled == stepped
 
 
 # ---------------------------------------------------------------------------

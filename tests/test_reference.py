@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from greff import core, reference
+from greff import core, eval as ev, reference
 from greff.core import (
     App,
     BoolLit,
@@ -114,6 +114,17 @@ def test_fix_unrolls():
 def test_fuel_exhaustion():
     loop = Fix("f", Arrow(UNIT_T, EMPTY, UNIT_T), Lam("u", UNIT_T, App(Var("f"), Var("u"))))
     assert run(App(loop, UnitLit()), fuel=500) == FuelExhausted(500)
+
+
+def test_host_stack_exhaustion_is_not_fuel():
+    # 120,000 nested ++ outrun the host stack long before the fuel; the
+    # machine, whose stack is on the heap, runs the same term to a value
+    t = StrLit("a")
+    for _ in range(120_000):
+        t = Concat(t, StrLit("a"))
+    got = run(t, fuel=10**9)
+    assert isinstance(got, reference.DepthExhausted) and 0 < got.steps < 10**9
+    assert ev.run(SIG0, t, fuel=10**9) == ev.RunResult(Value(StrLit("a" * 120_001)), 480_002)
 
 
 def test_uncaught_raise():
