@@ -1,6 +1,6 @@
 """Golden outputs, pinned byte for byte against files in tests/golden/.
 
-Five things are pinned: the JSONL that `greff conformance --seed 0
+Six things are pinned: the JSONL that `greff conformance --seed 0
 --cases 25` prints; for every program in corpus/, the exit code and
 stdout of `greff check`, `greff elab` and `greff run`, plus the
 machine's step count for programs that elaborate; for a fixed set of
@@ -10,14 +10,16 @@ imprecise variants, a digest of the elaborated core term and the
 program's typing; and for the same generated programs printed back to
 source, the corpus files and seeded one-character mutations of both, a
 digest of the token stream or the lexer's error, and for the mutations
-the parser's error.  A change that should keep behaviour identical must
-leave all five files unchanged.  After an intended change of behaviour,
+the parser's error; and a digest of each law case's cast expansion, the
+handler and wrapper sides of the two expansion families and retraction's
+side with effect and function casts both expanded.  A change that should
+keep behaviour identical must leave all six files unchanged.  After an intended change of behaviour,
 `python tests/test_golden.py` rewrites them from the current code.  It
 first prints what moved, keeping step counts apart: the machine runs
 whose outcome changed and those whose steps or trace alone did, the
 corpus programs whose outputs changed, the elaborations that changed,
-the token streams that changed, and the JSONL lines that changed
-outside `steps_left`/`steps_right`.
+the token streams that changed, the expansions that changed, and the
+JSONL lines that changed outside `steps_left`/`steps_right`.
 """
 
 import hashlib
@@ -42,11 +44,14 @@ CORPUS_FILE = GOLDEN / "corpus.json"
 MACHINE_FILE = GOLDEN / "machine.json"
 ELAB_FILE = GOLDEN / "elab.json"
 TOKENS_FILE = GOLDEN / "tokens.json"
+EXPAND_FILE = GOLDEN / "expand.json"
 STATIC_ERRORS = (ParseError, elaborate.ElabError, core.TypeCheckError)
 MACHINE_CORE_SEEDS = range(300)
 MACHINE_CORE_FUEL = 100_000
 ELAB_SEEDS = range(300)
 MUTATIONS_PER_SOURCE = 2
+EXPAND_SEEDS = range(300)
+EXPAND_RETRACTION_SEEDS = range(100)
 # blanks the lexer must skip, characters it must reject (numerals that are
 # not letters among them), and the starts of strings, comments and punctuation
 MUTATION_CHARS = " \n\r\x1c\"\\-'()[]:>1x\u00bd\u00b2#"
@@ -198,6 +203,23 @@ def observe_token_streams() -> dict:
     return out
 
 
+def _term_sha256(term) -> dict:
+    return {"core_sha256": hashlib.sha256(core.pretty(term).encode("utf-8")).hexdigest()}
+
+
+def observe_expansions() -> dict:
+    """The sha256 of every pinned cast expansion, printed with core.pretty."""
+    out = {}
+    for law in ("effect-cast-handler", "fun-cast-wrapper"):
+        for seed in EXPAND_SEEDS:
+            out[f"{law}-{seed:03d}"] = _term_sha256(conf.LAWS[law](seed).right)
+    for seed in EXPAND_RETRACTION_SEEDS:
+        case = conf.case_retraction(seed)
+        both = conf.expand_casts(case.sig, case.right, effect=True, function=True)
+        out[f"retraction-{seed:03d}"] = _term_sha256(both)
+    return out
+
+
 def test_conformance_seed0_jsonl_is_unchanged():
     assert observe_conformance().encode("utf-8") == CONFORMANCE_FILE.read_bytes()
 
@@ -235,6 +257,14 @@ def test_token_streams_are_unchanged():
     assert not moved, f"{len(moved)} token streams moved, first: {moved[:5]}"
 
 
+def test_expansions_are_unchanged():
+    expected = json.loads(EXPAND_FILE.read_bytes().decode("utf-8"))
+    got = observe_expansions()
+    assert sorted(got) == sorted(expected)
+    moved = [name for name in expected if got[name] != expected[name]]
+    assert not moved, f"{len(moved)} expansions moved, first: {moved[:5]}"
+
+
 def _dump(obj) -> bytes:
     text = json.dumps(obj, indent=1, sort_keys=True, ensure_ascii=False) + "\n"
     return text.encode("utf-8")
@@ -264,11 +294,12 @@ def _report(what: str, names: list[str]) -> None:
 
 
 def write_golden() -> None:
-    """Rewrite the five files, first printing what moved in each."""
+    """Rewrite the six files, first printing what moved in each."""
     machine = observe_machine_runs()
     corpus = {p.name: observe_corpus(p) for p in _corpus_programs()}
     elab = observe_elaborations()
     tokens = observe_token_streams()
+    expand = observe_expansions()
     conformance = observe_conformance()
     old_machine = json.loads(_old(MACHINE_FILE) or "{}")
     outcomes = _moved(old_machine, machine, ("steps", "trace_sha256"))
@@ -280,6 +311,7 @@ def write_golden() -> None:
     _report("elaborations changed", _moved(json.loads(_old(ELAB_FILE) or "{}"), elab))
     old_tokens = json.loads(_old(TOKENS_FILE) or "{}")
     _report("token streams or parse errors changed", _moved(old_tokens, tokens))
+    _report("expansions changed", _moved(json.loads(_old(EXPAND_FILE) or "{}"), expand))
     old_lines = _jsonl(_old(CONFORMANCE_FILE))
     lines = _moved(old_lines, _jsonl(conformance), ("steps_left", "steps_right"))
     _report("conformance lines changed outside steps_left/steps_right", lines)
@@ -289,6 +321,7 @@ def write_golden() -> None:
     MACHINE_FILE.write_bytes(_dump(machine))
     ELAB_FILE.write_bytes(_dump(elab))
     TOKENS_FILE.write_bytes(_dump(tokens))
+    EXPAND_FILE.write_bytes(_dump(expand))
 
 
 if __name__ == "__main__":
