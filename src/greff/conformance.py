@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -197,82 +198,66 @@ def expand_casts(
 
     With `effect`, every effect cast becomes the equivalent deep handler;
     with `function`, every value cast between arrow types becomes the
-    equivalent wrapper lambda.  Typing environments are tracked so the
-    handler's result type (the value type of the cast body) is known.
+    equivalent wrapper lambda.  The handler's result type is the value
+    type of the cast body, read from one typecheck of the input: an
+    expansion has its cast's typing, so expanding beneath a cast never
+    changes that type.
     """
-    return _expand(sig, {}, term, effect, function, _fresh_counter())
+    body_types: Optional[dict[int, ValueType]] = None
+    if effect:
+        body_types = {}
+        core.typecheck(sig, {}, term, casts=body_types)
+    return _expand(sig, term, body_types, function, _fresh_counter())
 
 
-def _expand(sig, gamma, t, effect, function, fresh) -> core.Term:
-    def rec(g, sub):
-        return _expand(sig, g, sub, effect, function, fresh)
+def _expand(sig, t, body_types, function, fresh) -> core.Term:
+    """Expand below t; `body_types` is None when effect casts stay primitive."""
+
+    def rec(sub):
+        return _expand(sig, sub, body_types, function, fresh)
 
     if isinstance(
         t, (core.Var, core.BoolLit, core.UnitLit, core.StrLit, core.Err, core.EmptyQueue)
     ):
         return t
     if isinstance(t, core.Lam):
-        return core.Lam(t.var, t.ann, rec(gamma | {t.var: t.ann}, t.body))
+        return core.Lam(t.var, t.ann, rec(t.body))
     if isinstance(t, core.Fix):
-        body = rec(gamma | {t.var: t.ann}, t.body)
-        assert isinstance(body, core.Lam)
-        return core.Fix(t.var, t.ann, body)
+        return core.Fix(t.var, t.ann, rec(t.body))
     if isinstance(t, core.App):
-        return core.App(rec(gamma, t.fn), rec(gamma, t.arg))
+        return core.App(rec(t.fn), rec(t.arg))
     if isinstance(t, core.Let):
-        bound = rec(gamma, t.bound)
-        _, bty = core.typecheck(sig, gamma, bound)
-        return core.Let(bound, t.var, rec(gamma | {t.var: bty}, t.body))
+        return core.Let(rec(t.bound), t.var, rec(t.body))
     if isinstance(t, core.If):
-        return core.If(rec(gamma, t.cond), rec(gamma, t.then), rec(gamma, t.els))
+        return core.If(rec(t.cond), rec(t.then), rec(t.els))
     if isinstance(t, core.Concat):
-        return core.Concat(rec(gamma, t.left), rec(gamma, t.right))
+        return core.Concat(rec(t.left), rec(t.right))
     if isinstance(t, core.Enqueue):
-        return core.Enqueue(rec(gamma, t.queue), rec(gamma, t.elem))
+        return core.Enqueue(rec(t.queue), rec(t.elem))
     if isinstance(t, core.CaseQueue):
-        scr = rec(gamma, t.scrutinee)
-        _, sty = core.typecheck(sig, gamma, scr)
-        assert isinstance(sty, QueueOf)
-        inner = gamma | {t.head_var: sty.elem, t.rest_var: sty}
-        return core.CaseQueue(
-            scr,
-            rec(gamma, t.empty_body),
-            t.head_var,
-            t.rest_var,
-            rec(inner, t.cons_body),
-        )
+        scr, empty = rec(t.scrutinee), rec(t.empty_body)
+        return core.CaseQueue(scr, empty, t.head_var, t.rest_var, rec(t.cons_body))
     if isinstance(t, core.Raise):
-        return core.Raise(t.op, t.req, t.resp, rec(gamma, t.payload))
+        return core.Raise(t.op, t.req, t.resp, rec(t.payload))
     if isinstance(t, core.Handle):
-        scr = rec(gamma, t.scrutinee)
-        scr_eff, scr_val = core.typecheck(sig, gamma, scr)
-        ret = rec(gamma | {t.ret_var: scr_val}, t.ret_body)
-        clauses = []
-        for c in t.clauses:
-            if t.deep:
-                k_ty = Arrow(c.resp, t.result_eff, t.result_type)
-            else:
-                k_ty = Arrow(c.resp, scr_eff, scr_val)
-            inner = gamma | {c.payload_var: c.req, c.resume_var: k_ty}
-            clauses.append(
-                core.Clause(c.op, c.payload_var, c.resume_var, rec(inner, c.body), c.req, c.resp)
-            )
+        scr, ret = rec(t.scrutinee), rec(t.ret_body)
+        clauses = tuple(
+            core.Clause(c.op, c.payload_var, c.resume_var, rec(c.body), c.req, c.resp)
+            for c in t.clauses
+        )
         return core.Handle(
-            scr, t.ret_var, ret, tuple(clauses), t.result_eff, t.result_type, t.deep
+            scr, t.ret_var, ret, clauses, t.result_eff, t.result_type, t.deep
         )
     if isinstance(t, (core.ValUpcast, core.ValDowncast)):
-        body = rec(gamma, t.body)
-        out = type(t)(t.lo, t.hi, body)
+        out = type(t)(t.lo, t.hi, rec(t.body))
         if function and isinstance(t.lo, Arrow) and isinstance(t.hi, Arrow):
             return expand_fun_cast(out, fresh)
         return out
     if isinstance(t, (core.EffUpcast, core.EffDowncast)):
-        body = rec(gamma, t.body)
-        out = type(t)(t.lo, t.hi, body)
-        if effect:
-            _, vty = core.typecheck(sig, gamma, body)
-            return expand_effect_cast(sig, out, vty, fresh)
-        return out
+        out = type(t)(t.lo, t.hi, rec(t.body))
+        if body_types is None:
+            return out
+        return expand_effect_cast(sig, out, body_types[id(t)], fresh)
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -372,25 +357,30 @@ def cast_factorizations(
 # Surface precision: sites, the imprecisifier, syntactic precision
 
 
-# every surface node class with its field names, so walks never ask
-# dataclasses per node; declarations and imports are not walked: their
-# typings are interface facts, not annotations of the program under them
+# every surface node class with its field names but the position, so
+# walks never ask dataclasses per node
 _FIELDS = {
-    cls: tuple(f.name for f in dataclasses.fields(cls))
+    cls: tuple(f.name for f in dataclasses.fields(cls) if f.name != "pos")
     for cls in vars(s).values()
     if isinstance(cls, type) and dataclasses.is_dataclass(cls)
 }
+# the fields a row annotation can sit under: no name or flag, and nothing
+# in a declaration or import, whose typings are interface facts, not
+# annotations of the program under them
 _INTERFACE = (s.SEffectDecl, s.SImportEffect, s.SImportValue)
+_SITE_FIELDS = {
+    cls: tuple(n for n in names if cls.__dataclass_fields__[n].type not in ("str", "bool"))
+    for cls, names in _FIELDS.items()
+    if not issubclass(cls, _INTERFACE)
+}
 
 
 def count_effect_sites(node) -> int:
     """The number of concrete row annotations, the sites imprecisify may blur."""
     if isinstance(node, s.SNames):
         return 1
-    if type(node) not in _FIELDS or isinstance(node, _INTERFACE):
-        return 0
     n = 0
-    for name in _FIELDS[type(node)]:
+    for name in _SITE_FIELDS.get(type(node), ()):
         v = getattr(node, name)
         for x in v if isinstance(v, tuple) else (v,):
             n += count_effect_sites(x)
@@ -398,20 +388,24 @@ def count_effect_sites(node) -> int:
 
 
 def _rewrite_names(node, counter: list[int], chosen: set[int]):
-    """Walk the tree numbering concrete row annotations, turning chosen ones to ?."""
+    """Walk the tree numbering concrete row annotations, turning chosen ones to ?.
+
+    A subtree without a chosen annotation comes back as the same object,
+    so only the path to each blurred site is rebuilt.
+    """
     if isinstance(node, s.SNames):
         counter[0] += 1
         return s.SDynEff() if counter[0] - 1 in chosen else node
-    if type(node) not in _FIELDS or isinstance(node, _INTERFACE):
-        return node
-    kwargs = {}
-    for name in _FIELDS[type(node)]:
+    changed = {}
+    for name in _SITE_FIELDS.get(type(node), ()):
         v = getattr(node, name)
         if isinstance(v, tuple):
-            kwargs[name] = tuple([_rewrite_names(x, counter, chosen) for x in v])
-        else:
-            kwargs[name] = _rewrite_names(v, counter, chosen)
-    return type(node)(**kwargs)
+            new = tuple([_rewrite_names(x, counter, chosen) for x in v])
+            if any(map(operator.is_not, new, v)):
+                changed[name] = new
+        elif (new := _rewrite_names(v, counter, chosen)) is not v:
+            changed[name] = new
+    return dataclasses.replace(node, **changed) if changed else node
 
 
 @dataclass(frozen=True)
@@ -440,8 +434,6 @@ def syntactic_precision(a, b) -> bool:
     if type(a) not in _FIELDS:
         return a == b
     for name in _FIELDS[type(a)]:
-        if name == "pos":
-            continue
         va, vb = getattr(a, name), getattr(b, name)
         if isinstance(va, tuple) and isinstance(vb, tuple):
             if len(va) != len(vb) or not all(map(syntactic_precision, va, vb)):

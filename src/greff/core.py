@@ -343,14 +343,17 @@ def typecheck(
     gamma: dict[str, ValueType],
     term: Term,
     expected: Expected = None,
+    casts: Optional[dict[int, ValueType]] = None,
 ) -> tuple[EffectType, ValueType]:
     """Synthesize a typing; raise TypeCheckError if the term is ill-typed.
 
     `expected` optionally bounds the result: the synthesized value type must
     be <=-below the expected one and the ambient effect below the expected
     effect.  The error term has no typing of its own and needs the bound.
+    A `casts` dict is filled with the value type of each effect cast's
+    body, keyed by the id of the cast node.
     """
-    eff, val = _synth(sig, gamma, term, expected)
+    eff, val = _synth(sig, gamma, term, expected, casts)
     return (EMPTY if eff is None else eff, val)
 
 
@@ -373,7 +376,11 @@ def _wf(sig, t, what):
 
 
 def _synth(
-    sig: Signature, gamma: dict[str, ValueType], term: Term, expected: Expected
+    sig: Signature,
+    gamma: dict[str, ValueType],
+    term: Term,
+    expected: Expected,
+    casts: Optional[dict[int, ValueType]] = None,
 ) -> tuple[Ambient, ValueType]:
     exp_eff = expected[0] if expected else None
 
@@ -396,7 +403,8 @@ def _synth(
 
     if isinstance(term, Lam):
         _wf(sig, term.ann, "lambda annotation")
-        body_eff, body_val = _synth(sig, gamma | {term.var: term.ann}, term.body, None)
+        inner = gamma | {term.var: term.ann}
+        body_eff, body_val = _synth(sig, inner, term.body, None, casts)
         latent = EMPTY if body_eff is None else body_eff
         return _expect(sig, term, None, Arrow(term.ann, latent, body_val), expected)
 
@@ -405,30 +413,30 @@ def _synth(
         if not isinstance(term.ann, Arrow):
             raise TypeCheckError("fixpoint annotation must be an arrow type")
         _, val = _synth(
-            sig, gamma | {term.var: term.ann}, term.body, (None, term.ann)
+            sig, gamma | {term.var: term.ann}, term.body, (None, term.ann), casts
         )
         return _expect(sig, term, None, term.ann, expected)
 
     if isinstance(term, App):
-        fn_eff, fn_val = _synth(sig, gamma, term.fn, (exp_eff, None))
+        fn_eff, fn_val = _synth(sig, gamma, term.fn, (exp_eff, None), casts)
         if not isinstance(fn_val, Arrow):
             raise TypeCheckError(f"applied term has non-arrow type {fn_val}")
-        arg_eff, _ = _synth(sig, gamma, term.arg, (exp_eff, fn_val.dom))
+        arg_eff, _ = _synth(sig, gamma, term.arg, (exp_eff, fn_val.dom), casts)
         eff = _combine(fn_eff, arg_eff, fn_val.eff)
         return _expect(sig, term, eff, fn_val.cod, expected)
 
     if isinstance(term, Let):
-        bound_eff, bound_val = _synth(sig, gamma, term.bound, (exp_eff, None))
+        bound_eff, bound_val = _synth(sig, gamma, term.bound, (exp_eff, None), casts)
         body_eff, body_val = _synth(
-            sig, gamma | {term.var: bound_val}, term.body, expected
+            sig, gamma | {term.var: bound_val}, term.body, expected, casts
         )
         eff = _combine(bound_eff, body_eff)
         return _expect(sig, term, eff, body_val, expected)
 
     if isinstance(term, If):
-        cond_eff, cond_val = _synth(sig, gamma, term.cond, (exp_eff, Bool()))
-        then_eff, then_val = _synth(sig, gamma, term.then, expected)
-        else_eff, else_val = _synth(sig, gamma, term.els, expected)
+        cond_eff, cond_val = _synth(sig, gamma, term.cond, (exp_eff, Bool()), casts)
+        then_eff, then_val = _synth(sig, gamma, term.then, expected, casts)
+        else_eff, else_val = _synth(sig, gamma, term.els, expected, casts)
         try:
             val = lub(then_val, else_val)
         except JoinUndefined as exc:
@@ -437,8 +445,8 @@ def _synth(
         return _expect(sig, term, eff, val, expected)
 
     if isinstance(term, Concat):
-        left_eff, _ = _synth(sig, gamma, term.left, (exp_eff, Str()))
-        right_eff, _ = _synth(sig, gamma, term.right, (exp_eff, Str()))
+        left_eff, _ = _synth(sig, gamma, term.left, (exp_eff, Str()), casts)
+        right_eff, _ = _synth(sig, gamma, term.right, (exp_eff, Str()), casts)
         return _expect(sig, term, _combine(left_eff, right_eff), Str(), expected)
 
     if isinstance(term, EmptyQueue):
@@ -446,19 +454,19 @@ def _synth(
         return _expect(sig, term, None, QueueOf(term.elem), expected)
 
     if isinstance(term, Enqueue):
-        q_eff, q_val = _synth(sig, gamma, term.queue, (exp_eff, None))
+        q_eff, q_val = _synth(sig, gamma, term.queue, (exp_eff, None), casts)
         if not isinstance(q_val, QueueOf):
             raise TypeCheckError(f"enqueue target has non-queue type {q_val}")
-        e_eff, _ = _synth(sig, gamma, term.elem, (exp_eff, q_val.elem))
+        e_eff, _ = _synth(sig, gamma, term.elem, (exp_eff, q_val.elem), casts)
         return _expect(sig, term, _combine(q_eff, e_eff), q_val, expected)
 
     if isinstance(term, CaseQueue):
-        s_eff, s_val = _synth(sig, gamma, term.scrutinee, (exp_eff, None))
+        s_eff, s_val = _synth(sig, gamma, term.scrutinee, (exp_eff, None), casts)
         if not isinstance(s_val, QueueOf):
             raise TypeCheckError(f"queue match scrutinee has type {s_val}")
-        e_eff, e_val = _synth(sig, gamma, term.empty_body, expected)
+        e_eff, e_val = _synth(sig, gamma, term.empty_body, expected, casts)
         inner = gamma | {term.head_var: s_val.elem, term.rest_var: s_val}
-        c_eff, c_val = _synth(sig, inner, term.cons_body, expected)
+        c_eff, c_val = _synth(sig, inner, term.cons_body, expected, casts)
         try:
             val = lub(e_val, c_val)
         except JoinUndefined as exc:
@@ -476,20 +484,16 @@ def _synth(
             )
         _wf(sig, term.req, "raise request type")
         _wf(sig, term.resp, "raise response type")
-        pay_eff, _ = _synth(sig, gamma, term.payload, (exp_eff, term.req))
+        pay_eff, _ = _synth(sig, gamma, term.payload, (exp_eff, term.req), casts)
         own = Concrete({term.op: OpSig(term.req, term.resp)})
         return _expect(sig, term, _combine(pay_eff, own), term.resp, expected)
 
     if isinstance(term, Handle):
         _wf(sig, term.result_eff, "handler result effect")
         _wf(sig, term.result_type, "handler result type")
-        scr_eff, scr_val = _synth(sig, gamma, term.scrutinee, None)
-        _synth(
-            sig,
-            gamma | {term.ret_var: scr_val},
-            term.ret_body,
-            (term.result_eff, term.result_type),
-        )
+        scr_eff, scr_val = _synth(sig, gamma, term.scrutinee, None, casts)
+        result = (term.result_eff, term.result_type)
+        _synth(sig, gamma | {term.ret_var: scr_val}, term.ret_body, result, casts)
         raised = {} if scr_eff is None else ops_of(scr_eff, sig)
         handled = {c.op for c in term.clauses}
         out_ops = ops_of(term.result_eff, sig)
@@ -526,7 +530,7 @@ def _synth(
             else:
                 k_type = Arrow(c.resp, EMPTY if scr_eff is None else scr_eff, scr_val)
             inner = gamma | {c.payload_var: c.req, c.resume_var: k_type}
-            _synth(sig, inner, c.body, (term.result_eff, term.result_type))
+            _synth(sig, inner, c.body, result, casts)
         return _expect(sig, term, term.result_eff, term.result_type, expected)
 
     if isinstance(term, ValUpcast) or isinstance(term, ValDowncast):
@@ -536,7 +540,7 @@ def _synth(
         _wf(sig, term.hi, "cast endpoint")
         source = term.lo if isinstance(term, ValUpcast) else term.hi
         target = term.hi if isinstance(term, ValUpcast) else term.lo
-        eff, _ = _synth(sig, gamma, term.body, (exp_eff, source))
+        eff, _ = _synth(sig, gamma, term.body, (exp_eff, source), casts)
         return _expect(sig, term, eff, target, expected)
 
     if isinstance(term, EffUpcast) or isinstance(term, EffDowncast):
@@ -546,7 +550,10 @@ def _synth(
         _wf(sig, term.hi, "cast endpoint")
         source = term.lo if isinstance(term, EffUpcast) else term.hi
         target = term.hi if isinstance(term, EffUpcast) else term.lo
-        body_eff, body_val = _synth(sig, gamma, term.body, (source, None))
+        body_eff, body_val = _synth(sig, gamma, term.body, (source, None), casts)
+        if casts is not None and casts.setdefault(id(term), body_val) != body_val:
+            seen = casts[id(term)]
+            raise TypeCheckError(f"{_brief(term)}: body typed {seen} and {body_val}")
         return _expect(sig, term, target, body_val, expected)
 
     raise TypeError(f"not a term: {term!r}")

@@ -10,8 +10,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from greff import cli, elaborate, reference, surface
+from greff import cli, elaborate, gen, reference, surface
 from greff import eval as ev
 from programs import queue_source, queue_walk_source
 
@@ -273,6 +274,64 @@ def test_the_deepest_accepted_term_checks_elaborates_and_runs(tmp_path, shape):
     for command in ("check", "elab", "run"):
         code, _, err = invoke(command, str(path))
         assert (code, err) == (cli.EXIT_OK, "")
+
+
+# ---------------------------------------------------------------------------
+# fuzzed input
+
+# every outcome a file can cause, not counting 70, an internal error
+FILE_EXITS = {
+    cli.EXIT_OK,
+    cli.EXIT_STATIC,
+    cli.EXIT_CAST_ERROR,
+    cli.EXIT_FUEL,
+    cli.EXIT_UNCAUGHT,
+    cli.EXIT_USAGE,
+}
+
+
+def _token_starts(src: str) -> list[int]:
+    """The offset of each token, the end of input last."""
+    line_starts = [0] + [i + 1 for i, c in enumerate(src) if c == "\n"]
+    return [line_starts[t.line - 1] + t.col - 1 for t in surface.tokenize(src)]
+
+
+@st.composite
+def fuzzed_sources(draw) -> bytes:
+    """A generated program printed back, mutated by tokens, nested past
+    MAX_DEPTH, or random bytes."""
+    how = draw(st.sampled_from(["printed", "mutated", "deep", "bytes"]))
+    if how == "bytes":
+        return draw(st.binary(max_size=300))
+    src = surface.pretty_program(gen.gen_surface_program(draw(st.integers(0, 10_000))))
+    if how == "mutated":
+        for _ in range(draw(st.integers(1, 3))):
+            starts = _token_starts(src)
+            i = draw(st.integers(0, len(starts) - 2))
+            a, b = starts[i], starts[i + 1]  # the token and the blanks after it
+            src = src[:a] + src[b:] if draw(st.booleans()) else src[:b] + src[a:]
+    elif how == "deep":
+        # parentheses around one token: a pair costs two levels
+        starts = _token_starts(src)
+        i = draw(st.integers(0, len(starts) - 2))
+        a, b = starts[i], starts[i + 1]
+        n = draw(st.integers(surface.MAX_DEPTH // 2 - 5, 2 * surface.MAX_DEPTH))
+        src = src[:a] + "(" * n + src[a:b] + ")" * n + " " + src[b:]
+    return src.encode("utf-8")
+
+
+@settings(
+    max_examples=250,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(fuzzed_sources())
+def test_fuzzed_input_never_is_an_internal_error(tmp_path, data):
+    path = tmp_path / "fuzz.greff"
+    path.write_bytes(data)
+    for argv in (("check", str(path)), ("run", "--fuel", "20000", str(path))):
+        code, _, err = invoke(*argv)
+        assert code in FILE_EXITS and "internal error" not in err, (argv, code, err)
 
 
 # ---------------------------------------------------------------------------

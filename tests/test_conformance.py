@@ -1,7 +1,9 @@
 """The metatheory checks: cast laws, factorization, and graduality batches."""
 
+import dataclasses
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from greff.typesys import (
     subtype,
 )
 
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 SIG = Signature(
     {
         "ask": OpSig(Unit(), Str()),
@@ -160,6 +163,52 @@ def test_expansion_with_both_families_enabled():
         assert conf.outcomes_equal(a, b), seed
 
 
+def _nested_lets_and_casts(k: int) -> core.Term:
+    """k lets, each bound to effect casts up to ? and back around the last."""
+    t: core.Term = core.StrLit("s")
+    for i in range(k):
+        cast = core.EffDowncast(SIG.at([]), DYN, core.EffUpcast(SIG.at([]), DYN, t))
+        t = core.Let(cast, f"x{i}", core.Var(f"x{i}"))
+    return t
+
+
+def _synth_calls(monkeypatch, **flags) -> dict[int, int]:
+    """Calls to core._synth while expanding the k-deep term, for k=10 and 40."""
+    calls = 0
+    synth = core._synth
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return synth(*args)
+
+    out = {}
+    with monkeypatch.context() as m:
+        m.setattr(core, "_synth", counting)
+        for k in (10, 40):
+            calls = 0
+            conf.expand_casts(SIG, _nested_lets_and_casts(k), **flags)
+            out[k] = calls
+    return out
+
+
+def test_expansion_typechecks_its_input_once(monkeypatch):
+    calls = _synth_calls(monkeypatch, effect=True)
+    # one walk, a few calls per let; re-typing each expanded subterm
+    # grows with the square of the nesting depth
+    assert calls[40] <= 4 * calls[10] + 10, calls
+    assert _synth_calls(monkeypatch, effect=False, function=True) == {10: 0, 40: 0}
+
+
+def test_expansion_of_a_shared_cast_at_two_types_is_refused():
+    cast = core.EffUpcast(SIG.at([]), DYN, core.Var("v"))
+    twice = core.Let(
+        core.Let(core.StrLit("s"), "v", cast), "w", core.Let(core.UNIT, "v", cast)
+    )
+    with pytest.raises(core.TypeCheckError, match="body typed"):
+        conf.expand_casts(SIG, twice)
+
+
 # ---------------------------------------------------------------------------
 # Factorization
 
@@ -262,6 +311,45 @@ def test_imprecisify_yields_syntactic_precision():
     assert made >= 40
 
 
+def _blurred_from(a, b) -> bool:
+    """Check that b is a with some row annotations turned to ?.
+
+    Every node of b keeps the position of its node in a, and a subtree
+    with nothing blurred is a's own object.  Says whether b blurs any.
+    (A rebuilt handler sorts its clause tuple anew, so tuples are
+    compared by their elements.)
+    """
+    if isinstance(a, s.SNames) and isinstance(b, s.SDynEff):
+        return True
+    if isinstance(a, tuple):
+        assert isinstance(b, tuple) and len(a) == len(b)
+        return any([_blurred_from(x, y) for x, y in zip(a, b)])
+    if not dataclasses.is_dataclass(a):
+        assert a == b
+        return False
+    assert type(a) is type(b) and a.pos == b.pos
+    names = [f.name for f in dataclasses.fields(a) if f.name != "pos"]
+    blurred = any([_blurred_from(getattr(a, n), getattr(b, n)) for n in names])
+    assert blurred or a is b
+    return blurred
+
+
+def test_imprecisify_rebuilds_only_the_paths_to_blurred_sites():
+    made = 0
+    for path in sorted(CORPUS.glob("combo_*.greff")):
+        p = s.parse_program(path.read_text(encoding="utf-8"))
+        interface = p.modules[0]
+        assert all(isinstance(d, s.SEffectDecl) for d in interface.decls)
+        for seed in range(10):
+            pair = conf.imprecisify(p, random.Random(seed))
+            if pair is None:
+                continue
+            made += 1
+            assert _blurred_from(p, pair.imprecise), (path.name, seed)
+            assert pair.imprecise.modules[0] is interface
+    assert made >= 60
+
+
 def test_syntactic_precision_is_reflexive():
     for seed in range(20):
         p = gen.gen_surface_program(seed)
@@ -300,6 +388,32 @@ def test_law_holds_across_seeds(law):
     for seed in range(60):
         rec = conf.run_law_case(law, seed)
         assert rec.verdict == "holds", (law, seed, rec.left, rec.right)
+
+
+def test_laws_hold_with_higher_order_payloads(monkeypatch):
+    """Signatures that may declare `call`, whose payload is a function."""
+
+    def gen_ctx(seed):
+        rng = random.Random(seed)
+        return rng, gen._CoreGen(rng, gen.gen_signature(rng, higher_order=True))
+
+    monkeypatch.setattr(conf, "_gen_ctx", gen_ctx)
+    crossings = []
+
+    def trace(rule: str, detail: str) -> None:
+        if rule in ("eff-upcast-raise", "eff-downcast-raise") and detail == "call":
+            crossings.append(rule)
+
+    declared = 0
+    for law, make in conf.LAWS.items():
+        for seed in range(100):
+            case = make(seed)
+            declared += "call" in case.sig.names()
+            sides = (case.left, case.right)
+            outs = [ev.run(case.sig, t, fuel=200_000, trace=trace).outcome for t in sides]
+            assert conf.verdict(outs) == "holds", (law, seed, outs)
+    assert declared >= 100
+    assert crossings
 
 
 def test_case_record_serializes():
