@@ -207,58 +207,22 @@ def expand_casts(
     if effect:
         body_types = {}
         core.typecheck(sig, {}, term, casts=body_types)
-    return _expand(sig, term, body_types, function, _fresh_counter())
+    return _expand(term, sig, body_types, function, _fresh_counter())
 
 
-def _expand(sig, t, body_types, function, fresh) -> core.Term:
-    """Expand below t; `body_types` is None when effect casts stay primitive."""
-
-    def rec(sub):
-        return _expand(sig, sub, body_types, function, fresh)
-
-    if isinstance(
-        t, (core.Var, core.BoolLit, core.UnitLit, core.StrLit, core.Err, core.EmptyQueue)
-    ):
-        return t
-    if isinstance(t, core.Lam):
-        return core.Lam(t.var, t.ann, rec(t.body))
-    if isinstance(t, core.Fix):
-        return core.Fix(t.var, t.ann, rec(t.body))
-    if isinstance(t, core.App):
-        return core.App(rec(t.fn), rec(t.arg))
-    if isinstance(t, core.Let):
-        return core.Let(rec(t.bound), t.var, rec(t.body))
-    if isinstance(t, core.If):
-        return core.If(rec(t.cond), rec(t.then), rec(t.els))
-    if isinstance(t, core.Concat):
-        return core.Concat(rec(t.left), rec(t.right))
-    if isinstance(t, core.Enqueue):
-        return core.Enqueue(rec(t.queue), rec(t.elem))
-    if isinstance(t, core.CaseQueue):
-        scr, empty = rec(t.scrutinee), rec(t.empty_body)
-        return core.CaseQueue(scr, empty, t.head_var, t.rest_var, rec(t.cons_body))
-    if isinstance(t, core.Raise):
-        return core.Raise(t.op, t.req, t.resp, rec(t.payload))
-    if isinstance(t, core.Handle):
-        scr, ret = rec(t.scrutinee), rec(t.ret_body)
-        clauses = tuple(
-            core.Clause(c.op, c.payload_var, c.resume_var, rec(c.body), c.req, c.resp)
-            for c in t.clauses
-        )
-        return core.Handle(
-            scr, t.ret_var, ret, clauses, t.result_eff, t.result_type, t.deep
-        )
-    if isinstance(t, (core.ValUpcast, core.ValDowncast)):
-        out = type(t)(t.lo, t.hi, rec(t.body))
-        if function and isinstance(t.lo, Arrow) and isinstance(t.hi, Arrow):
-            return expand_fun_cast(out, fresh)
-        return out
-    if isinstance(t, (core.EffUpcast, core.EffDowncast)):
-        out = type(t)(t.lo, t.hi, rec(t.body))
-        if body_types is None:
-            return out
+def _expand(t, sig, body_types, function, fresh) -> core.Term:
+    """Expand below t; `body_types` is None when effect casts stay primitive.
+    A subtree without a cast to expand comes back as the same object."""
+    out = core.map_children(t, _expand, sig, body_types, function, fresh)
+    if function and type(t) in _VAL_CASTS and type(t.lo) is type(t.hi) is Arrow:
+        return expand_fun_cast(out, fresh)
+    if body_types is not None and type(t) in _EFF_CASTS:
         return expand_effect_cast(sig, out, body_types[id(t)], fresh)
-    raise TypeError(f"not a term: {t!r}")
+    return out
+
+
+_VAL_CASTS = frozenset({core.ValUpcast, core.ValDowncast})
+_EFF_CASTS = frozenset({core.EffUpcast, core.EffDowncast})
 
 
 # ---------------------------------------------------------------------------
@@ -357,20 +321,13 @@ def cast_factorizations(
 # Surface precision: sites, the imprecisifier, syntactic precision
 
 
-# every surface node class with its field names but the position, so
-# walks never ask dataclasses per node
-_FIELDS = {
-    cls: tuple(f.name for f in dataclasses.fields(cls) if f.name != "pos")
-    for cls in vars(s).values()
-    if isinstance(cls, type) and dataclasses.is_dataclass(cls)
-}
 # the fields a row annotation can sit under: no name or flag, and nothing
 # in a declaration or import, whose typings are interface facts, not
 # annotations of the program under them
 _INTERFACE = (s.SEffectDecl, s.SImportEffect, s.SImportValue)
 _SITE_FIELDS = {
     cls: tuple(n for n in names if cls.__dataclass_fields__[n].type not in ("str", "bool"))
-    for cls, names in _FIELDS.items()
+    for cls, names in s.FIELDS.items()
     if not issubclass(cls, _INTERFACE)
 }
 
@@ -431,14 +388,14 @@ def syntactic_precision(a, b) -> bool:
         return isinstance(a, (s.SNames, s.SDynEff))
     if type(a) is not type(b):
         return False
-    if type(a) not in _FIELDS:
+    if type(a) not in s.FIELDS:
         return a == b
-    for name in _FIELDS[type(a)]:
+    for name in s.FIELDS[type(a)]:
         va, vb = getattr(a, name), getattr(b, name)
         if isinstance(va, tuple) and isinstance(vb, tuple):
             if len(va) != len(vb) or not all(map(syntactic_precision, va, vb)):
                 return False
-        elif type(va) in _FIELDS or type(vb) in _FIELDS:
+        elif type(va) in s.FIELDS or type(vb) in s.FIELDS:
             if not syntactic_precision(va, vb):
                 return False
         elif va != vb:

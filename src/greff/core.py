@@ -1,5 +1,8 @@
 """The cast calculus: syntax, algorithmic typechecking, substitution, printing.
 
+Substitution and the other structural walks map over one field table
+(FIELDS); the printer runs on an explicit stack.
+
 Terms carry enough type information to make checking syntax-directed: lambdas
 and fixpoints are annotated, raises carry the local operation typing eps@A~>B,
 handlers carry their result effect/type and per-clause operation typings, and
@@ -15,6 +18,7 @@ effect type at the first raise or latent-effect application.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -239,75 +243,56 @@ UNIT = UnitLit()
 
 
 # ---------------------------------------------------------------------------
-# Substitution
+# The field table: every structural walk over terms reads its shape here
+
+
+# each node class's term-valued fields, in order, with the fields naming
+# the variables bound over each; a handler's clauses are Clause nodes
+FIELDS: dict[type, dict[str, tuple[str, ...]]] = {
+    **dict.fromkeys((Var, BoolLit, UnitLit, StrLit, EmptyQueue, Err), {}),
+    Lam: {"body": ("var",)},
+    Fix: {"body": ("var",)},
+    App: {"fn": (), "arg": ()},
+    Let: {"bound": (), "body": ("var",)},
+    If: {"cond": (), "then": (), "els": ()},
+    Concat: {"left": (), "right": ()},
+    Enqueue: {"queue": (), "elem": ()},
+    CaseQueue: {"scrutinee": (), "empty_body": (), "cons_body": ("head_var", "rest_var")},
+    Raise: {"payload": ()},
+    Handle: {"scrutinee": (), "ret_body": ("ret_var",), "clauses": ()},
+    Clause: {"body": ("payload_var", "resume_var")},
+    **dict.fromkeys((ValUpcast, ValDowncast, EffUpcast, EffDowncast), {"body": ()}),
+}
+
+
+def map_children(t, f, *args, keep: str = ""):
+    """t with each term-valued child c replaced by f(c, *args).
+
+    A child under a binder of the name keep stays as it is.  t itself
+    comes back when no child changed, so a walk copies only the paths to
+    what it changed.
+    """
+    changed = {}
+    for name, binders in FIELDS[type(t)].items():
+        if binders and keep in [getattr(t, b) for b in binders]:
+            continue
+        v = getattr(t, name)
+        if type(v) is tuple:
+            w = tuple([f(x, *args) for x in v])
+            if any(map(operator.is_not, w, v)):
+                changed[name] = w
+        elif (w := f(v, *args)) is not v:
+            changed[name] = w
+    return replace(t, **changed) if changed else t
 
 
 def subst(t: Term, name: str, value: Term) -> Term:
-    """t[value/name].  The replacement must be closed (evaluation only
-    substitutes closed values), so binders never capture."""
-    if isinstance(t, Var):
+    """t[value/name], t itself when name is not free in it.  The replacement
+    must be closed (evaluation only substitutes closed values), so binders
+    never capture."""
+    if type(t) is Var:
         return value if t.name == name else t
-    if isinstance(t, (BoolLit, UnitLit, StrLit, EmptyQueue, Err)):
-        return t
-    if isinstance(t, Lam):
-        if t.var == name:
-            return t
-        return Lam(t.var, t.ann, subst(t.body, name, value))
-    if isinstance(t, Fix):
-        if t.var == name:
-            return t
-        return Fix(t.var, t.ann, subst(t.body, name, value))
-    if isinstance(t, App):
-        return App(subst(t.fn, name, value), subst(t.arg, name, value))
-    if isinstance(t, Let):
-        bound = subst(t.bound, name, value)
-        body = t.body if t.var == name else subst(t.body, name, value)
-        return Let(bound, t.var, body)
-    if isinstance(t, If):
-        return If(
-            subst(t.cond, name, value),
-            subst(t.then, name, value),
-            subst(t.els, name, value),
-        )
-    if isinstance(t, Concat):
-        return Concat(subst(t.left, name, value), subst(t.right, name, value))
-    if isinstance(t, Enqueue):
-        return Enqueue(subst(t.queue, name, value), subst(t.elem, name, value))
-    if isinstance(t, CaseQueue):
-        cons = (
-            t.cons_body
-            if name in (t.head_var, t.rest_var)
-            else subst(t.cons_body, name, value)
-        )
-        return CaseQueue(
-            subst(t.scrutinee, name, value),
-            subst(t.empty_body, name, value),
-            t.head_var,
-            t.rest_var,
-            cons,
-        )
-    if isinstance(t, Raise):
-        return Raise(t.op, t.req, t.resp, subst(t.payload, name, value))
-    if isinstance(t, Handle):
-        ret = t.ret_body if t.ret_var == name else subst(t.ret_body, name, value)
-        clauses = tuple(
-            c
-            if name in (c.payload_var, c.resume_var)
-            else replace(c, body=subst(c.body, name, value))
-            for c in t.clauses
-        )
-        return Handle(
-            subst(t.scrutinee, name, value),
-            t.ret_var,
-            ret,
-            clauses,
-            t.result_eff,
-            t.result_type,
-            t.deep,
-        )
-    if isinstance(t, (ValUpcast, ValDowncast, EffUpcast, EffDowncast)):
-        return replace(t, body=subst(t.body, name, value))
-    raise TypeError(f"not a term: {t!r}")
+    return map_children(t, subst, name, value, keep=name)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +336,13 @@ def typecheck(
     be <=-below the expected one and the ambient effect below the expected
     effect.  The error term has no typing of its own and needs the bound.
     A `casts` dict is filled with the value type of each effect cast's
-    body, keyed by the id of the cast node.
+    body, keyed by the id of the cast node.  A term nested deeper than
+    the host stack allows is a TypeCheckError too.
     """
-    eff, val = _synth(sig, gamma, term, expected, casts)
+    try:
+        eff, val = _synth(sig, gamma, term, expected, casts)
+    except RecursionError:
+        raise TypeCheckError(f"{_brief(term)}: nested too deeply to typecheck") from None
     return (EMPTY if eff is None else eff, val)
 
 
@@ -560,7 +549,7 @@ def _synth(
 
 
 def _brief(term: Term) -> str:
-    s = pretty(term)
+    s = pretty(term, 60)
     return s if len(s) <= 60 else s[:57] + "..."
 
 
@@ -597,62 +586,64 @@ def pretty_type(t) -> str:
 _CAST_TAGS = {ValUpcast: "vup", ValDowncast: "vdn", EffUpcast: "eup", EffDowncast: "edn"}
 
 
-def pretty(t: Term) -> str:
-    if isinstance(t, Var):
-        return f"(var {t.name})"
-    if isinstance(t, BoolLit):
-        return "true" if t.value else "false"
-    if isinstance(t, UnitLit):
-        return "unit"
-    if isinstance(t, StrLit):
-        return f"(str {_q(t.value)})"
-    if isinstance(t, Lam):
-        return f"(lam ({t.var} {pretty_type(t.ann)}) {pretty(t.body)})"
-    if isinstance(t, Fix):
-        return f"(fix {t.var} {pretty_type(t.ann)} {pretty(t.body)})"
-    if isinstance(t, App):
-        return f"(app {pretty(t.fn)} {pretty(t.arg)})"
-    if isinstance(t, Let):
-        return f"(let {t.var} {pretty(t.bound)} {pretty(t.body)})"
-    if isinstance(t, If):
-        return f"(if {pretty(t.cond)} {pretty(t.then)} {pretty(t.els)})"
-    if isinstance(t, Concat):
-        return f"(concat {pretty(t.left)} {pretty(t.right)})"
-    if isinstance(t, EmptyQueue):
-        return f"(emptyq {pretty_type(t.elem)})"
-    if isinstance(t, Enqueue):
-        # down the spine by iteration: a queue's length must not be a depth
-        elems = []
-        while isinstance(t, Enqueue):
-            elems.append(t.elem)
-            t = t.queue
-        closes = "".join(f" {pretty(e)})" for e in reversed(elems))
-        return "(enq " * len(elems) + pretty(t) + closes
-    if isinstance(t, CaseQueue):
-        return (
-            f"(caseq {pretty(t.scrutinee)} {pretty(t.empty_body)} "
-            f"({t.head_var} {t.rest_var} {pretty(t.cons_body)}))"
-        )
-    if isinstance(t, Raise):
-        return (
-            f"(raise {t.op} {pretty_type(t.req)} {pretty_type(t.resp)} "
-            f"{pretty(t.payload)})"
-        )
-    if isinstance(t, Handle):
-        kind = "deep" if t.deep else "shallow"
-        clauses = " ".join(
-            f"({c.op} {c.payload_var} {c.resume_var} {pretty_type(c.req)} "
-            f"{pretty_type(c.resp)} {pretty(c.body)})"
-            for c in t.clauses
-        )
-        return (
-            f"(handle {kind} {pretty(t.scrutinee)} "
-            f"(ret {t.ret_var} {pretty(t.ret_body)}) ({clauses}) "
-            f"{pretty_type(t.result_eff)} {pretty_type(t.result_type)})"
-        )
-    if isinstance(t, Err):
-        return "err"
-    tag = _CAST_TAGS.get(type(t))
-    if tag is not None:
-        return f"({tag} {pretty_type(t.lo)} {pretty_type(t.hi)} {pretty(t.body)})"
-    raise TypeError(f"not a term: {t!r}")
+# each node class's printed form: a leaf's string, or literal strings and
+# subterms in order
+_LAYOUT = {
+    Var: lambda t: f"(var {t.name})",
+    BoolLit: lambda t: "true" if t.value else "false",
+    UnitLit: lambda t: "unit",
+    StrLit: lambda t: f"(str {_q(t.value)})",
+    Lam: lambda t: (f"(lam ({t.var} {pretty_type(t.ann)}) ", t.body, ")"),
+    Fix: lambda t: (f"(fix {t.var} {pretty_type(t.ann)} ", t.body, ")"),
+    App: lambda t: ("(app ", t.fn, " ", t.arg, ")"),
+    Let: lambda t: (f"(let {t.var} ", t.bound, " ", t.body, ")"),
+    If: lambda t: ("(if ", t.cond, " ", t.then, " ", t.els, ")"),
+    Concat: lambda t: ("(concat ", t.left, " ", t.right, ")"),
+    EmptyQueue: lambda t: f"(emptyq {pretty_type(t.elem)})",
+    Enqueue: lambda t: ("(enq ", t.queue, " ", t.elem, ")"),
+    CaseQueue: lambda t: (
+        "(caseq ", t.scrutinee, " ", t.empty_body,
+        f" ({t.head_var} {t.rest_var} ", t.cons_body, "))",
+    ),
+    Raise: lambda t: (
+        f"(raise {t.op} {pretty_type(t.req)} {pretty_type(t.resp)} ", t.payload, ")"
+    ),
+    Clause: lambda c: (
+        f"({c.op} {c.payload_var} {c.resume_var} {pretty_type(c.req)} "
+        f"{pretty_type(c.resp)} ", c.body, ")",
+    ),
+    Handle: lambda t: (
+        f"(handle {'deep' if t.deep else 'shallow'} ", t.scrutinee,
+        f" (ret {t.ret_var} ", t.ret_body, ") (", *[p for c in t.clauses for p in (" ", c)][1:],
+        f") {pretty_type(t.result_eff)} {pretty_type(t.result_type)})",
+    ),
+    Err: lambda t: "err",
+    **dict.fromkeys(_CAST_TAGS, lambda t: (
+        f"({_CAST_TAGS[type(t)]} {pretty_type(t.lo)} {pretty_type(t.hi)} ", t.body, ")"
+    )),
+}
+
+
+def pretty(t: Term, limit: Optional[int] = None) -> str:
+    """t as an s-expression, printed from an explicit stack, so a term's
+    depth is never the host's.  With a limit, printing stops once the
+    output is longer than limit: the result is then a prefix of the whole."""
+    x = _LAYOUT[type(t)](t)
+    if type(x) is str:
+        return x
+    out, n, stack = [], 0, [iter(x)]
+    while stack:
+        for x in stack[-1]:
+            if type(x) is not str:
+                x = _LAYOUT[type(x)](x)
+                if type(x) is not str:
+                    stack.append(iter(x))
+                    break
+            out.append(x)
+            if limit is not None:
+                n += len(x)
+                if n > limit:
+                    return "".join(out)
+        else:
+            stack.pop()
+    return "".join(out)

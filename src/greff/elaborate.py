@@ -71,44 +71,35 @@ class ElabResult:
 # surface free variables (to detect self-referential definitions)
 
 
+# each surface class's term-valued fields, clauses included, each with
+# the fields naming the variables bound over it
+_TERM_FIELDS = {
+    cls: tuple(
+        (n, s.BINDERS.get(cls, {}).get(n, ()))
+        for n in names
+        if cls.__dataclass_fields__[n].type.strip("'") in ("STerm", "tuple[SClause, ...]")
+    )
+    for cls, names in s.FIELDS.items()
+}
+
+
 def surface_free_vars(t: s.STerm) -> frozenset[str]:
-    if isinstance(t, s.SVar):
-        return frozenset({t.name})
-    if isinstance(t, (s.SBoolLit, s.SUnitLit, s.SStrLit, s.SEmptyQueue)):
-        return frozenset()
-    if isinstance(t, s.SLam):
-        return surface_free_vars(t.body) - {t.var}
-    if isinstance(t, s.SApp):
-        return surface_free_vars(t.fn) | surface_free_vars(t.arg)
-    if isinstance(t, s.SLet):
-        return surface_free_vars(t.bound) | (surface_free_vars(t.body) - {t.var})
-    if isinstance(t, s.SIf):
-        return (
-            surface_free_vars(t.cond)
-            | surface_free_vars(t.then)
-            | surface_free_vars(t.els)
-        )
-    if isinstance(t, s.SConcat):
-        return surface_free_vars(t.left) | surface_free_vars(t.right)
-    if isinstance(t, s.SEnqueue):
-        return surface_free_vars(t.queue) | surface_free_vars(t.elem)
-    if isinstance(t, s.SMatch):
-        return (
-            surface_free_vars(t.scrutinee)
-            | surface_free_vars(t.empty_body)
-            | (surface_free_vars(t.cons_body) - {t.head_var, t.rest_var})
-        )
-    if isinstance(t, s.SRaise):
-        return surface_free_vars(t.payload)
-    if isinstance(t, s.SHandle):
-        out = surface_free_vars(t.scrutinee)
-        out |= surface_free_vars(t.ret_body) - {t.ret_var}
-        for c in t.clauses:
-            out |= surface_free_vars(c.body) - {c.payload_var, c.resume_var}
-        return out
-    if isinstance(t, (s.SAscribeType, s.SAscribeEff)):
-        return surface_free_vars(t.term)
-    raise TypeError(f"not a surface term: {t!r}")
+    """A fold over t's term-valued fields, carrying the names bound so far."""
+    out, stack = set(), [(t, frozenset())]
+    while stack:
+        node, bound = stack.pop()
+        if type(node) is s.SVar:
+            if node.name not in bound:
+                out.add(node.name)
+            continue
+        for name, binders in _TERM_FIELDS[type(node)]:
+            v = getattr(node, name)
+            inner = bound | {getattr(node, b) for b in binders} if binders else bound
+            if type(v) is tuple:
+                stack += [(x, inner) for x in v]
+            else:
+                stack.append((v, inner))
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

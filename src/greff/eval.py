@@ -35,8 +35,8 @@ next three as a tuple, (frames, term, env) to evaluate, (frames,
 RETURN, value) to return, (frames, RAISE, raising) to raise, or
 (frames, HALT, outcome) at the end.  A MachineState, whose control is
 an Evaluating, Returning or Raising, is the same state as one object:
-Machine.step and run's sample hook build it from the registers
-(_state), and reify reads it.
+run's sample hook is shown one built from the registers (_state), and
+reify reads it.
 
 Every state still denotes a closed term: reify reads it back by
 substituting environments into the terms they close over, which is
@@ -361,11 +361,6 @@ class MachineState:
     control: Control
 
 
-@_record
-class Terminal:
-    outcome: Outcome
-
-
 # what the machine's second register holds when it is not a term
 RETURN, RAISE, HALT = object(), object(), object()
 
@@ -566,23 +561,9 @@ class Machine:
         self._fresh += 1
         return f"%r{self._fresh}"
 
-    def initial(self, term: core.Term) -> MachineState:
-        return MachineState(EMPTY_STACK, Evaluating(term, NO_ENV))
-
     def _fire(self, rule: str, detail: str = "") -> None:
         if self.trace is not None:
             self.trace(rule, detail)
-
-    def step(self, s: MachineState) -> Union[MachineState, Terminal]:
-        c = s.control
-        tc = type(c)
-        if tc is Evaluating:
-            frames, a, b = self._step_eval(s.frames, c.term, c.env)
-        elif tc is Returning:
-            frames, a, b = self._step_return(s.frames, c.value)
-        else:
-            frames, a, b = self._step_raise(s.frames, c)
-        return Terminal(b) if a is HALT else _state(frames, a, b)
 
     def _returns(self, frames: Stack, v: object) -> tuple:
         if self.trace is not None:

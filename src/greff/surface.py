@@ -42,7 +42,7 @@ Past MAX_DEPTH (100) levels the parser reports a ParseError at the token.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import NamedTuple, Optional, Union
 
 
@@ -380,6 +380,23 @@ class SProgram:
     main_decls: tuple[SDecl, ...]
     main_term: "STerm"
     pos: Optional[tuple] = _pos_field()
+
+
+# every node class with its field names but the position, so walks never
+# ask dataclasses per node
+FIELDS = {
+    cls: tuple(f.name for f in fields(cls) if f.name != "pos")
+    for cls in list(globals().values())
+    if isinstance(cls, type) and is_dataclass(cls)
+}
+# the fields naming the variables bound over a term-valued field
+BINDERS = {
+    SLam: {"body": ("var",)},
+    SLet: {"body": ("var",)},
+    SMatch: {"cons_body": ("head_var", "rest_var")},
+    SHandle: {"ret_body": ("ret_var",)},
+    SClause: {"body": ("payload_var", "resume_var")},
+}
 
 
 # ---------------------------------------------------------------------------

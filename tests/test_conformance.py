@@ -163,6 +163,41 @@ def test_expansion_with_both_families_enabled():
         assert conf.outcomes_equal(a, b), seed
 
 
+CASTS = (core.ValUpcast, core.ValDowncast, core.EffUpcast, core.EffDowncast)
+
+
+def _children(t) -> list:
+    out = []
+    for name in core.FIELDS[type(t)]:
+        v = getattr(t, name)
+        out += v if isinstance(v, tuple) else [v]
+    return out
+
+
+def _cast_free(t) -> bool:
+    return not isinstance(t, CASTS) and all(map(_cast_free, _children(t)))
+
+
+def _assert_cast_free_parts_kept(before, after):
+    """Every cast-free subtree of before is its own object in after."""
+    if _cast_free(before):
+        assert after is before
+    elif type(after) is type(before):  # a cast that stayed, or a path to one
+        for b, a in zip(_children(before), _children(after)):
+            _assert_cast_free_parts_kept(b, a)
+
+
+def test_expansion_keeps_every_cast_free_subtree():
+    expanded = 0
+    for seed in range(40):
+        sig, term = gen.gen_core_program(seed)[:2]
+        for effect, function in ((True, False), (False, True), (True, True)):
+            out = conf.expand_casts(sig, term, effect=effect, function=function)
+            _assert_cast_free_parts_kept(term, out)
+            expanded += out is not term
+    assert expanded
+
+
 def _nested_lets_and_casts(k: int) -> core.Term:
     """k lets, each bound to effect casts up to ? and back around the last."""
     t: core.Term = core.StrLit("s")

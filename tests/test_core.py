@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from greff import gen
 from greff.core import (
     App,
     BoolLit,
@@ -30,6 +31,7 @@ from greff.core import (
     ValUpcast,
     Var,
     WellFormednessError,
+    _brief,
     pretty,
     pretty_type,
     subst,
@@ -253,6 +255,69 @@ def test_subst_let():
     assert out == Let(TRUE, "x", Var("x"))
 
 
+X, V = Var("x"), StrLit("v")
+ARROW = Arrow(STR, EMPTY, STR)
+
+
+def _clause(payload_var, resume_var, body):
+    return Clause("print", payload_var, resume_var, body, STR, U1)
+
+
+def _handle(scrutinee, ret_var, ret_body, body):
+    return Handle(scrutinee, ret_var, ret_body, (body,), EMPTY, STR)
+
+
+# each binder of x, as (term, the child x is bound over, the substitution
+# of V for x in the term): x stays in that child and is replaced elsewhere
+BINDERS = {
+    "lam": (App(Lam("x", STR, X), X), lambda t: t.fn.body, App(Lam("x", STR, X), V)),
+    "fix": (
+        App(Fix("x", ARROW, Lam("u", STR, X)), X),
+        lambda t: t.fn.body,
+        App(Fix("x", ARROW, Lam("u", STR, X)), V),
+    ),
+    "let": (Let(X, "x", X), lambda t: t.body, Let(V, "x", X)),
+    "caseq-head": (
+        CaseQueue(X, X, "x", "q", X),
+        lambda t: t.cons_body,
+        CaseQueue(V, V, "x", "q", X),
+    ),
+    "caseq-rest": (
+        CaseQueue(X, X, "h", "x", X),
+        lambda t: t.cons_body,
+        CaseQueue(V, V, "h", "x", X),
+    ),
+    "handle-return": (
+        _handle(X, "x", X, _clause("p", "k", X)),
+        lambda t: t.ret_body,
+        _handle(V, "x", X, _clause("p", "k", V)),
+    ),
+    "clause-payload": (
+        _handle(X, "r", X, _clause("x", "k", X)),
+        lambda t: t.clauses[0].body,
+        _handle(V, "r", V, _clause("x", "k", X)),
+    ),
+    "clause-resume": (
+        _handle(X, "r", X, _clause("p", "x", X)),
+        lambda t: t.clauses[0].body,
+        _handle(V, "r", V, _clause("p", "x", X)),
+    ),
+}
+
+
+@pytest.mark.parametrize("term, bound_child, want", BINDERS.values(), ids=list(BINDERS))
+def test_subst_stops_at_each_binder(term, bound_child, want):
+    out = subst(term, "x", V)
+    assert out == want
+    assert bound_child(out) is bound_child(term)
+
+
+def test_subst_of_an_absent_name_is_the_same_object():
+    for seed in range(50):
+        term = gen.gen_core_program(seed)[1]
+        assert subst(term, "absent", V) is term
+
+
 # ---------------------------------------------------------------------------
 # printer: every term form at its exact `greff elab` spelling
 
@@ -304,6 +369,43 @@ SAMPLE_TERMS = [
 @pytest.mark.parametrize("term, printed", SAMPLE_TERMS, ids=range(len(SAMPLE_TERMS)))
 def test_pretty_prints_exact_form(term, printed):
     assert pretty(term) == printed
+
+
+DEPTH = 10_000
+
+
+def _deep_concat() -> tuple[Term, str]:
+    t: Term = StrLit("a")
+    for _ in range(DEPTH):
+        t = Concat(t, StrLit("b"))
+    return t, "(concat " * DEPTH + '(str "a")' + ' (str "b"))' * DEPTH
+
+
+def _deep_let() -> tuple[Term, str]:
+    t: Term = StrLit("a")
+    for i in range(DEPTH):
+        t = Let(StrLit("b"), f"x{i}", t)
+    heads = "".join(f'(let x{i} (str "b") ' for i in reversed(range(DEPTH)))
+    return t, heads + '(str "a")' + ")" * DEPTH
+
+
+@pytest.mark.parametrize("build", [_deep_concat, _deep_let], ids=["concat", "let"])
+def test_a_term_nested_10000_deep_prints_and_typechecks_or_is_refused(build):
+    # built without the parser, so no nesting limit applies
+    term, printed = build()
+    assert pretty(term) == printed
+    assert _brief(term) == printed[:57] + "..."
+    try:
+        assert typecheck(SIG, {}, term) == (EMPTY, STR)
+    except TypeCheckError:
+        pass
+
+
+def test_a_limited_print_stops_past_the_limit():
+    term = _deep_concat()[0]
+    out = pretty(term, 60)
+    assert 60 < len(out) < 80 and pretty(term).startswith(out)
+    assert pretty(StrLit("ab"), 60) == pretty(StrLit("ab"))
 
 
 @given(st.text(max_size=40))

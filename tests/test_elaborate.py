@@ -428,5 +428,16 @@ def test_effect_import_requires_compatibility_not_equality():
 
 
 def test_surface_free_vars_sees_through_binders():
-    t = parse_term("lambda x. let y = f x in g y z")
-    assert surface_free_vars(t) == {"f", "g", "z"}
+    # each binder hides its names in its own body, and only there: the
+    # same name in a sibling field stays free
+    cases = {
+        "lambda x. let y = f x in g y z": {"f", "g", "z"},
+        "lambda x : str. x y": {"y"},
+        "let x = x in x": {"x"},
+        "match a with empty -> (b) dequeue(x, q) -> (x q c)": {"a", "b", "c"},
+        "match x with empty -> (q) dequeue(x, q) -> (x q)": {"x", "q"},
+        "handle [] 1 a with ret x -> (x b) ping(p, k) -> (k p c)": {"a", "b", "c"},
+        "handle [] 1 x with ret x -> (p k) ping(p, k) -> (k p x)": {"x", "p", "k"},
+    }
+    for src, free in cases.items():
+        assert surface_free_vars(parse_term(src, frozenset({"ping"}))) == free, src

@@ -36,9 +36,10 @@ from greff.eval import (
     FuelExhausted,
     HandleFrame,
     LetBody,
-    Machine,
+    EMPTY_STACK,
+    Evaluating,
+    MachineState,
     StuckState,
-    Terminal,
     UncaughtRaise,
     Value,
     apart,
@@ -257,15 +258,14 @@ def test_raising_captured_frames_stay_apart():
         STR,
     )
     outer = _ask_handler(inner, deep=True)
-    machine = Machine(sig)
-    state = machine.initial(outer)
     seen = []
-    while not isinstance(state, Terminal):
+
+    def sample(state):
         if isinstance(state.control, ev.Raising):
             assert apart(sig, state.control.captured, state.control.op)
             seen.append(state.control.op)
-        state = machine.step(state)
-    assert state.outcome == Value(StrLit("a"))
+
+    assert run(sig, outer, sample=sample, sample_every=1).outcome == Value(StrLit("a"))
     assert "ask" in seen
 
 
@@ -275,7 +275,7 @@ def test_raising_captured_frames_stay_apart():
 
 def test_reify_roundtrips_initial_state():
     t = Let(StrLit("a"), "x", Concat(Var("x"), StrLit("b")))
-    assert reify(Machine(SIG0).initial(t)) == t
+    assert reify(MachineState(EMPTY_STACK, Evaluating(t, NO_ENV))) == t
 
 
 def test_intermediate_states_retypecheck():
@@ -376,7 +376,7 @@ def test_untraced_run_never_reads_back(monkeypatch):
 
 def test_untraced_run_builds_no_state_object(monkeypatch):
     # the machine runs on its registers: a state object is built only
-    # for Machine.step and the sample hook
+    # for the sample hook
     built = {"MachineState": 0, "Evaluating": 0, "Returning": 0}
 
     def counting(cls):
@@ -403,18 +403,13 @@ ONE_MACHINE = APPLYING + [
 
 @pytest.mark.parametrize("name, sig, term", ONE_MACHINE, ids=[p[0] for p in ONE_MACHINE])
 def test_run_and_step_are_one_machine(name, sig, term):
-    # Machine.step from Machine.initial takes the steps run takes, to the
-    # same outcome, through the states run's sample hook is shown
-    sampled = []
-    got = run(sig, term, fuel=100_000, sample=lambda s: sampled.append(reify(s)), sample_every=1)
-    machine = Machine(sig)
-    state, stepped = machine.initial(term), []
-    while not isinstance(state, Terminal):
-        state = machine.step(state)
-        if not isinstance(state, Terminal):
-            stepped.append(reify(state))
-    assert (state.outcome, len(stepped) + 1) == (got.outcome, got.steps)
-    assert sampled == stepped
+    # run's per-step view, the sample hook at sample_every=1 that the
+    # benchmark's tracer installs, is the plain run: the same steps to
+    # the same outcome, with a state shown after every step but the last
+    shown = []
+    got = run(sig, term, fuel=100_000, sample=lambda s: shown.append(reify(s)), sample_every=1)
+    assert got == run(sig, term, fuel=100_000)
+    assert len(shown) == got.steps - 1
 
 
 # ---------------------------------------------------------------------------

@@ -73,3 +73,11 @@ def test_the_state_hook_reads_machine_fields():
     assert {"frames", "control"} <= {f.name for f in dataclasses.fields(ev.MachineState)}
     assert "captured" in {f.name for f in dataclasses.fields(ev.Raising)}
     assert {"trace", "sample", "sample_every"} <= set(inspect.signature(ev.run).parameters)
+
+
+def test_subst_recurses_by_its_own_name():
+    # the tracer treats a function as recursive when it names itself, and
+    # lets its inner calls bypass the wrapper; recursion through another
+    # name would pay a span per call
+    core = _greff("core")
+    assert "subst" in core.subst.__code__.co_names
