@@ -255,6 +255,25 @@ def test_a_chain_counts_one_level_per_link():
     assert parse_term(" ++ ".join(["x"] * (MAX_DEPTH - 1)))
     with pytest.raises(ParseError):
         parse_term(" ++ ".join(["x"] * MAX_DEPTH))
+    # each chain of n operands: the longest accepted, and the token (its
+    # last occurrence) where the shortest rejected one goes too deep
+    deep_left = "(" * 40 + "x" + ")" * 40  # 82 levels, under the ++ link
+    chains = [
+        (lambda n: " ".join(["f"] + ["x"] * (n - 1)), MAX_DEPTH - 1, "x"),
+        (lambda n: "x" + " :: str" * (n - 1), MAX_DEPTH - 1, "::"),
+        (lambda n: "f x" + " ++ g y" * (n - 1) + " :: str", MAX_DEPTH - 3, "::"),
+        # the right operand's chain counts from its own level, not from
+        # the depth its left operand reached
+        (lambda n: deep_left + " ++ f" + " x" * (n - 1), MAX_DEPTH - 1, "x"),
+    ]
+    for chain, longest, token in chains:
+        assert parse_term(chain(longest))
+        src = chain(longest + 1)
+        with pytest.raises(ParseError) as e:
+            parse_term(src)
+        assert str(e.value) == (
+            f"1:{src.rindex(token) + 1}: nested more than {MAX_DEPTH} levels deep"
+        )
 
 
 # ---------------------------------------------------------------------------
