@@ -156,7 +156,7 @@ class _Elab:
     # the core checker subsumes along <= wherever elaboration widens.
 
     def cast_value(self, target: ValueType, source: ValueType, term, pos) -> core.Term:
-        if target == source or subtype(source, target):
+        if target is source or target == source or subtype(source, target):
             return term
         if not gradual_subtype(source, target):
             raise ElabError(f"{source} is not coercible to {target}", pos)
@@ -167,7 +167,7 @@ class _Elab:
         return term
 
     def cast_eff(self, target: EffectType, source: EffectType, term, pos) -> core.Term:
-        if target == source or subtype(source, target):
+        if target is source or target == source or subtype(source, target):
             return term
         if not gradual_subtype(source, target):
             raise ElabError(f"effects {source} are not coercible to {target}", pos)
@@ -192,7 +192,7 @@ class _Elab:
             raise ElabError(f"cannot combine effect rows: {exc}", pos) from exc
         out = [sigma]
         for term, row in operands:
-            out.append(self.cast_eff(sigma, row, term, pos))
+            out.append(term if row is sigma else self.cast_eff(sigma, row, term, pos))
         return out
 
     def branches(self, pos, left, lval, right, rval) -> tuple:
@@ -210,121 +210,43 @@ class _Elab:
         """Returns (core term, effect type, value type).  The hint is a
         checking-mode value type used to annotate bare lambdas and empty
         queues; it never replaces the synthesized type."""
-        if isinstance(t, s.SVar):
-            if t.name not in gamma_val:
-                if t.name in gamma_eff:
-                    raise ElabError(f"effect {t.name} used as a value", t.pos)
-                raise ElabError(f"unbound variable {t.name}", t.pos)
-            name, ty = gamma_val[t.name]
-            return core.Var(name), EMPTY, ty
-        if isinstance(t, s.SBoolLit):
-            return core.BoolLit(t.value), EMPTY, Bool()
-        if isinstance(t, s.SUnitLit):
-            return core.UnitLit(), EMPTY, Unit()
-        if isinstance(t, s.SStrLit):
-            return core.StrLit(t.value), EMPTY, Str()
-        if isinstance(t, s.SEmptyQueue):
-            if not isinstance(hint, QueueOf):
-                raise ElabError(
-                    "cannot determine the element type of empty here; ascribe it",
-                    t.pos,
-                )
-            return core.EmptyQueue(hint.elem), EMPTY, QueueOf(hint.elem)
-        if isinstance(t, s.SLam):
-            if t.ann is not None:
-                dom = self.elab_type(t.ann, gamma_eff)
-            elif isinstance(hint, Arrow):
-                dom = hint.dom
-            else:
-                raise ElabError(f"parameter {t.var} needs a type annotation", t.pos)
-            body_hint = hint.cod if isinstance(hint, Arrow) else None
-            inner = dict(gamma_val)
-            inner[t.var] = (t.var, dom)
-            body, beff, bval = self.elab_term(t.body, gamma_eff, inner, body_hint)
-            return core.Lam(t.var, dom, body), EMPTY, Arrow(dom, beff, bval)
-        if isinstance(t, s.SApp):
-            return self._elab_app(t, gamma_eff, gamma_val)
-        if isinstance(t, s.SLet):
-            bound, beff, bval = self.elab_term(t.bound, gamma_eff, gamma_val)
-            inner = dict(gamma_val)
-            inner[t.var] = (t.var, bval)
-            body, neff, nval = self.elab_term(t.body, gamma_eff, inner, hint)
-            sigma, bound, body = self.sequence(t.pos, (bound, beff), (body, neff))
-            return core.Let(bound, t.var, body), sigma, nval
-        if isinstance(t, s.SIf):
-            cond, ceff, cval = self.elab_term(t.cond, gamma_eff, gamma_val)
-            if cval != Bool():
-                raise ElabError(f"condition has type {cval}, not bool", t.pos)
-            then, teff, tval = self.elab_term(t.then, gamma_eff, gamma_val, hint)
-            els, eeff, eval_ = self.elab_term(t.els, gamma_eff, gamma_val, hint)
-            out_val, then, els = self.branches(t.pos, then, tval, els, eval_)
-            sigma, cond, then, els = self.sequence(
-                t.pos, (cond, ceff), (then, teff), (els, eeff)
-            )
-            return core.If(cond, then, els), sigma, out_val
-        if isinstance(t, s.SConcat):
-            left, leff, lval = self.elab_term(t.left, gamma_eff, gamma_val)
-            right, reff, rval = self.elab_term(t.right, gamma_eff, gamma_val)
-            if lval != Str() or rval != Str():
-                raise ElabError(f"++ needs str operands, got {lval} and {rval}", t.pos)
-            sigma, left, right = self.sequence(t.pos, (left, leff), (right, reff))
-            return core.Concat(left, right), sigma, Str()
-        if isinstance(t, s.SEnqueue):
-            q_hint = hint if isinstance(hint, QueueOf) else None
-            q, qeff, qval = self.elab_term(t.queue, gamma_eff, gamma_val, q_hint)
-            if not isinstance(qval, QueueOf):
-                raise ElabError(f"enqueue needs a queue, got {qval}", t.pos)
-            v, veff, vval = self.elab_term(t.elem, gamma_eff, gamma_val, qval.elem)
-            sigma, q, v = self.sequence(t.pos, (q, qeff), (v, veff))
-            v = self.cast_value(qval.elem, vval, v, t.pos)
-            return core.Enqueue(q, v), sigma, qval
-        if isinstance(t, s.SMatch):
-            scr, seff, sval = self.elab_term(t.scrutinee, gamma_eff, gamma_val)
-            if not isinstance(sval, QueueOf):
-                raise ElabError(f"match needs a queue, got {sval}", t.pos)
-            empty, eeff, eval_ = self.elab_term(t.empty_body, gamma_eff, gamma_val, hint)
-            inner = dict(gamma_val)
-            inner[t.head_var] = (t.head_var, sval.elem)
-            inner[t.rest_var] = (t.rest_var, sval)
-            cons, ceff, cval = self.elab_term(t.cons_body, gamma_eff, inner, hint)
-            out_val, empty, cons = self.branches(t.pos, empty, eval_, cons, cval)
-            sigma, scr, empty, cons = self.sequence(
-                t.pos, (scr, seff), (empty, eeff), (cons, ceff)
-            )
-            cases = core.CaseQueue(scr, empty, t.head_var, t.rest_var, cons)
-            return cases, sigma, out_val
-        if isinstance(t, s.SRaise):
-            if t.op not in gamma_eff:
-                raise ElabError(f"unknown effect {t.op}", t.pos)
-            req, resp = gamma_eff[t.op]
-            payload, peff, pval = self.elab_term(t.payload, gamma_eff, gamma_val, req)
-            if not gradual_subtype(pval, req):
-                raise ElabError(
-                    f"{t.op} expects a request of type {req}, got {pval}", t.pos
-                )
-            x = self.fresh()
-            raised = core.Raise(t.op, req, resp, self.cast_value(req, pval, core.Var(x), t.pos))
-            sigma, payload, raised = self.sequence(
-                t.pos, (payload, peff), (raised, Concrete({t.op: OpSig(req, resp)}))
-            )
-            return core.Let(payload, x, raised), sigma, resp
-        if isinstance(t, s.SHandle):
-            return self._elab_handle(t, gamma_eff, gamma_val)
-        if isinstance(t, s.SAscribeType):
-            ann = self.elab_type(t.ann, gamma_eff)
-            inner, eff, val = self.elab_term(t.term, gamma_eff, gamma_val, ann)
-            if not gradual_subtype(val, ann):
-                raise ElabError(f"term has type {val}, which is not coercible to {ann}", t.pos)
-            return self.cast_value(ann, val, inner, t.pos), eff, ann
-        if isinstance(t, s.SAscribeEff):
-            ann = self.elab_eff(t.ann, gamma_eff)
-            inner, eff, val = self.elab_term(t.term, gamma_eff, gamma_val, hint)
-            if not gradual_subtype(eff, ann):
-                raise ElabError(f"term has effects {eff}, not coercible to {ann}", t.pos)
-            return self.cast_eff(ann, eff, inner, t.pos), ann, val
-        raise TypeError(f"not a surface term: {t!r}")
+        elab = _TERMS.get(type(t))
+        if elab is None:
+            raise TypeError(f"not a surface term: {t!r}")
+        return elab(self, t, gamma_eff, gamma_val, hint)
 
-    def _elab_app(self, t: s.SApp, gamma_eff, gamma_val):
+    # one method per surface term class, each called as elab_term is
+
+    def _elab_var(self, t: s.SVar, gamma_eff, gamma_val, hint):
+        if t.name not in gamma_val:
+            if t.name in gamma_eff:
+                raise ElabError(f"effect {t.name} used as a value", t.pos)
+            raise ElabError(f"unbound variable {t.name}", t.pos)
+        name, ty = gamma_val[t.name]
+        return core.Var(name), EMPTY, ty
+
+    def _elab_empty(self, t: s.SEmptyQueue, gamma_eff, gamma_val, hint):
+        if not isinstance(hint, QueueOf):
+            raise ElabError(
+                "cannot determine the element type of empty here; ascribe it",
+                t.pos,
+            )
+        return core.EmptyQueue(hint.elem), EMPTY, QueueOf(hint.elem)
+
+    def _elab_lam(self, t: s.SLam, gamma_eff, gamma_val, hint):
+        if t.ann is not None:
+            dom = self.elab_type(t.ann, gamma_eff)
+        elif isinstance(hint, Arrow):
+            dom = hint.dom
+        else:
+            raise ElabError(f"parameter {t.var} needs a type annotation", t.pos)
+        body_hint = hint.cod if isinstance(hint, Arrow) else None
+        inner = dict(gamma_val)
+        inner[t.var] = (t.var, dom)
+        body, beff, bval = self.elab_term(t.body, gamma_eff, inner, body_hint)
+        return core.Lam(t.var, dom, body), EMPTY, Arrow(dom, beff, bval)
+
+    def _elab_app(self, t: s.SApp, gamma_eff, gamma_val, hint):
         fn, feff, fval = self.elab_term(t.fn, gamma_eff, gamma_val)
         if not isinstance(fval, Arrow):
             raise ElabError(f"cannot apply a term of type {fval}", t.pos)
@@ -341,6 +263,90 @@ class _Elab:
         fn = self.cast_value(Arrow(fval.dom, sigma, fval.cod), fval, fn, t.pos)
         arg = self.cast_value(fval.dom, aval, arg, t.pos)
         return core.App(fn, arg), sigma, fval.cod
+
+    def _elab_let(self, t: s.SLet, gamma_eff, gamma_val, hint):
+        bound, beff, bval = self.elab_term(t.bound, gamma_eff, gamma_val)
+        inner = dict(gamma_val)
+        inner[t.var] = (t.var, bval)
+        body, neff, nval = self.elab_term(t.body, gamma_eff, inner, hint)
+        sigma, bound, body = self.sequence(t.pos, (bound, beff), (body, neff))
+        return core.Let(bound, t.var, body), sigma, nval
+
+    def _elab_if(self, t: s.SIf, gamma_eff, gamma_val, hint):
+        cond, ceff, cval = self.elab_term(t.cond, gamma_eff, gamma_val)
+        if cval != Bool():
+            raise ElabError(f"condition has type {cval}, not bool", t.pos)
+        then, teff, tval = self.elab_term(t.then, gamma_eff, gamma_val, hint)
+        els, eeff, eval_ = self.elab_term(t.els, gamma_eff, gamma_val, hint)
+        out_val, then, els = self.branches(t.pos, then, tval, els, eval_)
+        sigma, cond, then, els = self.sequence(
+            t.pos, (cond, ceff), (then, teff), (els, eeff)
+        )
+        return core.If(cond, then, els), sigma, out_val
+
+    def _elab_concat(self, t: s.SConcat, gamma_eff, gamma_val, hint):
+        left, leff, lval = self.elab_term(t.left, gamma_eff, gamma_val)
+        right, reff, rval = self.elab_term(t.right, gamma_eff, gamma_val)
+        if lval != Str() or rval != Str():
+            raise ElabError(f"++ needs str operands, got {lval} and {rval}", t.pos)
+        sigma, left, right = self.sequence(t.pos, (left, leff), (right, reff))
+        return core.Concat(left, right), sigma, Str()
+
+    def _elab_enqueue(self, t: s.SEnqueue, gamma_eff, gamma_val, hint):
+        q_hint = hint if isinstance(hint, QueueOf) else None
+        q, qeff, qval = self.elab_term(t.queue, gamma_eff, gamma_val, q_hint)
+        if not isinstance(qval, QueueOf):
+            raise ElabError(f"enqueue needs a queue, got {qval}", t.pos)
+        v, veff, vval = self.elab_term(t.elem, gamma_eff, gamma_val, qval.elem)
+        sigma, q, v = self.sequence(t.pos, (q, qeff), (v, veff))
+        v = self.cast_value(qval.elem, vval, v, t.pos)
+        return core.Enqueue(q, v), sigma, qval
+
+    def _elab_match(self, t: s.SMatch, gamma_eff, gamma_val, hint):
+        scr, seff, sval = self.elab_term(t.scrutinee, gamma_eff, gamma_val)
+        if not isinstance(sval, QueueOf):
+            raise ElabError(f"match needs a queue, got {sval}", t.pos)
+        empty, eeff, eval_ = self.elab_term(t.empty_body, gamma_eff, gamma_val, hint)
+        inner = dict(gamma_val)
+        inner[t.head_var] = (t.head_var, sval.elem)
+        inner[t.rest_var] = (t.rest_var, sval)
+        cons, ceff, cval = self.elab_term(t.cons_body, gamma_eff, inner, hint)
+        out_val, empty, cons = self.branches(t.pos, empty, eval_, cons, cval)
+        sigma, scr, empty, cons = self.sequence(
+            t.pos, (scr, seff), (empty, eeff), (cons, ceff)
+        )
+        cases = core.CaseQueue(scr, empty, t.head_var, t.rest_var, cons)
+        return cases, sigma, out_val
+
+    def _elab_raise(self, t: s.SRaise, gamma_eff, gamma_val, hint):
+        if t.op not in gamma_eff:
+            raise ElabError(f"unknown effect {t.op}", t.pos)
+        req, resp = gamma_eff[t.op]
+        payload, peff, pval = self.elab_term(t.payload, gamma_eff, gamma_val, req)
+        if not gradual_subtype(pval, req):
+            raise ElabError(
+                f"{t.op} expects a request of type {req}, got {pval}", t.pos
+            )
+        x = self.fresh()
+        raised = core.Raise(t.op, req, resp, self.cast_value(req, pval, core.Var(x), t.pos))
+        sigma, payload, raised = self.sequence(
+            t.pos, (payload, peff), (raised, Concrete({t.op: OpSig(req, resp)}))
+        )
+        return core.Let(payload, x, raised), sigma, resp
+
+    def _elab_ascribe_type(self, t: s.SAscribeType, gamma_eff, gamma_val, hint):
+        ann = self.elab_type(t.ann, gamma_eff)
+        inner, eff, val = self.elab_term(t.term, gamma_eff, gamma_val, ann)
+        if not gradual_subtype(val, ann):
+            raise ElabError(f"term has type {val}, which is not coercible to {ann}", t.pos)
+        return self.cast_value(ann, val, inner, t.pos), eff, ann
+
+    def _elab_ascribe_eff(self, t: s.SAscribeEff, gamma_eff, gamma_val, hint):
+        ann = self.elab_eff(t.ann, gamma_eff)
+        inner, eff, val = self.elab_term(t.term, gamma_eff, gamma_val, hint)
+        if not gradual_subtype(eff, ann):
+            raise ElabError(f"term has effects {eff}, not coercible to {ann}", t.pos)
+        return self.cast_eff(ann, eff, inner, t.pos), ann, val
 
     def _scrutinee_row(self, seff, sigma, caught: tuple[str, ...], gamma_eff, pos):
         """The row the handler scrutinee is cast to, so that everything it
@@ -378,7 +384,7 @@ class _Elab:
             raise ElabError(f"{what} has effects {eff}, not coercible to {sigma}", pos)
         return self.cast_eff(sigma, eff, self.cast_value(out_val, val, body, pos), pos)
 
-    def _elab_handle(self, t: s.SHandle, gamma_eff, gamma_val):
+    def _elab_handle(self, t: s.SHandle, gamma_eff, gamma_val, hint):
         sigma = self.elab_eff(t.eff_ann, gamma_eff)
         out_val = self.elab_type(t.type_ann, gamma_eff)
         scr, seff, sval = self.elab_term(t.scrutinee, gamma_eff, gamma_val)
@@ -540,6 +546,27 @@ class _Elab:
             eff, bound, term = self.sequence(None, (bound, beff), (term, eff))
             term = core.Let(bound, name, term)
         return ElabResult(self.sig, term, eff, val)
+
+
+# elab_term's dispatch: each surface term class to the method for it
+_TERMS = {
+    s.SVar: _Elab._elab_var,
+    s.SBoolLit: lambda self, t, *_: (core.BoolLit(t.value), EMPTY, Bool()),
+    s.SUnitLit: lambda self, t, *_: (core.UnitLit(), EMPTY, Unit()),
+    s.SStrLit: lambda self, t, *_: (core.StrLit(t.value), EMPTY, Str()),
+    s.SEmptyQueue: _Elab._elab_empty,
+    s.SLam: _Elab._elab_lam,
+    s.SApp: _Elab._elab_app,
+    s.SLet: _Elab._elab_let,
+    s.SIf: _Elab._elab_if,
+    s.SConcat: _Elab._elab_concat,
+    s.SEnqueue: _Elab._elab_enqueue,
+    s.SMatch: _Elab._elab_match,
+    s.SRaise: _Elab._elab_raise,
+    s.SHandle: _Elab._elab_handle,
+    s.SAscribeType: _Elab._elab_ascribe_type,
+    s.SAscribeEff: _Elab._elab_ascribe_eff,
+}
 
 
 def elab_program(p: s.SProgram) -> ElabResult:

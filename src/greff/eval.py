@@ -41,7 +41,15 @@ reify reads it.
 Every state still denotes a closed term: reify reads it back by
 substituting environments into the terms they close over, which is
 done only when asked for (a final value, a sampled state, a traced
-rule's detail).  That term typechecks; the suite samples exactly that.
+rule's detail).  That term does not always typecheck.  Read back at
+every step, states of 7 of the 11 corpus programs that elaborate fail
+core.typecheck: a shallow handler whose scrutinee has become a value
+types its resumption k at the row [] (combo_III, combo_PII,
+threads_imprecise), and `raise fork` sits under a narrower row
+(combo_IIP, combo_PIP, combo_IPI, combo_PPI); ROADMAP item 9 tracks
+both.  The suite checks the read-back typing of threads_precise every
+50 steps, of the resumption cases every step, and of generated core
+programs every 13 steps.
 The direct-style evaluator in reference.py implements the same
 semantics with none of this machinery and serves as the cross-check.
 """

@@ -30,7 +30,8 @@ and raises when f is an effect declared or imported in the enclosing module;
 Handler clause sequences carry no separators, so the application parser
 stops when the upcoming tokens look like a clause head (`name(x, k) ->`,
 `ret x ->`, `empty ->`, or `dequeue(x, q) ->`); no expression form can
-produce those token shapes.
+produce those token shapes.  A string literal such as "->" or "(" never
+stands for punctuation there.
 
 Nesting is limited, so that every later phase stays within Python's default
 recursion limit.  Each term, argument or type parsed inside another is one
@@ -64,16 +65,18 @@ KEYWORDS = {
     "true", "false", "bool", "str", "Queue",
 }
 
-# One match skips blanks and `--` comments, then takes one token; the
-# alternatives are tried in order (`::` before `:`), and `bad` takes any other
-# character, so no match fails.  `[^\W\d]` also admits numerals that are not
+# One match skips a run of blanks and `--` comments, then takes one token.
+# The token alternatives start with distinct characters, so their order
+# only puts the common ones first; `bad` takes any other character, so no
+# match fails.  An identifier is words of `[^\W\d]\w*` joined by single
+# dashes, then primes.  `[^\W\d]` also admits numerals that are not
 # letters (`½`, `²`), so `tokenize` checks non-ASCII identifiers itself.
 _TOKEN = re.compile(
-    r"""(?:\s|--[^\n]*)*
-    (?:(?P<string>"(?:[^"\\]|\\.)*")
+    r"""\s*(?:--[^\n]*\s*)*
+    (?:(?P<ident>[^\W\d]\w*(?:-[^\W\d]\w*)*'*)
       |(?P<punct>::|\+\+|-\[|\]>|->|~>|[(){}\[\],.;:=?])
+      |(?P<string>"(?:[^"\\]|\\.)*")
       |(?P<one>1)
-      |(?P<ident>[^\W\d](?:\w|-(?=[^\W\d]))*'*)
       |(?P<eof>\Z)
       |(?P<bad>.))""",
     re.VERBOSE | re.DOTALL,
@@ -96,23 +99,29 @@ def _is_ident_start(c: str) -> bool:
 
 def tokenize(src: str) -> list[Token]:
     out: list[Token] = []
-    line, line_start, last = 1, 0, 0
+    new = tuple.__new__  # Token(...) without the named tuple's own __new__
+    line, line_start = 1, 0
+    nl = src.find("\n")  # the first newline at or after the last token start
+    if nl < 0:
+        nl = len(src)
     for m in _TOKEN.finditer(src):
         kind = m.lastgroup
         start, end = m.span(kind)
-        nl = src.rfind("\n", last, start)  # lines are counted between token starts
-        if nl >= 0:
-            line += src.count("\n", last, nl) + 1
-            line_start = nl + 1
-        last = start
+        if start > nl:  # lines are counted between token starts
+            line_start = src.rfind("\n", nl, start) + 1
+            line += src.count("\n", nl, line_start)
+            nl = src.find("\n", start)
+            if nl < 0:
+                nl = len(src)
         col = start - line_start + 1
         text = src[start:end]
-        if kind == "ident" and not text.isascii():
-            if not _is_ident_start(text[0]):
-                raise ParseError(f"unexpected character {text[0]!r}", line, col)
-            for k, c in enumerate(text):
-                if c == "-" and not _is_ident_start(text[k + 1]):
-                    raise ParseError("unexpected character '-'", line, col + k)
+        if kind == "ident":
+            if not text.isascii():
+                if not _is_ident_start(text[0]):
+                    raise ParseError(f"unexpected character {text[0]!r}", line, col)
+                for k, c in enumerate(text):
+                    if c == "-" and not _is_ident_start(text[k + 1]):
+                        raise ParseError("unexpected character '-'", line, col + k)
         elif kind == "string":
             text = text[1:-1]
             if "\\" in text:
@@ -124,7 +133,7 @@ def tokenize(src: str) -> list[Token]:
                 line, col = src.count("\n") + 1, len(src) - src.rfind("\n")
                 raise ParseError("dangling escape in string", line, col)
             raise ParseError("unterminated string literal", line, col)
-        out.append(Token(kind, text, line, col))
+        out.append(new(Token, (kind, text, line, col)))
         if kind == "eof":  # the match after it would be an empty eof again
             break
     return out
@@ -405,16 +414,17 @@ BINDERS = {
 
 MAX_DEPTH = 100  # nesting levels the parser allows; see the module docstring
 _LOOKAHEAD = 6  # the most tokens past the current one that the parser peeks
+_ATOM_WORDS = frozenset({"true", "false", "empty", "enqueue"})  # keywords that start atoms
 
 
 def _nested(parse):
     """parse, one nesting level deeper; see the module docstring."""
 
-    def nested(self, *args):
+    def nested(self):
         depth = self.depth = self.depth + 1
         if depth > self.peak:
             self._deepen(depth)
-        node = parse(self, *args)
+        node = parse(self)
         self.depth = depth - 1
         return node
 
@@ -423,43 +433,38 @@ def _nested(parse):
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        # eof sentinels past the end, so that peek needs no bounds check
-        self.toks = tokens + tokens[-1:] * _LOOKAHEAD
+        # eof sentinels past the end, so that lookahead needs no bounds check
+        self.toks = toks = tokens + tokens[-1:] * _LOOKAHEAD
+        # each token's text if it is punctuation or a word, else None, so
+        # that testing for a word is one index and one compare
+        self.words = [t[1] if t[0] in ("punct", "ident") else None for t in toks]
         self.pos = 0
         # nesting levels: the current one, and the deepest reached since
         # the innermost chain began (the deepest overall outside chains)
         self.depth = self.peak = 0
         self.effects: set[str] = set()
 
-    # -- token plumbing
-
-    def peek(self, k: int = 0) -> Token:
-        return self.toks[self.pos + k]
+    # -- token plumbing; a token is consumed by `self.pos += 1`, only ever
+    # after a test that it is not eof
 
     def where(self) -> tuple[int, int]:
         return self.toks[self.pos][2:]
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
-
     def at(self, text: str, k: int = 0) -> bool:
-        t = self.toks[self.pos + k]
-        return t.text == text and t.kind in ("punct", "ident")
+        return self.words[self.pos + k] == text
 
-    def expect(self, text: str) -> Token:
-        t = self.peek()
-        if not self.at(text):
+    def expect(self, text: str) -> None:
+        if self.words[self.pos] != text:
+            t = self.toks[self.pos]
             raise ParseError(f"expected {text!r}, found {t.text or t.kind!r}", t.line, t.col)
-        return self.next()
+        self.pos += 1
 
-    def ident(self, what="identifier") -> Token:
-        t = self.peek()
+    def ident(self, what="identifier") -> str:
+        t = self.toks[self.pos]
         if t.kind != "ident" or t.text in KEYWORDS:
             raise ParseError(f"expected {what}, found {t.text or t.kind!r}", t.line, t.col)
-        return self.next()
+        self.pos += 1
+        return t.text
 
     def _err(self, msg: str):
         raise ParseError(msg, *self.where())
@@ -476,7 +481,7 @@ class _Parser:
         left = self.type_atom()
         if self.at("-["):
             pos = self.where()
-            self.next()
+            self.pos += 1
             eff = self.effect_names()
             self.expect("]>")
             cod = self.parse_type()
@@ -485,52 +490,52 @@ class _Parser:
 
     @_nested
     def type_atom(self) -> SType:
-        t = self.peek()
-        pos = (t.line, t.col)
+        t = self.toks[self.pos]
+        pos, word = t[2:], self.words[self.pos]
         if t.kind == "one":
-            self.next()
+            self.pos += 1
             return SUnit(pos=pos)
-        if self.at("bool") or self.at("str"):
-            self.next()
-            return SBool(pos=pos) if t.text == "bool" else SStr(pos=pos)
-        if self.at("Queue"):
-            self.next()
+        if word == "bool" or word == "str":
+            self.pos += 1
+            return SBool(pos=pos) if word == "bool" else SStr(pos=pos)
+        if word == "Queue":
+            self.pos += 1
             return SQueue(self.type_atom(), pos=pos)
-        if self.at("("):
-            self.next()
+        if word == "(":
+            self.pos += 1
             inner = self.parse_type()
             self.expect(")")
             return inner
         self._err(f"expected a type, found {t.text or t.kind!r}")
 
     def effect_names(self) -> SEffect:
-        t = self.peek()
-        pos = (t.line, t.col)
+        pos = self.where()
         if self.at("?"):
-            self.next()
+            self.pos += 1
             return SDynEff(pos=pos)
         names = []
-        while self.peek().kind == "ident":
-            names.append(self.ident("effect name").text)
+        while self.toks[self.pos].kind == "ident":
+            names.append(self.ident("effect name"))
             if not self.at(","):
                 break
-            self.next()
+            self.pos += 1
         return SNames(tuple(names), pos=pos)
 
     # -- clause-head lookahead (see module docstring)
 
     def _at_clause_head(self) -> bool:
-        t0, t1 = self.peek(0), self.peek(1)
-        return t0.kind == "ident" and (
-            (t0.text == "ret" and t1.kind == "ident" and self.at("->", 2))
-            or (t0.text == "empty" and t1.text == "->")
+        toks, words, i = self.toks, self.words, self.pos
+        w0, w1 = words[i], words[i + 1]
+        return toks[i].kind == "ident" and (
+            (w0 == "ret" and toks[i + 1].kind == "ident" and words[i + 2] == "->")
+            or (w0 == "empty" and w1 == "->")
             or (
-                t1.text == "("
-                and self.peek(2).kind == "ident"
-                and self.at(",", 3)
-                and self.peek(4).kind == "ident"
-                and self.at(")", 5)
-                and self.at("->", 6)
+                w1 == "("
+                and toks[i + 2].kind == "ident"
+                and words[i + 3] == ","
+                and toks[i + 4].kind == "ident"
+                and words[i + 5] == ")"
+                and words[i + 6] == "->"
             )
         )
 
@@ -538,27 +543,26 @@ class _Parser:
 
     @_nested
     def parse_term(self) -> STerm:
-        t = self.peek()
-        pos = (t.line, t.col)
-        form = t.text if t.kind == "ident" else ""
+        i = self.pos
+        pos, form = self.toks[i][2:], self.words[i]
         if form == "lambda":
-            self.next()
-            var = self.ident("parameter").text
+            self.pos += 1
+            var = self.ident("parameter")
             ann = None
             if self.at(":"):
-                self.next()
+                self.pos += 1
                 ann = self.parse_type()
             self.expect(".")
             return SLam(var, ann, self.parse_term(), pos=pos)
         if form == "let":
-            self.next()
-            var = self.ident("binder").text
+            self.pos += 1
+            var = self.ident("binder")
             self.expect("=")
             bound = self.parse_term()
             self.expect("in")
             return SLet(var, bound, self.parse_term(), pos=pos)
         if form == "if":
-            self.next()
+            self.pos += 1
             cond = self.parse_term()
             self.expect("then")
             then = self.parse_term()
@@ -570,109 +574,100 @@ class _Parser:
             return self.parse_handle()
         if form == "raise":
             outer, self.peak = self.peak, self.depth
-            self.next()
-            op = self.ident("effect name").text
-            payload = self.parse_atom()
-            term = SRaise(op, payload, pos=pos)
-            return self.seq_tail(self.asc_tail(term, outer))
-        return self.seq_tail(self.parse_ascribed())
-
-    def seq_tail(self, term: STerm) -> STerm:
-        if self.at(";"):
-            pos = self.where()
-            self.next()
-            return SLet("_", term, self.parse_term(), pos=pos)
-        return term
+            self.pos += 1
+            op = self.ident("effect name")
+            term = self.asc_tail(SRaise(op, self.parse_atom(), pos=pos), outer)
+        else:
+            term = self.parse_ascribed()
+        i = self.pos
+        if self.words[i] != ";":
+            return term
+        self.pos = i + 1  # `M; N` is `let _ = M in N`
+        return SLet("_", term, self.parse_term(), pos=self.toks[i][2:])
 
     def parse_ascribed(self) -> STerm:
         outer, self.peak = self.peak, self.depth
-        return self.asc_tail(self.parse_concat(), outer)
+        term = self.parse_app()
+        while self.words[self.pos] == "++":
+            pos = self.toks[self.pos][2:]
+            self._deepen(self.peak + 1)  # the chain so far sinks a level
+            self.pos += 1
+            term = SConcat(term, self.parse_app(), pos=pos)
+        return self.asc_tail(term, outer)
 
     def asc_tail(self, term: STerm, outer: int) -> STerm:
-        while self.at("::"):
-            pos = self.where()
+        while self.words[self.pos] == "::":
+            pos = self.toks[self.pos][2:]
             self._deepen(self.peak + 1)  # the chain so far sinks a level
-            self.next()
+            self.pos += 1
             if self.at("["):
-                self.next()
+                self.pos += 1
                 eff = self.effect_names()
                 self.expect("]")
                 term = SAscribeEff(term, eff, pos=pos)
             else:
                 term = SAscribeType(term, self.parse_type(), pos=pos)
-        self.peak = max(self.peak, outer)
+        if outer > self.peak:
+            self.peak = outer
         return term
 
-    def parse_concat(self) -> STerm:
-        outer, self.peak = self.peak, self.depth
-        left = self.parse_app()
-        while self.at("++"):
-            pos = self.where()
-            self._deepen(self.peak + 1)  # the chain so far sinks a level
-            self.next()
-            left = SConcat(left, self.parse_app(), pos=pos)
-        self.peak = max(self.peak, outer)
-        return left
-
     def _at_atom(self) -> bool:
-        t = self.peek()
-        if t.kind == "string" or t.text == "(":
-            return True
+        t = self.toks[self.pos]
         if t.kind == "ident":
-            if t.text == "main" and self.at("{", 1):
-                return False  # start of the main block, not a variable
-            return t.text not in KEYWORDS or t.text in ("true", "false", "empty", "enqueue")
-        return False
+            if t.text in KEYWORDS:
+                return t.text in _ATOM_WORDS
+            # `main {` starts the main block, not a variable
+            return t.text != "main" or self.words[self.pos + 1] != "{"
+        return t.kind == "string" or t.text == "("
 
     def parse_app(self) -> STerm:
         outer, self.peak = self.peak, self.depth
         head = self.parse_atom()
         while self._at_atom() and not self._at_clause_head():
-            pos = self.where()
+            pos = self.toks[self.pos][2:]
             self._deepen(self.peak + 1)  # the chain so far sinks a level
             head = SApp(head, self.parse_atom(), pos=pos)
-        self.peak = max(self.peak, outer)
+        if outer > self.peak:
+            self.peak = outer
         return head
 
     @_nested
     def parse_atom(self) -> STerm:
-        t = self.peek()
-        pos = (t.line, t.col)
-        if t.kind == "ident" and t.text not in KEYWORDS:
-            self.next()
-            if t.text in self.effects and self.at("("):
-                self.next()
-                if self.at(")"):
-                    self.next()
-                    payload: STerm = SUnitLit(pos=pos)
-                else:
-                    payload = self.parse_term()
-                    self.expect(")")
-                return SRaise(t.text, payload, pos=pos)
-            return SVar(t.text, pos=pos)
-        if t.kind == "string":
-            self.next()
-            return SStrLit(t.text, pos=pos)
-        if self.at("true") or self.at("false"):
-            self.next()
-            return SBoolLit(t.text == "true", pos=pos)
-        if self.at("empty"):
-            self.next()
-            return SEmptyQueue(pos=pos)
-        if self.at("enqueue"):
-            self.next()
-            q = self.parse_atom()
-            v = self.parse_atom()
-            return SEnqueue(q, v, pos=pos)
-        if self.at("("):
-            self.next()
+        t = self.toks[self.pos]
+        kind, text, pos = t.kind, t.text, t[2:]
+        if kind == "ident":
+            if text not in KEYWORDS:
+                self.pos += 1
+                if text in self.effects and self.at("("):
+                    self.pos += 1
+                    if self.at(")"):
+                        self.pos += 1
+                        payload: STerm = SUnitLit(pos=pos)
+                    else:
+                        payload = self.parse_term()
+                        self.expect(")")
+                    return SRaise(text, payload, pos=pos)
+                return SVar(text, pos=pos)
+            if text in _ATOM_WORDS:
+                self.pos += 1
+                if text == "empty":
+                    return SEmptyQueue(pos=pos)
+                if text == "enqueue":
+                    q = self.parse_atom()
+                    return SEnqueue(q, self.parse_atom(), pos=pos)
+                return SBoolLit(text == "true", pos=pos)
+        elif kind == "string":
+            self.pos += 1
+            return SStrLit(text, pos=pos)
+        elif text == "(":
+            self.pos += 1
             if self.at(")"):
-                self.next()
+                self.pos += 1
                 return SUnitLit(pos=pos)
             inner = self.parse_term()
             self.expect(")")
             return inner
-        self._err(f"expected a term, found {t.text or t.kind!r}")
+        self._err(f"expected a term, found {text or kind!r}")
 
     def parse_match(self) -> STerm:
         pos = self.where()
@@ -684,18 +679,17 @@ class _Parser:
         empty_body = self.parse_term()
         self.expect("dequeue")
         self.expect("(")
-        head_var = self.ident("binder").text
+        head_var = self.ident("binder")
         self.expect(",")
-        rest_var = self.ident("binder").text
+        rest_var = self.ident("binder")
         self.expect(")")
         self.expect("->")
         cons_body = self.parse_term()
         return SMatch(scrutinee, empty_body, head_var, rest_var, cons_body, pos=pos)
 
     def parse_handle(self) -> STerm:
-        t = self.next()
-        pos = (t.line, t.col)
-        deep = t.text == "handle"
+        pos, deep = self.where(), self.at("handle")
+        self.pos += 1
         self.expect("[")
         eff_ann = self.effect_names()
         self.expect("]")
@@ -703,17 +697,17 @@ class _Parser:
         scrutinee = self.parse_ascribed()
         self.expect("with")
         self.expect("ret")
-        ret_var = self.ident("binder").text
+        ret_var = self.ident("binder")
         self.expect("->")
         ret_body = self.parse_term()
         clauses = []
         while self._at_clause_head():
             cpos = self.where()
-            op = self.ident("effect name").text
+            op = self.ident("effect name")
             self.expect("(")
-            payload_var = self.ident("binder").text
+            payload_var = self.ident("binder")
             self.expect(",")
-            resume_var = self.ident("binder").text
+            resume_var = self.ident("binder")
             self.expect(")")
             self.expect("->")
             body = self.parse_term()
@@ -726,51 +720,51 @@ class _Parser:
     # -- declarations and programs
 
     def parse_decl(self) -> SDecl:
-        t = self.peek()
-        pos = (t.line, t.col)
-        if self.at("effect"):
-            self.next()
-            name = self.ident("effect name").text
+        pos, word = self.where(), self.words[self.pos]
+        if word == "effect":
+            self.pos += 1
+            name = self.ident("effect name")
             self.expect(":")
             req = self.parse_type()
             self.expect("~>")
             resp = self.parse_type()
             self.effects.add(name)
             return SEffectDecl(name, req, resp, pos=pos)
-        if self.at("import"):
-            self.next()
-            module = self.ident("module name").text
+        if word == "import":
+            self.pos += 1
+            module = self.ident("module name")
             self.expect(".")
-            name = self.ident("imported name").text
+            name = self.ident("imported name")
             if self.at("as"):
-                self.next()
-                alias = self.ident("alias").text
+                self.pos += 1
+                alias = self.ident("alias")
                 self.expect(":")
                 return SImportValue(module, name, alias, self.parse_type(), pos=pos)
             self.expect(":")
             ty = self.parse_type()
             if self.at("~>"):
-                self.next()
+                self.pos += 1
                 resp = self.parse_type()
                 self.effects.add(name)
                 return SImportEffect(module, name, ty, resp, pos=pos)
             return SImportValue(module, name, name, ty, pos=pos)
-        if self.at("define"):
-            self.next()
-            name = self.ident("name").text
+        if word == "define":
+            self.pos += 1
+            name = self.ident("name")
             self.expect(":")
             ann = self.parse_type()
             self.expect("=")
             return SDefine(name, ann, self.parse_term(), pos=pos)
+        t = self.toks[self.pos]
         self._err(f"expected a declaration, found {t.text or t.kind!r}")
 
     def _at_decl(self) -> bool:
-        return self.at("effect") or self.at("import") or self.at("define")
+        return self.words[self.pos] in ("effect", "import", "define")
 
     def parse_module(self) -> SModule:
         pos = self.where()
         self.expect("module")
-        name = self.ident("module name").text
+        name = self.ident("module name")
         self.expect("where")
         self.effects = set()
         decls = []
@@ -784,7 +778,7 @@ class _Parser:
         while self.at("module"):
             modules.append(self.parse_module())
         if self.at("main") and self.at("{", 1):
-            self.next()
+            self.pos += 1
             self.expect("{")
             self.effects = set()
             decls = []
@@ -793,7 +787,7 @@ class _Parser:
             # an optional `in` fences the final term off from a preceding
             # define body, which would otherwise absorb it as an argument
             if self.at("in"):
-                self.next()
+                self.pos += 1
             term = self.parse_term()
             self.expect("}")
             program = SProgram(tuple(modules), tuple(decls), term, pos=pos)
@@ -810,10 +804,13 @@ class _Parser:
             program = SProgram(
                 tuple(modules[:-1]), tuple(last.decls[:-1]), term, pos=pos
             )
-        t = self.peek()
-        if t.kind != "eof":
-            raise ParseError(f"unexpected {t.text!r} after program", t.line, t.col)
+        self._end("program")
         return program
+
+    def _end(self, what: str) -> None:
+        t = self.toks[self.pos]
+        if t.kind != "eof":
+            raise ParseError(f"unexpected {t.text!r} after {what}", t.line, t.col)
 
 
 def parse_program(src: str) -> SProgram:
@@ -824,18 +821,14 @@ def parse_term(src: str, effects: frozenset[str] = frozenset()) -> STerm:
     p = _Parser(tokenize(src))
     p.effects = set(effects)
     term = p.parse_term()
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError(f"unexpected {t.text!r} after term", t.line, t.col)
+    p._end("term")
     return term
 
 
 def parse_type(src: str) -> SType:
     p = _Parser(tokenize(src))
     ty = p.parse_type()
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError(f"unexpected {t.text!r} after type", t.line, t.col)
+    p._end("type")
     return ty
 
 

@@ -215,6 +215,16 @@ def test_empty_clause_boundary_in_match():
     assert t.empty_body == SLam("s", None, SVar("s"))
 
 
+def test_a_string_is_never_a_clause_head():
+    # a string literal "->" or "(" must not complete a clause head's shape
+    for t in [
+        SApp(SApp(SVar("f"), SEmptyQueue()), SStrLit("->")),
+        SApp(SApp(SApp(SVar("f"), SVar("x")), SStrLit("(")), SVar("y")),
+    ]:
+        assert parse_term(pretty_term(t)) == t
+    assert parse_term('f empty "->"') == SApp(SApp(SVar("f"), SEmptyQueue()), SStrLit("->"))
+
+
 def test_parse_error_positions():
     with pytest.raises(ParseError) as e:
         parse_term("lambda . x")
