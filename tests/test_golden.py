@@ -1,6 +1,6 @@
 """Golden outputs, pinned byte for byte against files in tests/golden/.
 
-Six things are pinned: the JSONL that `greff conformance --seed 0
+Seven things are pinned: the JSONL that `greff conformance --seed 0
 --cases 25` prints; for every program in corpus/, the exit code and
 stdout of `greff check`, `greff elab` and `greff run`, plus the
 machine's step count for programs that elaborate; for a fixed set of
@@ -12,14 +12,18 @@ source, the corpus files and seeded one-character mutations of both, a
 digest of the token stream or the lexer's error, and for the mutations
 the parser's error; and a digest of each law case's cast expansion, the
 handler and wrapper sides of the two expansion families and retraction's
-side with effect and function casts both expanded.  A change that should
-keep behaviour identical must leave all six files unchanged.  After an intended change of behaviour,
-`python tests/test_golden.py` rewrites them from the current code.  It
-first prints what moved, keeping step counts apart: the machine runs
-whose outcome changed and those whose steps or trace alone did, the
-corpus programs whose outputs changed, the elaborations that changed,
-the token streams that changed, the expansions that changed, and the
-JSONL lines that changed outside `steps_left`/`steps_right`.
+side with effect and function casts both expanded; and, for seeded
+pairs of value types or of effect rows, the result of each typesys
+relation and bound, a bound printed with core.pretty_type or named by
+its error class when it does not exist.  A change that should keep
+behaviour identical must leave all seven files unchanged.  After an
+intended change of behaviour, `python tests/test_golden.py` rewrites
+them from the current code.  It first prints what moved, keeping step
+counts apart: the machine runs whose outcome changed and those whose
+steps or trace alone did, the corpus programs whose outputs changed,
+the elaborations that changed, the token streams that changed, the
+expansions that changed, the relation pairs that changed, and the JSONL
+lines that changed outside `steps_left`/`steps_right`.
 """
 
 import hashlib
@@ -30,7 +34,7 @@ from pathlib import Path
 
 import pytest
 
-from greff import cli, core, elaborate, gen
+from greff import cli, core, elaborate, gen, typesys
 from greff import conformance as conf
 from greff import eval as ev
 from greff.surface import ParseError, parse_program, pretty_program, tokenize
@@ -45,6 +49,7 @@ MACHINE_FILE = GOLDEN / "machine.json"
 ELAB_FILE = GOLDEN / "elab.json"
 TOKENS_FILE = GOLDEN / "tokens.json"
 EXPAND_FILE = GOLDEN / "expand.json"
+RELATIONS_FILE = GOLDEN / "relations.json"
 STATIC_ERRORS = (ParseError, elaborate.ElabError, core.TypeCheckError)
 MACHINE_CORE_SEEDS = range(300)
 MACHINE_CORE_FUEL = 100_000
@@ -52,6 +57,17 @@ ELAB_SEEDS = range(300)
 MUTATIONS_PER_SOURCE = 2
 EXPAND_SEEDS = range(300)
 EXPAND_RETRACTION_SEEDS = range(100)
+RELATION_PAIRS = range(2000)
+RELATIONS = (
+    "subtype",
+    "precision",
+    "gradual_subtype",
+    "compatible",
+    "gradual_join",
+    "gradual_meet",
+    "lub",
+    "glb",
+)
 # blanks the lexer must skip, characters it must reject (numerals that are
 # not letters among them), and the starts of strings, comments and punctuation
 MUTATION_CHARS = " \n\r\x1c\"\\-'()[]:>1x\u00bd\u00b2#"
@@ -220,6 +236,60 @@ def observe_expansions() -> dict:
     return out
 
 
+def _row(rng: random.Random, sig) -> object:
+    """?, a row at signature typings, or the same names at drawn typings."""
+    r = rng.random()
+    if r < 0.2:
+        return typesys.DYN
+    row = gen.gen_row(rng, sig)
+    if r < 0.6:
+        return row
+
+    def typing():
+        return typesys.OpSig(gen.gen_value_type(rng, sig, 0), gen.gen_value_type(rng, sig, 0))
+
+    return typesys.Concrete({name: typing() for name in row.names()})
+
+
+def _relation_pair(rng: random.Random) -> tuple:
+    """Two value types or two rows: equal, one loosened, or drawn apart."""
+    sig = gen.gen_signature(rng, higher_order=True)
+    rows = rng.random() < 0.5
+
+    def draw():
+        return _row(rng, sig) if rows else gen.gen_value_type(rng, sig)
+
+    t = draw()
+    how = rng.choice(("same", "loosen", "fresh", "loosen-fresh"))
+    if how == "same":
+        u = t
+    elif how == "loosen":
+        u = gen.loosen(rng, t)
+    else:
+        u = draw() if how == "fresh" else gen.loosen(rng, draw())
+    return (u, t) if rng.random() < 0.5 else (t, u)
+
+
+def observe_relation(t, u) -> dict:
+    """Both types and each relation's result, a bound printed with pretty_type."""
+    out = {"t": core.pretty_type(t), "u": core.pretty_type(u)}
+    for name in RELATIONS:
+        try:
+            result = getattr(typesys, name)(t, u)
+        except typesys.JoinUndefined as e:
+            result = type(e).__name__
+        out[name] = result if isinstance(result, (bool, str)) else core.pretty_type(result)
+    return out
+
+
+def observe_relations() -> dict:
+    out = {}
+    for i in RELATION_PAIRS:
+        t, u = _relation_pair(random.Random(f"relations/{i}"))
+        out[f"pair-{i:04d}"] = observe_relation(t, u)
+    return out
+
+
 def test_conformance_seed0_jsonl_is_unchanged():
     assert observe_conformance().encode("utf-8") == CONFORMANCE_FILE.read_bytes()
 
@@ -265,6 +335,27 @@ def test_expansions_are_unchanged():
     assert not moved, f"{len(moved)} expansions moved, first: {moved[:5]}"
 
 
+def test_relations_are_unchanged():
+    expected = json.loads(RELATIONS_FILE.read_bytes().decode("utf-8"))
+    got = observe_relations()
+    assert sorted(got) == sorted(expected)
+    moved = [name for name in expected if got[name] != expected[name]]
+    assert not moved, f"{len(moved)} relation pairs moved, first: {moved[:5]}"
+
+
+def test_relations_golden_gives_every_outcome():
+    # each relation both holds and fails, and each bound both exists and
+    # does not, on at least 100 pinned pairs
+    pairs = json.loads(RELATIONS_FILE.read_bytes().decode("utf-8")).values()
+    for name in RELATIONS:
+        results = [pair[name] for pair in pairs]
+        if isinstance(results[0], bool):
+            outcomes = [r is True for r in results]
+        else:
+            outcomes = [r == "JoinUndefined" for r in results]
+        assert 100 <= sum(outcomes) <= len(outcomes) - 100, name
+
+
 def _dump(obj) -> bytes:
     text = json.dumps(obj, indent=1, sort_keys=True, ensure_ascii=False) + "\n"
     return text.encode("utf-8")
@@ -294,12 +385,13 @@ def _report(what: str, names: list[str]) -> None:
 
 
 def write_golden() -> None:
-    """Rewrite the six files, first printing what moved in each."""
+    """Rewrite the seven files, first printing what moved in each."""
     machine = observe_machine_runs()
     corpus = {p.name: observe_corpus(p) for p in _corpus_programs()}
     elab = observe_elaborations()
     tokens = observe_token_streams()
     expand = observe_expansions()
+    relations = observe_relations()
     conformance = observe_conformance()
     old_machine = json.loads(_old(MACHINE_FILE) or "{}")
     outcomes = _moved(old_machine, machine, ("steps", "trace_sha256"))
@@ -312,6 +404,8 @@ def write_golden() -> None:
     old_tokens = json.loads(_old(TOKENS_FILE) or "{}")
     _report("token streams or parse errors changed", _moved(old_tokens, tokens))
     _report("expansions changed", _moved(json.loads(_old(EXPAND_FILE) or "{}"), expand))
+    old_relations = json.loads(_old(RELATIONS_FILE) or "{}")
+    _report("relation pairs changed", _moved(old_relations, relations))
     old_lines = _jsonl(_old(CONFORMANCE_FILE))
     lines = _moved(old_lines, _jsonl(conformance), ("steps_left", "steps_right"))
     _report("conformance lines changed outside steps_left/steps_right", lines)
@@ -322,6 +416,7 @@ def write_golden() -> None:
     ELAB_FILE.write_bytes(_dump(elab))
     TOKENS_FILE.write_bytes(_dump(tokens))
     EXPAND_FILE.write_bytes(_dump(expand))
+    RELATIONS_FILE.write_bytes(_dump(relations))
 
 
 if __name__ == "__main__":
