@@ -407,18 +407,18 @@ def syntactic_precision(a, b) -> bool:
 # Law cases: each builds (sig, left, right) closed ground terms
 
 
+def _resuming_clause(g: gen._CoreGen, op: str) -> core.Clause:
+    """A clause for op that resumes with a canned response."""
+    decl = g.sig.get(op)
+    assert decl is not None
+    p, k = g.name("p"), g.name("k")
+    resp = g.value(decl.resp, frozenset(), {}, 1)
+    return core.Clause(op, p, k, core.App(core.Var(k), resp), decl.req, decl.resp)
+
+
 def _handler_clauses(g: gen._CoreGen) -> tuple[core.Clause, ...]:
-    """One resuming clause per declared operation, with canned responses."""
-    clauses = []
-    for op in sorted(g.sig.names()):
-        decl = g.sig.get(op)
-        assert decl is not None
-        p, k = g.name("p"), g.name("k")
-        resp = g.value(decl.resp, frozenset(), {}, 1)
-        clauses.append(
-            core.Clause(op, p, k, core.App(core.Var(k), resp), decl.req, decl.resp)
-        )
-    return tuple(clauses)
+    """One resuming clause per declared operation."""
+    return tuple(_resuming_clause(g, op) for op in sorted(g.sig.names()))
 
 
 def _observe(g: gen._CoreGen, ty: ValueType, t: core.Term) -> core.Term:
@@ -599,21 +599,7 @@ def case_forwarding(seed: int) -> LawCase:
         m,
     )
     result_eff = g.sig.at(sorted(scope))
-    base = []
-    for op in handled:
-        decl = g.sig.get(op)
-        assert decl is not None
-        p, k = g.name("p"), g.name("k")
-        base.append(
-            core.Clause(
-                op,
-                p,
-                k,
-                core.App(core.Var(k), g.value(decl.resp, frozenset(), {}, 1)),
-                decl.req,
-                decl.resp,
-            )
-        )
+    base = tuple(_resuming_clause(g, op) for op in handled)
     p, k = g.name("p"), g.name("k")
     fwd_clause = core.Clause(
         fwd,
@@ -626,7 +612,7 @@ def case_forwarding(seed: int) -> LawCase:
     rv = g.name("r")
 
     def inner(with_clause: bool) -> core.Term:
-        clauses = tuple(base) + ((fwd_clause,) if with_clause else ())
+        clauses = base + ((fwd_clause,) if with_clause else ())
         return core.Handle(m, rv, core.Var(rv), clauses, result_eff, gen.STR, True)
 
     ctx = _ground_harness_ctx(g, gen.STR)

@@ -151,9 +151,6 @@ def _pos_field():
 class SDynEff:
     pos: Optional[tuple] = _pos_field()
 
-    def __str__(self):
-        return "?"
-
 
 @dataclass(frozen=True)
 class SNames:
@@ -163,9 +160,6 @@ class SNames:
     def __init__(self, names, pos=None):
         object.__setattr__(self, "names", tuple(sorted(names)))
         object.__setattr__(self, "pos", pos)
-
-    def __str__(self):
-        return ",".join(self.names)
 
 
 SEffect = Union[SDynEff, SNames]

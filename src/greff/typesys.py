@@ -6,15 +6,31 @@ finite map from operation names to request/response typings eps@A~>B.
 A signature Sigma gives every declared operation a non-tracking typing
 (every effect annotation inside is ?); |t| erases a type down to it.
 
-Four relations are implemented:
+One walk, `_below`, implements the three orders:
 
-  subtype          A <= B     width/depth subtyping; ? <= ? only
-  precision        A |_ B     more-precise-than; sigma |_ ? for any sigma
-  gradual_subtype  A <~ B     subtyping up to precision (adds ? axioms)
-  compatible       A ~ B      gradual subtyping in both directions
+  subtype          A <= B     width/depth subtyping
+  precision        A |_ B     more-precise-than
+  gradual_subtype  A <~ B     subtyping up to precision
 
-plus the gradual join/meet used when elaboration combines branch types
-and the least upper bound in <= used by the core typechecker.
+and compatible (A ~ B) is <~ in both directions.  The orders differ at
+three points.  <= and <~ flip at arrow domains and operation responses;
+|_ is covariant.  In <= the dynamic effect ? is below only itself, in |_
+every effect type is below ?, and in <~ ? is below and above every
+effect type.  Under <= and <~ a concrete row may gain operations going
+up; under |_ both rows name the same operations.  No value type is
+related to an effect type.
+
+One walk, `_bound`, implements the two kinds of bound: the gradual
+join/meet, which elaboration uses to merge branch and operand types, and
+the lub/glb in <=, which the core typechecker uses.  Both take the union
+of two rows' operations going up and their intersection going down, and
+flip at arrow domains.  They differ at two points.  The gradual join
+absorbs ? and the gradual meet treats it as the identity, so a merge of
+mixed precision defers its checks to casts instead of planting a
+concrete downcast around the dynamic side; in <= ? bounds only itself.
+At an operation both rows carry, a gradual bound requires one typing
+(elaboration merges types from one module context); in <= the two
+typings are bounded in turn, with the response flipped.
 """
 
 from __future__ import annotations
@@ -185,9 +201,7 @@ def erase(t: Type) -> Type:
         return QueueOf(erase(t.elem))
     if isinstance(t, Arrow):
         return Arrow(erase(t.dom), DYN, erase(t.cod))
-    if isinstance(t, Dyn):
-        return DYN
-    if isinstance(t, Concrete):
+    if isinstance(t, (Dyn, Concrete)):
         return DYN
     raise TypeError(f"not a type: {t!r}")
 
@@ -214,189 +228,111 @@ def wellformed(t: Type, sig: Signature) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Subtyping (width/depth; the dynamic effect is only below itself)
+# The three orders and the two kinds of bound
+
+_SUB, _PREC, _GRAD = "<=", "|_", "<~"
+
+
+def _below(t: Type, u: Type, rel: str) -> bool:
+    """t rel u, for rel one of _SUB, _PREC and _GRAD."""
+    if isinstance(t, (Bool, Unit, Str)):
+        return t == u
+    if isinstance(t, QueueOf):
+        return isinstance(u, QueueOf) and _below(t.elem, u.elem, rel)
+    flip = rel is not _PREC
+    if isinstance(t, Arrow):
+        return (
+            isinstance(u, Arrow)
+            and (_below(u.dom, t.dom, rel) if flip else _below(t.dom, u.dom, rel))
+            and _below(t.eff, u.eff, rel)
+            and _below(t.cod, u.cod, rel)
+        )
+    if not isinstance(t, (Dyn, Concrete)):
+        raise TypeError(f"not a type: {t!r}")
+    if isinstance(u, Dyn):
+        return rel is not _SUB or isinstance(t, Dyn)
+    if not isinstance(u, Concrete):
+        return False
+    if isinstance(t, Dyn):
+        return rel is _GRAD
+    if rel is _PREC and len(t.ops) != len(u.ops):
+        return False
+    table = dict(u.ops)
+    for name, a in t.ops:
+        b = table.get(name)
+        if b is None or not _below(a.req, b.req, rel):
+            return False
+        if not (_below(b.resp, a.resp, rel) if flip else _below(a.resp, b.resp, rel)):
+            return False
+    return True
 
 
 def subtype(t: Type, u: Type) -> bool:
-    if isinstance(t, (Bool, Unit, Str)):
-        return t == u
-    if isinstance(t, QueueOf):
-        return isinstance(u, QueueOf) and subtype(t.elem, u.elem)
-    if isinstance(t, Arrow):
-        return (
-            isinstance(u, Arrow)
-            and subtype(u.dom, t.dom)
-            and subtype(t.eff, u.eff)
-            and subtype(t.cod, u.cod)
-        )
-    if isinstance(t, Dyn):
-        return isinstance(u, Dyn)
-    if isinstance(t, Concrete):
-        if not isinstance(u, Concrete):
-            return False
-        table = dict(u.ops)
-        for name, op in t.ops:
-            wider = table.get(name)
-            if wider is None:
-                return False
-            # requests covariant, responses contravariant
-            if not (subtype(op.req, wider.req) and subtype(wider.resp, op.resp)):
-                return False
-        return True
-    raise TypeError(f"not a type: {t!r}")
-
-
-# ---------------------------------------------------------------------------
-# Precision (covariant everywhere; concrete effects need equal domains)
+    return _below(t, u, _SUB)
 
 
 def precision(t: Type, u: Type) -> bool:
-    if isinstance(t, (Bool, Unit, Str)):
-        return t == u
-    if isinstance(t, QueueOf):
-        return isinstance(u, QueueOf) and precision(t.elem, u.elem)
-    if isinstance(t, Arrow):
-        return (
-            isinstance(u, Arrow)
-            and precision(t.dom, u.dom)
-            and precision(t.eff, u.eff)
-            and precision(t.cod, u.cod)
-        )
-    if is_effect_type(t):
-        if isinstance(u, Dyn):
-            return True
-        if isinstance(t, Dyn):
-            return False
-        assert isinstance(t, Concrete) and isinstance(u, Concrete)
-        if t.names() != u.names():
-            return False
-        return all(
-            precision(a.req, b.req) and precision(a.resp, b.resp)
-            for (_, a), (_, b) in zip(t.ops, u.ops)
-        )
-    raise TypeError(f"not a type: {t!r}")
-
-
-# ---------------------------------------------------------------------------
-# Gradual subtyping and compatibility
+    return _below(t, u, _PREC)
 
 
 def gradual_subtype(t: Type, u: Type) -> bool:
-    if isinstance(t, (Bool, Unit, Str)):
-        return t == u
-    if isinstance(t, QueueOf):
-        return isinstance(u, QueueOf) and gradual_subtype(t.elem, u.elem)
-    if isinstance(t, Arrow):
-        return (
-            isinstance(u, Arrow)
-            and gradual_subtype(u.dom, t.dom)
-            and gradual_subtype(t.eff, u.eff)
-            and gradual_subtype(t.cod, u.cod)
-        )
-    if is_effect_type(t):
-        # ? is gradually below and above every effect type
-        if isinstance(t, Dyn) or isinstance(u, Dyn):
-            return True
-        assert isinstance(t, Concrete) and isinstance(u, Concrete)
-        table = dict(u.ops)
-        for name, op in t.ops:
-            wider = table.get(name)
-            if wider is None:
-                return False
-            if not (gradual_subtype(op.req, wider.req) and gradual_subtype(wider.resp, op.resp)):
-                return False
-        return True
-    raise TypeError(f"not a type: {t!r}")
+    return _below(t, u, _GRAD)
 
 
 def compatible(t: Type, u: Type) -> bool:
     return gradual_subtype(t, u) and gradual_subtype(u, t)
 
 
-# ---------------------------------------------------------------------------
-# Gradual join/meet (used when elaboration merges branch/operand types)
-
-
 def gradual_join(t: Type, u: Type) -> Type:
-    return _gradual_bound(t, u, True)
+    return _bound(t, u, True, True)
 
 
 def gradual_meet(t: Type, u: Type) -> Type:
-    return _gradual_bound(t, u, False)
-
-
-def _gradual_bound(t: Type, u: Type, up: bool) -> Type:
-    """The gradual join of t and u when up, their meet otherwise; domains flip up."""
-    if isinstance(t, (Bool, Unit, Str)) and t == u:
-        return t
-    if isinstance(t, QueueOf) and isinstance(u, QueueOf):
-        return QueueOf(_gradual_bound(t.elem, u.elem, up))
-    if isinstance(t, Arrow) and isinstance(u, Arrow):
-        return Arrow(
-            _gradual_bound(t.dom, u.dom, not up),
-            _gradual_bound(t.eff, u.eff, up),
-            _gradual_bound(t.cod, u.cod, up),
-        )
-    if is_effect_type(t) and is_effect_type(u):
-        # ? absorbs on join: merging a dynamic row with anything yields the
-        # dynamic row, so mixed-precision merges defer checks to casts rather
-        # than committing the result to one side's concrete row.  (Committing
-        # would plant a concrete downcast around the dynamic subterm, which
-        # errors on effects the other side never mentioned.)  Dually ? is the
-        # identity on meet, and the concrete side wins.
-        if isinstance(t, Dyn) or isinstance(u, Dyn):
-            return DYN if up else (u if isinstance(t, Dyn) else t)
-        # join: union of domains; meet: intersection.  Shared names must carry
-        # one typing (elaboration merges types from one module context).
-        left, right = dict(t.ops), dict(u.ops)
-        out: dict[str, OpSig] = {}
-        for name in set(left) | set(right):
-            a, b = left.get(name), right.get(name)
-            if a is not None and b is not None:
-                if a != b:
-                    raise JoinUndefined(f"operation {name} carries {a} and {b}")
-                out[name] = a
-            elif up:
-                out[name] = a if a is not None else b  # type: ignore[assignment]
-        return Concrete(out)
-    raise JoinUndefined(f"{t} {'join' if up else 'meet'} {u}")
-
-
-# ---------------------------------------------------------------------------
-# Least upper/greatest lower bounds in <= (core typechecker; no ? axioms)
+    return _bound(t, u, False, True)
 
 
 def lub(t: Type, u: Type) -> Type:
-    return _bound(t, u, True)
+    return _bound(t, u, True, False)
 
 
 def glb(t: Type, u: Type) -> Type:
-    return _bound(t, u, False)
+    return _bound(t, u, False, False)
 
 
-def _bound(t: Type, u: Type, up: bool) -> Type:
-    """The lub of t and u in <= when up, their glb otherwise; domains and responses flip up."""
+def _bound(t: Type, u: Type, up: bool, gradual: bool) -> Type:
+    """The join of t and u when up, their meet otherwise; gradual or in <=."""
     if isinstance(t, (Bool, Unit, Str)) and t == u:
         return t
     if isinstance(t, QueueOf) and isinstance(u, QueueOf):
-        return QueueOf(_bound(t.elem, u.elem, up))
+        return QueueOf(_bound(t.elem, u.elem, up, gradual))
     if isinstance(t, Arrow) and isinstance(u, Arrow):
         return Arrow(
-            _bound(t.dom, u.dom, not up), _bound(t.eff, u.eff, up), _bound(t.cod, u.cod, up)
+            _bound(t.dom, u.dom, not up, gradual),
+            _bound(t.eff, u.eff, up, gradual),
+            _bound(t.cod, u.cod, up, gradual),
         )
     if is_effect_type(t) and is_effect_type(u):
-        if isinstance(t, Dyn) and isinstance(u, Dyn):
-            return DYN
         if isinstance(t, Dyn) or isinstance(u, Dyn):
-            raise JoinUndefined("? has no common bound with a concrete effect in <=")
-        # lub: union of domains; glb: intersection
+            if gradual:
+                return DYN if up else (u if isinstance(t, Dyn) else t)
+            if t != u:
+                raise JoinUndefined("? has no common bound with a concrete effect in <=")
+            return DYN
         left, right = dict(t.ops), dict(u.ops)
         out: dict[str, OpSig] = {}
-        for name in (set(left) | set(right)) if up else (set(left) & set(right)):
+        for name in sorted(left.keys() | right.keys()):
             a, b = left.get(name), right.get(name)
-            if a is not None and b is not None:
-                out[name] = OpSig(_bound(a.req, b.req, up), _bound(a.resp, b.resp, not up))
+            if a is None or b is None:
+                if up:
+                    out[name] = a or b  # type: ignore[assignment]
+            elif gradual:
+                if a != b:
+                    raise JoinUndefined(f"operation {name} carries {a} and {b}")
+                out[name] = a
             else:
-                out[name] = a if a is not None else b  # type: ignore[assignment]
+                out[name] = OpSig(
+                    _bound(a.req, b.req, up, False), _bound(a.resp, b.resp, not up, False)
+                )
         return Concrete(out)
-    raise JoinUndefined(f"{t} {'lub' if up else 'glb'} {u}")
+    how = ("join", "meet") if gradual else ("lub", "glb")
+    raise JoinUndefined(f"{t} {how[not up]} {u}")

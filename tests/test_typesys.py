@@ -1,8 +1,13 @@
 """Type relations: subtyping, precision, gradual subtyping, joins."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
+from greff import core
 from greff.typesys import (
     Arrow,
     Bool,
@@ -302,6 +307,39 @@ def test_lub_union_glb_intersection():
     assert glb(PY, only_fork) == EMPTY
     assert subtype(PY, lub(PY, only_fork))
     assert subtype(only_fork, lub(PY, only_fork))
+
+
+# the two bounds of rows whose print and yield typings both clash
+CLASHING_JOIN = """
+from greff.typesys import Concrete, JoinUndefined, OpSig, Str, Unit, gradual_join, lub
+left = Concrete({"print": OpSig(Str(), Unit()), "yield": OpSig(Unit(), Unit())})
+right = Concrete({"print": OpSig(Unit(), Unit()), "yield": OpSig(Str(), Unit())})
+for bound in (gradual_join, lub):
+    try:
+        bound(left, right)
+    except JoinUndefined as e:
+        print(e)
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "3"])
+def test_a_bound_names_the_first_clash_whatever_the_hash_seed(hash_seed):
+    # string hashes order a set of names; the bounds visit names in sorted order
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+    proc = subprocess.run(
+        [sys.executable, "-c", CLASHING_JOIN], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "operation print carries str ~> 1 and 1 ~> 1\nstr lub 1\n"
+
+
+def test_no_value_type_is_related_to_an_effect_type():
+    pairs = [(EMPTY, BOOL), (PY, UNIT), (DYN, STR), (EMPTY, THUNK_DYN), (PY, QueueOf(STR))]
+    for rel in (subtype, precision, gradual_subtype, compatible):
+        for t, u in pairs + [(u, t) for t, u in pairs]:
+            assert not rel(t, u), (rel.__name__, t, u)
+    with pytest.raises(core.TypeCheckError):
+        core.ValUpcast(EMPTY, BOOL, core.UNIT)
 
 
 @given(same_shape_pairs())
