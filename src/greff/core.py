@@ -548,8 +548,8 @@ def _synth(
     raise TypeError(f"not a term: {term!r}")
 
 
-def _brief(term: Term) -> str:
-    s = pretty(term, 60)
+def _brief(term: Term, layout=None) -> str:
+    s = pretty(term, 60, layout)
     return s if len(s) <= 60 else s[:57] + "..."
 
 
@@ -624,18 +624,20 @@ _LAYOUT = {
 }
 
 
-def pretty(t: Term, limit: Optional[int] = None) -> str:
+def pretty(t: Term, limit: Optional[int] = None, layout=None) -> str:
     """t as an s-expression, printed from an explicit stack, so a term's
     depth is never the host's.  With a limit, printing stops once the
-    output is longer than limit: the result is then a prefix of the whole."""
-    x = _LAYOUT[type(t)](t)
+    output is longer than limit: the result is then a prefix of the whole.
+    A layout, when given, spells each item in place of _LAYOUT: as a
+    string, or as strings and further items in order."""
+    x = _LAYOUT[type(t)](t) if layout is None else layout(t)
     if type(x) is str:
         return x
     out, n, stack = [], 0, [iter(x)]
     while stack:
         for x in stack[-1]:
             if type(x) is not str:
-                x = _LAYOUT[type(x)](x)
+                x = _LAYOUT[type(x)](x) if layout is None else layout(x)
                 if type(x) is not str:
                     stack.append(iter(x))
                     break

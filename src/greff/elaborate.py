@@ -16,10 +16,13 @@ Wherever subterm effect rows meet (let, if, ++, enqueue, match, raise,
 application, the module chain) one method, `_Elab.sequence`, combines
 them into their gradual join, in which the dynamic row absorbs: as soon
 as one operand is dynamic the whole position is dynamic, and the concrete
-operands are upcast into it.  Checks are deferred to the places that
-demand a concrete row (handler boundaries, annotations, imports) rather
-than planted around every dynamic subterm, so mixing precision never
-introduces failure points that the fully dynamic program lacks.
+operands are upcast into it.  A value-like operand at the row [] stays
+uncast, as an effect cast is the identity on a value, and a raise binds
+its payload with a let only when the payload is not such a value.
+Checks are deferred to the places that demand a concrete row (handler
+boundaries, annotations, imports) rather than planted around every
+dynamic subterm, so mixing precision never introduces failure points
+that the fully dynamic program lacks.
 
 Handlers cast their scrutinee so that every effect it may raise is either
 caught by a clause or present in the result row.  With a concrete scrutinee
@@ -106,6 +109,25 @@ def surface_free_vars(t: s.STerm) -> frozenset[str]:
 # the elaborator
 
 
+# core terms that core.typecheck types at every ambient row, besides
+# enqueues and value casts of such terms: an effect cast is the identity
+# on them, since a value raises nothing
+_VALUES = frozenset({
+    core.Var, core.BoolLit, core.UnitLit, core.StrLit, core.Lam, core.Fix, core.EmptyQueue,
+})
+
+
+def _value_like(t: core.Term) -> bool:
+    tt = type(t)
+    if tt in _VALUES:
+        return True
+    if tt is core.Enqueue:
+        return _value_like(t.queue) and _value_like(t.elem)
+    if tt is core.ValUpcast or tt is core.ValDowncast:
+        return _value_like(t.body)
+    return False
+
+
 class _Elab:
     def __init__(self):
         self.sig = Signature({})
@@ -180,7 +202,8 @@ class _Elab:
     def sequence(self, pos, *operands, latent=()) -> list:
         """The sequencing rule.  Each operand is a (term, row) pair; `latent`
         rows (a function's, at a call) join in without a term.  Returns the
-        gradual join of all the rows, then each term cast up to it."""
+        gradual join of all the rows, then each term cast up to it, except
+        a value-like term at the row [], which needs no cast."""
         sigma = operands[0][1]
         try:
             for _, row in operands[1:]:
@@ -192,7 +215,9 @@ class _Elab:
             raise ElabError(f"cannot combine effect rows: {exc}", pos) from exc
         out = [sigma]
         for term, row in operands:
-            out.append(term if row is sigma else self.cast_eff(sigma, row, term, pos))
+            if row is not sigma and not (_value_like(term) and row == EMPTY):
+                term = self.cast_eff(sigma, row, term, pos)
+            out.append(term)
         return out
 
     def branches(self, pos, left, lval, right, rval) -> tuple:
@@ -327,11 +352,13 @@ class _Elab:
             raise ElabError(
                 f"{t.op} expects a request of type {req}, got {pval}", t.pos
             )
+        own = Concrete({t.op: OpSig(req, resp)})
+        if _value_like(payload) and peff == EMPTY:
+            payload = self.cast_value(req, pval, payload, t.pos)
+            return core.Raise(t.op, req, resp, payload), own, resp
         x = self.fresh()
         raised = core.Raise(t.op, req, resp, self.cast_value(req, pval, core.Var(x), t.pos))
-        sigma, payload, raised = self.sequence(
-            t.pos, (payload, peff), (raised, Concrete({t.op: OpSig(req, resp)}))
-        )
+        sigma, payload, raised = self.sequence(t.pos, (payload, peff), (raised, own))
         return core.Let(payload, x, raised), sigma, resp
 
     def _elab_ascribe_type(self, t: s.SAscribeType, gamma_eff, gamma_val, hint):

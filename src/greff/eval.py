@@ -22,12 +22,15 @@ Applying a resumption pushes its frames back onto the stack and returns
 the argument to them, all in one step.
 
 Effect casts are transparent to returning values.  A raise crossing an
-upcast is re-raised with its payload and response rewrapped between the
-two rows' typings; crossing a downcast does the same when the target
-row mentions the operation and stops the program with a cast error
-when the source row is dynamic and the target omits it.  Casts between
+upcast is re-raised with its payload cast between the two rows'
+typings; crossing a downcast does the same when the target row
+mentions the operation and stops the program with a cast error when
+the source row is dynamic and the target omits it.  Casts between
 arrow types are inert proxy values that fire at application, casting
-the argument one way and the effects and result the other.
+the argument one way and the effects and result the other.  A cast
+frame whose ends are equal does nothing, so none is ever pushed: not
+for a proxy's effects or result, nor for the response of a raise that
+crossed an effect cast.
 
 The machine runs on three registers, frames, a and b, and builds no
 MachineState, Evaluating or Returning per step: each rule returns the
@@ -40,16 +43,20 @@ reify reads it.
 
 Every state still denotes a closed term: reify reads it back by
 substituting environments into the terms they close over, which is
-done only when asked for (a final value, a sampled state, a traced
-rule's detail).  That term does not always typecheck.  Read back at
-every step, states of 7 of the 11 corpus programs that elaborate fail
+done only when asked for (a final value, a sampled state, a stuck
+state's message).  A traced `value` line spells its value without
+reading it back, and shows a resumption as `<resume %rN: K frames>`.
+That term does not always typecheck.  Read back at every
+step, states of 8 of the 11 corpus programs that elaborate fail
 core.typecheck: a shallow handler whose scrutinee has become a value
-types its resumption k at the row [] (combo_III, combo_PII,
-threads_imprecise), and `raise fork` sits under a narrower row
-(combo_IIP, combo_PIP, combo_IPI, combo_PPI); ROADMAP item 9 tracks
-both.  The suite checks the read-back typing of threads_precise every
-50 steps, of the resumption cases every step, and of generated core
-programs every 13 steps.
+types its resumption k at the row [] (combo_III, combo_IIP, combo_PII,
+combo_PIP, threads_imprecise), `raise fork` sits under a narrower row
+(combo_IIP, combo_PIP, combo_IPI, combo_PPI), and a failed downcast
+leaves `err` as a handler's scrutinee, where the checker has no typing
+to give it (bad_downcast); ROADMAP item 9 tracks all three.  The suite
+checks the read-back typing of threads_precise every 50 steps, of the
+resumption cases every step, and of generated core programs every 13
+steps.
 The direct-style evaluator in reference.py implements the same
 semantics with none of this machinery and serves as the cross-check.
 """
@@ -57,6 +64,7 @@ semantics with none of this machinery and serves as the cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Union
 
@@ -142,7 +150,8 @@ class Captured:
     """The frames a raise has walked past, iterated innermost first.
 
     Frames walked past join at the outer end; the response casts that
-    effect casts add join at the inner end.  Both joins are O(1).
+    effect casts add, where the two typings differ, join at the inner
+    end.  Both joins are O(1).
     """
 
     __slots__ = ("inner", "outer")
@@ -464,6 +473,48 @@ def _close(t: core.Term, env: Env, bound: tuple[str, ...] = ()) -> core.Term:
     return t
 
 
+def _spelled(x) -> object:
+    """The layout by which the value trace line prints x, a runtime value
+    or a (term, env) pair standing for the term closed by env: that of
+    its read-back, except that a resumption shows as a tag.  Nothing is
+    read back, and the printer stops after 60 characters, so a queue's
+    head costs only its length and a closure only what is printed."""
+    tx = type(x)
+    if tx is tuple:
+        t, env = x
+        if type(t) is core.Var and t.name in env:
+            return _spelled(env[t.name])
+        layout = core._LAYOUT[type(t)](t)
+        if type(layout) is str:
+            return layout
+        envs = []  # the environment closing each subterm, in layout order
+        for name, binders in core.FIELDS[type(t)].items():
+            inner = env
+            if binders:
+                bound = {getattr(t, b) for b in binders}
+                if not bound.isdisjoint(env):
+                    inner = {k: v for k, v in env.items() if k not in bound}
+            v = getattr(t, name)
+            envs += [inner] * (len(v) if type(v) is tuple else 1)
+        envs = iter(envs)
+        return [p if type(p) is str else (p, next(envs)) for p in layout]
+    if tx is QueueVal:
+        items = islice(x.buf, x.start, x.end)
+        return chain(
+            repeat("(enq ", x.end - x.start),
+            (f"(emptyq {core.pretty_type(x.elem)})",),
+            chain.from_iterable((" ", v, ")") for v in items),
+        )
+    if tx is Proxy:
+        lo, hi = core.pretty_type(x.lo), core.pretty_type(x.hi)
+        return (f"({'vup' if x.up else 'vdn'} {lo} {hi} ", x.fn, ")")
+    if tx is Closure or tx is FixClosure:
+        return _spelled((x.lam if tx is Closure else x.fix, x.env))
+    if tx is Resumption:
+        return f"<resume {x.var}: {len(x.frames)} frames>"
+    return core._LAYOUT[tx](x)  # a literal
+
+
 def _wrap(f: Frame, hole: core.Term) -> core.Term:
     """Rebuild the term layer a frame stands for, with hole plugged in."""
     tf = type(f)
@@ -575,7 +626,7 @@ class Machine:
 
     def _returns(self, frames: Stack, v: object) -> tuple:
         if self.trace is not None:
-            self.trace("value", core._brief(_back(v)))
+            self.trace("value", core._brief(v, _spelled))
         return frames, RETURN, v
 
     def _step_eval(self, frames: Stack, t, env: Env) -> tuple:
@@ -637,8 +688,10 @@ class Machine:
         if tf is Proxy:
             up, lo, hi = fn.up, fn.lo, fn.hi
             self._fire("fun-upcast" if up else "fun-downcast")
-            frames = Stack(ValCastFrame(up, lo.cod, hi.cod), frames)
-            frames = Stack(EffCastFrame(up, lo.eff, hi.eff), frames)
+            if lo.cod != hi.cod:
+                frames = Stack(ValCastFrame(up, lo.cod, hi.cod), frames)
+            if lo.eff != hi.eff:
+                frames = Stack(EffCastFrame(up, lo.eff, hi.eff), frames)
             arg = cast_value(arg, not up, lo.dom, hi.dom)
             return Stack(AppArg(fn.fn), frames), RETURN, arg
         raise StuckState(f"applied a non-function: {core._brief(_back(fn))}")
@@ -716,10 +769,10 @@ class Machine:
                 lo = _typing(f.lo, r.op, self.sig)
                 hi = _typing(f.hi, r.op, self.sig)
                 payload = cast_value(r.payload, up, lo.req, hi.req)
-                captured = Captured(
-                    Stack(ValCastFrame(not up, lo.resp, hi.resp), r.captured.inner),
-                    Stack(f, r.captured.outer),
-                )
+                inner = r.captured.inner
+                if lo.resp != hi.resp:
+                    inner = Stack(ValCastFrame(not up, lo.resp, hi.resp), inner)
+                captured = Captured(inner, Stack(f, r.captured.outer))
                 out = hi if up else lo
                 return frames, RAISE, Raising(r.op, out.req, out.resp, payload, captured)
             if not up and isinstance(f.hi, Dyn):

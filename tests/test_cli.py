@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from greff import cli, elaborate, gen, reference, surface
+from greff import cli, core, elaborate, gen, reference, surface
 from greff import eval as ev
+from greff.typesys import EMPTY, Str
 from programs import queue_source, queue_walk_source
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -147,6 +148,22 @@ def test_check_prints_the_typing():
     code, out, _ = invoke("check", str(CORPUS / "threads_precise.greff"))
     assert code == cli.EXIT_OK
     assert out.strip() == "[] ! str"
+
+
+def test_check_reports_the_annotated_row_above_the_core_terms(tmp_path):
+    # an ascribed row is the program's row, though the core term, a
+    # value, raises nothing: check prints a supertype of its core typing
+    src = tmp_path / "ascribed.greff"
+    src.write_text(
+        "module Main where\n"
+        "effect print : str ~> 1\n\n"
+        'define main : str = "x" :: [print]\n'
+    )
+    code, out, _ = invoke("check", str(src))
+    assert code == cli.EXIT_OK
+    assert out == "[print] ! str\n"
+    res = elaborate.elab_source(src.read_text())
+    assert core.typecheck(res.sig, {}, res.term) == (EMPTY, Str())
 
 
 def test_check_rejects_bad_import():

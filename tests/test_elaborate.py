@@ -1,9 +1,11 @@
 import dataclasses
 import pathlib
+import random
 
 import pytest
 
-from greff import core
+from greff import core, gen
+from greff.conformance import imprecisify
 from greff.elaborate import (
     ElabError, _Elab, elab_program, elab_source, surface_free_vars,
 )
@@ -108,6 +110,33 @@ def test_elaboration_deterministic():
     assert one == two
 
 
+def _typing_claims():
+    """Every generated surface program of seeds 0-1999, each one's
+    imprecise variant, and every corpus program that elaborates."""
+    for seed in range(2000):
+        program = gen.gen_surface_program(seed)
+        yield f"surface-{seed}", program
+        pair = imprecisify(program, random.Random(seed))
+        if pair is not None:
+            yield f"surface-{seed}-imprecise", pair.imprecise
+    for path in sorted(CORPUS.glob("*.greff")):
+        yield path.stem, parse_program(path.read_text())
+
+
+def test_core_typecheck_gives_exactly_the_reported_typing():
+    # check and the frontend benchmark report res.eff ! res.val; the core
+    # term must have that typing itself, not one below it
+    checked = 0
+    for name, program in _typing_claims():
+        try:
+            res = elab_program(program)
+        except ElabError:
+            continue
+        assert core.typecheck(res.sig, {}, res.term) == (res.eff, res.val), name
+        checked += 1
+    assert checked > 3000
+
+
 def test_bad_import_rejected_statically():
     with pytest.raises(ElabError) as e:
         elab_source((CORPUS / "bad_import.greff").read_text())
@@ -131,9 +160,8 @@ def test_ascription_to_dynamic_row_is_a_bare_upcast():
     assert eff == DYN and val == Unit()
     assert isinstance(term, core.EffUpcast)
     assert term.lo == PING and term.hi == DYN
-    assert isinstance(term.body, core.Let)
-    assert isinstance(term.body.bound, core.UnitLit)
-    assert isinstance(term.body.body, core.Raise)
+    # a value payload is raised directly, with no let around the raise
+    assert term.body == core.Raise("ping", Unit(), Unit(), core.UNIT)
 
 
 def test_widening_into_a_concrete_row_needs_no_cast():
@@ -157,9 +185,64 @@ def test_mixed_application_widens_the_latent_row():
     widen = term.fn
     assert isinstance(widen, core.ValUpcast)
     assert widen.lo == fn_ty and widen.hi == dyn_ty
-    inner = widen.body
-    assert isinstance(inner, core.EffUpcast) and inner.lo == EMPTY
-    assert isinstance(inner.body, core.Var)
+    # f is a value at [], so no effect cast takes it up to ?
+    assert widen.body == core.Var("f")
+
+
+def _under(t, *kinds):
+    """t without the casts of the given kinds around it."""
+    while isinstance(t, kinds):
+        t = t.body
+    return t
+
+
+# each sequencing form with value operands at [] beside an effectful
+# operand {m}, and where the value operands sit in the elaboration
+SEQUENCING_FORMS = {
+    "application": ("f ({m})", lambda t: [_under(t.fn, core.ValUpcast)]),
+    "let": ('let y = "v" in {m}', lambda t: [t.bound]),
+    "if": ('if b then "v" else {m}', lambda t: [t.cond, t.then]),
+    "match": (
+        'match q with empty -> ("v") dequeue(x, r) -> ({m})',
+        lambda t: [t.scrutinee, t.empty_body],
+    ),
+    "concat": ('"v" ++ {m}', lambda t: [t.left]),
+    "enqueue": ("enqueue q ({m})", lambda t: [t.queue]),
+    # the raise's own payload is the value operand
+    "raise": ('ping("v") ++ {m}', lambda t: [_under(t.left, core.EffUpcast).payload]),
+}
+PING_STR = Concrete({"ping": OpSig(Str(), Str())})
+
+
+@pytest.mark.parametrize("row", ["?", "ping"])
+@pytest.mark.parametrize("form", sorted(SEQUENCING_FORMS))
+def test_a_value_operand_at_the_empty_row_gets_no_effect_cast(form, row):
+    src, values = SEQUENCING_FORMS[form]
+    gamma_val = {
+        "b": Bool(),
+        "q": QueueOf(Str()),
+        "f": Arrow(Str(), EMPTY, Str()),
+        "d": Arrow(Unit(), DYN, Str()),
+        "p": Arrow(Unit(), PING_STR, Str()),
+    }
+    src = src.format(m="d ()" if row == "?" else "p ()")
+    term, eff, _ = run_term(src, gamma_val=gamma_val, ping=(Str(), Str()))
+    assert eff == (DYN if row == "?" else PING_STR)
+    for operand in values(term):
+        assert isinstance(operand, (core.Var, core.StrLit)), core.pretty(term)
+    if form != "let":  # and no raise binds its value payload with a let
+        assert not any(isinstance(n, core.Let) for n in nodes(term))
+
+
+def test_a_raise_binds_a_payload_that_is_not_a_value():
+    term, eff, _ = run_term(
+        "ping(g ())",
+        gamma_val={"g": Arrow(Unit(), DYN, Str())},
+        ping=(Str(), Str()),
+    )
+    assert eff == DYN
+    assert isinstance(term, core.Let) and isinstance(term.body, core.EffUpcast)
+    assert term.body.body == core.Raise("ping", Str(), Str(), core.Var(term.var))
 
 
 def test_argument_cast_wraps_its_effect_cast():

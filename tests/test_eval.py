@@ -1,6 +1,7 @@
 """Frame machine: rule coverage, apartness, reification, corpus differential."""
 
 import pathlib
+import re
 
 import pytest
 
@@ -41,6 +42,7 @@ from greff.eval import (
     MachineState,
     StuckState,
     UncaughtRaise,
+    ValCastFrame,
     Value,
     apart,
     reify,
@@ -59,7 +61,7 @@ from greff.typesys import (
     Unit,
 )
 
-from programs import resumption_cases
+from programs import queue_walk_source, resumption_cases
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
@@ -333,6 +335,11 @@ def _applying_programs():
 APPLYING = _applying_programs()
 
 
+def _elaborated(src):
+    res = elab_source(src)
+    return res.sig, res.term
+
+
 @pytest.mark.parametrize("name, sig, term", APPLYING, ids=[p[0] for p in APPLYING])
 def test_resumption_and_proxy_return_their_argument_at_once(name, sig, term):
     # applying a resumption pushes its frames and returns the argument to
@@ -410,6 +417,63 @@ def test_run_and_step_are_one_machine(name, sig, term):
     got = run(sig, term, fuel=100_000, sample=lambda s: shown.append(reify(s)), sample_every=1)
     assert got == run(sig, term, fuel=100_000)
     assert len(shown) == got.steps - 1
+
+
+# the corpus mixes, the resumption cases and the queue walk at ?: raises
+# cross effect casts, and proxies fire, at equal response, codomain or
+# latent typings
+CASTING = APPLYING + [("queue-walk-16-?", *_elaborated(queue_walk_source(16, "?")))]
+
+
+def test_no_identity_cast_frame_is_ever_pushed():
+    seen = {"stack": 0, "captured": 0}
+
+    def check(frames, where):
+        for f in frames:
+            if isinstance(f, (ValCastFrame, EffCastFrame)):
+                assert f.lo != f.hi, f"{name}: {f} on the {where}"
+                seen[where] += 1
+
+    def sample(state):
+        check(state.frames, "stack")
+        if isinstance(state.control, ev.Raising):
+            check(state.control.captured, "captured")
+
+    for name, sig, term in CASTING:
+        run(sig, term, sample=sample, sample_every=1)
+    assert seen["stack"] and seen["captured"]
+
+
+def test_the_value_line_is_the_read_back_brief_without_reading_back(monkeypatch):
+    # a traced run prints each returned value as core._brief prints its
+    # read-back, except a resumption, which shows as a tag; no closure is
+    # read back for it, so nothing is substituted
+    lines, tags, values = [], [], []
+    substs = []
+    subst = core.subst
+    monkeypatch.setattr(core, "subst", lambda *a: substs.append(1) or subst(*a))
+
+    def trace(rule, detail):
+        lines.append(detail if rule == "value" else None)
+
+    def sample(state):
+        if lines and lines[-1] is not None:
+            values.append((lines[-1], state.control.value))
+        lines.clear()
+
+    programs = CASTING + [(f"gen-{seed}", *gen.gen_core_program(seed)[:2]) for seed in range(50)]
+    for _, sig, term in programs:
+        run(sig, term, fuel=100_000, trace=trace, sample=sample, sample_every=1)
+    assert not substs
+    monkeypatch.setattr(core, "subst", subst)
+    for line, value in values:
+        if "<resume " in line:
+            tags.append(line)
+        else:
+            assert line == core._brief(ev._back(value))
+    assert len(values) > 1000 and tags
+    assert all(re.search(r"<resume %r\d+: \d+ frames>", t) or t.endswith("...") for t in tags)
+    assert "<resume %r1: 3 frames>" in tags
 
 
 # ---------------------------------------------------------------------------

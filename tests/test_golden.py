@@ -19,11 +19,14 @@ its error class when it does not exist.  A change that should keep
 behaviour identical must leave all seven files unchanged.  After an
 intended change of behaviour, `python tests/test_golden.py` rewrites
 them from the current code.  It first prints what moved, keeping step
-counts apart: the machine runs whose outcome changed and those whose
-steps or trace alone did, the corpus programs whose outputs changed,
-the elaborations that changed, the token streams that changed, the
-expansions that changed, the relation pairs that changed, and the JSONL
-lines that changed outside `steps_left`/`steps_right`.
+counts apart: the step totals of the machine runs, the corpus and the
+JSONL before and after; the machine runs whose outcome changed and those
+whose steps or trace alone did; the corpus programs whose `check` or
+`run` output changed and those whose `elab` output alone did; the
+elaborations whose typing changed and those whose core term alone did;
+the token streams that changed, the expansions that changed, the
+relation pairs that changed, and the JSONL lines that changed outside
+`steps_left`/`steps_right`.
 """
 
 import hashlib
@@ -384,6 +387,21 @@ def _report(what: str, names: list[str]) -> None:
     print(f"{len(names)} {what}" + (": " + ", ".join(names) if names else ""))
 
 
+def _report_pair(old, new, apart, what: str, rest: str, ignore: tuple[str, ...] = ()) -> None:
+    """Report the keys that moved outside the fields apart, then those that
+    moved only in them; fields in ignore count for neither."""
+    outside = _moved(old, new, apart + ignore)
+    _report(what, outside)
+    _report(rest, [key for key in _moved(old, new, ignore) if key not in outside])
+
+
+def _report_steps(what: str, old: dict, new: dict, fields: tuple[str, ...]) -> None:
+    def total(entries):
+        return sum(e.get(f) or 0 for e in entries.values() for f in fields)
+
+    print(f"{what} steps: {total(old)} -> {total(new)}")
+
+
 def write_golden() -> None:
     """Rewrite the seven files, first printing what moved in each."""
     machine = observe_machine_runs()
@@ -394,20 +412,31 @@ def write_golden() -> None:
     relations = observe_relations()
     conformance = observe_conformance()
     old_machine = json.loads(_old(MACHINE_FILE) or "{}")
-    outcomes = _moved(old_machine, machine, ("steps", "trace_sha256"))
-    steps = [name for name in _moved(old_machine, machine) if name not in outcomes]
-    _report("machine runs changed outcome", outcomes)
-    _report("machine runs changed only steps or trace", steps)
     old_corpus = json.loads(_old(CORPUS_FILE) or "{}")
-    _report("corpus programs changed outside steps", _moved(old_corpus, corpus, ("steps",)))
-    _report("elaborations changed", _moved(json.loads(_old(ELAB_FILE) or "{}"), elab))
+    old_lines = _jsonl(_old(CONFORMANCE_FILE))
+    new_lines = _jsonl(conformance)
+    _report_steps("machine runs", old_machine, machine, ("steps",))
+    _report_steps("corpus programs", old_corpus, corpus, ("steps",))
+    _report_steps("conformance lines", old_lines, new_lines, ("steps_left", "steps_right"))
+    _report_pair(
+        old_machine, machine, ("steps", "trace_sha256"),
+        "machine runs changed outcome", "machine runs changed only steps or trace",
+    )
+    _report_pair(
+        old_corpus, corpus, ("elab",),
+        "corpus programs changed check or run output",
+        "corpus programs changed only elab output", ignore=("steps",),
+    )
+    _report_pair(
+        json.loads(_old(ELAB_FILE) or "{}"), elab, ("core_sha256",),
+        "elaborations changed typing", "elaborations changed only the core term",
+    )
     old_tokens = json.loads(_old(TOKENS_FILE) or "{}")
     _report("token streams or parse errors changed", _moved(old_tokens, tokens))
     _report("expansions changed", _moved(json.loads(_old(EXPAND_FILE) or "{}"), expand))
     old_relations = json.loads(_old(RELATIONS_FILE) or "{}")
     _report("relation pairs changed", _moved(old_relations, relations))
-    old_lines = _jsonl(_old(CONFORMANCE_FILE))
-    lines = _moved(old_lines, _jsonl(conformance), ("steps_left", "steps_right"))
+    lines = _moved(old_lines, new_lines, ("steps_left", "steps_right"))
     _report("conformance lines changed outside steps_left/steps_right", lines)
     GOLDEN.mkdir(exist_ok=True)
     CONFORMANCE_FILE.write_bytes(conformance.encode("utf-8"))
