@@ -1,6 +1,6 @@
 """Golden outputs, pinned byte for byte against files in tests/golden/.
 
-Seven things are pinned: the JSONL that `greff conformance --seed 0
+Eight things are pinned: the JSONL that `greff conformance --seed 0
 --cases 25` prints; for every program in corpus/, the exit code and
 stdout of `greff check`, `greff elab` and `greff run`, plus the
 machine's step count for programs that elaborate; for a fixed set of
@@ -15,8 +15,11 @@ handler and wrapper sides of the two expansion families and retraction's
 side with effect and function casts both expanded; and, for seeded
 pairs of value types or of effect rows, the result of each typesys
 relation and bound, a bound printed with core.pretty_type or named by
-its error class when it does not exist.  A change that should keep
-behaviour identical must leave all seven files unchanged.  After an
+its error class when it does not exist; and, for every corpus program
+that elaborates and every resumption case, the number of states the
+machine passes through and a digest of each state read back with
+eval.reify and printed with core.pretty.  A change that should keep
+behaviour identical must leave all eight files unchanged.  After an
 intended change of behaviour, `python tests/test_golden.py` rewrites
 them from the current code.  It first prints what moved, keeping step
 counts apart: the step totals of the machine runs, the corpus and the
@@ -25,8 +28,8 @@ whose steps or trace alone did; the corpus programs whose `check` or
 `run` output changed and those whose `elab` output alone did; the
 elaborations whose typing changed and those whose core term alone did;
 the token streams that changed, the expansions that changed, the
-relation pairs that changed, and the JSONL lines that changed outside
-`steps_left`/`steps_right`.
+relation pairs that changed, the read-backs that changed, and the JSONL
+lines that changed outside `steps_left`/`steps_right`.
 """
 
 import hashlib
@@ -53,6 +56,7 @@ ELAB_FILE = GOLDEN / "elab.json"
 TOKENS_FILE = GOLDEN / "tokens.json"
 EXPAND_FILE = GOLDEN / "expand.json"
 RELATIONS_FILE = GOLDEN / "relations.json"
+READBACK_FILE = GOLDEN / "readback.json"
 STATIC_ERRORS = (ParseError, elaborate.ElabError, core.TypeCheckError)
 MACHINE_CORE_SEEDS = range(300)
 MACHINE_CORE_FUEL = 100_000
@@ -146,6 +150,36 @@ def observe_machine(sig, term, fuel: int) -> dict:
 def observe_machine_runs() -> dict:
     runs = _machine_programs()
     return {name: observe_machine(sig, term, fuel) for name, sig, term, fuel in runs}
+
+
+def _readback_programs() -> list[tuple[str, object, object]]:
+    """(name, signature, core term) for every pinned read-back."""
+    runs = [(f"resumption-{name}", sig, term) for name, sig, term in resumption_cases()]
+    for path in _corpus_programs():
+        try:
+            res = elaborate.elab_source(path.read_text(encoding="utf-8"))
+        except STATIC_ERRORS:
+            continue
+        runs.append((f"corpus-{path.stem}", res.sig, res.term))
+    return runs
+
+
+def observe_readback(sig, term) -> dict:
+    """The number of states sampled and the sha256 of their read-backs."""
+    digest = hashlib.sha256()
+    states = 0
+
+    def sample(state) -> None:
+        nonlocal states
+        states += 1
+        digest.update(core.pretty(ev.reify(state)).encode("utf-8") + b"\n")
+
+    ev.run(sig, term, sample=sample, sample_every=1)
+    return {"states": states, "readback_sha256": digest.hexdigest()}
+
+
+def observe_readbacks() -> dict:
+    return {name: observe_readback(sig, term) for name, sig, term in _readback_programs()}
 
 
 def observe_elab(program) -> dict:
@@ -346,6 +380,14 @@ def test_relations_are_unchanged():
     assert not moved, f"{len(moved)} relation pairs moved, first: {moved[:5]}"
 
 
+def test_readbacks_are_unchanged():
+    expected = json.loads(READBACK_FILE.read_bytes().decode("utf-8"))
+    got = observe_readbacks()
+    assert sorted(got) == sorted(expected)
+    moved = [name for name in expected if got[name] != expected[name]]
+    assert not moved, f"{len(moved)} read-backs moved, first: {moved[:5]}"
+
+
 def test_relations_golden_gives_every_outcome():
     # each relation both holds and fails, and each bound both exists and
     # does not, on at least 100 pinned pairs
@@ -403,13 +445,14 @@ def _report_steps(what: str, old: dict, new: dict, fields: tuple[str, ...]) -> N
 
 
 def write_golden() -> None:
-    """Rewrite the seven files, first printing what moved in each."""
+    """Rewrite the eight files, first printing what moved in each."""
     machine = observe_machine_runs()
     corpus = {p.name: observe_corpus(p) for p in _corpus_programs()}
     elab = observe_elaborations()
     tokens = observe_token_streams()
     expand = observe_expansions()
     relations = observe_relations()
+    readback = observe_readbacks()
     conformance = observe_conformance()
     old_machine = json.loads(_old(MACHINE_FILE) or "{}")
     old_corpus = json.loads(_old(CORPUS_FILE) or "{}")
@@ -436,6 +479,7 @@ def write_golden() -> None:
     _report("expansions changed", _moved(json.loads(_old(EXPAND_FILE) or "{}"), expand))
     old_relations = json.loads(_old(RELATIONS_FILE) or "{}")
     _report("relation pairs changed", _moved(old_relations, relations))
+    _report("read-backs changed", _moved(json.loads(_old(READBACK_FILE) or "{}"), readback))
     lines = _moved(old_lines, new_lines, ("steps_left", "steps_right"))
     _report("conformance lines changed outside steps_left/steps_right", lines)
     GOLDEN.mkdir(exist_ok=True)
@@ -446,6 +490,7 @@ def write_golden() -> None:
     TOKENS_FILE.write_bytes(_dump(tokens))
     EXPAND_FILE.write_bytes(_dump(expand))
     RELATIONS_FILE.write_bytes(_dump(relations))
+    READBACK_FILE.write_bytes(_dump(readback))
 
 
 if __name__ == "__main__":
