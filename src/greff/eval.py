@@ -3,8 +3,11 @@
 Evaluation is small-step over a machine state: a control (a term being
 evaluated in an environment, a runtime value being returned, or an
 operation being raised) plus a persistent stack of frames, one per
-evaluation-context layer, each carrying the environment of the term it
-holds.  Binding extends an environment; nothing is substituted while
+evaluation-context layer.  Most frames are a Ctx: the compound core
+term whose first operand is being evaluated, with the environment that
+closes it, so core.FIELDS says which field is the hole and which
+binders cover the rest.  The others hold a value already computed or a
+cast.  Binding extends an environment; nothing is substituted while
 the machine runs, so a step costs the same however large the program
 or its data.  After Felleisen & Friedman's CEK machine.
 
@@ -53,17 +56,16 @@ types its resumption k at the row [] (combo_III, combo_IIP, combo_PII,
 combo_PIP, threads_imprecise), `raise fork` sits under a narrower row
 (combo_IIP, combo_PIP, combo_IPI, combo_PPI), and a failed downcast
 leaves `err` as a handler's scrutinee, where the checker has no typing
-to give it (bad_downcast); ROADMAP item 9 tracks all three.  The suite
-checks the read-back typing of threads_precise every 50 steps, of the
-resumption cases every step, and of generated core programs every 13
-steps.
+to give it (bad_downcast); ROADMAP item 9 tracks all three, and
+test_readback_typing_failures_are_the_three_known in test_eval.py reads
+back every state of those 11 programs and pins exactly these failures.
 The direct-style evaluator in reference.py implements the same
 semantics with none of this machinery and serves as the cross-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, islice, repeat
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Union
@@ -244,14 +246,15 @@ class Resumption:
 
 
 # ---------------------------------------------------------------------------
-# Frames: one per evaluation-context layer.  Frames that hold a term
-# hold the environment that closes it.
+# Frames: one per evaluation-context layer.  A compound term waiting for
+# its first operand is its own frame, a Ctx; the other frames hold a
+# value already computed, or a cast that proxies and raises add.
 
 
 @_record
-class AppFun:
-    arg: core.Term
-    env: Env
+class Ctx:
+    term: core.Term  # its first field in core.FIELDS is the hole
+    env: Env  # closes its other fields
 
 
 @_record
@@ -260,61 +263,13 @@ class AppArg:
 
 
 @_record
-class LetBody:
-    var: str
-    body: core.Term
-    env: Env
-
-
-@_record
-class IfBranches:
-    then: core.Term
-    els: core.Term
-    env: Env
-
-
-@_record
-class ConcatLeft:
-    right: core.Term
-    env: Env
-
-
-@_record
 class ConcatRight:
     left: core.StrLit  # a value
 
 
 @_record
-class EnqueueQueue:
-    elem: core.Term
-    env: Env
-
-
-@_record
 class EnqueueElem:
     queue: QueueVal  # a value
-
-
-@_record
-class CaseFrame:
-    empty_body: core.Term
-    head_var: str
-    rest_var: str
-    cons_body: core.Term
-    env: Env
-
-
-@_record
-class RaisePayload:
-    op: str
-    req: ValueType
-    resp: ValueType
-
-
-@_record
-class HandleFrame:
-    handle: core.Handle
-    env: Env
 
 
 @_record
@@ -331,11 +286,7 @@ class EffCastFrame:
     hi: EffectType
 
 
-Frame = Union[
-    AppFun, AppArg, LetBody, IfBranches, ConcatLeft, ConcatRight,
-    EnqueueQueue, EnqueueElem, CaseFrame, RaisePayload, HandleFrame,
-    ValCastFrame, EffCastFrame,
-]
+Frame = Union[Ctx, AppArg, ConcatRight, EnqueueElem, ValCastFrame, EffCastFrame]
 
 
 # ---------------------------------------------------------------------------
@@ -518,37 +469,24 @@ def _spelled(x) -> object:
 def _wrap(f: Frame, hole: core.Term) -> core.Term:
     """Rebuild the term layer a frame stands for, with hole plugged in."""
     tf = type(f)
-    if tf is AppFun:
-        return core.App(hole, _close(f.arg, f.env))
+    if tf is Ctx:
+        t, env = f.term, f.env
+        fields = iter(core.FIELDS[type(t)].items())
+        changed = {next(fields)[0]: hole}
+        for name, binders in fields:
+            bound = tuple(getattr(t, b) for b in binders)
+            v = getattr(t, name)
+            if type(v) is tuple:
+                changed[name] = tuple(_close(x, env, bound) for x in v)
+            else:
+                changed[name] = _close(v, env, bound)
+        return replace(t, **changed)
     if tf is AppArg:
         return core.App(_back(f.fn), hole)
-    if tf is LetBody:
-        return core.Let(hole, f.var, _close(f.body, f.env, (f.var,)))
-    if tf is IfBranches:
-        return core.If(hole, _close(f.then, f.env), _close(f.els, f.env))
-    if tf is ConcatLeft:
-        return core.Concat(hole, _close(f.right, f.env))
     if tf is ConcatRight:
         return core.Concat(f.left, hole)
-    if tf is EnqueueQueue:
-        return core.Enqueue(hole, _close(f.elem, f.env))
     if tf is EnqueueElem:
         return core.Enqueue(_back(f.queue), hole)
-    if tf is CaseFrame:
-        return core.CaseQueue(
-            hole,
-            _close(f.empty_body, f.env),
-            f.head_var,
-            f.rest_var,
-            _close(f.cons_body, f.env, (f.head_var, f.rest_var)),
-        )
-    if tf is RaisePayload:
-        return core.Raise(f.op, f.req, f.resp, hole)
-    if tf is HandleFrame:
-        h = _close(f.handle, f.env)
-        return core.Handle(
-            hole, h.ret_var, h.ret_body, h.clauses, h.result_eff, h.result_type, h.deep
-        )
     if tf is ValCastFrame:
         return (core.ValUpcast if f.up else core.ValDowncast)(f.lo, f.hi, hole)
     if tf is EffCastFrame:
@@ -599,7 +537,7 @@ def apart(sig: Signature, frames: Iterable[Frame], op: str) -> bool:
     precision the lower row mentions nothing the upper row does not.
     """
     for f in frames:
-        if isinstance(f, HandleFrame) and f.handle.clause(op) is not None:
+        if type(f) is Ctx and type(f.term) is core.Handle and f.term.clause(op) is not None:
             return False
         if isinstance(f, EffCastFrame) and _mentions(f.hi, op, sig):
             return False
@@ -642,28 +580,27 @@ class Machine:
         if tt in _ATOMS:
             return self._returns(frames, _val(t, env))
         if tt is core.App:
-            return Stack(AppFun(t.arg, env), frames), t.fn, env
+            return Stack(Ctx(t, env), frames), t.fn, env
         if tt is core.Let:
-            return Stack(LetBody(t.var, t.body, env), frames), t.bound, env
+            return Stack(Ctx(t, env), frames), t.bound, env
         if tt is core.CaseQueue:
-            f = CaseFrame(t.empty_body, t.head_var, t.rest_var, t.cons_body, env)
-            return Stack(f, frames), t.scrutinee, env
+            return Stack(Ctx(t, env), frames), t.scrutinee, env
         if tt is core.Fix:
             self._fire("fix", t.var)
             return frames, t.body, FixClosure(t, env).body_env
         if tt is core.Concat:
-            return Stack(ConcatLeft(t.right, env), frames), t.left, env
+            return Stack(Ctx(t, env), frames), t.left, env
         if tt is core.If:
-            return Stack(IfBranches(t.then, t.els, env), frames), t.cond, env
+            return Stack(Ctx(t, env), frames), t.cond, env
         if tt is core.Raise:
-            return Stack(RaisePayload(t.op, t.req, t.resp), frames), t.payload, env
+            return Stack(Ctx(t, env), frames), t.payload, env
         if tt is core.Handle:
-            return Stack(HandleFrame(t, env), frames), t.scrutinee, env
+            return Stack(Ctx(t, env), frames), t.scrutinee, env
         if tt is core.Enqueue or tt is core.ValUpcast or tt is core.ValDowncast:
             if _is_value(t, env):
                 return self._returns(frames, _val(t, env))
             if tt is core.Enqueue:
-                return Stack(EnqueueQueue(t.elem, env), frames), t.queue, env
+                return Stack(Ctx(t, env), frames), t.queue, env
             f = ValCastFrame(tt is core.ValUpcast, t.lo, t.hi)
             return Stack(f, frames), t.body, env
         if tt is core.EffUpcast or tt is core.EffDowncast:
@@ -701,51 +638,53 @@ class Machine:
             return frames, HALT, Value(_back(v))
         f, frames = frames.top, frames.rest
         tf = type(f)
-        if tf is AppFun:
-            return Stack(AppArg(v), frames), f.arg, f.env
+        if tf is Ctx:
+            t, env = f.term, f.env
+            tt = type(t)
+            if tt is core.App:
+                return Stack(AppArg(v), frames), t.arg, env
+            if tt is core.Let:
+                self._fire("let", t.var)
+                return frames, t.body, {**env, t.var: v}
+            if tt is core.CaseQueue:
+                if type(v) is not QueueVal:
+                    raise StuckState(f"not a queue value: {v!r}")
+                if v.start == v.end:
+                    self._fire("case-empty")
+                    return frames, t.empty_body, env
+                self._fire("case-dequeue")
+                # the rest wins when both binders share a name
+                rest = QueueVal(v.elem, v.buf, v.start + 1, v.end)
+                env = {**env, t.head_var: v.buf[v.start], t.rest_var: rest}
+                return frames, t.cons_body, env
+            if tt is core.Concat:
+                return Stack(ConcatRight(v), frames), t.right, env
+            if tt is core.Raise:
+                self._fire("raise", t.op)
+                return frames, RAISE, Raising(t.op, t.req, t.resp, v, Captured())
+            if tt is core.Handle:
+                self._fire("handle-value")
+                return frames, t.ret_body, {**env, t.ret_var: v}
+            if tt is core.If:
+                if type(v) is not core.BoolLit:
+                    raise StuckState(f"if on a non-boolean: {core._brief(_back(v))}")
+                self._fire("if-true" if v.value else "if-false")
+                return frames, t.then if v.value else t.els, env
+            if tt is core.Enqueue:
+                return Stack(EnqueueElem(v), frames), t.elem, env
         if tf is AppArg:
             return self._apply(frames, f.fn, v)
-        if tf is LetBody:
-            self._fire("let", f.var)
-            return frames, f.body, {**f.env, f.var: v}
         if tf is EffCastFrame:
             self._fire("eff-upcast-value" if f.up else "eff-downcast-value")
             return frames, RETURN, v
-        if tf is CaseFrame:
-            if type(v) is not QueueVal:
-                raise StuckState(f"not a queue value: {v!r}")
-            if v.start == v.end:
-                self._fire("case-empty")
-                return frames, f.empty_body, f.env
-            self._fire("case-dequeue")
-            # the rest wins when both binders share a name
-            rest = QueueVal(v.elem, v.buf, v.start + 1, v.end)
-            env = {**f.env, f.head_var: v.buf[v.start], f.rest_var: rest}
-            return frames, f.cons_body, env
-        if tf is ConcatLeft:
-            return Stack(ConcatRight(v), frames), f.right, f.env
         if tf is ConcatRight:
             if type(f.left) is not core.StrLit or type(v) is not core.StrLit:
                 raise StuckState("concat on non-strings")
             self._fire("concat")
             return frames, RETURN, core.StrLit(f.left.value + v.value)
-        if tf is RaisePayload:
-            self._fire("raise", f.op)
-            return frames, RAISE, Raising(f.op, f.req, f.resp, v, Captured())
         if tf is ValCastFrame:
             self._fire("val-upcast" if f.up else "val-downcast")
             return frames, RETURN, cast_value(v, f.up, f.lo, f.hi)
-        if tf is HandleFrame:
-            h = f.handle
-            self._fire("handle-value")
-            return frames, h.ret_body, {**f.env, h.ret_var: v}
-        if tf is IfBranches:
-            if type(v) is not core.BoolLit:
-                raise StuckState(f"if on a non-boolean: {core._brief(_back(v))}")
-            self._fire("if-true" if v.value else "if-false")
-            return frames, f.then if v.value else f.els, f.env
-        if tf is EnqueueQueue:
-            return Stack(EnqueueElem(v), frames), f.elem, f.env
         if tf is EnqueueElem:
             self._fire("enqueue")
             return frames, RETURN, f.queue.enqueue(v)
@@ -757,8 +696,8 @@ class Machine:
             return frames, HALT, UncaughtRaise(r.op)
         f, frames = frames.top, frames.rest
         tf = type(f)
-        if tf is HandleFrame:
-            clause = f.handle.clause(r.op)
+        if tf is Ctx and type(f.term) is core.Handle:
+            clause = f.term.clause(r.op)
             if clause is not None:
                 return self._handler_beta(frames, f, clause, r)
         elif tf is EffCastFrame:
@@ -783,8 +722,8 @@ class Machine:
         captured = Captured(r.captured.inner, Stack(f, r.captured.outer))
         return frames, RAISE, Raising(r.op, r.req, r.resp, r.payload, captured)
 
-    def _handler_beta(self, frames, f: HandleFrame, clause, r: Raising) -> tuple:
-        h = f.handle
+    def _handler_beta(self, frames, f: Ctx, clause, r: Raising) -> tuple:
+        h = f.term
         self._fire("handler-beta", f"{r.op}{' deep' if h.deep else ''}")
         captured = tuple(r.captured) + ((f,) if h.deep else ())
         k = Resumption(self.fresh_resume(), clause.resp, captured)

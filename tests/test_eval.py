@@ -1,5 +1,6 @@
 """Frame machine: rule coverage, apartness, reification, corpus differential."""
 
+import collections
 import pathlib
 import re
 
@@ -29,14 +30,13 @@ from greff.core import (
     EffUpcast,
     Var,
 )
-from greff.elaborate import elab_source
+from greff.elaborate import ElabError, elab_source
 from greff.eval import (
     NO_ENV,
+    Ctx,
     EffCastFrame,
     Error,
     FuelExhausted,
-    HandleFrame,
-    LetBody,
     EMPTY_STACK,
     Evaluating,
     MachineState,
@@ -235,8 +235,8 @@ def test_apart_blocked_by_handler_clause():
         (Clause("ping", "p", "k", UnitLit(), UNIT_T, UNIT_T),),
         EMPTY, UNIT_T,
     )
-    assert not apart(PING, (HandleFrame(h, NO_ENV),), "ping")
-    assert apart(PING, (HandleFrame(h, NO_ENV),), "ask")
+    assert not apart(PING, (Ctx(h, NO_ENV),), "ping")
+    assert apart(PING, (Ctx(h, NO_ENV),), "ask")
 
 
 def test_apart_blocked_by_effect_casts():
@@ -244,7 +244,7 @@ def test_apart_blocked_by_effect_casts():
     assert not apart(PING, (EffCastFrame(False, PING_ROW, DYN),), "ping")
     assert not apart(PING, (EffCastFrame(False, EMPTY, DYN),), "ping")
     assert apart(PING, (EffCastFrame(False, EMPTY, PING_ROW),), "ask")
-    assert apart(PING, (LetBody("x", Var("x"), NO_ENV),), "ping")
+    assert apart(PING, (Ctx(Let(UnitLit(), "x", Var("x")), NO_ENV),), "ping")
 
 
 def test_raising_captured_frames_stay_apart():
@@ -278,6 +278,86 @@ def test_raising_captured_frames_stay_apart():
 def test_reify_roundtrips_initial_state():
     t = Let(StrLit("a"), "x", Concat(Var("x"), StrLit("b")))
     assert reify(MachineState(EMPTY_STACK, Evaluating(t, NO_ENV))) == t
+
+
+Y = StrLit("a")
+# each compound node that waits in a Ctx frame, with y free in its first
+# operand and in a later field, and rebound by a later field's binder
+WAITING_NODES = {
+    "App": App(Lam("x", STR, Var("y")), App(Lam("y", STR, Var("y")), Var("y"))),
+    "Let": Let(Var("y"), "y", Concat(Var("y"), StrLit("b"))),
+    "If": If(Let(Var("y"), "x", BoolLit(True)), Var("y"), Let(StrLit("b"), "y", Var("y"))),
+    "Concat": Concat(Var("y"), Concat(Var("y"), Let(StrLit("b"), "y", Var("y")))),
+    "Enqueue": Enqueue(Let(Var("y"), "y", EmptyQueue(STR)), Var("y")),
+    "CaseQueue": CaseQueue(
+        Enqueue(EmptyQueue(STR), Var("y")), Var("y"), "y", "r", Concat(Var("y"), Var("y"))
+    ),
+    "Raise": Raise("ask", STR, STR, Concat(Var("y"), StrLit("b"))),
+    "Handle": Handle(
+        Var("y"), "y", Concat(Var("y"), StrLit("b")),
+        (
+            Clause("ask", "y", "k", Var("y"), STR, STR),
+            Clause("ping", "p", "y", Concat(Var("y"), Var("p")), UNIT_T, UNIT_T),
+            Clause("get", "p", "k", Var("y"), UNIT_T, STR),
+        ),
+        EMPTY, STR,
+    ),
+}
+
+
+@pytest.mark.parametrize("node", WAITING_NODES.values(), ids=WAITING_NODES)
+def test_reify_closes_a_waiting_node_outside_its_binders(node):
+    # let y = "a" in node, read back just after node's frame is pushed
+    pushed = []
+
+    def sample(state):
+        f = state.frames.top
+        if type(f) is ev.Ctx and f.term is node:
+            pushed.append(reify(state))
+
+    run(SIG0, Let(Y, "y", node), fuel=4, sample=sample, sample_every=1)
+    assert pushed == [core.subst(node, "y", Y)]
+
+
+# what the states of each corpus program that elaborates fail
+# core.typecheck for, read back at every step (ROADMAP item 9)
+ERR_SCRUTINEE = "the error term needs an expected typing"
+K_AT_EMPTY_ROW = "expected <= 1 -[?]> 1"  # a shallow handler's resumption k
+FORK_UNDER_NARROWER_ROW = "ambient effect"  # raise fork
+READBACK_TYPING_FAILURES = {
+    "bad_downcast": {ERR_SCRUTINEE: 1},
+    "combo_III": {K_AT_EMPTY_ROW: 2},
+    "combo_IIP": {K_AT_EMPTY_ROW: 2, FORK_UNDER_NARROWER_ROW: 1},
+    "combo_IPI": {FORK_UNDER_NARROWER_ROW: 1},
+    "combo_IPP": {},
+    "combo_PII": {K_AT_EMPTY_ROW: 2},
+    "combo_PIP": {K_AT_EMPTY_ROW: 2, FORK_UNDER_NARROWER_ROW: 1},
+    "combo_PPI": {FORK_UNDER_NARROWER_ROW: 1},
+    "combo_PPP": {},
+    "threads_imprecise": {K_AT_EMPTY_ROW: 2},
+    "threads_precise": {},
+}
+
+
+def test_readback_typing_failures_are_the_three_known():
+    kinds = (ERR_SCRUTINEE, K_AT_EMPTY_ROW, FORK_UNDER_NARROWER_ROW)
+    got = {}
+    for path in sorted(CORPUS.glob("*.greff")):
+        try:
+            res = elab_source(path.read_text())
+        except ElabError:
+            continue
+        failures = got[path.stem] = collections.Counter()
+
+        def sample(state):
+            try:
+                core.typecheck(res.sig, {}, reify(state))
+            except core.TypeCheckError as e:
+                # a message of no known kind is counted whole, so it shows
+                failures[next((k for k in kinds if k in str(e)), str(e))] += 1
+
+        run(res.sig, res.term, sample=sample, sample_every=1)
+    assert got == READBACK_TYPING_FAILURES
 
 
 def test_intermediate_states_retypecheck():
