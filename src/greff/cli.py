@@ -28,7 +28,6 @@ import functools
 import os
 import random
 import sys
-from dataclasses import dataclass
 
 from . import conformance as conf
 from . import core
@@ -48,31 +47,8 @@ EXIT_INTERNAL = 70  # EX_SOFTWARE
 EXIT_PIPE = 141  # 128 + SIGPIPE
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs shared by the evaluating and batching subcommands."""
-
-    fuel: int = ev.DEFAULT_FUEL
-    tracing: bool = False
-    seed: int = 0
-    cases: int = 25
-
-    def __post_init__(self):
-        if self.fuel < 1:
-            raise ValueError("fuel must be at least 1")
-        if self.cases < 1:
-            raise ValueError("cases must be at least 1")
-
-
 class _UsageError(Exception):
     pass
-
-
-def _config(**knobs) -> RunConfig:
-    try:
-        return RunConfig(**knobs)
-    except ValueError as e:
-        raise _UsageError(str(e)) from e
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,16 +84,16 @@ def cmd_elab(path: str, out=sys.stdout) -> int:
     return EXIT_OK
 
 
-def cmd_run(path: str, cfg: RunConfig, out=sys.stdout, err=sys.stderr) -> int:
+def cmd_run(path: str, fuel: int, tracing: bool, out=sys.stdout, err=sys.stderr) -> int:
     res = _elab(path)
     trace = None
-    if cfg.tracing:
+    if tracing:
 
         def trace(rule: str, detail: str) -> None:
             line = f"{rule} {detail}" if detail else rule
             print(line, file=err)
 
-    result = ev.run(res.sig, res.term, fuel=cfg.fuel, trace=trace)
+    result = ev.run(res.sig, res.term, fuel=fuel, trace=trace)
     o = result.outcome
     if isinstance(o, ev.Value):
         if isinstance(o.value, core.StrLit):
@@ -135,35 +111,48 @@ def cmd_run(path: str, cfg: RunConfig, out=sys.stdout, err=sys.stderr) -> int:
     return EXIT_FUEL
 
 
-def cmd_graduality(path: str, cfg: RunConfig, out=sys.stdout, err=sys.stderr) -> int:
+def cmd_graduality(
+    path: str, fuel: int, seed: int, cases: int, out=sys.stdout, err=sys.stderr
+) -> int:
     """Blur the file's effect annotations and compare against the original."""
     program = surface.parse_program(_read(path))
     if conf.count_effect_sites(program) == 0:
         print("no effect annotation sites to blur", file=err)
         return EXIT_OK
     violations = 0
-    for i in range(cfg.cases):
-        seed = conf.case_seed(cfg.seed, i)
-        pair = conf.imprecisify(program, random.Random(seed))
+    for i in range(cases):
+        case = conf.case_seed(seed, i)
+        pair = conf.imprecisify(program, random.Random(case))
         assert pair is not None
-        rec = conf.graduality_record(seed, pair, fuel=cfg.fuel)
+        rec = conf.graduality_record(case, pair, fuel=fuel)
         print(rec.to_json(), file=out)
         if rec.verdict == "violated":
             violations += 1
-    print(f"{cfg.cases} cases, {violations} violations", file=err)
+    print(f"{cases} cases, {violations} violations", file=err)
     return EXIT_VIOLATION if violations else EXIT_OK
 
 
-def cmd_conformance(cfg: RunConfig, out=sys.stdout, err=sys.stderr) -> int:
+def cmd_conformance(fuel: int, seed: int, cases: int, out=sys.stdout, err=sys.stderr) -> int:
     report = conf.run_conformance(
-        seed=cfg.seed,
-        cases_per_law=cfg.cases,
-        fuel=cfg.fuel,
+        seed=seed,
+        cases_per_law=cases,
+        fuel=fuel,
         emit=lambda line: print(line, file=out),
     )
     bad = report.violations
     print(f"{len(report.records)} cases, {len(bad)} violations", file=err)
     return EXIT_VIOLATION if bad else EXIT_OK
+
+
+def _at_least_1(text: str) -> int:
+    """argparse's type for --fuel and --cases."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
 
 
 @functools.cache  # built on the first call and reused: parse_args keeps no state
@@ -179,19 +168,19 @@ def _build_parser() -> _Parser:
 
     r = sub.add_parser("run", help="evaluate a program on the frame machine")
     r.add_argument("file")
-    r.add_argument("--fuel", type=int, default=ev.DEFAULT_FUEL)
+    r.add_argument("--fuel", type=_at_least_1, default=ev.DEFAULT_FUEL)
     r.add_argument("--trace", action="store_true")
 
     g = sub.add_parser("graduality", help="blur a file's annotations and compare")
     g.add_argument("file")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--cases", type=int, default=25)
-    g.add_argument("--fuel", type=int, default=200_000)
+    g.add_argument("--cases", type=_at_least_1, default=25)
+    g.add_argument("--fuel", type=_at_least_1, default=200_000)
 
     k = sub.add_parser("conformance", help="run the randomized law batches")
     k.add_argument("--seed", type=int, default=0)
-    k.add_argument("--cases", type=int, default=25)
-    k.add_argument("--fuel", type=int, default=200_000)
+    k.add_argument("--cases", type=_at_least_1, default=25)
+    k.add_argument("--fuel", type=_at_least_1, default=200_000)
 
     return p
 
@@ -202,13 +191,10 @@ def _command(ns: argparse.Namespace, out, err) -> int:
     if ns.command == "elab":
         return cmd_elab(ns.file, out=out)
     if ns.command == "run":
-        cfg = _config(fuel=ns.fuel, tracing=ns.trace)
-        return cmd_run(ns.file, cfg, out=out, err=err)
+        return cmd_run(ns.file, ns.fuel, ns.trace, out=out, err=err)
     if ns.command == "graduality":
-        cfg = _config(fuel=ns.fuel, seed=ns.seed, cases=ns.cases)
-        return cmd_graduality(ns.file, cfg, out=out, err=err)
-    cfg = _config(fuel=ns.fuel, seed=ns.seed, cases=ns.cases)
-    return cmd_conformance(cfg, out=out, err=err)
+        return cmd_graduality(ns.file, ns.fuel, ns.seed, ns.cases, out=out, err=err)
+    return cmd_conformance(ns.fuel, ns.seed, ns.cases, out=out, err=err)
 
 
 def main(argv=None, out=sys.stdout, err=sys.stderr) -> int:

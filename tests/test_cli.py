@@ -236,11 +236,13 @@ def test_the_argument_parser_is_built_once(monkeypatch):
     assert building_calls <= 1
 
 
-def test_run_config_validates():
-    with pytest.raises(ValueError):
-        cli.RunConfig(fuel=0)
-    with pytest.raises(ValueError):
-        cli.RunConfig(cases=0)
+@pytest.mark.parametrize("flag", ["--cases", "--fuel"])
+@pytest.mark.parametrize("command", ["graduality", "conformance"])
+def test_nonpositive_cases_or_fuel_is_usage(command, flag):
+    path = (str(CORPUS / "threads_precise.greff"),) if command == "graduality" else ()
+    code, out, err = invoke(command, *path, flag, "0")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("usage error:")
 
 
 # ---------------------------------------------------------------------------
