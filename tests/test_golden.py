@@ -112,6 +112,19 @@ def _expected_corpus() -> dict:
     return json.loads(CORPUS_FILE.read_bytes().decode("utf-8"))
 
 
+def _resumption_and_corpus_programs() -> list[tuple[str, object, object]]:
+    """(name, signature, core term) for each resumption case and each
+    corpus program that elaborates."""
+    runs = [(f"resumption-{name}", sig, term) for name, sig, term in resumption_cases()]
+    for path in _corpus_programs():
+        try:
+            res = elaborate.elab_source(path.read_text(encoding="utf-8"))
+        except STATIC_ERRORS:
+            continue
+        runs.append((f"corpus-{path.stem}", res.sig, res.term))
+    return runs
+
+
 def _machine_programs() -> list[tuple[str, object, object, int]]:
     """(name, signature, core term, fuel) for every pinned machine run."""
     runs = []
@@ -121,14 +134,8 @@ def _machine_programs() -> list[tuple[str, object, object, int]]:
     for row in ("print", "?"):
         res = elaborate.elab_source(queue_walk_source(64, row))
         runs.append((f"queue-walk-64-{row}", res.sig, res.term, ev.DEFAULT_FUEL))
-    for name, sig, term in resumption_cases():
-        runs.append((f"resumption-{name}", sig, term, ev.DEFAULT_FUEL))
-    for path in _corpus_programs():
-        try:
-            res = elaborate.elab_source(path.read_text(encoding="utf-8"))
-        except STATIC_ERRORS:
-            continue
-        runs.append((f"corpus-{path.stem}", res.sig, res.term, ev.DEFAULT_FUEL))
+    for name, sig, term in _resumption_and_corpus_programs():
+        runs.append((name, sig, term, ev.DEFAULT_FUEL))
     return runs
 
 
@@ -152,18 +159,6 @@ def observe_machine_runs() -> dict:
     return {name: observe_machine(sig, term, fuel) for name, sig, term, fuel in runs}
 
 
-def _readback_programs() -> list[tuple[str, object, object]]:
-    """(name, signature, core term) for every pinned read-back."""
-    runs = [(f"resumption-{name}", sig, term) for name, sig, term in resumption_cases()]
-    for path in _corpus_programs():
-        try:
-            res = elaborate.elab_source(path.read_text(encoding="utf-8"))
-        except STATIC_ERRORS:
-            continue
-        runs.append((f"corpus-{path.stem}", res.sig, res.term))
-    return runs
-
-
 def observe_readback(sig, term) -> dict:
     """The number of states sampled and the sha256 of their read-backs."""
     digest = hashlib.sha256()
@@ -179,7 +174,8 @@ def observe_readback(sig, term) -> dict:
 
 
 def observe_readbacks() -> dict:
-    return {name: observe_readback(sig, term) for name, sig, term in _readback_programs()}
+    runs = _resumption_and_corpus_programs()
+    return {name: observe_readback(sig, term) for name, sig, term in runs}
 
 
 def observe_elab(program) -> dict:
