@@ -1,6 +1,6 @@
 """Golden outputs, pinned byte for byte against files in tests/golden/.
 
-Eight things are pinned: the JSONL that `greff conformance --seed 0
+Nine things are pinned: the JSONL that `greff conformance --seed 0
 --cases 25` prints; for every program in corpus/, the exit code and
 stdout of `greff check`, `greff elab` and `greff run`, plus the
 machine's step count for programs that elaborate; for a fixed set of
@@ -18,8 +18,11 @@ relation and bound, a bound printed with core.pretty_type or named by
 its error class when it does not exist; and, for every corpus program
 that elaborates and every resumption case, the number of states the
 machine passes through and a digest of each state read back with
-eval.reify and printed with core.pretty.  A change that should keep
-behaviour identical must leave all eight files unchanged.  After an
+eval.reify and printed with core.pretty; and a digest of
+surface.pretty_term over every term form at every child position of
+every term form, one per term class, and of surface.pretty_program over
+each corpus file.  A change that should keep behaviour identical must
+leave all nine files unchanged.  After an
 intended change of behaviour, `python tests/test_golden.py` rewrites
 them from the current code.  It first prints what moved, keeping step
 counts apart: the step totals of the machine runs, the corpus and the
@@ -28,8 +31,9 @@ whose steps or trace alone did; the corpus programs whose `check` or
 `run` output changed and those whose `elab` output alone did; the
 elaborations whose typing changed and those whose core term alone did;
 the token streams that changed, the expansions that changed, the
-relation pairs that changed, the read-backs that changed, and the JSONL
-lines that changed outside `steps_left`/`steps_right`.
+relation pairs that changed, the read-backs that changed, the printed
+forms that changed, and the JSONL lines that changed outside
+`steps_left`/`steps_right`.
 """
 
 import hashlib
@@ -43,6 +47,7 @@ import pytest
 from greff import cli, core, elaborate, gen, typesys
 from greff import conformance as conf
 from greff import eval as ev
+from greff import surface as s
 from greff.surface import ParseError, parse_program, pretty_program, tokenize
 from programs import queue_walk_source, resumption_cases
 
@@ -57,6 +62,7 @@ TOKENS_FILE = GOLDEN / "tokens.json"
 EXPAND_FILE = GOLDEN / "expand.json"
 RELATIONS_FILE = GOLDEN / "relations.json"
 READBACK_FILE = GOLDEN / "readback.json"
+PRINTER_FILE = GOLDEN / "printer.json"
 STATIC_ERRORS = (ParseError, elaborate.ElabError, core.TypeCheckError)
 MACHINE_CORE_SEEDS = range(300)
 MACHINE_CORE_FUEL = 100_000
@@ -323,6 +329,74 @@ def observe_relations() -> dict:
     return out
 
 
+_ROW = s.SNames(("a", "b"))
+_FN_TYPE = s.SArrow(s.SQueue(s.SStr()), _ROW, s.SArrow(s.SUnit(), s.SDynEff(), s.SBool()))
+# every printed form of a term, built from its term children: each term
+# class, with each way its flags, binders and annotations change the text
+TERM_FORMS = (
+    lambda: s.SVar("x"),
+    lambda: s.SBoolLit(True),
+    lambda: s.SBoolLit(False),
+    lambda: s.SUnitLit(),
+    lambda: s.SStrLit('a"b\\\nc'),
+    lambda: s.SEmptyQueue(),
+    lambda m: s.SLam("x", None, m),
+    lambda m: s.SLam("x", _FN_TYPE, m),
+    lambda m, n: s.SApp(m, n),
+    lambda m, n: s.SLet("x", m, n),
+    lambda m, n: s.SLet("_", m, n),
+    lambda m, n, o: s.SIf(m, n, o),
+    lambda m, n: s.SConcat(m, n),
+    lambda m, n: s.SEnqueue(m, n),
+    lambda m, n, o: s.SMatch(m, n, "h", "t", o),
+    lambda m: s.SRaise("e", m),
+    lambda m, n: s.SHandle(True, _ROW, s.SStr(), m, "r", n, ()),
+    lambda m, n, o, p: s.SHandle(
+        False, s.SDynEff(), _FN_TYPE, m, "r", n,
+        (s.SClause("e", "p", "k", o), s.SClause("d", "p", "k", p)),
+    ),
+    lambda m: s.SAscribeType(m, s.SQueue(_FN_TYPE)),
+    lambda m: s.SAscribeType(m, s.SStr()),
+    lambda m: s.SAscribeEff(m, _ROW),
+    lambda m: s.SAscribeEff(m, s.SDynEff()),
+)
+_LEAVES = [form() for form in TERM_FORMS if form.__code__.co_argcount == 0]
+
+
+def printer_terms() -> list:
+    """Every term form at depth 1, each with all children one leaf, then
+    every form with one of those at each child position and the leaf y
+    at the others."""
+    inner = list(_LEAVES)
+    for form in TERM_FORMS:
+        arity = form.__code__.co_argcount
+        if arity:
+            inner += [form(*[leaf] * arity) for leaf in _LEAVES]
+    terms = list(inner)
+    for form in TERM_FORMS:
+        arity = form.__code__.co_argcount
+        for i in range(arity):
+            for sub in inner:
+                kids = [s.SVar("y")] * arity
+                kids[i] = sub
+                terms.append(form(*kids))
+    return terms
+
+
+def observe_printer() -> dict:
+    """The sha256 of pretty_term over printer_terms, one per term class,
+    and of pretty_program over each corpus file."""
+    digests: dict = {}
+    for t in printer_terms():
+        key = f"term-{type(t).__name__}"
+        digests.setdefault(key, hashlib.sha256()).update(s.pretty_term(t).encode("utf-8") + b"\n")
+    out = {key: {"terms_sha256": d.hexdigest()} for key, d in digests.items()}
+    for path in _corpus_programs():
+        text = pretty_program(parse_program(path.read_text(encoding="utf-8")))
+        out[f"corpus-{path.stem}"] = {"program_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+    return out
+
+
 def test_conformance_seed0_jsonl_is_unchanged():
     assert observe_conformance().encode("utf-8") == CONFORMANCE_FILE.read_bytes()
 
@@ -384,6 +458,14 @@ def test_readbacks_are_unchanged():
     assert not moved, f"{len(moved)} read-backs moved, first: {moved[:5]}"
 
 
+def test_printed_forms_are_unchanged():
+    expected = json.loads(PRINTER_FILE.read_bytes().decode("utf-8"))
+    got = observe_printer()
+    assert sorted(got) == sorted(expected)
+    moved = [name for name in expected if got[name] != expected[name]]
+    assert not moved, f"{len(moved)} printed forms moved, first: {moved[:5]}"
+
+
 def test_relations_golden_gives_every_outcome():
     # each relation both holds and fails, and each bound both exists and
     # does not, on at least 100 pinned pairs
@@ -441,7 +523,7 @@ def _report_steps(what: str, old: dict, new: dict, fields: tuple[str, ...]) -> N
 
 
 def write_golden() -> None:
-    """Rewrite the eight files, first printing what moved in each."""
+    """Rewrite the nine files, first printing what moved in each."""
     machine = observe_machine_runs()
     corpus = {p.name: observe_corpus(p) for p in _corpus_programs()}
     elab = observe_elaborations()
@@ -449,6 +531,7 @@ def write_golden() -> None:
     expand = observe_expansions()
     relations = observe_relations()
     readback = observe_readbacks()
+    printer = observe_printer()
     conformance = observe_conformance()
     old_machine = json.loads(_old(MACHINE_FILE) or "{}")
     old_corpus = json.loads(_old(CORPUS_FILE) or "{}")
@@ -476,6 +559,7 @@ def write_golden() -> None:
     old_relations = json.loads(_old(RELATIONS_FILE) or "{}")
     _report("relation pairs changed", _moved(old_relations, relations))
     _report("read-backs changed", _moved(json.loads(_old(READBACK_FILE) or "{}"), readback))
+    _report("printed forms changed", _moved(json.loads(_old(PRINTER_FILE) or "{}"), printer))
     lines = _moved(old_lines, new_lines, ("steps_left", "steps_right"))
     _report("conformance lines changed outside steps_left/steps_right", lines)
     GOLDEN.mkdir(exist_ok=True)
@@ -487,6 +571,7 @@ def write_golden() -> None:
     EXPAND_FILE.write_bytes(_dump(expand))
     RELATIONS_FILE.write_bytes(_dump(relations))
     READBACK_FILE.write_bytes(_dump(readback))
+    PRINTER_FILE.write_bytes(_dump(printer))
 
 
 if __name__ == "__main__":
