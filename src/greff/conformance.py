@@ -321,27 +321,16 @@ def cast_factorizations(
 # Surface precision: sites, the imprecisifier, syntactic precision
 
 
-# the fields a row annotation can sit under: no name or flag, and nothing
-# in a declaration or import, whose typings are interface facts, not
+# declarations and imports: their typings are interface facts, not
 # annotations of the program under them
 _INTERFACE = (s.SEffectDecl, s.SImportEffect, s.SImportValue)
-_SITE_FIELDS = {
-    cls: tuple(n for n in names if cls.__dataclass_fields__[n].type not in ("str", "bool"))
-    for cls, names in s.FIELDS.items()
-    if not issubclass(cls, _INTERFACE)
-}
 
 
 def count_effect_sites(node) -> int:
     """The number of concrete row annotations, the sites imprecisify may blur."""
-    if isinstance(node, s.SNames):
-        return 1
-    n = 0
-    for name in _SITE_FIELDS.get(type(node), ()):
-        v = getattr(node, name)
-        for x in v if isinstance(v, tuple) else (v,):
-            n += count_effect_sites(x)
-    return n
+    counter = [0]
+    _rewrite_names(node, counter, set())
+    return counter[0]
 
 
 def _rewrite_names(node, counter: list[int], chosen: set[int]):
@@ -353,10 +342,12 @@ def _rewrite_names(node, counter: list[int], chosen: set[int]):
     if isinstance(node, s.SNames):
         counter[0] += 1
         return s.SDynEff() if counter[0] - 1 in chosen else node
+    if node is None or isinstance(node, _INTERFACE):
+        return node
     changed = {}
-    for name in _SITE_FIELDS.get(type(node), ()):
+    for name in s.FIELDS[type(node)]:
         v = getattr(node, name)
-        if isinstance(v, tuple):
+        if type(v) is tuple:
             new = tuple([_rewrite_names(x, counter, chosen) for x in v])
             if any(map(operator.is_not, new, v)):
                 changed[name] = new
@@ -386,21 +377,17 @@ def syntactic_precision(a, b) -> bool:
     """Structural equality except annotations may be ? on the right."""
     if isinstance(b, s.SDynEff):
         return isinstance(a, (s.SNames, s.SDynEff))
-    if type(a) is not type(b):
-        return False
-    if type(a) not in s.FIELDS:
+    if type(a) is not type(b) or type(a) not in s.FIELDS:
         return a == b
-    for name in s.FIELDS[type(a)]:
+    kids = s.FIELDS[type(a)]
+    for name in kids:
         va, vb = getattr(a, name), getattr(b, name)
-        if isinstance(va, tuple) and isinstance(vb, tuple):
+        if type(va) is tuple:
             if len(va) != len(vb) or not all(map(syntactic_precision, va, vb)):
                 return False
-        elif type(va) in s.FIELDS or type(vb) in s.FIELDS:
-            if not syntactic_precision(va, vb):
-                return False
-        elif va != vb:
+        elif not syntactic_precision(va, vb):
             return False
-    return True
+    return dataclasses.replace(a, **{name: getattr(b, name) for name in kids}) == b
 
 
 # ---------------------------------------------------------------------------

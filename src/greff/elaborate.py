@@ -74,20 +74,9 @@ class ElabResult:
 # surface free variables (to detect self-referential definitions)
 
 
-# each surface class's term-valued fields, clauses included, each with
-# the fields naming the variables bound over it
-_TERM_FIELDS = {
-    cls: tuple(
-        (n, s.BINDERS.get(cls, {}).get(n, ()))
-        for n in names
-        if cls.__dataclass_fields__[n].type.strip("'") in ("STerm", "tuple[SClause, ...]")
-    )
-    for cls, names in s.FIELDS.items()
-}
-
-
 def surface_free_vars(t: s.STerm) -> frozenset[str]:
-    """A fold over t's term-valued fields, carrying the names bound so far."""
+    """A fold over the node-valued fields s.FIELDS names, carrying the
+    names bound so far; type and row fields hold no variable."""
     out, stack = set(), [(t, frozenset())]
     while stack:
         node, bound = stack.pop()
@@ -95,12 +84,12 @@ def surface_free_vars(t: s.STerm) -> frozenset[str]:
             if node.name not in bound:
                 out.add(node.name)
             continue
-        for name, binders in _TERM_FIELDS[type(node)]:
+        for name, binders in s.FIELDS[type(node)].items():
             v = getattr(node, name)
             inner = bound | {getattr(node, b) for b in binders} if binders else bound
             if type(v) is tuple:
                 stack += [(x, inner) for x in v]
-            else:
+            elif v is not None:  # an unannotated lambda
                 stack.append((v, inner))
     return frozenset(out)
 

@@ -339,37 +339,32 @@ RETURN, RAISE, HALT = object(), object(), object()
 _ATOMS = frozenset({core.BoolLit, core.UnitLit, core.StrLit, core.Lam, core.EmptyQueue})
 
 
-def _is_value(t: core.Term, env: Env) -> bool:
-    """Whether t, closed by env, is a syntactic value."""
+def _value(t: core.Term, env: Env) -> object:
+    """The runtime value of t closed by env, or None when t is not a
+    syntactic value.  An enqueue whose element turns out not to be a value
+    may have appended its queue's own enqueues already, past the end of
+    every window that reads the list, so no value sees them."""
     tt = type(t)
-    if tt in _ATOMS:
-        return True
     if tt is core.Var:
         v = env.get(t.name)
-        return v is not None and type(v) is not FixClosure
-    if tt is core.Enqueue:
-        return _is_value(t.queue, env) and _is_value(t.elem, env)
-    if tt is core.ValUpcast or tt is core.ValDowncast:
-        # casts between arrow types wrap values into proxies
-        return isinstance(t.lo, Arrow) and isinstance(t.hi, Arrow) and _is_value(t.body, env)
-    return False
-
-
-def _val(t: core.Term, env: Env) -> object:
-    """The runtime value of a value term closed by env."""
-    tt = type(t)
-    if tt is core.Var:
-        return env[t.name]
+        return None if type(v) is FixClosure else v
     if tt is core.Lam:
         return Closure(t, env)
     if tt is core.EmptyQueue:
         return QueueVal(t.elem, [], 0, 0)
+    if tt in _ATOMS:
+        return t  # a literal
     if tt is core.Enqueue:
-        q = _val(t.queue, env)
-        return q.enqueue(_val(t.elem, env))
+        q = _value(t.queue, env)
+        x = None if q is None else _value(t.elem, env)
+        return None if x is None else q.enqueue(x)
     if tt is core.ValUpcast or tt is core.ValDowncast:
-        return Proxy(tt is core.ValUpcast, t.lo, t.hi, _val(t.body, env))
-    return t  # a literal
+        # casts between arrow types wrap values into proxies
+        if isinstance(t.lo, Arrow) and isinstance(t.hi, Arrow):
+            v = _value(t.body, env)
+            if v is not None:
+                return Proxy(tt is core.ValUpcast, t.lo, t.hi, v)
+    return None
 
 
 def cast_value(v: object, up: bool, lo: ValueType, hi: ValueType) -> object:
@@ -578,7 +573,7 @@ class Machine:
                 raise StuckState(f"cannot evaluate {core._brief(t)}")
             return self._returns(frames, v)
         if tt in _ATOMS:
-            return self._returns(frames, _val(t, env))
+            return self._returns(frames, _value(t, env))
         if tt is core.App:
             return Stack(Ctx(t, env), frames), t.fn, env
         if tt is core.Let:
@@ -597,8 +592,9 @@ class Machine:
         if tt is core.Handle:
             return Stack(Ctx(t, env), frames), t.scrutinee, env
         if tt is core.Enqueue or tt is core.ValUpcast or tt is core.ValDowncast:
-            if _is_value(t, env):
-                return self._returns(frames, _val(t, env))
+            v = _value(t, env)
+            if v is not None:
+                return self._returns(frames, v)
             if tt is core.Enqueue:
                 return Stack(Ctx(t, env), frames), t.queue, env
             f = ValCastFrame(tt is core.ValUpcast, t.lo, t.hi)

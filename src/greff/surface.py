@@ -43,7 +43,7 @@ Past MAX_DEPTH (100) levels the parser reports a ParseError at the token.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
 
@@ -140,22 +140,24 @@ def tokenize(src: str) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# Surface syntax trees (positions excluded from equality)
-
-
-def _pos_field():
-    return field(default=None, compare=False, repr=False, kw_only=True)
+# Surface syntax trees
 
 
 @dataclass(frozen=True)
-class SDynEff:
-    pos: Optional[tuple] = _pos_field()
+class _Node:
+    """A tree node's source position, left out of equality, hash and repr."""
+
+    pos: Optional[tuple] = field(default=None, compare=False, repr=False, kw_only=True)
 
 
 @dataclass(frozen=True)
-class SNames:
+class SDynEff(_Node):
+    pass
+
+
+@dataclass(frozen=True)
+class SNames(_Node):
     names: tuple[str, ...]
-    pos: Optional[tuple] = _pos_field()
 
     def __init__(self, names, pos=None):
         object.__setattr__(self, "names", tuple(sorted(names)))
@@ -166,138 +168,124 @@ SEffect = Union[SDynEff, SNames]
 
 
 @dataclass(frozen=True)
-class SBool:
-    pos: Optional[tuple] = _pos_field()
+class SBool(_Node):
+    pass
 
 
 @dataclass(frozen=True)
-class SUnit:
-    pos: Optional[tuple] = _pos_field()
+class SUnit(_Node):
+    pass
 
 
 @dataclass(frozen=True)
-class SStr:
-    pos: Optional[tuple] = _pos_field()
+class SStr(_Node):
+    pass
 
 
 @dataclass(frozen=True)
-class SQueue:
+class SQueue(_Node):
     elem: "SType"
-    pos: Optional[tuple] = _pos_field()
 
 
 @dataclass(frozen=True)
-class SArrow:
+class SArrow(_Node):
     dom: "SType"
     eff: SEffect
     cod: "SType"
-    pos: Optional[tuple] = _pos_field()
 
 
 SType = Union[SBool, SUnit, SStr, SQueue, SArrow]
 
 
 @dataclass(frozen=True)
-class SVar:
+class SVar(_Node):
     name: str
-    pos: Optional[tuple] = _pos_field()
 
 
 @dataclass(frozen=True)
-class SBoolLit:
+class SBoolLit(_Node):
     value: bool
-    pos: Optional[tuple] = _pos_field()
 
 
 @dataclass(frozen=True)
-class SUnitLit:
-    pos: Optional[tuple] = _pos_field()
+class SUnitLit(_Node):
+    pass
 
 
 @dataclass(frozen=True)
-class SStrLit:
+class SStrLit(_Node):
     value: str
-    pos: Optional[tuple] = _pos_field()
 
 
 @dataclass(frozen=True)
-class SLam:
+class SLam(_Node):
     var: str
     ann: Optional[SType]
     body: "STerm"
-    pos: Optional[tuple] = _pos_field()
 
 
 @dataclass(frozen=True)
-class SApp:
+class SApp(_Node):
     fn: "STerm"
     arg: "STerm"
-    pos: Optional[tuple] = _pos_field()
 
 
 @dataclass(frozen=True)
-class SLet:
+class SLet(_Node):
     var: str
     bound: "STerm"
     body: "STerm"
-    pos: Optional[tuple] = _pos_field()
 
 
 @dataclass(frozen=True)
-class SIf:
+class SIf(_Node):
     cond: "STerm"
     then: "STerm"
     els: "STerm"
-    pos: Optional[tuple] = _pos_field()
 
 
 @dataclass(frozen=True)
-class SConcat:
+class SConcat(_Node):
     left: "STerm"
     right: "STerm"
-    pos: Optional[tuple] = _pos_field()
 
 
 @dataclass(frozen=True)
-class SEmptyQueue:
-    pos: Optional[tuple] = _pos_field()
+class SEmptyQueue(_Node):
+    pass
 
 
 @dataclass(frozen=True)
-class SEnqueue:
+class SEnqueue(_Node):
     queue: "STerm"
     elem: "STerm"
-    pos: Optional[tuple] = _pos_field()
 
 
 @dataclass(frozen=True)
-class SMatch:
+class SMatch(_Node):
     scrutinee: "STerm"
     empty_body: "STerm"
     head_var: str
     rest_var: str
     cons_body: "STerm"
-    pos: Optional[tuple] = _pos_field()
 
 
 @dataclass(frozen=True)
-class SRaise:
+class SRaise(_Node):
     op: str
     payload: "STerm"
-    pos: Optional[tuple] = _pos_field()
 
 
 @dataclass(frozen=True)
-class SClause:
+class SClause(_Node):
     op: str
     payload_var: str
     resume_var: str
     body: "STerm"
-    pos: Optional[tuple] = _pos_field()
 
 
 @dataclass(frozen=True)
-class SHandle:
+class SHandle(_Node):
     deep: bool
     eff_ann: SEffect
     type_ann: SType
@@ -305,7 +293,6 @@ class SHandle:
     ret_var: str
     ret_body: "STerm"
     clauses: tuple[SClause, ...]
-    pos: Optional[tuple] = _pos_field()
 
     def __post_init__(self):
         object.__setattr__(
@@ -314,17 +301,15 @@ class SHandle:
 
 
 @dataclass(frozen=True)
-class SAscribeType:
+class SAscribeType(_Node):
     term: "STerm"
     ann: SType
-    pos: Optional[tuple] = _pos_field()
 
 
 @dataclass(frozen=True)
-class SAscribeEff:
+class SAscribeEff(_Node):
     term: "STerm"
     ann: SEffect
-    pos: Optional[tuple] = _pos_field()
 
 
 STerm = Union[
@@ -334,71 +319,79 @@ STerm = Union[
 
 
 @dataclass(frozen=True)
-class SEffectDecl:
+class SEffectDecl(_Node):
     name: str
     req: SType
     resp: SType
-    pos: Optional[tuple] = _pos_field()
 
 
 @dataclass(frozen=True)
-class SImportEffect:
+class SImportEffect(_Node):
     module: str
     name: str
     req: SType
     resp: SType
-    pos: Optional[tuple] = _pos_field()
 
 
 @dataclass(frozen=True)
-class SImportValue:
+class SImportValue(_Node):
     module: str
     name: str
     alias: str
     ann: SType
-    pos: Optional[tuple] = _pos_field()
 
 
 @dataclass(frozen=True)
-class SDefine:
+class SDefine(_Node):
     name: str
     ann: SType
     body: "STerm"
-    pos: Optional[tuple] = _pos_field()
 
 
 SDecl = Union[SEffectDecl, SImportEffect, SImportValue, SDefine]
 
 
 @dataclass(frozen=True)
-class SModule:
+class SModule(_Node):
     name: str
     decls: tuple[SDecl, ...]
-    pos: Optional[tuple] = _pos_field()
 
 
 @dataclass(frozen=True)
-class SProgram:
+class SProgram(_Node):
     modules: tuple[SModule, ...]
     main_decls: tuple[SDecl, ...]
     main_term: "STerm"
-    pos: Optional[tuple] = _pos_field()
 
 
-# every node class with its field names but the position, so walks never
-# ask dataclasses per node
-FIELDS = {
-    cls: tuple(f.name for f in fields(cls) if f.name != "pos")
-    for cls in list(globals().values())
-    if isinstance(cls, type) and is_dataclass(cls)
-}
-# the fields naming the variables bound over a term-valued field
-BINDERS = {
-    SLam: {"body": ("var",)},
-    SLet: {"body": ("var",)},
-    SMatch: {"cons_body": ("head_var", "rest_var")},
-    SHandle: {"ret_body": ("ret_var",)},
+# each node class's node-valued fields (terms, types, rows, clauses,
+# declarations, modules) in declaration order, each with the fields naming
+# the variables bound over it; every other field is a name or a flag
+FIELDS: dict[type, dict[str, tuple[str, ...]]] = {
+    **dict.fromkeys(
+        (SDynEff, SNames, SBool, SUnit, SStr, SVar, SBoolLit, SUnitLit, SStrLit, SEmptyQueue),
+        {},
+    ),
+    SQueue: {"elem": ()},
+    SArrow: {"dom": (), "eff": (), "cod": ()},
+    SLam: {"ann": (), "body": ("var",)},
+    SApp: {"fn": (), "arg": ()},
+    SLet: {"bound": (), "body": ("var",)},
+    SIf: {"cond": (), "then": (), "els": ()},
+    SConcat: {"left": (), "right": ()},
+    SEnqueue: {"queue": (), "elem": ()},
+    SMatch: {"scrutinee": (), "empty_body": (), "cons_body": ("head_var", "rest_var")},
+    SRaise: {"payload": ()},
     SClause: {"body": ("payload_var", "resume_var")},
+    SHandle: {
+        "eff_ann": (), "type_ann": (), "scrutinee": (), "ret_body": ("ret_var",), "clauses": (),
+    },
+    **dict.fromkeys((SAscribeType, SAscribeEff), {"term": (), "ann": ()}),
+    **dict.fromkeys((SEffectDecl, SImportEffect), {"req": (), "resp": ()}),
+    SImportValue: {"ann": ()},
+    SDefine: {"ann": (), "body": ()},
+    SModule: {"decls": ()},
+    SProgram: {"modules": (), "main_decls": (), "main_term": ()},
 }
 
 
@@ -872,10 +865,10 @@ def pretty_term(t: STerm) -> str:
         ann = f" : {pretty_type(t.ann)}" if t.ann is not None else ""
         return f"lambda {t.var}{ann}. {pretty_term(t.body)}"
     if isinstance(t, SApp):
-        return f"{_term_app_pos(t.fn)} {_term_atom(t.arg)}"
+        return f"{_sub(t.fn, _APP)} {_sub(t.arg, _ATOM)}"
     if isinstance(t, SLet):
         if t.var == "_":
-            return f"{_term_asc(t.bound)}; {pretty_term(t.body)}"
+            return f"{_sub(t.bound, _ASC)}; {pretty_term(t.body)}"
         return f"let {t.var} = {pretty_term(t.bound)} in {pretty_term(t.body)}"
     if isinstance(t, SIf):
         return (
@@ -883,24 +876,24 @@ def pretty_term(t: STerm) -> str:
             f"else {pretty_term(t.els)}"
         )
     if isinstance(t, SConcat):
-        return f"{_term_cat(t.left)} ++ {_term_app(t.right)}"
+        return f"{_sub(t.left, _CAT)} ++ {_sub(t.right, _ENQ)}"
     if isinstance(t, SEmptyQueue):
         return "empty"
     if isinstance(t, SEnqueue):
-        return f"enqueue {_term_atom(t.queue)} {_term_atom(t.elem)}"
+        return f"enqueue {_sub(t.queue, _ATOM)} {_sub(t.elem, _ATOM)}"
     if isinstance(t, SMatch):
         return (
-            f"match {_term_asc(t.scrutinee)} with "
+            f"match {_sub(t.scrutinee, _ASC)} with "
             f"empty -> ({pretty_term(t.empty_body)}) "
             f"dequeue({t.head_var}, {t.rest_var}) -> ({pretty_term(t.cons_body)})"
         )
     if isinstance(t, SRaise):
-        return f"raise {t.op} {_term_atom(t.payload)}"
+        return f"raise {t.op} {_sub(t.payload, _ATOM)}"
     if isinstance(t, SHandle):
         kw = "handle" if t.deep else "shallow-handle"
         head = (
             f"{kw} [{pretty_eff(t.eff_ann)}] {_type_atom(t.type_ann)} "
-            f"{_term_asc(t.scrutinee)} with ret {t.ret_var} -> ({pretty_term(t.ret_body)})"
+            f"{_sub(t.scrutinee, _ASC)} with ret {t.ret_var} -> ({pretty_term(t.ret_body)})"
         )
         for c in t.clauses:
             head += (
@@ -908,41 +901,26 @@ def pretty_term(t: STerm) -> str:
             )
         return head
     if isinstance(t, SAscribeType):
-        return f"{_term_asc(t.term)} :: {pretty_type(t.ann)}"
+        return f"{_sub(t.term, _ASC)} :: {pretty_type(t.ann)}"
     if isinstance(t, SAscribeEff):
-        return f"{_term_asc(t.term)} :: [{pretty_eff(t.ann)}]"
+        return f"{_sub(t.term, _ASC)} :: [{pretty_eff(t.ann)}]"
     raise TypeError(f"not a surface term: {t!r}")
 
 
-def _term_atom(t: STerm) -> str:
-    if isinstance(t, (SVar, SBoolLit, SUnitLit, SStrLit, SEmptyQueue)):
-        return pretty_term(t)
-    return f"({pretty_term(t)})"
+# precedence levels, loosest first: term, ascription, `++`, enqueue,
+# application, atom; a class not listed is a term
+_ASC, _CAT, _ENQ, _APP, _ATOM = range(1, 6)
+_LEVEL = {
+    SAscribeType: _ASC, SAscribeEff: _ASC, SConcat: _CAT, SEnqueue: _ENQ, SApp: _APP,
+    **dict.fromkeys((SVar, SBoolLit, SUnitLit, SStrLit, SEmptyQueue), _ATOM),
+}
 
 
-def _term_app(t: STerm) -> str:
-    if isinstance(t, (SApp, SEnqueue)):
-        return pretty_term(t)
-    return _term_atom(t)
-
-
-def _term_app_pos(t: STerm) -> str:
-    # function position of an application
-    if isinstance(t, SApp):
-        return pretty_term(t)
-    return _term_atom(t)
-
-
-def _term_cat(t: STerm) -> str:
-    if isinstance(t, SConcat):
-        return pretty_term(t)
-    return _term_app(t)
-
-
-def _term_asc(t: STerm) -> str:
-    if isinstance(t, (SAscribeType, SAscribeEff, SConcat)):
-        return pretty_term(t)
-    return _term_app(t)
+def _sub(t: STerm, level: int) -> str:
+    """t printed at a position that requires level, in parentheses when looser."""
+    if _LEVEL.get(type(t), 0) < level:
+        return f"({pretty_term(t)})"
+    return pretty_term(t)
 
 
 def pretty_decl(d: SDecl) -> str:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import operator
 import random
 from pathlib import Path
 
@@ -331,6 +332,49 @@ def test_count_effect_sites_and_imprecisify():
     assert pair.precise == p
     assert 1 <= len(pair.sites) <= n
     assert conf.count_effect_sites(pair.imprecise) == n - len(pair.sites)
+
+
+# one concrete row in a lambda annotation, two in a handler's row and
+# type annotations, one in a define's annotation and one in each of a
+# type and an effect ascription; the rows in the effect declaration and
+# the two imports are interface typings, not sites
+SITES_SRC = """
+module A where
+effect e : (1 -[e]> 1) ~> (1 -[e]> 1)
+define f : str -[e]> 1 = lambda s. e(lambda u : 1 -[e]> 1. u); ()
+main {
+  import A.e : (1 -[e]> 1) ~> (1 -[e]> 1)
+  import A.f : str -[e]> 1
+  import A.f as g : str -[e]> 1
+  in
+  handle [e] (1 -[e]> 1) ((g :: str -[e]> 1) "a" :: [e]) with ret x -> (lambda u. u) e(p, k) -> (p)
+}
+"""
+
+
+def test_count_effect_sites_counts_annotations_not_interfaces():
+    p = s.parse_program(SITES_SRC)
+    (define,) = p.modules[0].decls[1:]
+    assert conf.count_effect_sites(define.ann) == 1
+    assert conf.count_effect_sites(define.body) == 1  # the lambda annotation
+    interface = (p.modules[0].decls[0], *p.main_decls)
+    assert [type(d) for d in interface] == [s.SEffectDecl, s.SImportEffect, s.SImportValue, s.SImportValue]
+    assert [conf.count_effect_sites(d) for d in interface] == [0, 0, 0, 0]
+    handle = p.main_term
+    assert isinstance(handle, s.SHandle)
+    assert conf.count_effect_sites(handle.eff_ann) == conf.count_effect_sites(handle.type_ann) == 1
+    eff_asc = handle.scrutinee
+    type_asc = eff_asc.term.fn
+    assert isinstance(eff_asc, s.SAscribeEff) and isinstance(type_asc, s.SAscribeType)
+    assert conf.count_effect_sites(eff_asc.ann) == conf.count_effect_sites(type_asc.ann) == 1
+    assert conf.count_effect_sites(p) == 6
+    blurred = set()
+    for seed in range(40):
+        pair = conf.imprecisify(p, random.Random(seed))
+        blurred.update(pair.sites)
+        assert pair.imprecise.modules[0].decls[0] is interface[0]
+        assert all(map(operator.is_, pair.imprecise.main_decls, interface[1:]))
+    assert blurred == set(range(6))
 
 
 def test_imprecisify_yields_syntactic_precision():

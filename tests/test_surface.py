@@ -1,12 +1,14 @@
 """Lexer, parser, and pretty-printer tests for the surface language."""
 
+import dataclasses
 import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from greff import surface
 from greff.surface import (
-    MAX_DEPTH, ParseError, SApp, SArrow, SAscribeEff, SAscribeType, SBool, SBoolLit,
+    FIELDS, MAX_DEPTH, ParseError, SApp, SArrow, SAscribeEff, SAscribeType, SBool, SBoolLit,
     SClause, SConcat, SDefine, SDynEff, SEffectDecl, SEmptyQueue, SEnqueue,
     SHandle, SIf, SImportEffect, SImportValue, SLam, SLet, SMatch, SNames,
     SQueue, SRaise, SStr, SStrLit, SUnit, SUnitLit, SVar, parse_program,
@@ -420,3 +422,69 @@ def test_round_trip_terms(t):
 def test_pretty_is_fixpoint(t):
     text = pretty_term(t)
     assert pretty_term(parse_term(text, frozenset())) == text
+
+
+# ---------------------------------------------------------------------------
+# the field table
+
+
+# a program with a node of every surface class
+EVERY_CLASS_SRC = """
+module A where
+effect e : (Queue str -[e]> bool) ~> 1
+define f : str -[?]> str =
+  lambda s : str. let t = s ++ "x" in if true then t else (raise e (lambda q. true) :: [e]) :: str
+main {
+  import A.e : (Queue str -[e]> bool) ~> 1
+  import A.f : str -[?]> str
+  import A.f as g : str -[?]> str
+  in
+  handle [e] 1 (match enqueue empty (g "a") with empty -> () dequeue(h, r) -> (f h; ()))
+  with ret x -> (x) e(p, k) -> (k ())
+}
+"""
+
+
+def _nodes(node):
+    """node and every node under it, through the fields FIELDS names."""
+    yield node
+    for name in FIELDS[type(node)]:
+        v = getattr(node, name)
+        for x in v if isinstance(v, tuple) else (v,):
+            if x is not None:
+                yield from _nodes(x)
+
+
+def _surface_classes():
+    return [
+        cls for cls in vars(surface).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__name__.startswith("S")
+    ]
+
+
+def test_every_surface_class_is_in_the_field_table():
+    assert sorted(FIELDS, key=lambda c: c.__name__) == sorted(
+        _surface_classes(), key=lambda c: c.__name__
+    )
+
+
+@pytest.mark.parametrize("cls", _surface_classes(), ids=lambda c: c.__name__)
+def test_the_field_table_names_every_node_field_in_order(cls):
+    # every field but the position that is not a name, a flag or a list of names
+    names = [
+        f.name for f in dataclasses.fields(cls)
+        if f.name != "pos" and f.type not in ("str", "bool", "tuple[str, ...]")
+    ]
+    assert list(FIELDS[cls]) == names
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    for binders in FIELDS[cls].values():
+        assert all(types[b] == "str" for b in binders)
+
+
+def test_nodes_equal_hash_and_print_alike_at_any_position():
+    nodes = list(_nodes(parse_program(EVERY_CLASS_SRC)))
+    assert {type(n) for n in nodes} == set(FIELDS)
+    for node in nodes:
+        moved = dataclasses.replace(node, pos=(99, 99))
+        assert moved.pos != node.pos
+        assert moved == node and hash(moved) == hash(node) and repr(moved) == repr(node)
