@@ -27,6 +27,20 @@ def _doubled(n: int, elem: str) -> str:
     return q
 
 
+def _print_walk(walk: str, main: str) -> str:
+    """Two modules: Ops declares print, and Main imports it and defines
+    dbl, then walk and main as given."""
+    return f"""module Ops where
+effect print : str ~> 1
+
+module Main where
+import Ops.print : str ~> 1
+
+{_DBL}
+{walk}
+{main}"""
+
+
 def queue_walk_source(n: int, row: str = "print", elem: str = "a") -> str:
     """Walk a queue of n copies of elem, raising print once per element.
 
@@ -35,23 +49,56 @@ def queue_walk_source(n: int, row: str = "print", elem: str = "a") -> str:
     n must be a power of two; row is the walker's effect row, `print` or
     `?`.
     """
-    return f"""module Ops where
-effect print : str ~> 1
-
-module Main where
-import Ops.print : str ~> 1
-
-{_DBL}
-define walk : Queue str -[{row}]> 1 =
+    return _print_walk(
+        f"""define walk : Queue str -[{row}]> 1 =
   lambda q. match q with
     empty -> ()
     dequeue(x, q') -> print(x); walk q'
-
-define main : str =
+""",
+        f"""define main : str =
   handle [] str (walk ({_doubled(n, elem)})) with
     ret _ -> ""
     print(s, k) -> (k ()) ++ s
-"""
+""",
+    )
+
+
+def capture_walk_source(n: int) -> str:
+    """Walk a queue of n copies of "a" without tail calls: each element
+    is concatenated onto the rest of the walk, so every print raise
+    captures the frames of the concats around it.  The deep handler
+    resumes with `k ()`, and the program prints "a" n times."""
+    return _print_walk(
+        """define walk : Queue str -[print]> str =
+  lambda q. match q with
+    empty -> ""
+    dequeue(x, q') -> x ++ (print(x); walk q')
+""",
+        f"""define main : str =
+  handle [] str (walk ({_doubled(n, "a")})) with
+    ret s -> s
+    print(s, k) -> k ()
+""",
+    )
+
+
+def cast_loop_source(n: int) -> str:
+    """The queue walk at the dynamic row, calling itself through an
+    ascription to `Queue str -[print]> 1`, so every round trip adds an
+    arrow cast and every print raise crosses the effect casts it left.
+    The program prints "a" n times."""
+    return _print_walk(
+        """define walk : Queue str -[?]> 1 =
+  lambda q. match q with
+    empty -> ()
+    dequeue(x, q') -> print(x); (walk :: Queue str -[print]> 1) q'
+""",
+        f"""define main : str =
+  handle [] str (walk ({_doubled(n, "a")})) with
+    ret _ -> ""
+    print(s, k) -> (k ()) ++ s
+""",
+    )
 
 
 def queue_source(n: int, elem: str = "a") -> str:

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from greff import cli, core, elaborate, gen, reference, surface
 from greff import eval as ev
 from greff.typesys import EMPTY, Str
-from programs import queue_source, queue_walk_source
+from programs import capture_walk_source, cast_loop_source, queue_source, queue_walk_source
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -138,6 +138,24 @@ def test_run_trace_logs_rules():
     assert code == cli.EXIT_OK
     assert out.strip() == "1a2b"
     assert len(err.splitlines()) > 50
+
+
+@pytest.mark.parametrize(
+    "source, n", [(capture_walk_source, 256), (cast_loop_source, 64)], ids=["capture-walk", "cast-loop"]
+)
+def test_traced_probe_runs_print_their_value(tmp_path, source, n):
+    src = tmp_path / "probe.greff"
+    src.write_text(source(n))
+    code, out, err = invoke("run", str(src), "--trace")
+    assert code == cli.EXIT_OK
+    assert out == "a" * n + "\n"
+    assert err.startswith("fix dbl#0\nvalue (lam (acc (queue str)) ")
+    # a collecting trace changes neither the outcome nor the step count
+    res = elaborate.elab_source(source(n))
+    lines = []
+    traced = ev.run(res.sig, res.term, trace=lambda rule, detail: lines.append(rule))
+    assert traced == ev.run(res.sig, res.term)
+    assert len(lines) == len(err.splitlines())
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ from greff.typesys import (
     Unit,
 )
 
-from programs import queue_walk_source, resumption_cases
+from programs import capture_walk_source, cast_loop_source, queue_walk_source, resumption_cases
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
@@ -578,6 +578,27 @@ def test_determinism_same_trace(name):
         run(res.sig, res.term, fuel=10_000, trace=lambda rule, d: log.append((rule, d)))
         traces.append(log)
     assert traces[0] == traces[1]
+
+
+# (program, N, steps, checked against the reference): the capture walk
+# and the cast loop at ROADMAP's Baseline sizes; the reference takes
+# over a second on the cast loop at 256, so it checks only the 64
+PROBES = [
+    ("capture-walk", capture_walk_source, 256, 42_991, True),
+    ("cast-loop", cast_loop_source, 64, 7_131, True),
+    ("cast-loop", cast_loop_source, 256, 77_429, False),
+]
+
+
+@pytest.mark.parametrize(
+    "source, n, steps, differential", [p[1:] for p in PROBES], ids=[f"{p[0]}-{p[2]}" for p in PROBES]
+)
+def test_probe_programs_run_to_their_pinned_steps(source, n, steps, differential):
+    res = elab_source(source(n))
+    got = run(res.sig, res.term)
+    assert got == ev.RunResult(Value(StrLit("a" * n)), steps)
+    if differential:
+        assert reference.evaluate(res.sig, res.term) == got.outcome
 
 
 def test_bad_downcast_corpus_errors():
