@@ -39,10 +39,14 @@ The machine runs on three registers, frames, a and b, and builds no
 MachineState, Evaluating or Returning per step: each rule returns the
 next three as a tuple, (frames, term, env) to evaluate, (frames,
 RETURN, value) to return, (frames, RAISE, raising) to raise, or
-(frames, HALT, outcome) at the end.  A MachineState, whose control is
-an Evaluating, Returning or Raising, is the same state as one object:
+(frames, HALT, outcome) at the end.  The frames register is a chain of
+pairs, None when empty or (innermost frame, rest), so a push allocates
+one tuple and a pop unpacks one.  A MachineState, whose control is an
+Evaluating, Returning or Raising, is the same state as one object:
 run's sample hook is shown one built from the registers (_state), and
-reify reads it.
+reify reads it.  A trace line is built only when tracing is on: each
+rule tests for a trace before it spells its detail, and run prints the
+value line after an eval step that returned a value.
 
 Every state still denotes a closed term: reify reads it back by
 substituting environments into the terms they close over, which is
@@ -79,7 +83,6 @@ from .typesys import (
     QueueOf,
     Signature,
     ValueType,
-    ops_of,
 )
 
 DEFAULT_FUEL = 1_000_000
@@ -119,30 +122,26 @@ Outcome = Union[Value, Error, UncaughtRaise, FuelExhausted]
 
 
 # ---------------------------------------------------------------------------
-# Persistent stacks
+# Chains of frames: None, or a cell (frame, rest)
 
 Env = Mapping[str, object]
 NO_ENV: Env = MappingProxyType({})
+Cells = Optional[tuple]
 
 
-class Stack:
-    """An immutable linked stack: O(1) push and pop, iterated from the top."""
+def _cells(cells: Cells):
+    """The frames of a chain, first cell first."""
+    while cells is not None:
+        f, cells = cells
+        yield f
 
-    __slots__ = ("top", "rest", "depth")
 
-    def __init__(self, top=None, rest: Optional["Stack"] = None):
-        self.top = top
-        self.rest = rest
-        self.depth = 0 if rest is None else rest.depth + 1
+class Stack(tuple):
+    """The frames register as a MachineState shows it, innermost first."""
 
-    def __len__(self) -> int:
-        return self.depth
-
-    def __iter__(self):
-        node = self
-        while node.depth:
-            yield node.top
-            node = node.rest
+    @property
+    def top(self):
+        return self[0] if self else None
 
 
 EMPTY_STACK = Stack()
@@ -151,23 +150,25 @@ EMPTY_STACK = Stack()
 class Captured:
     """The frames a raise has walked past, iterated innermost first.
 
-    Frames walked past join at the outer end; the response casts that
-    effect casts add, where the two typings differ, join at the inner
-    end.  Both joins are O(1).
+    Frames walked past join the outer chain; the response casts that
+    effect casts add, where the two typings differ, join the inner one.
+    Both joins are O(1).
     """
 
     __slots__ = ("inner", "outer")
 
-    def __init__(self, inner: Stack = EMPTY_STACK, outer: Stack = EMPTY_STACK):
-        self.inner = inner  # innermost on top
-        self.outer = outer  # outermost on top
+    def __init__(self, inner: Cells = None, outer: Cells = None):
+        self.inner = inner  # innermost first
+        self.outer = outer  # outermost first
+
+    def frames(self) -> tuple:
+        return tuple(_cells(self.inner)) + tuple(_cells(self.outer))[::-1]
 
     def __len__(self) -> int:
-        return self.inner.depth + self.outer.depth
+        return len(self.frames())
 
     def __iter__(self):
-        yield from self.inner
-        yield from reversed(tuple(self.outer))
+        return iter(self.frames())
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +520,7 @@ def _mentions(eff: EffectType, op: str, sig: Signature) -> bool:
 
 
 def _typing(eff: EffectType, op: str, sig: Signature) -> OpSig:
-    got = ops_of(eff, sig).get(op)
+    got = (sig if isinstance(eff, Dyn) else eff).get(op)
     if got is None:
         raise StuckState(f"no typing for {op} in {eff}")
     return got
@@ -553,144 +554,152 @@ class Machine:
         self._fresh += 1
         return f"%r{self._fresh}"
 
-    def _fire(self, rule: str, detail: str = "") -> None:
-        if self.trace is not None:
-            self.trace(rule, detail)
-
-    def _returns(self, frames: Stack, v: object) -> tuple:
-        if self.trace is not None:
-            self.trace("value", core._brief(v, _spelled))
-        return frames, RETURN, v
-
-    def _step_eval(self, frames: Stack, t, env: Env) -> tuple:
+    def _step_eval(self, frames: Cells, t, env: Env) -> tuple:
         tt = type(t)
         if tt is core.Var:
             v = env.get(t.name)
             if type(v) is FixClosure:
-                self._fire("fix", v.fix.var)
+                if self.trace is not None:
+                    self.trace("fix", v.fix.var)
                 return frames, v.fix.body, v.body_env
             if v is None:
                 raise StuckState(f"cannot evaluate {core._brief(t)}")
-            return self._returns(frames, v)
+            return frames, RETURN, v
         if tt in _ATOMS:
-            return self._returns(frames, _value(t, env))
+            return frames, RETURN, _value(t, env)
         if tt is core.App:
-            return Stack(Ctx(t, env), frames), t.fn, env
+            return (Ctx(t, env), frames), t.fn, env
         if tt is core.Let:
-            return Stack(Ctx(t, env), frames), t.bound, env
+            return (Ctx(t, env), frames), t.bound, env
         if tt is core.CaseQueue:
-            return Stack(Ctx(t, env), frames), t.scrutinee, env
+            return (Ctx(t, env), frames), t.scrutinee, env
         if tt is core.Fix:
-            self._fire("fix", t.var)
+            if self.trace is not None:
+                self.trace("fix", t.var)
             return frames, t.body, FixClosure(t, env).body_env
         if tt is core.Concat:
-            return Stack(Ctx(t, env), frames), t.left, env
+            return (Ctx(t, env), frames), t.left, env
         if tt is core.If:
-            return Stack(Ctx(t, env), frames), t.cond, env
+            return (Ctx(t, env), frames), t.cond, env
         if tt is core.Raise:
-            return Stack(Ctx(t, env), frames), t.payload, env
+            return (Ctx(t, env), frames), t.payload, env
         if tt is core.Handle:
-            return Stack(Ctx(t, env), frames), t.scrutinee, env
+            return (Ctx(t, env), frames), t.scrutinee, env
         if tt is core.Enqueue or tt is core.ValUpcast or tt is core.ValDowncast:
             v = _value(t, env)
             if v is not None:
-                return self._returns(frames, v)
+                return frames, RETURN, v
             if tt is core.Enqueue:
-                return Stack(Ctx(t, env), frames), t.queue, env
+                return (Ctx(t, env), frames), t.queue, env
             f = ValCastFrame(tt is core.ValUpcast, t.lo, t.hi)
-            return Stack(f, frames), t.body, env
+            return (f, frames), t.body, env
         if tt is core.EffUpcast or tt is core.EffDowncast:
             f = EffCastFrame(tt is core.EffUpcast, t.lo, t.hi)
-            return Stack(f, frames), t.body, env
+            return (f, frames), t.body, env
         if tt is core.Err:
-            self._fire("err")
+            if self.trace is not None:
+                self.trace("err", "")
             return frames, HALT, Error()
         raise StuckState(f"cannot evaluate {t!r}")
 
-    def _apply(self, frames: Stack, fn: object, arg: object) -> tuple:
+    def _apply(self, frames: Cells, fn: object, arg: object) -> tuple:
         tf = type(fn)
         if tf is Closure:
             lam = fn.lam
-            self._fire("beta", lam.var)
+            if self.trace is not None:
+                self.trace("beta", lam.var)
             return frames, lam.body, {**fn.env, lam.var: arg}
         if tf is Resumption:
-            self._fire("beta", fn.var)
+            if self.trace is not None:
+                self.trace("beta", fn.var)
             for f in reversed(fn.frames):
-                frames = Stack(f, frames)
+                frames = (f, frames)
             return frames, RETURN, arg
         if tf is Proxy:
             up, lo, hi = fn.up, fn.lo, fn.hi
-            self._fire("fun-upcast" if up else "fun-downcast")
+            if self.trace is not None:
+                self.trace("fun-upcast" if up else "fun-downcast", "")
             if lo.cod != hi.cod:
-                frames = Stack(ValCastFrame(up, lo.cod, hi.cod), frames)
+                frames = (ValCastFrame(up, lo.cod, hi.cod), frames)
             if lo.eff != hi.eff:
-                frames = Stack(EffCastFrame(up, lo.eff, hi.eff), frames)
+                frames = (EffCastFrame(up, lo.eff, hi.eff), frames)
             arg = cast_value(arg, not up, lo.dom, hi.dom)
-            return Stack(AppArg(fn.fn), frames), RETURN, arg
+            return (AppArg(fn.fn), frames), RETURN, arg
         raise StuckState(f"applied a non-function: {core._brief(_back(fn))}")
 
-    def _step_return(self, frames: Stack, v: object) -> tuple:
-        if not frames.depth:
+    def _step_return(self, frames: Cells, v: object) -> tuple:
+        if frames is None:
             return frames, HALT, Value(_back(v))
-        f, frames = frames.top, frames.rest
+        f, frames = frames
         tf = type(f)
         if tf is Ctx:
             t, env = f.term, f.env
             tt = type(t)
             if tt is core.App:
-                return Stack(AppArg(v), frames), t.arg, env
+                return (AppArg(v), frames), t.arg, env
             if tt is core.Let:
-                self._fire("let", t.var)
+                if self.trace is not None:
+                    self.trace("let", t.var)
                 return frames, t.body, {**env, t.var: v}
             if tt is core.CaseQueue:
                 if type(v) is not QueueVal:
                     raise StuckState(f"not a queue value: {v!r}")
                 if v.start == v.end:
-                    self._fire("case-empty")
+                    if self.trace is not None:
+                        self.trace("case-empty", "")
                     return frames, t.empty_body, env
-                self._fire("case-dequeue")
+                if self.trace is not None:
+                    self.trace("case-dequeue", "")
                 # the rest wins when both binders share a name
                 rest = QueueVal(v.elem, v.buf, v.start + 1, v.end)
                 env = {**env, t.head_var: v.buf[v.start], t.rest_var: rest}
                 return frames, t.cons_body, env
             if tt is core.Concat:
-                return Stack(ConcatRight(v), frames), t.right, env
+                return (ConcatRight(v), frames), t.right, env
             if tt is core.Raise:
-                self._fire("raise", t.op)
+                if self.trace is not None:
+                    self.trace("raise", t.op)
                 return frames, RAISE, Raising(t.op, t.req, t.resp, v, Captured())
             if tt is core.Handle:
-                self._fire("handle-value")
+                if self.trace is not None:
+                    self.trace("handle-value", "")
                 return frames, t.ret_body, {**env, t.ret_var: v}
             if tt is core.If:
                 if type(v) is not core.BoolLit:
                     raise StuckState(f"if on a non-boolean: {core._brief(_back(v))}")
-                self._fire("if-true" if v.value else "if-false")
+                if self.trace is not None:
+                    self.trace("if-true" if v.value else "if-false", "")
                 return frames, t.then if v.value else t.els, env
             if tt is core.Enqueue:
-                return Stack(EnqueueElem(v), frames), t.elem, env
+                return (EnqueueElem(v), frames), t.elem, env
         if tf is AppArg:
             return self._apply(frames, f.fn, v)
         if tf is EffCastFrame:
-            self._fire("eff-upcast-value" if f.up else "eff-downcast-value")
+            if self.trace is not None:
+                self.trace("eff-upcast-value" if f.up else "eff-downcast-value", "")
             return frames, RETURN, v
         if tf is ConcatRight:
             if type(f.left) is not core.StrLit or type(v) is not core.StrLit:
                 raise StuckState("concat on non-strings")
-            self._fire("concat")
+            if self.trace is not None:
+                self.trace("concat", "")
             return frames, RETURN, core.StrLit(f.left.value + v.value)
         if tf is ValCastFrame:
-            self._fire("val-upcast" if f.up else "val-downcast")
+            if self.trace is not None:
+                self.trace("val-upcast" if f.up else "val-downcast", "")
             return frames, RETURN, cast_value(v, f.up, f.lo, f.hi)
         if tf is EnqueueElem:
-            self._fire("enqueue")
+            if self.trace is not None:
+                self.trace("enqueue", "")
             return frames, RETURN, f.queue.enqueue(v)
         raise StuckState(f"not a frame: {f!r}")
 
-    def _step_raise(self, frames: Stack, r: Raising) -> tuple:
-        if not frames.depth:
-            self._fire("uncaught", r.op)
+    def _step_raise(self, frames: Cells, r: Raising) -> tuple:
+        if frames is None:
+            if self.trace is not None:
+                self.trace("uncaught", r.op)
             return frames, HALT, UncaughtRaise(r.op)
-        f, frames = frames.top, frames.rest
+        f, frames = frames
         tf = type(f)
         if tf is Ctx and type(f.term) is core.Handle:
             clause = f.term.clause(r.op)
@@ -700,41 +709,42 @@ class Machine:
             up = f.up
             # the raise crosses when the row it goes out to mentions op
             if _mentions(f.hi if up else f.lo, r.op, self.sig):
-                self._fire("eff-upcast-raise" if up else "eff-downcast-raise", r.op)
+                if self.trace is not None:
+                    self.trace("eff-upcast-raise" if up else "eff-downcast-raise", r.op)
                 lo = _typing(f.lo, r.op, self.sig)
                 hi = _typing(f.hi, r.op, self.sig)
                 payload = cast_value(r.payload, up, lo.req, hi.req)
                 inner = r.captured.inner
                 if lo.resp != hi.resp:
-                    inner = Stack(ValCastFrame(not up, lo.resp, hi.resp), inner)
-                captured = Captured(inner, Stack(f, r.captured.outer))
+                    inner = (ValCastFrame(not up, lo.resp, hi.resp), inner)
+                captured = Captured(inner, (f, r.captured.outer))
                 out = hi if up else lo
                 return frames, RAISE, Raising(r.op, out.req, out.resp, payload, captured)
             if not up and isinstance(f.hi, Dyn):
                 # the dynamic row let the operation out; the target traps it
-                self._fire("bad-downcast", r.op)
+                if self.trace is not None:
+                    self.trace("bad-downcast", r.op)
                 return frames, core.Err(), NO_ENV
-        self._fire("capture", r.op)
-        captured = Captured(r.captured.inner, Stack(f, r.captured.outer))
+        if self.trace is not None:
+            self.trace("capture", r.op)
+        captured = Captured(r.captured.inner, (f, r.captured.outer))
         return frames, RAISE, Raising(r.op, r.req, r.resp, r.payload, captured)
 
     def _handler_beta(self, frames, f: Ctx, clause, r: Raising) -> tuple:
         h = f.term
-        self._fire("handler-beta", f"{r.op}{' deep' if h.deep else ''}")
-        captured = tuple(r.captured) + ((f,) if h.deep else ())
+        if self.trace is not None:
+            self.trace("handler-beta", f"{r.op} deep" if h.deep else r.op)
+        captured = r.captured.frames() + ((f,) if h.deep else ())
         k = Resumption(self.fresh_resume(), clause.resp, captured)
         # the resumption wins when both binders share a name
         env = {**f.env, clause.payload_var: r.payload, clause.resume_var: k}
         return frames, clause.body, env
 
 
-def _state(frames: Stack, a, b) -> MachineState:
+def _state(frames: Cells, a, b) -> MachineState:
     """The MachineState that the registers frames, a, b stand for."""
-    if a is RETURN:
-        return MachineState(frames, Returning(b))
-    if a is RAISE:
-        return MachineState(frames, b)
-    return MachineState(frames, Evaluating(a, b))
+    control = Returning(b) if a is RETURN else b if a is RAISE else Evaluating(a, b)
+    return MachineState(Stack(_cells(frames)), control)
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +774,7 @@ def run(
     step_eval, step_return, step_raise = (
         machine._step_eval, machine._step_return, machine._step_raise
     )
-    frames, a, b = EMPTY_STACK, term, NO_ENV
+    frames, a, b = None, term, NO_ENV
     for n in range(1, fuel + 1):
         if a is RETURN:
             frames, a, b = step_return(frames, b)
@@ -772,6 +782,8 @@ def run(
             frames, a, b = step_raise(frames, b)
         else:
             frames, a, b = step_eval(frames, a, b)
+            if trace is not None and a is RETURN:
+                trace("value", core._brief(b, _spelled))
         if a is HALT:
             return RunResult(b, n)
         if sample is not None and n % sample_every == 0:

@@ -108,21 +108,27 @@ class Dyn:
 
 @dataclass(frozen=True)
 class _OpTable:
-    """A finite map from operation names to typings, kept name-sorted."""
+    """A finite map from operation names to typings, kept name-sorted.
+
+    Lookups read _table, a dict built once from ops; it is not a field,
+    so equality, hashing and repr see only ops.
+    """
 
     ops: tuple[tuple[str, OpSig], ...]
 
     def __init__(self, ops: Union[Mapping[str, OpSig], Iterable[tuple[str, OpSig]]]):
-        object.__setattr__(self, "ops", tuple(sorted(dict(ops).items())))
+        table = dict(sorted(dict(ops).items()))
+        object.__setattr__(self, "ops", tuple(table.items()))
+        object.__setattr__(self, "_table", table)
 
     def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.ops)
+        return tuple(self._table)
 
     def get(self, name: str) -> Optional[OpSig]:
-        return dict(self.ops).get(name)
+        return self._table.get(name)
 
     def __contains__(self, name: str) -> bool:
-        return any(n == name for n, _ in self.ops)
+        return name in self._table
 
 
 @dataclass(frozen=True, init=False)
@@ -170,7 +176,7 @@ class Signature(_OpTable):
 
     def at(self, names: Iterable[str]) -> Concrete:
         """The concrete effect giving `names` their signature typings."""
-        table = dict(self.ops)
+        table = self._table
         missing = [n for n in names if n not in table]
         if missing:
             raise SignatureError(f"operations not in signature: {missing}")
@@ -179,14 +185,12 @@ class Signature(_OpTable):
     def extend(self, name: str, sig: OpSig) -> "Signature":
         if name in self:
             raise SignatureError(f"operation {name} already declared")
-        return Signature(dict(self.ops) | {name: sig})
+        return Signature(self._table | {name: sig})
 
 
 def ops_of(eff: EffectType, sig: Signature) -> dict[str, OpSig]:
     """The operations an effect may raise; ? means every declared operation."""
-    if isinstance(eff, Dyn):
-        return dict(sig.ops)
-    return dict(eff.ops)
+    return dict((sig if isinstance(eff, Dyn) else eff)._table)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +261,7 @@ def _below(t: Type, u: Type, rel: str) -> bool:
         return rel is _GRAD
     if rel is _PREC and len(t.ops) != len(u.ops):
         return False
-    table = dict(u.ops)
+    table = u._table
     for name, a in t.ops:
         b = table.get(name)
         if b is None or not _below(a.req, b.req, rel):
@@ -318,7 +322,7 @@ def _bound(t: Type, u: Type, up: bool, gradual: bool) -> Type:
             if t != u:
                 raise JoinUndefined("? has no common bound with a concrete effect in <=")
             return DYN
-        left, right = dict(t.ops), dict(u.ops)
+        left, right = t._table, u._table
         out: dict[str, OpSig] = {}
         for name in sorted(left.keys() | right.keys()):
             a, b = left.get(name), right.get(name)

@@ -442,11 +442,13 @@ def test_resumption_and_proxy_return_their_argument_at_once(name, sig, term):
 
 
 def test_untraced_run_never_reads_back(monkeypatch):
-    # tracing off: no rule detail is printed and no state is read back
-    calls = {"pretty": 0, "subst": 0}
+    # tracing off: no rule detail is printed or spelled, and no state is
+    # read back
+    calls = {"pretty": 0, "subst": 0, "_brief": 0, "_spelled": 0}
+    owner = {"pretty": core, "subst": core, "_brief": core, "_spelled": ev}
 
     def counting(name):
-        orig = getattr(core, name)
+        orig = getattr(owner[name], name)
 
         def counted(*args):
             calls[name] += 1
@@ -454,11 +456,16 @@ def test_untraced_run_never_reads_back(monkeypatch):
 
         return counted
 
-    res = elab_source((CORPUS / "threads_precise.greff").read_text())
+    programs = [
+        (elab_source((CORPUS / "threads_precise.greff").read_text()), "1a2b"),
+        (elab_source(capture_walk_source(64)), "a" * 64),
+        (elab_source(cast_loop_source(64)), "a" * 64),
+    ]
     for name in calls:
-        monkeypatch.setattr(core, name, counting(name))
-    assert run(res.sig, res.term, trace=None).outcome == Value(StrLit("1a2b"))
-    assert calls == {"pretty": 0, "subst": 0}
+        monkeypatch.setattr(owner[name], name, counting(name))
+    for res, want in programs:
+        assert run(res.sig, res.term, trace=None).outcome == Value(StrLit(want))
+    assert calls == {"pretty": 0, "subst": 0, "_brief": 0, "_spelled": 0}
 
 
 def test_untraced_run_builds_no_state_object(monkeypatch):

@@ -1,13 +1,15 @@
 """Type relations: subtyping, precision, gradual subtyping, joins."""
 
+import dataclasses
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from greff import core
+from greff import core, gen
 from greff.typesys import (
     Arrow,
     Bool,
@@ -28,6 +30,7 @@ from greff.typesys import (
     gradual_meet,
     gradual_subtype,
     lub,
+    ops_of,
     precision,
     subtype,
     wellformed,
@@ -359,3 +362,34 @@ def test_defined_bounds_bound_both_inputs(pair):
             continue
         for x in (t, u):
             assert below(x, b) if above else below(b, x), (bound.__name__, t, u, b)
+
+
+def test_the_operation_table_is_invisible():
+    # rows and signatures look operations up in a dict built from ops;
+    # lookups follow ops, and equality, hashing and repr see ops alone
+    for seed in range(100):
+        rng = random.Random(seed)
+        sig = gen.gen_signature(rng, higher_order=True)
+        row, other = gen.gen_row(rng, sig), gen.gen_row(rng, sig)
+        for table in (sig, row):
+            ops = dict(table.ops)
+            for name in [*ops, "undeclared"]:
+                assert table.get(name) == ops.get(name)
+                assert (name in table) == (name in ops)
+            assert table.names() == tuple(ops)
+            again = type(table)(reversed(table.ops))
+            assert again == table and hash(again) == hash(table)
+            assert repr(again) == repr(table)
+        moved = dataclasses.replace(row, ops=other.ops)
+        assert moved == other
+        for name in [*sig.names(), "undeclared"]:
+            assert moved.get(name) == other.get(name)
+            assert (name in moved) == (name in other)
+        assert moved.names() == other.names()
+        for eff, table in ((row, row), (DYN, sig)):
+            before = (table.ops, table.names(), [table.get(n) for n in sig.names()])
+            got = ops_of(eff, sig)
+            got.clear()
+            got["undeclared"] = OpSig(UNIT, UNIT)
+            assert (table.ops, table.names(), [table.get(n) for n in sig.names()]) == before
+            assert "undeclared" not in table
