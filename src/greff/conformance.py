@@ -22,10 +22,10 @@ side makes a case inconclusive, never violated.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 import json
-import operator
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -328,32 +328,51 @@ _INTERFACE = (s.SEffectDecl, s.SImportEffect, s.SImportValue)
 
 def count_effect_sites(node) -> int:
     """The number of concrete row annotations, the sites imprecisify may blur."""
-    counter = [0]
-    _rewrite_names(node, counter, set())
-    return counter[0]
+    return _count_sites(node, {})
 
 
-def _rewrite_names(node, counter: list[int], chosen: set[int]):
-    """Walk the tree numbering concrete row annotations, turning chosen ones to ?.
+# what holds no site: no node, an interface, or a leaf other than SNames
+_BARREN = frozenset(
+    {type(None), *_INTERFACE, *(t for t, f in s.FIELDS.items() if not f and t is not s.SNames)}
+)
 
-    A subtree without a chosen annotation comes back as the same object,
-    so only the path to each blurred site is rebuilt.
+
+def _count_sites(node, counts: dict[int, int]) -> int:
+    """The number of sites under node, recorded in counts under the id of
+    node and of every node below it that may hold one."""
+    tn = type(node)
+    if tn in _BARREN:
+        return 0
+    n = int(tn is s.SNames)
+    for name in s.FIELDS[tn]:
+        v = getattr(node, name)
+        for x in v if type(v) is tuple else (v,):
+            if type(x) not in _BARREN:
+                n += _count_sites(x, counts)
+    counts[id(node)] = n
+    return n
+
+
+def _blur(node, counts: dict[int, int], first: int, chosen: list[int]):
+    """node, whose sites are numbered from first, with the sites in chosen
+    (sorted) turned to ?.  Only subtrees that hold a chosen site are
+    walked and rebuilt; every other subtree comes back as the same object.
     """
     if isinstance(node, s.SNames):
-        counter[0] += 1
-        return s.SDynEff() if counter[0] - 1 in chosen else node
-    if node is None or isinstance(node, _INTERFACE):
-        return node
+        return s.SDynEff()
     changed = {}
     for name in s.FIELDS[type(node)]:
         v = getattr(node, name)
-        if type(v) is tuple:
-            new = tuple([_rewrite_names(x, counter, chosen) for x in v])
-            if any(map(operator.is_not, new, v)):
-                changed[name] = new
-        elif (new := _rewrite_names(v, counter, chosen)) is not v:
-            changed[name] = new
-    return dataclasses.replace(node, **changed) if changed else node
+        kids, hit = list(v) if type(v) is tuple else [v], False
+        for j, x in enumerate(kids):
+            n = counts.get(id(x), 0)
+            i = bisect.bisect_left(chosen, first)
+            if i < len(chosen) and chosen[i] < first + n:
+                kids[j], hit = _blur(x, counts, first, chosen), True
+            first += n
+        if hit:
+            changed[name] = tuple(kids) if type(v) is tuple else kids[0]
+    return dataclasses.replace(node, **changed)
 
 
 @dataclass(frozen=True)
@@ -365,12 +384,12 @@ class PrecisionPair:
 
 def imprecisify(p: s.SProgram, rng: random.Random) -> Optional[PrecisionPair]:
     """Turn a random nonempty set of row annotations into ?; None if none."""
-    n = count_effect_sites(p)
+    counts: dict[int, int] = {}
+    n = _count_sites(p, counts)
     if n == 0:
         return None
-    chosen = set(rng.sample(range(n), rng.randint(1, n)))
-    out = _rewrite_names(p, [0], chosen)
-    return PrecisionPair(p, out, tuple(sorted(chosen)))
+    chosen = sorted(rng.sample(range(n), rng.randint(1, n)))
+    return PrecisionPair(p, _blur(p, counts, 0, chosen), tuple(chosen))
 
 
 def syntactic_precision(a, b) -> bool:
