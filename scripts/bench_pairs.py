@@ -8,8 +8,8 @@ Run from anywhere inside a greff checkout.  `git archive` writes the
 committed files of REV and of HEAD into two temporary copies, which are
 removed at the end.  Each pair runs BENCHMARK.json's command
 (perfbench/run.py, unchanged) once on each copy, one run at a time, for
-BENCHMARK.json's run_seconds unless --seconds says otherwise; odd pairs
-run the parent first and even pairs the change.  Before every run the
+BENCHMARK.json's run_seconds; odd pairs run the parent first and even
+pairs the change.  Before every run the
 copy's src/greff/__pycache__ is removed, and PYTHONDONTWRITEBYTECODE=1
 keeps it from coming back.
 
@@ -17,11 +17,12 @@ With --trace 0 the pairs are added to the output file under
 "pairs" / "WORKLOAD seed SEED", after any pairs already there, and the
 entry's summary is recomputed: per end-to-end metric, each side's
 median and quartiles, how many pairs the change won, and whether the
-claim rule holds (the change wins at least 9 pairs in 10 and the two
-medians are further apart than the parent's interquartile range).
-With --trace 1 the last pair's per-layer results are stored under
-"traced_trace1" / WORKLOAD.  The file is rewritten after every pair, so
-an interrupted batch keeps the pairs it finished.
+claim rule holds (at least 10 pairs, the change wins at least 9 in
+10, and the two medians are further apart than the parent's
+interquartile range); below 10 pairs the rule reads null.  The file is
+rewritten after every pair, so an interrupted batch keeps the pairs it
+finished.  With --trace 1 there are no pairs: one traced run per side,
+parent first, is stored under "traced_trace1" / WORKLOAD.
 
 This script imports nothing from greff.
 """
@@ -40,6 +41,7 @@ import tempfile
 from pathlib import Path
 
 RULE_WINS = 0.9  # the share of pairs the change must win
+RULE_PAIRS = 10  # the fewest pairs the rule is judged on
 
 
 def _git(root: Path, *args: str) -> str:
@@ -58,7 +60,7 @@ def export(root: Path, rev: str, dest: Path) -> str:
 
 
 def run_once(copy: Path, command: list[str], workload: str, seed: int,
-             seconds: float, trace: int) -> dict:
+             seconds: int, trace: int) -> dict:
     """One benchmark run on a copy: the JSON result line, parsed."""
     shutil.rmtree(copy / "src" / "greff" / "__pycache__", ignore_errors=True)
     argv = [*command, "--workload", workload, "--seed", str(seed),
@@ -94,7 +96,8 @@ def summary(pairs: list[dict], metrics: dict[str, str]) -> dict:
             "median_change_pct": (b["median"] / a["median"] - 1) * 100 if a["median"] else 0.0,
             "change_better_in": wins,
             "pairs": len(pairs),
-            "rule_holds": wins >= RULE_WINS * len(pairs) and gap > a["iqr"],
+            "rule_holds": (wins >= RULE_WINS * len(pairs) and gap > a["iqr"]
+                           if len(pairs) >= RULE_PAIRS else None),
         }
     return out
 
@@ -104,15 +107,16 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="the revision HEAD is compared with")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--pairs", type=int, help="the pairs to add; required with --trace 0")
     ap.add_argument("--out", type=Path, required=True, help="the JSON file to add the pairs to")
-    ap.add_argument("--seconds", type=float, help="default: BENCHMARK.json's run_seconds")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
+    if not args.trace and not args.pairs:
+        ap.error("--pairs is required with --trace 0")
 
     root = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel"))
     bench = json.loads((root / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     out_path = args.out if args.out.is_absolute() else Path.cwd() / args.out
     doc = json.loads(out_path.read_text()) if out_path.exists() else {}
@@ -132,26 +136,28 @@ def main(argv=None) -> int:
         doc.setdefault("procedure", "scripts/bench_pairs.py: runs one at a time; "
                        "src/greff/__pycache__ removed before each run; "
                        "PYTHONDONTWRITEBYTECODE=1; odd pairs run the parent first")
-        entry = None if args.trace else doc.setdefault("pairs", {}).setdefault(
+        if args.trace:
+            doc.setdefault("traced_trace1", {})[args.workload] = {
+                side: run_once(copies[side], bench["command"], args.workload,
+                               args.seed, seconds, 1) for side in ("parent", "change")}
+            out_path.write_text(json.dumps(doc, indent=1) + "\n")
+            return 0
+        entry = doc.setdefault("pairs", {}).setdefault(
             f"{args.workload} seed {args.seed}",
             {"workload": args.workload, "seed": args.seed, "seconds": seconds, "pairs": []},
         )
-        done = len(entry["pairs"]) if entry else 0
+        done = len(entry["pairs"])
         for n in range(done + 1, done + args.pairs + 1):
             order = ("parent", "change") if n % 2 else ("change", "parent")
             got = {side: run_once(copies[side], bench["command"], args.workload,
-                                  args.seed, seconds, args.trace) for side in order}
-            if args.trace:
-                doc.setdefault("traced_trace1", {})[args.workload] = {
-                    side: got[side] for side in ("parent", "change")}
-            else:
-                pair = {"pair": f"pair{n}", "first": order[0]}
-                for side in ("parent", "change"):
-                    res = got[side]
-                    pair[side] = {name: res["metrics"][name]["value"] for name in metrics}
-                    pair[side].update(failed=res["failed"], attempted=res["attempted"])
-                entry["pairs"].append(pair)
-                entry["summary"] = summary(entry["pairs"], metrics)
+                                  args.seed, seconds, 0) for side in order}
+            pair = {"pair": f"pair{n}", "first": order[0]}
+            for side in ("parent", "change"):
+                res = got[side]
+                pair[side] = {name: res["metrics"][name]["value"] for name in metrics}
+                pair[side].update(failed=res["failed"], attempted=res["attempted"])
+            entry["pairs"].append(pair)
+            entry["summary"] = summary(entry["pairs"], metrics)
             out_path.write_text(json.dumps(doc, indent=1) + "\n")
             print(f"pair {n - done}/{args.pairs} done", file=sys.stderr)
     finally:
