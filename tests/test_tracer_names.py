@@ -15,6 +15,8 @@ import inspect
 import sys
 from pathlib import Path
 
+from programs import capture_walk_source, cast_loop_source, queue_walk_source
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 
@@ -81,3 +83,25 @@ def test_subst_recurses_by_its_own_name():
     # name would pay a span per call
     core = _greff("core")
     assert "subst" in core.subst.__code__.co_names
+
+
+def test_the_state_hook_counts_depths_of_sampled_states():
+    # the benchmark's eval.peak_frames and eval.max_captured come from this
+    # hook seeing every state; a change to how a state shows its frames
+    # must leave these counts as they are
+    tracer = _load_tracer()
+    ev = _greff("eval")
+    elaborate = _greff("elaborate")
+    cases = [
+        (queue_walk_source(64), (2581, 66, 1)),
+        (queue_walk_source(64, "?"), (2841, 68, 3)),
+        (capture_walk_source(64), (4661, 67, 65)),
+        (cast_loop_source(64), (7131, 196, 129)),
+    ]
+    for source, expected in cases:
+        res = elaborate.elab_source(source)
+        bucket = tracer.Bucket()
+        hook = tracer.Tracer({"eval": ev})._state_hook(bucket, None, 1)
+        steps = ev.run(res.sig, res.term, sample=hook, sample_every=1).steps
+        counts = bucket.counts
+        assert (steps, counts["eval.peak_frames"], counts["eval.max_captured"]) == expected
