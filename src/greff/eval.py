@@ -36,17 +36,20 @@ for a proxy's effects or result, nor for the response of a raise that
 crossed an effect cast.
 
 The machine runs on three registers, frames, a and b, and builds no
-MachineState, Evaluating or Returning per step: each rule returns the
-next three as a tuple, (frames, term, env) to evaluate, (frames,
-RETURN, value) to return, (frames, RAISE, raising) to raise, or
-(frames, HALT, outcome) at the end.  The frames register is a chain of
-pairs, None when empty or (innermost frame, rest), so a push allocates
-one tuple and a pop unpacks one.  A MachineState, whose control is an
-Evaluating, Returning or Raising, is the same state as one object:
-run's sample hook is shown one built from the registers (_state), and
-reify reads it.  A trace line is built only when tracing is on: each
-rule tests for a trace before it spells its detail, and run prints the
-value line after an eval step that returned a value.
+state object per step: each rule returns the next three as a tuple,
+(frames, term, env) to evaluate, (frames, RETURN, value) to return,
+(frames, RAISE, raising) to raise, or (frames, HALT, outcome) at the
+end.  Registers hold chains: the frames register is None when empty or
+a pair (innermost frame, rest), so a push allocates one tuple and a pop
+unpacks one, and a raise's captured frames are two such chains.  Only
+run's sample hook sees a MachineState, built from the registers by
+_state, and reify reads it back.  A sampled state shows every chain as
+a tuple, innermost first, and its control is a Ctx while a term is
+evaluated, a Raising while an operation is raised, or the value itself
+(never a Ctx or a Raising) while it is returned.  A trace line is
+built only when tracing is on: each rule tests for a trace before it
+spells its detail, and run prints the value line after an eval step
+that returned a value.
 
 Every state still denotes a closed term: reify reads it back by
 substituting environments into the terms they close over, which is
@@ -136,19 +139,8 @@ def _cells(cells: Cells):
         yield f
 
 
-class Stack(tuple):
-    """The frames register as a MachineState shows it, innermost first."""
-
-    @property
-    def top(self):
-        return self[0] if self else None
-
-
-EMPTY_STACK = Stack()
-
-
 class Captured:
-    """The frames a raise has walked past, iterated innermost first.
+    """The frames a raise has walked past; frames() lists them innermost first.
 
     Frames walked past join the outer chain; the response casts that
     effect casts add, where the two typings differ, join the inner one.
@@ -163,12 +155,6 @@ class Captured:
 
     def frames(self) -> tuple:
         return tuple(_cells(self.inner)) + tuple(_cells(self.outer))[::-1]
-
-    def __len__(self) -> int:
-        return len(self.frames())
-
-    def __iter__(self):
-        return iter(self.frames())
 
 
 # ---------------------------------------------------------------------------
@@ -295,39 +281,28 @@ Frame = Union[Ctx, AppArg, ConcatRight, EnqueueElem, ValCastFrame, EffCastFrame]
 
 
 @_record
-class Evaluating:
-    term: core.Term
-    env: Env
-
-
-@_record
-class Returning:
-    value: object
-
-
-@_record
 class Raising:
     """An operation searching outward for its handler.
 
     req and resp are the payload's current typings; effect casts crossed
     on the way out rewrite them along with the payload.  captured holds
-    the frames walked so far, innermost first, all apart from op.
+    the frames walked so far, all apart from op: a Captured in the
+    register, a tuple innermost first in a sampled state.
     """
 
     op: str
     req: ValueType
     resp: ValueType
     payload: object
-    captured: Captured
-
-
-Control = Union[Evaluating, Returning, Raising]
+    captured: Union[Captured, tuple]
 
 
 @_record
 class MachineState:
-    frames: Stack  # innermost on top
-    control: Control
+    """The registers as run's sample hook sees them: every chain a tuple."""
+
+    frames: tuple  # innermost first
+    control: object  # a Ctx, a Raising, or the value being returned
 
 
 # what the machine's second register holds when it is not a term
@@ -500,13 +475,13 @@ def reify_frames(frames: Iterable[Frame], hole: core.Term) -> core.Term:
 def reify(state: MachineState) -> core.Term:
     """Read the whole state back as the closed term it denotes."""
     c = state.control
-    if isinstance(c, Evaluating):
+    if isinstance(c, Ctx):
         inner = _close(c.term, c.env)
-    elif isinstance(c, Returning):
-        inner = _back(c.value)
-    else:
+    elif isinstance(c, Raising):
         raise_node = core.Raise(c.op, c.req, c.resp, _back(c.payload))
         inner = reify_frames(c.captured, raise_node)
+    else:
+        inner = _back(c)
     return reify_frames(state.frames, inner)
 
 
@@ -743,8 +718,11 @@ class Machine:
 
 def _state(frames: Cells, a, b) -> MachineState:
     """The MachineState that the registers frames, a, b stand for."""
-    control = Returning(b) if a is RETURN else b if a is RAISE else Evaluating(a, b)
-    return MachineState(Stack(_cells(frames)), control)
+    if a is RAISE:
+        control = Raising(b.op, b.req, b.resp, b.payload, b.captured.frames())
+    else:
+        control = b if a is RETURN else Ctx(a, b)
+    return MachineState(tuple(_cells(frames)), control)
 
 
 # ---------------------------------------------------------------------------

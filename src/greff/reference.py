@@ -30,7 +30,6 @@ from .typesys import (
     QueueOf,
     Signature,
     ValueType,
-    ops_of,
 )
 
 
@@ -48,16 +47,6 @@ class DepthExhausted:
 
 class _OutOfFuel(Exception):
     pass
-
-
-class _Budget:
-    def __init__(self, fuel: int):
-        self.left = fuel
-
-    def spend(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise _OutOfFuel()
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +139,7 @@ def _bind(res: Result, k: Callable[[object], Result]) -> Result:
 
 
 def _typing(eff: EffectType, op: str, sig: Signature) -> OpSig:
-    got = ops_of(eff, sig).get(op)
+    got = (sig if isinstance(eff, Dyn) else eff).get(op)
     if got is None:
         raise ReferenceBug(f"no typing for {op} in {eff}")
     return got
@@ -176,9 +165,14 @@ def _vcast(v: object, up: bool, lo: ValueType, hi: ValueType) -> object:
 
 
 class _Ref:
-    def __init__(self, sig: Signature, budget: _Budget):
+    def __init__(self, sig: Signature, fuel: int):
         self.sig = sig
-        self.budget = budget
+        self.left = fuel
+
+    def spend(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise _OutOfFuel()
 
     def _effcast(self, up: bool, lo: EffectType, hi: EffectType, res: Result) -> Result:
         """Push a result through an effect cast between lo and hi (lo below hi).
@@ -216,7 +210,7 @@ class _Ref:
         return Raised(op, res.payload, lambda v: rewrap(res.resume(v)))
 
     def _apply(self, f: object, a: object) -> Result:
-        self.budget.spend()
+        self.spend()
         if isinstance(f, Closure):
             return self._eval(f.body, {**f.env, f.var: a})
         if isinstance(f, RecClosure):
@@ -255,7 +249,7 @@ class _Ref:
         )
 
     def _eval(self, t: core.Term, env: Mapping[str, object]) -> Result:
-        self.budget.spend()
+        self.spend()
         if isinstance(t, core.Var):
             if t.name not in env:
                 raise ReferenceBug(f"unbound variable {t.name}")
@@ -317,18 +311,12 @@ class _Ref:
             return self._dispatch(t, self._eval(t.scrutinee, env), env)
         if isinstance(t, core.Err):
             return _FAILED
-        if isinstance(t, core.ValUpcast):
-            return _bind(
-                self._eval(t.body, env), lambda v: Done(_vcast(v, True, t.lo, t.hi))
-            )
-        if isinstance(t, core.ValDowncast):
-            return _bind(
-                self._eval(t.body, env), lambda v: Done(_vcast(v, False, t.lo, t.hi))
-            )
-        if isinstance(t, core.EffUpcast):
-            return self._effcast(True, t.lo, t.hi, self._eval(t.body, env))
-        if isinstance(t, core.EffDowncast):
-            return self._effcast(False, t.lo, t.hi, self._eval(t.body, env))
+        if isinstance(t, (core.ValUpcast, core.ValDowncast)):
+            up = isinstance(t, core.ValUpcast)
+            return _bind(self._eval(t.body, env), lambda v: Done(_vcast(v, up, t.lo, t.hi)))
+        if isinstance(t, (core.EffUpcast, core.EffDowncast)):
+            up = isinstance(t, core.EffUpcast)
+            return self._effcast(up, t.lo, t.hi, self._eval(t.body, env))
         raise ReferenceBug(f"not a term: {t!r}")
 
 
@@ -363,15 +351,15 @@ def evaluate(
     in FuelExhausted: it would have needed more stack, not more fuel, and
     the machine, whose stack is on the heap, may well finish it.
     """
-    budget = _Budget(fuel)
+    ref = _Ref(sig, fuel)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 100_000))
     try:
-        res = _Ref(sig, budget)._eval(term, {})
+        res = ref._eval(term, {})
     except _OutOfFuel:
         return FuelExhausted(fuel)
     except RecursionError:
-        return DepthExhausted(fuel - budget.left)
+        return DepthExhausted(fuel - ref.left)
     finally:
         sys.setrecursionlimit(limit)
     if isinstance(res, Done):

@@ -364,11 +364,16 @@ def fuzzed_sources(draw) -> bytes:
 )
 @given(fuzzed_sources())
 def test_fuzzed_input_never_is_an_internal_error(tmp_path, data):
+    # each example writes a new file and removes it: overwriting the same
+    # file in place costs tens of milliseconds a time on some disks
     path = tmp_path / "fuzz.greff"
     path.write_bytes(data)
-    for argv in (("check", str(path)), ("run", "--fuel", "20000", str(path))):
-        code, _, err = invoke(*argv)
-        assert code in FILE_EXITS and "internal error" not in err, (argv, code, err)
+    try:
+        for argv in (("check", str(path)), ("run", "--fuel", "20000", str(path))):
+            code, _, err = invoke(*argv)
+            assert code in FILE_EXITS and "internal error" not in err, (argv, code, err)
+    finally:
+        path.unlink()
 
 
 # ---------------------------------------------------------------------------
