@@ -1,5 +1,7 @@
 """Core calculus: typechecking, substitution, printing, string-literal round trip."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -211,6 +213,69 @@ def test_cast_endpoints_must_be_precision_related():
     assert check(up) == (DYN, U1)
     down = EffDowncast(PRINT, DYN, up)
     assert check(down) == (PRINT, U1)
+
+
+def _bare(clause):
+    """A handler over () with the one clause."""
+    return Handle(UNIT, "x", TRUE, (clause,), EMPTY, BOOL)
+
+
+def _unrelated(cast, lo, hi):
+    return lambda: cast(lo, hi, UNIT)
+
+
+# ill-typed core terms, each with the exception class that typecheck or
+# the cast constructor raises for it
+ILL_TYPED = {
+    "raise-undeclared": (lambda: Raise("nosuch", U1, U1, UNIT), WellFormednessError),
+    "raise-not-erasing": (lambda: Raise("print", U1, U1, UNIT), WellFormednessError),
+    "clause-undeclared": (
+        lambda: _bare(Clause("nosuch", "p", "k", TRUE, U1, U1)), WellFormednessError,
+    ),
+    "clause-not-erasing": (
+        lambda: _bare(Clause("print", "p", "k", TRUE, U1, U1)), WellFormednessError,
+    ),
+    "unhandled-missing": (
+        lambda: Handle(Raise("yield", U1, U1, UNIT), "x", TRUE, (), PRINT, BOOL),
+        TypeCheckError,
+    ),
+    "unhandled-misfit": (
+        lambda: Handle(
+            Raise("fork", Arrow(U1, PRINT, U1), U1,
+                  Lam("u", U1, Raise("print", STR, U1, StrLit("a")))),
+            "x", TRUE, (), Concrete({"fork": OpSig(Arrow(U1, EMPTY, U1), U1)}), BOOL,
+        ),
+        TypeCheckError,
+    ),
+    "value-cast-of-rows": (lambda: ValUpcast(PRINT, DYN, UNIT), TypeCheckError),
+    "effect-cast-of-types": (lambda: EffUpcast(BOOL, BOOL, TRUE), TypeCheckError),
+    **{
+        f"{cast.__name__}-unrelated": (_unrelated(cast, lo, hi), TypeCheckError)
+        for cast, lo, hi in (
+            (ValUpcast, BOOL, STR), (ValDowncast, BOOL, STR),
+            (EffUpcast, PY, PRINT), (EffDowncast, PY, PRINT),
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("build, exc", ILL_TYPED.values(), ids=list(ILL_TYPED))
+def test_ill_typed_core_terms_are_refused(build, exc):
+    with pytest.raises(TypeCheckError) as e:
+        check(build())
+    assert type(e.value) is exc
+
+
+def test_casts_of_either_direction_are_distinct_dataclasses():
+    a, b = Arrow(U1, PRINT, U1), Arrow(U1, DYN, U1)
+    f = Var("f")
+    assert ValUpcast(a, b, f) != ValDowncast(a, b, f)
+    assert ValUpcast(a, b, f) == ValUpcast(a, b, f)
+    assert repr(EffDowncast(PRINT, DYN, UNIT)).startswith("EffDowncast(")
+    c = dataclasses.replace(EffDowncast(PRINT, DYN, UNIT), body=TRUE)
+    assert type(c) is EffDowncast and c.body == TRUE
+    with pytest.raises(TypeCheckError):
+        dataclasses.replace(c, hi=PY)
 
 
 def test_value_cast_typing():

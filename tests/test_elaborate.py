@@ -416,6 +416,75 @@ def test_type_errors_are_reported():
         assert needle in str(e.value), src
 
 
+# one program per place where elaboration coerces a typing, with the exact
+# error each gives when the typing is not coercible
+_OPS = "module Ops where\neffect ping : bool ~> 1\neffect pong : 1 ~> 1\n"
+_MAIN = "main {\nimport Ops.ping : bool ~> 1\nimport Ops.pong : 1 ~> 1\n"
+COERCION_SITES = {
+    "app-arg": (
+        _MAIN + '(lambda x : bool. x) "s"\n}',
+        "7:22: argument has type str, not coercible to bool",
+    ),
+    "raise-request": (
+        _MAIN + 'ping("s")\n}',
+        "7:1: ping expects a request of type bool, got str",
+    ),
+    "ascribe-type": (
+        _MAIN + "true :: str\n}",
+        "7:6: term has type bool, which is not coercible to str",
+    ),
+    "ascribe-eff": (
+        _MAIN + "pong() :: []\n}",
+        "7:8: term has effects [pong], not coercible to []",
+    ),
+    "ret-type": (
+        _MAIN + 'handle [] bool () with\n  ret x -> "s"\n}',
+        "7:1: return clause has type str, not coercible to bool",
+    ),
+    "ret-eff": (
+        _MAIN + "handle [] 1 () with\n  ret x -> pong()\n}",
+        "7:1: return clause has effects [pong], not coercible to []",
+    ),
+    "clause-type": (
+        _MAIN + 'handle [] bool pong() with\n  ret x -> true\n  pong(p, k) -> "s"\n}',
+        "9:3: clause pong has type str, not coercible to bool",
+    ),
+    "clause-eff": (
+        _MAIN + "handle [] 1 pong() with\n  ret x -> ()\n  pong(p, k) -> ping(true)\n}",
+        "9:3: clause pong has effects [ping], not coercible to []",
+    ),
+    "enqueue-elem": (
+        _MAIN + 'enqueue (empty :: Queue bool) "s"\n}',
+        "7:1: str is not coercible to bool",
+    ),
+    "define": (
+        _MAIN + 'define v : bool = "s"\nin\nv\n}',
+        "7:1: v has type str, not coercible to bool",
+    ),
+    "import-value": (
+        "module A where\ndefine v : bool = true\n\nmain {\nimport A.v : str\nin\nv\n}",
+        "8:1: A.v has type bool, not coercible to str",
+    ),
+    "recursive-type": (
+        _MAIN + 'define f : 1 -[]> bool =\n  lambda x. let g = f in "s"\nin\nf ()\n}',
+        "7:1: f returns str, not coercible to bool",
+    ),
+    "recursive-eff": (
+        _MAIN + "define f : 1 -[]> 1 =\n  lambda x. let g = f in pong()\nin\nf ()\n}",
+        "7:1: f has latent effects [pong], not coercible to []",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "src, message", COERCION_SITES.values(), ids=list(COERCION_SITES)
+)
+def test_each_coercion_site_reports_its_own_error(src, message):
+    with pytest.raises(ElabError) as e:
+        elab_source(_OPS + src)
+    assert str(e.value) == message
+
+
 # ---------------------------------------------------------------------------
 # declarations, modules, recursion
 
