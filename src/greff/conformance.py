@@ -28,7 +28,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from . import core
 from . import elaborate
@@ -126,7 +126,7 @@ def _re_raise(
 
 def expand_effect_cast(
     sig: Signature,
-    cast: Union[core.EffUpcast, core.EffDowncast],
+    cast: core.EffCast,
     result_type: ValueType,
     fresh: Callable[[str], str],
 ) -> core.Handle:
@@ -137,8 +137,7 @@ def expand_effect_cast(
     target row's typing and erroring on those the target omits; an
     upcast's target omits none.
     """
-    up = isinstance(cast, core.EffUpcast)
-    source, target = (cast.lo, cast.hi) if up else (cast.hi, cast.lo)
+    source, target = (cast.lo, cast.hi) if cast.up else (cast.hi, cast.lo)
     target_ops = ops_of(target, sig)
     clauses = []
     for op, send in ops_of(source, sig).items():
@@ -147,7 +146,7 @@ def expand_effect_cast(
         if recv is None:
             body: core.Term = core.Err()
         else:
-            body = core.App(core.Var(k), _re_raise(op, x, send, recv, up, target))
+            body = core.App(core.Var(k), _re_raise(op, x, send, recv, cast.up, target))
         clauses.append(core.Clause(op, x, k, body, send.req, send.resp))
     rv = fresh("x")
     return core.Handle(
@@ -161,17 +160,14 @@ def expand_effect_cast(
     )
 
 
-def expand_fun_cast(
-    cast: Union[core.ValUpcast, core.ValDowncast], fresh: Callable[[str], str]
-) -> core.Term:
+def expand_fun_cast(cast: core.ValCast, fresh: Callable[[str], str]) -> core.Term:
     """The eta-expansion a function cast is equivalent to.
 
     The argument crosses the cast against the direction of the result;
     the latent effect row is cast on the way out.
     """
-    lo, hi = cast.lo, cast.hi
+    lo, hi, up = cast.lo, cast.hi, cast.up
     assert isinstance(lo, Arrow) and isinstance(hi, Arrow)
-    up = isinstance(cast, core.ValUpcast)
     g, x = fresh("g"), fresh("x")
     arg = (core.ValDowncast if up else core.ValUpcast)(lo.dom, hi.dom, core.Var(x))
     inner = (core.EffUpcast if up else core.EffDowncast)(
@@ -214,15 +210,11 @@ def _expand(t, sig, body_types, function, fresh) -> core.Term:
     """Expand below t; `body_types` is None when effect casts stay primitive.
     A subtree without a cast to expand comes back as the same object."""
     out = core.map_children(t, _expand, sig, body_types, function, fresh)
-    if function and type(t) in _VAL_CASTS and type(t.lo) is type(t.hi) is Arrow:
+    if function and isinstance(t, core.ValCast) and type(t.lo) is type(t.hi) is Arrow:
         return expand_fun_cast(out, fresh)
-    if body_types is not None and type(t) in _EFF_CASTS:
+    if body_types is not None and isinstance(t, core.EffCast):
         return expand_effect_cast(sig, out, body_types[id(t)], fresh)
     return out
-
-
-_VAL_CASTS = frozenset({core.ValUpcast, core.ValDowncast})
-_EFF_CASTS = frozenset({core.EffUpcast, core.EffDowncast})
 
 
 # ---------------------------------------------------------------------------

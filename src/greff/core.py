@@ -6,9 +6,10 @@ Substitution and the other structural walks map over one field table
 Terms carry enough type information to make checking syntax-directed: lambdas
 and fixpoints are annotated, raises carry the local operation typing eps@A~>B,
 handlers carry their result effect/type and per-clause operation typings, and
-casts carry both endpoints.  Casts come in four forms: value upcasts/downcasts
-<A |> B> / <A <| B> and effect upcasts/downcasts <s |> t> / <s <| t>, each
-requiring the left endpoint to be more precise than the right.
+casts carry both endpoints.  A cast is a value cast <A |> B> / <A <| B> or an
+effect cast <s |> t> / <s <| t>, and an upcast or a downcast; either way the
+left endpoint must be more precise than the right.  The checker has one rule
+per construct, the casts' included.
 
 The checker synthesizes a minimal typing and admits subsumption by checking
 <= at elimination sites.  A term's ambient effect is represented as None while
@@ -34,9 +35,9 @@ from .typesys import (
     QueueOf,
     Signature,
     Str,
+    Type,
     Unit,
     ValueType,
-    erase,
     is_effect_type,
     is_value_type,
     lub,
@@ -186,49 +187,46 @@ class Err:
     pass
 
 
-def _check_precision(lo, hi, what):
-    if not precision(lo, hi):
-        raise TypeCheckError(f"{what} endpoints not precision-related: {lo} vs {hi}")
-
-
 @dataclass(frozen=True)
-class ValUpcast:
-    lo: ValueType
-    hi: ValueType
+class _Cast:
+    """A cast between lo and hi, lo the more precise: an upcast takes a
+    term from lo to hi, a downcast from hi to lo.  Each leaf class sets
+    the kind and the direction."""
+
+    lo: Type
+    hi: Type
     body: "Term"
 
     def __post_init__(self):
-        _check_precision(self.lo, self.hi, "value upcast")
+        if not precision(self.lo, self.hi):
+            how = "up" if self.up else "down"
+            raise TypeCheckError(
+                f"{self.kind} {how}cast endpoints not precision-related: {self.lo} vs {self.hi}"
+            )
 
 
-@dataclass(frozen=True)
-class ValDowncast:
-    lo: ValueType
-    hi: ValueType
-    body: "Term"
-
-    def __post_init__(self):
-        _check_precision(self.lo, self.hi, "value downcast")
+class ValCast(_Cast):
+    kind = "value"
 
 
-@dataclass(frozen=True)
-class EffUpcast:
-    lo: EffectType
-    hi: EffectType
-    body: "Term"
-
-    def __post_init__(self):
-        _check_precision(self.lo, self.hi, "effect upcast")
+class EffCast(_Cast):
+    kind = "effect"
 
 
-@dataclass(frozen=True)
-class EffDowncast:
-    lo: EffectType
-    hi: EffectType
-    body: "Term"
+class ValUpcast(ValCast):
+    up = True
 
-    def __post_init__(self):
-        _check_precision(self.lo, self.hi, "effect downcast")
+
+class ValDowncast(ValCast):
+    up = False
+
+
+class EffUpcast(EffCast):
+    up = True
+
+
+class EffDowncast(EffCast):
+    up = False
 
 
 Term = Union[
@@ -346,7 +344,7 @@ def typecheck(
     return (EMPTY if eff is None else eff, val)
 
 
-def _expect(sig, term, eff: Ambient, val: ValueType, expected: Expected):
+def _expect(term, eff: Ambient, val: ValueType, expected: Expected):
     if expected is None:
         return eff, val
     exp_eff, exp_val = expected
@@ -357,6 +355,9 @@ def _expect(sig, term, eff: Ambient, val: ValueType, expected: Expected):
             f"{_brief(term)}: ambient effect {eff}, expected <= {exp_eff}"
         )
     return eff, val
+
+
+_LITERALS = {BoolLit: Bool(), UnitLit: Unit(), StrLit: Str()}
 
 
 def _wf(sig, t, what):
@@ -376,14 +377,10 @@ def _synth(
     if isinstance(term, Var):
         if term.name not in gamma:
             raise TypeCheckError(f"unbound variable {term.name}")
-        return _expect(sig, term, None, gamma[term.name], expected)
+        return _expect(term, None, gamma[term.name], expected)
 
-    if isinstance(term, BoolLit):
-        return _expect(sig, term, None, Bool(), expected)
-    if isinstance(term, UnitLit):
-        return _expect(sig, term, None, Unit(), expected)
-    if isinstance(term, StrLit):
-        return _expect(sig, term, None, Str(), expected)
+    if type(term) in _LITERALS:
+        return _expect(term, None, _LITERALS[type(term)], expected)
 
     if isinstance(term, Err):
         if expected is None or expected[1] is None:
@@ -395,7 +392,7 @@ def _synth(
         inner = gamma | {term.var: term.ann}
         body_eff, body_val = _synth(sig, inner, term.body, None, casts)
         latent = EMPTY if body_eff is None else body_eff
-        return _expect(sig, term, None, Arrow(term.ann, latent, body_val), expected)
+        return _expect(term, None, Arrow(term.ann, latent, body_val), expected)
 
     if isinstance(term, Fix):
         _wf(sig, term.ann, "fixpoint annotation")
@@ -404,7 +401,7 @@ def _synth(
         _, val = _synth(
             sig, gamma | {term.var: term.ann}, term.body, (None, term.ann), casts
         )
-        return _expect(sig, term, None, term.ann, expected)
+        return _expect(term, None, term.ann, expected)
 
     if isinstance(term, App):
         fn_eff, fn_val = _synth(sig, gamma, term.fn, (exp_eff, None), casts)
@@ -412,7 +409,7 @@ def _synth(
             raise TypeCheckError(f"applied term has non-arrow type {fn_val}")
         arg_eff, _ = _synth(sig, gamma, term.arg, (exp_eff, fn_val.dom), casts)
         eff = _combine(fn_eff, arg_eff, fn_val.eff)
-        return _expect(sig, term, eff, fn_val.cod, expected)
+        return _expect(term, eff, fn_val.cod, expected)
 
     if isinstance(term, Let):
         bound_eff, bound_val = _synth(sig, gamma, term.bound, (exp_eff, None), casts)
@@ -420,62 +417,44 @@ def _synth(
             sig, gamma | {term.var: bound_val}, term.body, expected, casts
         )
         eff = _combine(bound_eff, body_eff)
-        return _expect(sig, term, eff, body_val, expected)
+        return _expect(term, eff, body_val, expected)
 
     if isinstance(term, If):
-        cond_eff, cond_val = _synth(sig, gamma, term.cond, (exp_eff, Bool()), casts)
-        then_eff, then_val = _synth(sig, gamma, term.then, expected, casts)
-        else_eff, else_val = _synth(sig, gamma, term.els, expected, casts)
-        try:
-            val = lub(then_val, else_val)
-        except JoinUndefined as exc:
-            raise TypeCheckError(f"branch types have no upper bound: {exc}") from exc
-        eff = _combine(cond_eff, then_eff, else_eff)
-        return _expect(sig, term, eff, val, expected)
+        cond_eff, _ = _synth(sig, gamma, term.cond, (exp_eff, Bool()), casts)
+        then = _synth(sig, gamma, term.then, expected, casts)
+        els = _synth(sig, gamma, term.els, expected, casts)
+        return _branches(term, cond_eff, then, els, expected)
 
     if isinstance(term, Concat):
         left_eff, _ = _synth(sig, gamma, term.left, (exp_eff, Str()), casts)
         right_eff, _ = _synth(sig, gamma, term.right, (exp_eff, Str()), casts)
-        return _expect(sig, term, _combine(left_eff, right_eff), Str(), expected)
+        return _expect(term, _combine(left_eff, right_eff), Str(), expected)
 
     if isinstance(term, EmptyQueue):
         _wf(sig, term.elem, "queue element annotation")
-        return _expect(sig, term, None, QueueOf(term.elem), expected)
+        return _expect(term, None, QueueOf(term.elem), expected)
 
     if isinstance(term, Enqueue):
         q_eff, q_val = _synth(sig, gamma, term.queue, (exp_eff, None), casts)
         if not isinstance(q_val, QueueOf):
             raise TypeCheckError(f"enqueue target has non-queue type {q_val}")
         e_eff, _ = _synth(sig, gamma, term.elem, (exp_eff, q_val.elem), casts)
-        return _expect(sig, term, _combine(q_eff, e_eff), q_val, expected)
+        return _expect(term, _combine(q_eff, e_eff), q_val, expected)
 
     if isinstance(term, CaseQueue):
         s_eff, s_val = _synth(sig, gamma, term.scrutinee, (exp_eff, None), casts)
         if not isinstance(s_val, QueueOf):
             raise TypeCheckError(f"queue match scrutinee has type {s_val}")
-        e_eff, e_val = _synth(sig, gamma, term.empty_body, expected, casts)
+        empty = _synth(sig, gamma, term.empty_body, expected, casts)
         inner = gamma | {term.head_var: s_val.elem, term.rest_var: s_val}
-        c_eff, c_val = _synth(sig, inner, term.cons_body, expected, casts)
-        try:
-            val = lub(e_val, c_val)
-        except JoinUndefined as exc:
-            raise TypeCheckError(f"branch types have no upper bound: {exc}") from exc
-        return _expect(sig, term, _combine(s_eff, e_eff, c_eff), val, expected)
+        cons = _synth(sig, inner, term.cons_body, expected, casts)
+        return _branches(term, s_eff, empty, cons, expected)
 
     if isinstance(term, Raise):
-        declared = sig.get(term.op)
-        if declared is None:
-            raise WellFormednessError(f"operation {term.op} is not declared")
-        if erase(term.req) != declared.req or erase(term.resp) != declared.resp:
-            raise WellFormednessError(
-                f"raise {term.op} local typing {term.req} ~> {term.resp} "
-                f"does not erase to the declared {declared}"
-            )
-        _wf(sig, term.req, "raise request type")
-        _wf(sig, term.resp, "raise response type")
-        pay_eff, _ = _synth(sig, gamma, term.payload, (exp_eff, term.req), casts)
         own = Concrete({term.op: OpSig(term.req, term.resp)})
-        return _expect(sig, term, _combine(pay_eff, own), term.resp, expected)
+        _wf(sig, own, "raise typing")
+        pay_eff, _ = _synth(sig, gamma, term.payload, (exp_eff, term.req), casts)
+        return _expect(term, _combine(pay_eff, own), term.resp, expected)
 
     if isinstance(term, Handle):
         _wf(sig, term.result_eff, "handler result effect")
@@ -483,69 +462,58 @@ def _synth(
         scr_eff, scr_val = _synth(sig, gamma, term.scrutinee, None, casts)
         result = (term.result_eff, term.result_type)
         _synth(sig, gamma | {term.ret_var: scr_val}, term.ret_body, result, casts)
-        raised = {} if scr_eff is None else ops_of(scr_eff, sig)
-        handled = {c.op for c in term.clauses}
-        out_ops = ops_of(term.result_eff, sig)
-        for op, entry in raised.items():
-            if op in handled:
-                continue
-            if op not in out_ops:
+        if scr_eff is not None:
+            unhandled = Concrete(
+                {op: e for op, e in ops_of(scr_eff, sig).items() if term.clause(op) is None}
+            )
+            if not subtype(unhandled, Concrete(ops_of(term.result_eff, sig))):
                 raise TypeCheckError(
-                    f"unhandled operation {op} missing from result effect {term.result_eff}"
-                )
-            out = out_ops[op]
-            if not (subtype(entry.req, out.req) and subtype(out.resp, entry.resp)):
-                raise TypeCheckError(
-                    f"unhandled operation {op} at {entry} does not fit result entry {out}"
+                    f"unhandled operations {unhandled} do not fit the result effect "
+                    f"{term.result_eff}"
                 )
         for c in term.clauses:
-            declared = sig.get(c.op)
-            if declared is None:
-                raise WellFormednessError(f"operation {c.op} is not declared")
-            if erase(c.req) != declared.req or erase(c.resp) != declared.resp:
-                raise WellFormednessError(
-                    f"clause for {c.op} carries {c.req} ~> {c.resp}, "
-                    f"which does not erase to the declared {declared}"
+            typing = OpSig(c.req, c.resp)
+            _wf(sig, Concrete({c.op: typing}), "clause typing")
+            entry = scr_eff.get(c.op) if isinstance(scr_eff, Concrete) else None
+            if entry is not None and entry != typing:
+                raise TypeCheckError(
+                    f"clause for {c.op} carries {typing} but the scrutinee raises it at {entry}"
                 )
-            if isinstance(scr_eff, Concrete) and c.op in scr_eff:
-                entry = scr_eff.get(c.op)
-                if OpSig(c.req, c.resp) != entry:
-                    raise TypeCheckError(
-                        f"clause for {c.op} carries {c.req} ~> {c.resp} "
-                        f"but the scrutinee raises it at {entry}"
-                    )
             if term.deep:
                 k_type = Arrow(c.resp, term.result_eff, term.result_type)
             else:
                 k_type = Arrow(c.resp, EMPTY if scr_eff is None else scr_eff, scr_val)
             inner = gamma | {c.payload_var: c.req, c.resume_var: k_type}
             _synth(sig, inner, c.body, result, casts)
-        return _expect(sig, term, term.result_eff, term.result_type, expected)
+        return _expect(term, term.result_eff, term.result_type, expected)
 
-    if isinstance(term, ValUpcast) or isinstance(term, ValDowncast):
-        if not (is_value_type(term.lo) and is_value_type(term.hi)):
-            raise TypeCheckError("value cast endpoints must be value types")
+    if isinstance(term, _Cast):
+        value = isinstance(term, ValCast)
+        is_kind = is_value_type if value else is_effect_type
+        if not (is_kind(term.lo) and is_kind(term.hi)):
+            raise TypeCheckError(f"{term.kind} cast endpoints must be {term.kind} types")
         _wf(sig, term.lo, "cast endpoint")
         _wf(sig, term.hi, "cast endpoint")
-        source = term.lo if isinstance(term, ValUpcast) else term.hi
-        target = term.hi if isinstance(term, ValUpcast) else term.lo
-        eff, _ = _synth(sig, gamma, term.body, (exp_eff, source), casts)
-        return _expect(sig, term, eff, target, expected)
-
-    if isinstance(term, EffUpcast) or isinstance(term, EffDowncast):
-        if not (is_effect_type(term.lo) and is_effect_type(term.hi)):
-            raise TypeCheckError("effect cast endpoints must be effect types")
-        _wf(sig, term.lo, "cast endpoint")
-        _wf(sig, term.hi, "cast endpoint")
-        source = term.lo if isinstance(term, EffUpcast) else term.hi
-        target = term.hi if isinstance(term, EffUpcast) else term.lo
-        body_eff, body_val = _synth(sig, gamma, term.body, (source, None), casts)
-        if casts is not None and casts.setdefault(id(term), body_val) != body_val:
-            seen = casts[id(term)]
-            raise TypeCheckError(f"{_brief(term)}: body typed {seen} and {body_val}")
-        return _expect(sig, term, target, body_val, expected)
+        source, target = (term.lo, term.hi) if term.up else (term.hi, term.lo)
+        if value:
+            eff, _ = _synth(sig, gamma, term.body, (exp_eff, source), casts)
+            return _expect(term, eff, target, expected)
+        _, val = _synth(sig, gamma, term.body, (source, None), casts)
+        if casts is not None and casts.setdefault(id(term), val) != val:
+            raise TypeCheckError(f"{_brief(term)}: body typed {casts[id(term)]} and {val}")
+        return _expect(term, target, val, expected)
 
     raise TypeError(f"not a term: {term!r}")
+
+
+def _branches(term, eff: Ambient, left, right, expected: Expected):
+    """The typing of a two-way branch after a first operand at eff: the
+    lub of the branches' typings."""
+    try:
+        val = lub(left[1], right[1])
+    except JoinUndefined as exc:
+        raise TypeCheckError(f"branch types have no upper bound: {exc}") from exc
+    return _expect(term, _combine(eff, left[0], right[0]), val, expected)
 
 
 def _brief(term: Term, layout=None) -> str:

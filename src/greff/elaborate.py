@@ -7,10 +7,11 @@ imported); modules turn into a chain of let-bindings over mangled names
 (`x#3`), so definitions with the same surface name in different modules
 cannot collide.  The final term of the main block closes the chain.
 
-Inserted casts are oblique: a value cast routes through the erasure of its
-endpoints (`up to erased source, down from erased target`) and an effect
-cast routes through the dynamic effect type.  Identity components are
-elided, so a cast between equal types disappears entirely.
+Inserted casts are oblique: a cast goes up to the erasure of its source
+and down from the erasure of its target, and since a row erases to the
+dynamic effect type, one rule serves value types and rows alike.
+Identity components are elided, so a cast between equal types disappears
+entirely.
 
 Wherever subterm effect rows meet (let, if, ++, enqueue, match, raise,
 application, the module chain) one method, `_Elab.sequence`, combines
@@ -39,9 +40,9 @@ from typing import Optional
 
 from . import core, surface as s
 from .typesys import (
-    Arrow, Bool, Concrete, DYN, Dyn, EMPTY, EffectType, JoinUndefined, OpSig,
+    Arrow, Bool, Concrete, DYN, EMPTY, EffectType, JoinUndefined, OpSig,
     QueueOf, Signature, Str, Unit, ValueType, compatible, erase, gradual_join,
-    gradual_subtype, subtype,
+    gradual_subtype, is_effect_type, subtype,
 )
 
 
@@ -112,7 +113,7 @@ def _value_like(t: core.Term) -> bool:
         return True
     if tt is core.Enqueue:
         return _value_like(t.queue) and _value_like(t.elem)
-    if tt is core.ValUpcast or tt is core.ValDowncast:
+    if isinstance(t, core.ValCast):
         return _value_like(t.body)
     return False
 
@@ -162,30 +163,28 @@ class _Elab:
             )
         raise TypeError(f"not a surface type: {ty!r}")
 
-    # -- oblique casts.  A cast is emitted only when the endpoints differ in
-    # precision; endpoints related by plain subtyping need no cast because
+    # -- the oblique cast.  A cast is emitted only when the endpoints differ
+    # in precision; endpoints related by plain subtyping need no cast because
     # the core checker subsumes along <= wherever elaboration widens.
 
-    def cast_value(self, target: ValueType, source: ValueType, term, pos) -> core.Term:
+    def cast(self, target, source, term, pos, what=None) -> core.Term:
+        """term cast from the value type or row source to target: up to the
+        erasure of source, then down from the erasure of target (a row
+        erases to ?).  A source not coercible to target is an ElabError,
+        worded with `what` as the subject when it is given."""
         if target is source or target == source or subtype(source, target):
             return term
+        row = is_effect_type(target)
         if not gradual_subtype(source, target):
-            raise ElabError(f"{source} is not coercible to {target}", pos)
+            if what is not None:
+                has = "effects" if row else "type"
+                raise ElabError(f"{what} has {has} {source}, not coercible to {target}", pos)
+            are = f"effects {source} are" if row else f"{source} is"
+            raise ElabError(f"{are} not coercible to {target}", pos)
         if source != erase(source):
-            term = core.ValUpcast(source, erase(source), term)
+            term = (core.EffUpcast if row else core.ValUpcast)(source, erase(source), term)
         if target != erase(target):
-            term = core.ValDowncast(target, erase(target), term)
-        return term
-
-    def cast_eff(self, target: EffectType, source: EffectType, term, pos) -> core.Term:
-        if target is source or target == source or subtype(source, target):
-            return term
-        if not gradual_subtype(source, target):
-            raise ElabError(f"effects {source} are not coercible to {target}", pos)
-        if source != DYN:
-            term = core.EffUpcast(source, DYN, term)
-        if target != DYN:
-            term = core.EffDowncast(target, DYN, term)
+            term = (core.EffDowncast if row else core.ValDowncast)(target, erase(target), term)
         return term
 
     def sequence(self, pos, *operands, latent=()) -> list:
@@ -205,7 +204,7 @@ class _Elab:
         out = [sigma]
         for term, row in operands:
             if row is not sigma and not (_value_like(term) and row == EMPTY):
-                term = self.cast_eff(sigma, row, term, pos)
+                term = self.cast(sigma, row, term, pos)
             out.append(term)
         return out
 
@@ -215,8 +214,7 @@ class _Elab:
             out = gradual_join(lval, rval)
         except JoinUndefined as exc:
             raise ElabError(f"branches do not agree: {exc}", pos) from exc
-        left = self.cast_value(out, lval, left, pos)
-        return out, left, self.cast_value(out, rval, right, pos)
+        return out, self.cast(out, lval, left, pos), self.cast(out, rval, right, pos)
 
     # -- terms
 
@@ -274,8 +272,8 @@ class _Elab:
         )
         # widen the latent row to the combined row so the call itself is
         # typeable at sigma; the join absorbs ?, so this is always an upcast
-        fn = self.cast_value(Arrow(fval.dom, sigma, fval.cod), fval, fn, t.pos)
-        arg = self.cast_value(fval.dom, aval, arg, t.pos)
+        fn = self.cast(Arrow(fval.dom, sigma, fval.cod), fval, fn, t.pos)
+        arg = self.cast(fval.dom, aval, arg, t.pos)
         return core.App(fn, arg), sigma, fval.cod
 
     def _elab_let(self, t: s.SLet, gamma_eff, gamma_val, hint):
@@ -313,7 +311,7 @@ class _Elab:
             raise ElabError(f"enqueue needs a queue, got {qval}", t.pos)
         v, veff, vval = self.elab_term(t.elem, gamma_eff, gamma_val, qval.elem)
         sigma, q, v = self.sequence(t.pos, (q, qeff), (v, veff))
-        v = self.cast_value(qval.elem, vval, v, t.pos)
+        v = self.cast(qval.elem, vval, v, t.pos)
         return core.Enqueue(q, v), sigma, qval
 
     def _elab_match(self, t: s.SMatch, gamma_eff, gamma_val, hint):
@@ -343,62 +341,48 @@ class _Elab:
             )
         own = Concrete({t.op: OpSig(req, resp)})
         if _value_like(payload) and peff == EMPTY:
-            payload = self.cast_value(req, pval, payload, t.pos)
+            payload = self.cast(req, pval, payload, t.pos)
             return core.Raise(t.op, req, resp, payload), own, resp
         x = self.fresh()
-        raised = core.Raise(t.op, req, resp, self.cast_value(req, pval, core.Var(x), t.pos))
+        raised = core.Raise(t.op, req, resp, self.cast(req, pval, core.Var(x), t.pos))
         sigma, payload, raised = self.sequence(t.pos, (payload, peff), (raised, own))
         return core.Let(payload, x, raised), sigma, resp
 
     def _elab_ascribe_type(self, t: s.SAscribeType, gamma_eff, gamma_val, hint):
         ann = self.elab_type(t.ann, gamma_eff)
         inner, eff, val = self.elab_term(t.term, gamma_eff, gamma_val, ann)
-        if not gradual_subtype(val, ann):
-            raise ElabError(f"term has type {val}, which is not coercible to {ann}", t.pos)
-        return self.cast_value(ann, val, inner, t.pos), eff, ann
+        return self.cast(ann, val, inner, t.pos, "term"), eff, ann
 
     def _elab_ascribe_eff(self, t: s.SAscribeEff, gamma_eff, gamma_val, hint):
         ann = self.elab_eff(t.ann, gamma_eff)
         inner, eff, val = self.elab_term(t.term, gamma_eff, gamma_val, hint)
-        if not gradual_subtype(eff, ann):
-            raise ElabError(f"term has effects {eff}, not coercible to {ann}", t.pos)
-        return self.cast_eff(ann, eff, inner, t.pos), ann, val
+        return self.cast(ann, eff, inner, t.pos, "term"), ann, val
 
     def _scrutinee_row(self, seff, sigma, caught: tuple[str, ...], gamma_eff, pos):
         """The row the handler scrutinee is cast to, so that everything it
         may raise is either caught or present in the result row."""
-        gamma_part = {e: OpSig(*gamma_eff[e]) for e in caught}
-        if isinstance(seff, Concrete) and isinstance(sigma, Concrete):
-            leftover = set(seff.names()) - set(sigma.names()) - set(caught)
-            if leftover:
-                raise ElabError(
-                    f"operations {sorted(leftover)} escape the handler but are "
-                    f"not in the result row",
-                    pos,
-                )
-            return Concrete({**dict(sigma.ops), **gamma_part})
-        if isinstance(seff, Dyn) and isinstance(sigma, Concrete):
-            return Concrete({**dict(sigma.ops), **gamma_part})
-        if isinstance(seff, Concrete) and isinstance(sigma, Dyn):
-            out = {}
-            for name, op in seff.ops:
-                if name in caught:
-                    out[name] = op
-                else:
-                    req, resp = gamma_eff[name]
-                    out[name] = OpSig(erase(req), erase(resp))
-            return Concrete(out)
+        if isinstance(sigma, Concrete):
+            if isinstance(seff, Concrete):
+                leftover = set(seff.names()) - set(sigma.names()) - set(caught)
+                if leftover:
+                    raise ElabError(
+                        f"operations {sorted(leftover)} escape the handler but are "
+                        f"not in the result row",
+                        pos,
+                    )
+            return Concrete({**dict(sigma.ops), **{e: OpSig(*gamma_eff[e]) for e in caught}})
+        if isinstance(seff, Concrete):
+            return Concrete({
+                name: op if name in caught else OpSig(*map(erase, gamma_eff[name]))
+                for name, op in seff.ops
+            })
         return DYN
 
     def _conform(self, what: str, elaborated, sigma, out_val, pos) -> core.Term:
-        """Check an elaborated handler body (the return clause or a clause)
-        against the handler's annotated row and type, and cast it to them."""
+        """Cast an elaborated body (a handler's return clause or clause, or a
+        recursive define's) to the annotated row and type."""
         body, eff, val = elaborated
-        if not gradual_subtype(val, out_val):
-            raise ElabError(f"{what} has type {val}, not coercible to {out_val}", pos)
-        if not gradual_subtype(eff, sigma):
-            raise ElabError(f"{what} has effects {eff}, not coercible to {sigma}", pos)
-        return self.cast_eff(sigma, eff, self.cast_value(out_val, val, body, pos), pos)
+        return self.cast(sigma, eff, self.cast(out_val, val, body, pos, what), pos, what)
 
     def _elab_handle(self, t: s.SHandle, gamma_eff, gamma_val, hint):
         sigma = self.elab_eff(t.eff_ann, gamma_eff)
@@ -411,7 +395,7 @@ class _Elab:
             if c.op not in gamma_eff:
                 raise ElabError(f"unknown effect {c.op}", c.pos)
         scr_row = self._scrutinee_row(seff, sigma, caught, gamma_eff, t.pos)
-        scr_cast = self.cast_eff(scr_row, seff, scr, t.pos)
+        scr_cast = self.cast(scr_row, seff, scr, t.pos)
 
         inner = dict(gamma_val)
         inner[t.ret_var] = (t.ret_var, sval)
@@ -476,13 +460,9 @@ class _Elab:
                 raise ElabError(f"module {d.module} has no value {d.name}", d.pos)
             source_name, source_ty = exports.values[d.name]
             ann = self.elab_type(d.ann, gamma_eff)
-            if not gradual_subtype(source_ty, ann):
-                raise ElabError(
-                    f"{d.module}.{d.name} has type {source_ty}, not coercible to {ann}",
-                    d.pos,
-                )
             mangled = self.mangle(d.alias)
-            bound = self.cast_value(ann, source_ty, core.Var(source_name), d.pos)
+            what = f"{d.module}.{d.name}"
+            bound = self.cast(ann, source_ty, core.Var(source_name), d.pos, what)
             self.bindings.append((mangled, bound, EMPTY))
             gamma_val[d.alias] = (mangled, ann)
             return
@@ -493,11 +473,7 @@ class _Elab:
                 bound, eff = self._elab_recursive(d, ann, mangled, gamma_eff, gamma_val)
             else:
                 body, eff, val = self.elab_term(d.body, gamma_eff, gamma_val, ann)
-                if not gradual_subtype(val, ann):
-                    raise ElabError(
-                        f"{d.name} has type {val}, not coercible to {ann}", d.pos
-                    )
-                bound = self.cast_value(ann, val, body, d.pos)
+                bound = self.cast(ann, val, body, d.pos, d.name)
             self.bindings.append((mangled, bound, eff))
             gamma_val[d.name] = (mangled, ann)
             return
@@ -528,19 +504,8 @@ class _Elab:
         inner = dict(gamma_val)
         inner[d.name] = (mangled, ann)
         inner[lam.var] = (lam.var, dom)
-        body, beff, bval = self.elab_term(lam.body, gamma_eff, inner, ann.cod)
-        if not gradual_subtype(bval, ann.cod):
-            raise ElabError(
-                f"{d.name} returns {bval}, not coercible to {ann.cod}", d.pos
-            )
-        if not gradual_subtype(beff, ann.eff):
-            raise ElabError(
-                f"{d.name} has latent effects {beff}, not coercible to {ann.eff}",
-                d.pos,
-            )
-        body_cast = self.cast_eff(
-            ann.eff, beff, self.cast_value(ann.cod, bval, body, d.pos), d.pos
-        )
+        body = self.elab_term(lam.body, gamma_eff, inner, ann.cod)
+        body_cast = self._conform(d.name, body, ann.eff, ann.cod, d.pos)
         return core.Fix(mangled, ann, core.Lam(lam.var, dom, body_cast)), EMPTY
 
     # -- programs

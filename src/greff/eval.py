@@ -339,7 +339,7 @@ def _value(t: core.Term, env: Env) -> object:
         if isinstance(t.lo, Arrow) and isinstance(t.hi, Arrow):
             v = _value(t.body, env)
             if v is not None:
-                return Proxy(tt is core.ValUpcast, t.lo, t.hi, v)
+                return Proxy(t.up, t.lo, t.hi, v)
     return None
 
 
@@ -566,10 +566,10 @@ class Machine:
                 return frames, RETURN, v
             if tt is core.Enqueue:
                 return (Ctx(t, env), frames), t.queue, env
-            f = ValCastFrame(tt is core.ValUpcast, t.lo, t.hi)
+            f = ValCastFrame(t.up, t.lo, t.hi)
             return (f, frames), t.body, env
         if tt is core.EffUpcast or tt is core.EffDowncast:
-            f = EffCastFrame(tt is core.EffUpcast, t.lo, t.hi)
+            f = EffCastFrame(t.up, t.lo, t.hi)
             return (f, frames), t.body, env
         if tt is core.Err:
             if self.trace is not None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, Union
 
 from . import core
 from .eval import DEFAULT_FUEL, Error, FuelExhausted, Outcome, UncaughtRaise, Value
@@ -311,12 +311,10 @@ class _Ref:
             return self._dispatch(t, self._eval(t.scrutinee, env), env)
         if isinstance(t, core.Err):
             return _FAILED
-        if isinstance(t, (core.ValUpcast, core.ValDowncast)):
-            up = isinstance(t, core.ValUpcast)
-            return _bind(self._eval(t.body, env), lambda v: Done(_vcast(v, up, t.lo, t.hi)))
-        if isinstance(t, (core.EffUpcast, core.EffDowncast)):
-            up = isinstance(t, core.EffUpcast)
-            return self._effcast(up, t.lo, t.hi, self._eval(t.body, env))
+        if isinstance(t, core.ValCast):
+            return _bind(self._eval(t.body, env), lambda v: Done(_vcast(v, t.up, t.lo, t.hi)))
+        if isinstance(t, core.EffCast):
+            return self._effcast(t.up, t.lo, t.hi, self._eval(t.body, env))
         raise ReferenceBug(f"not a term: {t!r}")
 
 

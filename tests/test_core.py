@@ -63,6 +63,7 @@ SIG = Signature(
 )
 PRINT = Concrete({"print": OpSig(STR, U1)})
 PY = Concrete({"print": OpSig(STR, U1), "yield": OpSig(U1, U1)})
+NOPE = Concrete({"nope": OpSig(U1, U1)})  # names an undeclared operation
 
 
 def check(term: Term, expected=None):
@@ -234,6 +235,10 @@ ILL_TYPED = {
     ),
     "clause-not-erasing": (
         lambda: _bare(Clause("print", "p", "k", TRUE, U1, U1)), WellFormednessError,
+    ),
+    "clause-undeclared-inside": (
+        lambda: _bare(Clause("fork", "p", "k", TRUE, Arrow(U1, NOPE, U1), U1)),
+        WellFormednessError,
     ),
     "unhandled-missing": (
         lambda: Handle(Raise("yield", U1, U1, UNIT), "x", TRUE, (), PRINT, BOOL),

@@ -431,7 +431,7 @@ COERCION_SITES = {
     ),
     "ascribe-type": (
         _MAIN + "true :: str\n}",
-        "7:6: term has type bool, which is not coercible to str",
+        "7:6: term has type bool, not coercible to str",
     ),
     "ascribe-eff": (
         _MAIN + "pong() :: []\n}",
@@ -467,11 +467,11 @@ COERCION_SITES = {
     ),
     "recursive-type": (
         _MAIN + 'define f : 1 -[]> bool =\n  lambda x. let g = f in "s"\nin\nf ()\n}',
-        "7:1: f returns str, not coercible to bool",
+        "7:1: f has type str, not coercible to bool",
     ),
     "recursive-eff": (
         _MAIN + "define f : 1 -[]> 1 =\n  lambda x. let g = f in pong()\nin\nf ()\n}",
-        "7:1: f has latent effects [pong], not coercible to []",
+        "7:1: f has effects [pong], not coercible to []",
     ),
 }
 
