@@ -752,9 +752,6 @@ class ConformanceReport:
     def violations(self) -> list[CaseRecord]:
         return [r for r in self.records if r.verdict == "violated"]
 
-    def lines(self) -> str:
-        return "\n".join(r.to_json() for r in self.records)
-
 
 def run_conformance(
     seed: int = 0,
