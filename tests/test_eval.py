@@ -197,6 +197,45 @@ def test_raise_crossing_upcast_then_downcast_is_caught():
     assert run(PING, h).outcome == Value(BoolLit(True))
 
 
+_TICK = Concrete({"tick": OpSig(UNIT_T, UNIT_T)})
+_GET = Signature({
+    "get": OpSig(UNIT_T, Arrow(UNIT_T, DYN, STR)),
+    "tick": OpSig(UNIT_T, UNIT_T),
+    "other": OpSig(UNIT_T, UNIT_T),
+})
+
+
+@pytest.mark.parametrize("op, outcome, steps", [
+    ("tick", Value(StrLit("tick")), 42),
+    ("other", Error(), 28),
+])
+def test_a_raise_across_two_typings_casts_its_response(op, outcome, steps):
+    # get is raised at 1 ~> (1 -[tick]> str) and crosses an effect upcast
+    # to ?, where it is typed 1 ~> (1 -[?]> str); the handler's answer
+    # comes back through a downcast to 1 -[tick]> str, which traps a
+    # function that raises anything but tick
+    precise = Arrow(UNIT_T, _TICK, STR)
+    row = Concrete({"get": OpSig(UNIT_T, precise), "tick": OpSig(UNIT_T, UNIT_T)})
+    body = EffUpcast(row, DYN, App(Raise("get", UNIT_T, precise, UnitLit()), UnitLit()))
+    answer = Lam("_", UNIT_T, EffUpcast(
+        Concrete({op: OpSig(UNIT_T, UNIT_T)}), DYN,
+        Let(Raise(op, UNIT_T, UNIT_T, UnitLit()), "_", StrLit(op)),
+    ))
+    resume = App(Var("k"), UnitLit())
+    h = Handle(body, "x", Var("x"), (
+        Clause("get", "p", "k", App(Var("k"), answer), UNIT_T, Arrow(UNIT_T, DYN, STR)),
+        Clause("tick", "p", "k", resume, UNIT_T, UNIT_T),
+        Clause("other", "p", "k", resume, UNIT_T, UNIT_T),
+    ), EMPTY, STR)
+    core.typecheck(_GET, {}, h)
+    rules = []
+    got = run(_GET, h, trace=lambda rule, detail: rules.append(rule))
+    assert (got.outcome, got.steps) == (outcome, steps)
+    assert reference.evaluate(_GET, h) == outcome
+    fired = [r for r in rules if r in ("val-downcast", "fun-downcast")]
+    assert fired[:2] == ["val-downcast", "fun-downcast"]
+
+
 def test_fun_proxies_fire_at_application():
     ident = Lam("s", STR, Var("s"))
     lo = Arrow(STR, EMPTY, STR)
