@@ -208,7 +208,7 @@ _GET = Signature({
 @pytest.mark.parametrize("op, outcome, steps", [
     ("tick", Value(StrLit("tick")), 42),
     ("other", Error(), 28),
-])
+], ids=["tick", "other"])
 def test_a_raise_across_two_typings_casts_its_response(op, outcome, steps):
     # get is raised at 1 ~> (1 -[tick]> str) and crosses an effect upcast
     # to ?, where it is typed 1 ~> (1 -[?]> str); the handler's answer
