@@ -351,7 +351,7 @@ def _blur(node, counts: dict[int, int], first: int, chosen: list[int]):
     walked and rebuilt; every other subtree comes back as the same object.
     """
     if isinstance(node, s.SNames):
-        return s.SDynEff()
+        return DYN
     changed = {}
     for name in s.FIELDS[type(node)]:
         v = getattr(node, name)
@@ -386,8 +386,8 @@ def imprecisify(p: s.SProgram, rng: random.Random) -> Optional[PrecisionPair]:
 
 def syntactic_precision(a, b) -> bool:
     """Structural equality except annotations may be ? on the right."""
-    if isinstance(b, s.SDynEff):
-        return isinstance(a, (s.SNames, s.SDynEff))
+    if isinstance(b, Dyn):
+        return isinstance(a, (s.SNames, Dyn))
     if type(a) is not type(b) or type(a) not in s.FIELDS:
         return a == b
     kids = s.FIELDS[type(a)]

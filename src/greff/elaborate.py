@@ -40,9 +40,9 @@ from typing import Optional
 
 from . import core, surface as s
 from .typesys import (
-    Arrow, Bool, Concrete, DYN, EMPTY, EffectType, JoinUndefined, OpSig,
-    QueueOf, Signature, Str, Unit, ValueType, compatible, erase, gradual_join,
-    gradual_subtype, is_effect_type, subtype,
+    BOOL, DYN, EMPTY, STR, UNIT, Arrow, Concrete, EffectType, JoinUndefined, OpSig,
+    QueueOf, Signature, ValueType, compatible, erase, gradual_join, gradual_subtype,
+    is_effect_type, subtype,
 )
 
 
@@ -135,33 +135,22 @@ class _Elab:
 
     # -- types
 
-    def elab_eff(self, eff: s.SEffect, gamma_eff) -> EffectType:
-        if isinstance(eff, s.SDynEff):
-            return DYN
-        ops = {}
-        for name in eff.names:
-            if name not in gamma_eff:
-                raise ElabError(f"unknown effect {name}", eff.pos)
-            req, resp = gamma_eff[name]
-            ops[name] = OpSig(req, resp)
-        return Concrete(ops)
-
-    def elab_type(self, ty: s.SType, gamma_eff) -> ValueType:
-        if isinstance(ty, s.SBool):
-            return Bool()
-        if isinstance(ty, s.SUnit):
-            return Unit()
-        if isinstance(ty, s.SStr):
-            return Str()
-        if isinstance(ty, s.SQueue):
+    def elab_type(self, ty, gamma_eff):
+        """A written value type or row, each set of names a concrete row at
+        the names' typings in gamma_eff; ? and ground types stand as written."""
+        if isinstance(ty, s.SNames):
+            ops = {}
+            for name in ty.names:
+                if name not in gamma_eff:
+                    raise ElabError(f"unknown effect {name}", ty.pos)
+                ops[name] = OpSig(*gamma_eff[name])
+            return Concrete(ops)
+        if isinstance(ty, QueueOf):
             return QueueOf(self.elab_type(ty.elem, gamma_eff))
-        if isinstance(ty, s.SArrow):
-            return Arrow(
-                self.elab_type(ty.dom, gamma_eff),
-                self.elab_eff(ty.eff, gamma_eff),
-                self.elab_type(ty.cod, gamma_eff),
-            )
-        raise TypeError(f"not a surface type: {ty!r}")
+        if isinstance(ty, Arrow):
+            elab = self.elab_type
+            return Arrow(elab(ty.dom, gamma_eff), elab(ty.eff, gamma_eff), elab(ty.cod, gamma_eff))
+        return ty
 
     # -- the oblique cast.  A cast is emitted only when the endpoints differ
     # in precision; endpoints related by plain subtyping need no cast because
@@ -286,7 +275,7 @@ class _Elab:
 
     def _elab_if(self, t: s.SIf, gamma_eff, gamma_val, hint):
         cond, ceff, cval = self.elab_term(t.cond, gamma_eff, gamma_val)
-        if cval != Bool():
+        if cval != BOOL:
             raise ElabError(f"condition has type {cval}, not bool", t.pos)
         then, teff, tval = self.elab_term(t.then, gamma_eff, gamma_val, hint)
         els, eeff, eval_ = self.elab_term(t.els, gamma_eff, gamma_val, hint)
@@ -299,10 +288,10 @@ class _Elab:
     def _elab_concat(self, t: s.SConcat, gamma_eff, gamma_val, hint):
         left, leff, lval = self.elab_term(t.left, gamma_eff, gamma_val)
         right, reff, rval = self.elab_term(t.right, gamma_eff, gamma_val)
-        if lval != Str() or rval != Str():
+        if lval != STR or rval != STR:
             raise ElabError(f"++ needs str operands, got {lval} and {rval}", t.pos)
         sigma, left, right = self.sequence(t.pos, (left, leff), (right, reff))
-        return core.Concat(left, right), sigma, Str()
+        return core.Concat(left, right), sigma, STR
 
     def _elab_enqueue(self, t: s.SEnqueue, gamma_eff, gamma_val, hint):
         q_hint = hint if isinstance(hint, QueueOf) else None
@@ -354,7 +343,7 @@ class _Elab:
         return self.cast(ann, val, inner, t.pos, "term"), eff, ann
 
     def _elab_ascribe_eff(self, t: s.SAscribeEff, gamma_eff, gamma_val, hint):
-        ann = self.elab_eff(t.ann, gamma_eff)
+        ann = self.elab_type(t.ann, gamma_eff)
         inner, eff, val = self.elab_term(t.term, gamma_eff, gamma_val, hint)
         return self.cast(ann, eff, inner, t.pos, "term"), ann, val
 
@@ -385,7 +374,7 @@ class _Elab:
         return self.cast(sigma, eff, self.cast(out_val, val, body, pos, what), pos, what)
 
     def _elab_handle(self, t: s.SHandle, gamma_eff, gamma_val, hint):
-        sigma = self.elab_eff(t.eff_ann, gamma_eff)
+        sigma = self.elab_type(t.eff_ann, gamma_eff)
         out_val = self.elab_type(t.type_ann, gamma_eff)
         scr, seff, sval = self.elab_term(t.scrutinee, gamma_eff, gamma_val)
         caught = tuple(c.op for c in t.clauses)
@@ -532,9 +521,9 @@ class _Elab:
 # elab_term's dispatch: each surface term class to the method for it
 _TERMS = {
     s.SVar: _Elab._elab_var,
-    s.SBoolLit: lambda self, t, *_: (core.BoolLit(t.value), EMPTY, Bool()),
-    s.SUnitLit: lambda self, t, *_: (core.UnitLit(), EMPTY, Unit()),
-    s.SStrLit: lambda self, t, *_: (core.StrLit(t.value), EMPTY, Str()),
+    s.SBoolLit: lambda self, t, *_: (core.BoolLit(t.value), EMPTY, BOOL),
+    s.SUnitLit: lambda self, t, *_: (core.UnitLit(), EMPTY, UNIT),
+    s.SStrLit: lambda self, t, *_: (core.StrLit(t.value), EMPTY, STR),
     s.SEmptyQueue: _Elab._elab_empty,
     s.SLam: _Elab._elab_lam,
     s.SApp: _Elab._elab_app,

@@ -22,8 +22,11 @@ from typing import Mapping
 from . import core
 from . import surface as s
 from .typesys import (
+    BOOL,
     DYN,
     EMPTY,
+    STR,
+    UNIT,
     Arrow,
     Bool,
     Concrete,
@@ -35,8 +38,6 @@ from .typesys import (
     Unit,
     ValueType,
 )
-
-BOOL, UNIT, STR = Bool(), Unit(), Str()
 
 OP_NAMES = ("ask", "tick", "emit")
 GROUND = (BOOL, UNIT, STR)
@@ -50,11 +51,6 @@ CAST_RATE = 0.2  # chance a core subterm gets wrapped in casts
 # Surface programs
 
 _NONE: frozenset[str] = frozenset()
-
-
-def _ground_stype(rng: random.Random) -> s.SType:
-    return rng.choice((s.SBool(), s.SUnit(), s.SStr()))
-
 
 # env maps a variable to its surface type and the operations its row
 # mentions statically (a superset of what using it can actually raise)
@@ -74,17 +70,17 @@ class _SurfaceGen:
     def row_ann(self, used: frozenset[str], limit: frozenset[str]) -> s.SEffect:
         """An annotation covering used, padded only from limit, or left ?."""
         if self.rng.random() < DYN_BIAS:
-            return s.SDynEff()
+            return DYN
         extra = [o for o in sorted(limit - used) if self.rng.random() < 0.3]
         return s.SNames(tuple(sorted(used | set(extra))))
 
     def value(self, ty: s.SType) -> s.STerm:
         rng = self.rng
-        if isinstance(ty, s.SBool):
+        if isinstance(ty, Bool):
             return s.SBoolLit(rng.random() < 0.5)
-        if isinstance(ty, s.SUnit):
+        if isinstance(ty, Unit):
             return s.SUnitLit()
-        if isinstance(ty, s.SStr):
+        if isinstance(ty, Str):
             return s.SStrLit(rng.choice(STRINGS))
         raise ValueError(f"no surface value at {ty}")
 
@@ -102,7 +98,7 @@ class _SurfaceGen:
             out = s.SAscribeType(out, ty)
         if depth > 0 and rng.random() < 0.15:
             if rng.random() < DYN_BIAS:
-                out = s.SAscribeEff(out, s.SDynEff())
+                out = s.SAscribeEff(out, DYN)
             else:
                 out = s.SAscribeEff(out, s.SNames(tuple(sorted(used))))
         return out, used
@@ -118,14 +114,14 @@ class _SurfaceGen:
         callable_ = sorted(
             n
             for n, (t, used) in env.items()
-            if isinstance(t, s.SArrow) and t.cod == ty and used <= allowed
+            if isinstance(t, Arrow) and t.cod == ty and used <= allowed
         )
         choices = ["value"]
         if matches:
             choices += ["var"] * 2
         if depth > 0:
             choices += ["if", "let", "handle"]
-            if isinstance(ty, s.SStr):
+            if isinstance(ty, Str):
                 choices.append("concat")
             if raisable:
                 choices += ["raise"] * 2
@@ -137,19 +133,19 @@ class _SurfaceGen:
         if pick == "var":
             return s.SVar(rng.choice(matches)), _NONE
         if pick == "if":
-            c, u1 = self.term(s.SBool(), allowed, env, depth - 1)
+            c, u1 = self.term(BOOL, allowed, env, depth - 1)
             t, u2 = self.term(ty, allowed, env, depth - 1)
             e, u3 = self.term(ty, allowed, env, depth - 1)
             return s.SIf(c, t, e), u1 | u2 | u3
         if pick == "let":
             x = self.name()
-            bty = _ground_stype(rng)
+            bty = rng.choice(GROUND)
             b, u1 = self.term(bty, allowed, env, depth - 1)
             body, u2 = self.term(ty, allowed, {**env, x: (bty, _NONE)}, depth - 1)
             return s.SLet(x, b, body), u1 | u2
         if pick == "concat":
-            l, u1 = self.term(s.SStr(), allowed, env, depth - 1)
-            r, u2 = self.term(s.SStr(), allowed, env, depth - 1)
+            l, u1 = self.term(STR, allowed, env, depth - 1)
+            r, u2 = self.term(STR, allowed, env, depth - 1)
             return s.SConcat(l, r), u1 | u2
         if pick == "raise":
             op = rng.choice(raisable)
@@ -158,7 +154,7 @@ class _SurfaceGen:
         if pick == "call":
             fname = rng.choice(callable_)
             fty, fused = env[fname]
-            assert isinstance(fty, s.SArrow)
+            assert isinstance(fty, Arrow)
             arg, u = self.term(fty.dom, allowed, env, depth - 1)
             return s.SApp(s.SVar(fname), arg), u | fused
         return self._handle(ty, allowed, env, depth)
@@ -185,7 +181,7 @@ class _SurfaceGen:
         for op in handled:
             req, resp = self.ops[op]
             p, k = self.name("p"), self.name("k")
-            resume_ty = s.SArrow(resp, eff_ann, ty)
+            resume_ty = Arrow(resp, eff_ann, ty)
             cenv = {**env, p: (req, _NONE), k: (resume_ty, inner)}
             if rng.random() < 0.7:
                 resp_term, u_c = self.term(resp, inner, cenv, depth - 1)
@@ -214,18 +210,18 @@ class _SurfaceGen:
         env: dict[str, tuple[s.SType, frozenset[str]]] = {}
         for _ in range(rng.randint(0, 2)):
             fname = self.name("f")
-            dom, cod = _ground_stype(rng), _ground_stype(rng)
+            dom, cod = rng.choice(GROUND), rng.choice(GROUND)
             may_raise = frozenset(o for o in self.ops if rng.random() < 0.5)
             arg = self.name("a")
             body, used = self.term(
                 cod, may_raise, {**env, arg: (dom, _NONE)}, depth - 1
             )
             row = self.row_ann(used, may_raise)
-            ann = s.SArrow(dom, row, cod)
+            ann = Arrow(dom, row, cod)
             main_decls.append(s.SDefine(fname, ann, s.SLam(arg, dom, body)))
             static = frozenset(row.names) if isinstance(row, s.SNames) else used
             env[fname] = (ann, static)
-        ty = rng.choice((s.SBool(), s.SStr()))
+        ty = rng.choice((BOOL, STR))
         term, _ = self.term(ty, frozenset(), env, depth)
         return s.SProgram((s.SModule("Ops", decls),), tuple(main_decls), term)
 
@@ -238,7 +234,7 @@ def gen_surface_program(seed: int) -> s.SProgram:
     """
     rng = random.Random(seed)
     n = rng.randint(1, len(OP_NAMES))
-    ops = {op: (_ground_stype(rng), _ground_stype(rng)) for op in OP_NAMES[:n]}
+    ops = {op: (rng.choice(GROUND), rng.choice(GROUND)) for op in OP_NAMES[:n]}
     return _SurfaceGen(rng, ops).program(DEPTH)
 
 

@@ -21,7 +21,9 @@ optional `in` may fence the final term off from the declarations (needed
 when a define body would otherwise absorb the term as an argument).
 
 Types are bool, 1, str, Queue A, and arrows `A -[e1,e2]> B` / `A -[?]> B` /
-`A -[]> B`.  Ascriptions are `M :: A` (value type) and `M :: [e1,e2]`
+`A -[]> B`.  A written type is a typesys type whose rows are `?` (DYN) or
+operation names (SNames), which elaboration gives their typings; typesys
+prints it.  Ascriptions are `M :: A` (value type) and `M :: [e1,e2]`
 (effect).  `--` starts a line comment.  Identifiers may contain inner dashes
 (`sch-loop`) and trailing primes (`q'`).  `f(M)` applies f when f is a value
 and raises when f is an effect declared or imported in the enclosing module;
@@ -45,6 +47,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
+
+from .typesys import BOOL, DYN, STR, UNIT, Arrow, Bool, Dyn, QueueOf, Str, Unit, ValueType, atom
 
 
 class ParseError(Exception):
@@ -151,11 +155,6 @@ class _Node:
 
 
 @dataclass(frozen=True)
-class SDynEff(_Node):
-    pass
-
-
-@dataclass(frozen=True)
 class SNames(_Node):
     names: tuple[str, ...]
 
@@ -163,38 +162,12 @@ class SNames(_Node):
         object.__setattr__(self, "names", tuple(sorted(names)))
         object.__setattr__(self, "pos", pos)
 
-
-SEffect = Union[SDynEff, SNames]
-
-
-@dataclass(frozen=True)
-class SBool(_Node):
-    pass
+    def __str__(self) -> str:
+        return "[" + ",".join(self.names) + "]"
 
 
-@dataclass(frozen=True)
-class SUnit(_Node):
-    pass
-
-
-@dataclass(frozen=True)
-class SStr(_Node):
-    pass
-
-
-@dataclass(frozen=True)
-class SQueue(_Node):
-    elem: "SType"
-
-
-@dataclass(frozen=True)
-class SArrow(_Node):
-    dom: "SType"
-    eff: SEffect
-    cod: "SType"
-
-
-SType = Union[SBool, SUnit, SStr, SQueue, SArrow]
+SType = ValueType  # whose rows are SEffects
+SEffect = Union[Dyn, SNames]
 
 
 @dataclass(frozen=True)
@@ -369,11 +342,10 @@ class SProgram(_Node):
 # the variables bound over it; every other field is a name or a flag
 FIELDS: dict[type, dict[str, tuple[str, ...]]] = {
     **dict.fromkeys(
-        (SDynEff, SNames, SBool, SUnit, SStr, SVar, SBoolLit, SUnitLit, SStrLit, SEmptyQueue),
-        {},
+        (Bool, Unit, Str, Dyn, SNames, SVar, SBoolLit, SUnitLit, SStrLit, SEmptyQueue), {}
     ),
-    SQueue: {"elem": ()},
-    SArrow: {"dom": (), "eff": (), "cod": ()},
+    QueueOf: {"elem": ()},
+    Arrow: {"dom": (), "eff": (), "cod": ()},
     SLam: {"ann": (), "body": ("var",)},
     SApp: {"fn": (), "arg": ()},
     SLet: {"bound": (), "body": ("var",)},
@@ -467,27 +439,24 @@ class _Parser:
     def parse_type(self) -> SType:
         left = self.type_atom()
         if self.at("-["):
-            pos = self.where()
             self.pos += 1
             eff = self.effect_names()
             self.expect("]>")
-            cod = self.parse_type()
-            return SArrow(left, eff, cod, pos=pos)
+            return Arrow(left, eff, self.parse_type())
         return left
 
     @_nested
     def type_atom(self) -> SType:
-        t = self.toks[self.pos]
-        pos, word = t[2:], self.words[self.pos]
+        t, word = self.toks[self.pos], self.words[self.pos]
         if t.kind == "one":
             self.pos += 1
-            return SUnit(pos=pos)
+            return UNIT
         if word == "bool" or word == "str":
             self.pos += 1
-            return SBool(pos=pos) if word == "bool" else SStr(pos=pos)
+            return BOOL if word == "bool" else STR
         if word == "Queue":
             self.pos += 1
-            return SQueue(self.type_atom(), pos=pos)
+            return QueueOf(self.type_atom())
         if word == "(":
             self.pos += 1
             inner = self.parse_type()
@@ -499,7 +468,7 @@ class _Parser:
         pos = self.where()
         if self.at("?"):
             self.pos += 1
-            return SDynEff(pos=pos)
+            return DYN
         names = []
         while self.toks[self.pos].kind == "ident":
             names.append(self.ident("effect name"))
@@ -823,31 +792,6 @@ def parse_type(src: str) -> SType:
 # Pretty-printer (output reparses to an equal tree)
 
 
-def pretty_eff(e: SEffect) -> str:
-    if isinstance(e, SDynEff):
-        return "?"
-    return ",".join(e.names)
-
-
-def pretty_type(t: SType) -> str:
-    if isinstance(t, SBool):
-        return "bool"
-    if isinstance(t, SUnit):
-        return "1"
-    if isinstance(t, SStr):
-        return "str"
-    if isinstance(t, SQueue):
-        return f"Queue {_type_atom(t.elem)}"
-    if isinstance(t, SArrow):
-        return f"{_type_atom(t.dom)} -[{pretty_eff(t.eff)}]> {pretty_type(t.cod)}"
-    raise TypeError(f"not a surface type: {t!r}")
-
-
-def _type_atom(t: SType) -> str:
-    s = pretty_type(t)
-    return f"({s})" if isinstance(t, (SArrow, SQueue)) else s
-
-
 def _q(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
 
@@ -862,7 +806,7 @@ def pretty_term(t: STerm) -> str:
     if isinstance(t, SStrLit):
         return _q(t.value)
     if isinstance(t, SLam):
-        ann = f" : {pretty_type(t.ann)}" if t.ann is not None else ""
+        ann = f" : {t.ann}" if t.ann is not None else ""
         return f"lambda {t.var}{ann}. {pretty_term(t.body)}"
     if isinstance(t, SApp):
         return f"{_sub(t.fn, _APP)} {_sub(t.arg, _ATOM)}"
@@ -892,7 +836,7 @@ def pretty_term(t: STerm) -> str:
     if isinstance(t, SHandle):
         kw = "handle" if t.deep else "shallow-handle"
         head = (
-            f"{kw} [{pretty_eff(t.eff_ann)}] {_type_atom(t.type_ann)} "
+            f"{kw} {t.eff_ann} {atom(t.type_ann)} "
             f"{_sub(t.scrutinee, _ASC)} with ret {t.ret_var} -> ({pretty_term(t.ret_body)})"
         )
         for c in t.clauses:
@@ -901,9 +845,9 @@ def pretty_term(t: STerm) -> str:
             )
         return head
     if isinstance(t, SAscribeType):
-        return f"{_sub(t.term, _ASC)} :: {pretty_type(t.ann)}"
+        return f"{_sub(t.term, _ASC)} :: {t.ann}"
     if isinstance(t, SAscribeEff):
-        return f"{_sub(t.term, _ASC)} :: [{pretty_eff(t.ann)}]"
+        return f"{_sub(t.term, _ASC)} :: {t.ann}"
     raise TypeError(f"not a surface term: {t!r}")
 
 
@@ -925,16 +869,14 @@ def _sub(t: STerm, level: int) -> str:
 
 def pretty_decl(d: SDecl) -> str:
     if isinstance(d, SEffectDecl):
-        return f"effect {d.name} : {_type_atom(d.req)} ~> {_type_atom(d.resp)}"
+        return f"effect {d.name} : {atom(d.req)} ~> {atom(d.resp)}"
     if isinstance(d, SImportEffect):
-        return (
-            f"import {d.module}.{d.name} : {_type_atom(d.req)} ~> {_type_atom(d.resp)}"
-        )
+        return f"import {d.module}.{d.name} : {atom(d.req)} ~> {atom(d.resp)}"
     if isinstance(d, SImportValue):
         alias = f" as {d.alias}" if d.alias != d.name else ""
-        return f"import {d.module}.{d.name}{alias} : {pretty_type(d.ann)}"
+        return f"import {d.module}.{d.name}{alias} : {d.ann}"
     if isinstance(d, SDefine):
-        return f"define {d.name} : {pretty_type(d.ann)} =\n  {pretty_term(d.body)}"
+        return f"define {d.name} : {d.ann} =\n  {pretty_term(d.body)}"
     raise TypeError(f"not a declaration: {d!r}")
 
 

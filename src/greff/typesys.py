@@ -6,6 +6,9 @@ finite map from operation names to request/response typings eps@A~>B.
 A signature Sigma gives every declared operation a non-tracking typing
 (every effect annotation inside is ?); |t| erases a type down to it.
 
+The surface writes these same types, except that a row stays a set of
+operation names (surface.SNames) until elaboration gives them typings.
+
 One walk, `_below`, implements the three orders:
 
   subtype          A <= B     width/depth subtyping
@@ -74,7 +77,7 @@ class QueueOf:
     elem: "ValueType"
 
     def __str__(self) -> str:
-        return f"Queue {_atom(self.elem)}"
+        return f"Queue {atom(self.elem)}"
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,7 @@ class Arrow:
     cod: "ValueType"
 
     def __str__(self) -> str:
-        return f"{_atom(self.dom)} -{self.eff}> {self.cod}"
+        return f"{atom(self.dom)} -{self.eff}> {self.cod}"
 
 
 @dataclass(frozen=True)
@@ -145,9 +148,11 @@ Type = Union[ValueType, EffectType]
 
 DYN = Dyn()
 EMPTY = Concrete({})
+BOOL, UNIT, STR = Bool(), Unit(), Str()
 
 
-def _atom(t: ValueType) -> str:
+def atom(t: ValueType) -> str:
+    """t printed as an operand: a queue or arrow type in parentheses."""
     s = str(t)
     return f"({s})" if isinstance(t, (Arrow, QueueOf)) else s
 

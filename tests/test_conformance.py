@@ -393,12 +393,12 @@ def test_imprecisify_yields_syntactic_precision():
 def _blurred_from(a, b) -> bool:
     """Check that b is a with some row annotations turned to ?.
 
-    Every node of b keeps the position of its node in a, and a subtree
-    with nothing blurred is a's own object.  Says whether b blurs any.
+    Every surface node of b keeps the position of its node in a, and a
+    subtree with nothing blurred is a's own object.  Says whether b blurs any.
     (A rebuilt handler sorts its clause tuple anew, so tuples are
     compared by their elements.)
     """
-    if isinstance(a, s.SNames) and isinstance(b, s.SDynEff):
+    if isinstance(a, s.SNames) and b is DYN:
         return True
     if isinstance(a, tuple):
         assert isinstance(b, tuple) and len(a) == len(b)
@@ -406,7 +406,8 @@ def _blurred_from(a, b) -> bool:
     if not dataclasses.is_dataclass(a):
         assert a == b
         return False
-    assert type(a) is type(b) and a.pos == b.pos
+    assert type(a) is type(b)
+    assert type(a).__module__ != "greff.surface" or a.pos == b.pos  # types have none
     names = [f.name for f in dataclasses.fields(a) if f.name != "pos"]
     blurred = any([_blurred_from(getattr(a, n), getattr(b, n)) for n in names])
     assert blurred or a is b

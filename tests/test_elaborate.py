@@ -9,10 +9,10 @@ from greff.conformance import imprecisify
 from greff.elaborate import (
     ElabError, _Elab, elab_program, elab_source, surface_free_vars,
 )
-from greff.surface import parse_program, parse_term
+from greff.surface import parse_program, parse_term, parse_type
 from greff.typesys import (
     Arrow, Bool, Concrete, DYN, EMPTY, OpSig, QueueOf, Signature, Str, Unit,
-    subtype,
+    is_value_type, subtype,
 )
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
@@ -135,6 +135,38 @@ def test_core_typecheck_gives_exactly_the_reported_typing():
         assert core.typecheck(res.sig, {}, res.term) == (res.eff, res.val), name
         checked += 1
     assert checked > 3000
+
+
+def _value_types(x):
+    """Every value type in x, a type or a core term, and every part of each,
+    the operation typings of rows included."""
+    if is_value_type(x):
+        yield x
+    if isinstance(x, tuple):
+        parts = x
+    elif dataclasses.is_dataclass(x):
+        parts = [getattr(x, f.name) for f in dataclasses.fields(x)]
+    else:
+        return
+    for part in parts:
+        yield from _value_types(part)
+
+
+def test_printed_typings_read_back():
+    # one printer serves both layers: each typing check prints, and each
+    # type the elaborated term carries (a row printed as its names), is
+    # surface syntax that parses back to a type printed the same way
+    programs = [gen.gen_surface_program(seed) for seed in range(100)]
+    programs += [parse_program(p.read_text()) for p in sorted(CORPUS.glob("*.greff"))]
+    printed = set()
+    for program in programs:
+        try:
+            res = elab_program(program)
+        except ElabError:
+            continue
+        printed.update(map(str, _value_types((res.eff, res.val, res.term))))
+    assert [t for t in printed if str(parse_type(t)) != t] == []
+    assert len(printed) > 20 and any("-[" in t for t in printed)
 
 
 def test_bad_import_rejected_statically():

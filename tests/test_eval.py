@@ -228,12 +228,29 @@ def test_a_raise_across_two_typings_casts_its_response(op, outcome, steps):
         Clause("other", "p", "k", resume, UNIT_T, UNIT_T),
     ), EMPTY, STR)
     core.typecheck(_GET, {}, h)
-    rules = []
-    got = run(_GET, h, trace=lambda rule, detail: rules.append(rule))
+    rules, failures, sampled = [], {}, [0]
+
+    def sample(state):  # reads back the state after each step
+        sampled[0] += 1
+        try:
+            core.typecheck(_GET, {}, reify(state))
+        except core.TypeCheckError as e:
+            kinds = (FORK_UNDER_NARROWER_ROW, ERR_SCRUTINEE)
+            failures[sampled[0]] = next((k for k in kinds if k in str(e)), str(e))
+
+    got = run(
+        _GET, h, trace=lambda rule, detail: rules.append(rule), sample=sample, sample_every=1
+    )
     assert (got.outcome, got.steps) == (outcome, steps)
     assert reference.evaluate(_GET, h) == outcome
     fired = [r for r in rules if r in ("val-downcast", "fun-downcast")]
     assert fired[:2] == ["val-downcast", "fun-downcast"]
+    # the states that fail read-back (ROADMAP item 9), by step: just after
+    # get crosses the upcast, it carries the ? side's typing under the
+    # precise row, as raise fork does in the corpus; and the other case's
+    # err, once the downcast traps, is a handler's scrutinee
+    pinned = {8: FORK_UNDER_NARROWER_ROW}
+    assert failures == (pinned if op == "tick" else {**pinned, 27: ERR_SCRUTINEE})
 
 
 def test_fun_proxies_fire_at_application():

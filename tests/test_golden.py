@@ -49,6 +49,7 @@ from greff import conformance as conf
 from greff import eval as ev
 from greff import surface as s
 from greff.surface import ParseError, parse_program, pretty_program, tokenize
+from greff.typesys import BOOL, DYN, STR, UNIT, Arrow, QueueOf
 from programs import queue_walk_source, resumption_cases
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -330,7 +331,7 @@ def observe_relations() -> dict:
 
 
 _ROW = s.SNames(("a", "b"))
-_FN_TYPE = s.SArrow(s.SQueue(s.SStr()), _ROW, s.SArrow(s.SUnit(), s.SDynEff(), s.SBool()))
+_FN_TYPE = Arrow(QueueOf(STR), _ROW, Arrow(UNIT, DYN, BOOL))
 # every printed form of a term, built from its term children: each term
 # class, with each way its flags, binders and annotations change the text
 TERM_FORMS = (
@@ -350,15 +351,15 @@ TERM_FORMS = (
     lambda m, n: s.SEnqueue(m, n),
     lambda m, n, o: s.SMatch(m, n, "h", "t", o),
     lambda m: s.SRaise("e", m),
-    lambda m, n: s.SHandle(True, _ROW, s.SStr(), m, "r", n, ()),
+    lambda m, n: s.SHandle(True, _ROW, STR, m, "r", n, ()),
     lambda m, n, o, p: s.SHandle(
-        False, s.SDynEff(), _FN_TYPE, m, "r", n,
+        False, DYN, _FN_TYPE, m, "r", n,
         (s.SClause("e", "p", "k", o), s.SClause("d", "p", "k", p)),
     ),
-    lambda m: s.SAscribeType(m, s.SQueue(_FN_TYPE)),
-    lambda m: s.SAscribeType(m, s.SStr()),
+    lambda m: s.SAscribeType(m, QueueOf(_FN_TYPE)),
+    lambda m: s.SAscribeType(m, STR),
     lambda m: s.SAscribeEff(m, _ROW),
-    lambda m: s.SAscribeEff(m, s.SDynEff()),
+    lambda m: s.SAscribeEff(m, DYN),
 )
 _LEAVES = [form() for form in TERM_FORMS if form.__code__.co_argcount == 0]
 

@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from greff import surface
 from greff.surface import (
-    FIELDS, MAX_DEPTH, ParseError, SApp, SArrow, SAscribeEff, SAscribeType, SBool, SBoolLit,
-    SClause, SConcat, SDefine, SDynEff, SEffectDecl, SEmptyQueue, SEnqueue,
+    FIELDS, MAX_DEPTH, ParseError, SApp, SAscribeEff, SAscribeType, SBoolLit,
+    SClause, SConcat, SDefine, SEffectDecl, SEmptyQueue, SEnqueue,
     SHandle, SIf, SImportEffect, SImportValue, SLam, SLet, SMatch, SNames,
-    SQueue, SRaise, SStr, SStrLit, SUnit, SUnitLit, SVar, parse_program,
-    parse_term, parse_type, pretty_program, pretty_term, pretty_type, tokenize,
+    SRaise, SStrLit, SUnitLit, SVar, parse_program,
+    parse_term, parse_type, pretty_program, pretty_term, tokenize,
 )
+from greff.typesys import BOOL, DYN, STR, UNIT, Arrow, QueueOf
 
 OPS = frozenset({"print", "yield", "fork"})
 
@@ -101,17 +102,17 @@ def test_lex_edge_cases(src, expected):
 
 
 def test_parse_type_examples():
-    assert parse_type("bool") == SBool()
-    assert parse_type("1") == SUnit()
-    assert parse_type("Queue (1 -[?]> 1)") == SQueue(SArrow(SUnit(), SDynEff(), SUnit()))
+    assert parse_type("bool") == BOOL
+    assert parse_type("1") == UNIT
+    assert parse_type("Queue (1 -[?]> 1)") == QueueOf(Arrow(UNIT, DYN, UNIT))
     t = parse_type("str -[print,yield]> str")
-    assert t == SArrow(SStr(), SNames(("print", "yield")), SStr())
-    assert parse_type("1 -[]> 1") == SArrow(SUnit(), SNames(()), SUnit())
+    assert t == Arrow(STR, SNames(("print", "yield")), STR)
+    assert parse_type("1 -[]> 1") == Arrow(UNIT, SNames(()), UNIT)
 
 
 def test_arrow_right_associative():
     t = parse_type("1 -[?]> 1 -[?]> bool")
-    assert isinstance(t.cod, SArrow)
+    assert isinstance(t.cod, Arrow)
 
 
 def test_effect_names_are_canonically_sorted():
@@ -151,15 +152,15 @@ def test_application_left_associative():
 def test_ascription_chains():
     t = parse_term("f x :: [print] :: str", OPS)
     assert t == SAscribeType(
-        SAscribeEff(SApp(SVar("f"), SVar("x")), SNames(("print",))), SStr()
+        SAscribeEff(SApp(SVar("f"), SVar("x")), SNames(("print",))), STR
     )
     assert parse_term("x :: []") == SAscribeEff(SVar("x"), SNames(()))
-    assert parse_term("x :: [?]") == SAscribeEff(SVar("x"), SDynEff())
+    assert parse_term("x :: [?]") == SAscribeEff(SVar("x"), DYN)
 
 
 def test_concat_binds_tighter_than_ascription():
     t = parse_term('s ++ "a" :: str')
-    assert t == SAscribeType(SConcat(SVar("s"), SStrLit("a")), SStr())
+    assert t == SAscribeType(SConcat(SVar("s"), SStrLit("a")), STR)
 
 
 def test_lambda_body_extends_right():
@@ -170,7 +171,7 @@ def test_lambda_body_extends_right():
 
 def test_annotated_lambda():
     t = parse_term("lambda s : str. s")
-    assert t == SLam("s", SStr(), SVar("s"))
+    assert t == SLam("s", STR, SVar("s"))
 
 
 def test_match_queue():
@@ -207,8 +208,8 @@ def test_handle_clause_boundaries():
 def test_shallow_handle_and_dyn_annotation():
     t = parse_term("shallow-handle [?] (str -[?]> str) m with ret x -> x", OPS)
     assert not t.deep
-    assert t.eff_ann == SDynEff()
-    assert t.type_ann == SArrow(SStr(), SDynEff(), SStr())
+    assert t.eff_ann == DYN
+    assert t.type_ann == Arrow(STR, DYN, STR)
     assert t.clauses == ()
 
 
@@ -302,7 +303,7 @@ def test_scheduler_program_parses():
     assert [m.name for m in p.modules] == ["Operations", "Scheduler"]
     # module Main becomes the main block, its final define the main term
     assert isinstance(p.main_term, SAscribeType)
-    assert p.main_term.ann == SStr()
+    assert p.main_term.ann == STR
     kinds = [type(d).__name__ for d in p.main_decls]
     assert kinds == ["SImportEffect"] * 3 + ["SImportValue", "SDefine", "SDefine"]
     sched = p.modules[1]
@@ -321,7 +322,7 @@ def test_explicit_main_block():
     )
     assert len(p.modules) == 1
     assert isinstance(p.main_term, SHandle)
-    assert p.main_decls == (SImportEffect("A", "ping", SUnit(), SUnit()),)
+    assert p.main_decls == (SImportEffect("A", "ping", UNIT, UNIT),)
 
 
 def test_import_value_forms():
@@ -330,8 +331,8 @@ def test_import_value_forms():
         "main { import A.x : bool\nimport A.x as y : bool\nx }"
     )
     d1, d2 = p.main_decls
-    assert d1 == SImportValue("A", "x", "x", SBool())
-    assert d2 == SImportValue("A", "x", "y", SBool())
+    assert d1 == SImportValue("A", "x", "x", BOOL)
+    assert d2 == SImportValue("A", "x", "y", BOOL)
 
 
 def test_program_requires_main():
@@ -355,9 +356,9 @@ def test_round_trip_scheduler_program():
     assert pretty_program(parse_program(text)) == text
 
 
-_type_leaf = st.sampled_from([SBool(), SUnit(), SStr()])
+_type_leaf = st.sampled_from([BOOL, UNIT, STR])
 _effects = st.one_of(
-    st.just(SDynEff()),
+    st.just(DYN),
     st.lists(st.sampled_from(sorted(OPS)), max_size=3, unique=True).map(
         lambda ns: SNames(tuple(ns))
     ),
@@ -365,8 +366,8 @@ _effects = st.one_of(
 _types = st.recursive(
     _type_leaf,
     lambda inner: st.one_of(
-        st.builds(SQueue, inner),
-        st.builds(SArrow, inner, _effects, inner),
+        st.builds(QueueOf, inner),
+        st.builds(Arrow, inner, _effects, inner),
     ),
     max_leaves=5,
 )
@@ -408,7 +409,7 @@ _terms = st.recursive(_term_leaf, _extend, max_leaves=20)
 
 @given(_types)
 def test_round_trip_types(t):
-    assert parse_type(pretty_type(t)) == t
+    assert parse_type(str(t)) == t
 
 
 @settings(max_examples=300, deadline=None)
@@ -456,9 +457,11 @@ def _nodes(node):
 
 
 def _surface_classes():
+    """surface's own node classes and the typesys types its parser builds."""
     return [
-        cls for cls in vars(surface).values()
-        if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__name__.startswith("S")
+        cls for name, cls in vars(surface).items()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+        and (cls.__module__ == "greff.typesys" or name.startswith("S"))
     ]
 
 
@@ -485,6 +488,8 @@ def test_nodes_equal_hash_and_print_alike_at_any_position():
     nodes = list(_nodes(parse_program(EVERY_CLASS_SRC)))
     assert {type(n) for n in nodes} == set(FIELDS)
     for node in nodes:
+        if type(node).__module__ == "greff.typesys":  # a type has no position
+            continue
         moved = dataclasses.replace(node, pos=(99, 99))
         assert moved.pos != node.pos
         assert moved == node and hash(moved) == hash(node) and repr(moved) == repr(node)
