@@ -15,21 +15,29 @@ import inspect
 import sys
 from pathlib import Path
 
+from greff.surface import ParseError
 from programs import capture_walk_source, cast_loop_source, queue_walk_source
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
+    path_before = list(sys.path)  # run.py puts perfbench/ first on the path
     try:
         spec.loader.exec_module(module)
     finally:
         del sys.modules[spec.name]
+        sys.path[:] = path_before
     return module
+
+
+def _load_tracer():
+    return _load(TRACER)
 
 
 def _greff(name: str):
@@ -105,3 +113,29 @@ def test_the_state_hook_counts_depths_of_sampled_states():
         steps = ev.run(res.sig, res.term, sample=hook, sample_every=1).steps
         counts = bucket.counts
         assert (steps, counts["eval.peak_frames"], counts["eval.max_captured"]) == expected
+
+
+def test_the_node_count_walks_every_core_node_of_the_corpus():
+    # the benchmark's elaborate.core_nodes and elaborate.casts walk each
+    # node's __dataclass_fields__; a change to how node classes are built
+    # must leave both counts as they are, and equal to a walk over
+    # core.FIELDS, which names every term-valued field
+    core, elaborate = _greff("core"), _greff("elaborate")
+    terms = []
+    for path in sorted((ROOT / "corpus").glob("*.greff")):
+        try:
+            terms.append(elaborate.elab_source(path.read_text(encoding="utf-8")).term)
+        except (ParseError, elaborate.ElabError):
+            assert path.name == "bad_import.greff"
+    assert len(terms) == 11
+    assert _load(PERFBENCH / "run.py").count_nodes(terms, core) == (783, 31)
+    nodes = casts = 0
+    stack = list(terms)
+    while stack:
+        t = stack.pop()
+        nodes += not isinstance(t, core.Clause)
+        casts += isinstance(t, (core.ValCast, core.EffCast))
+        for name in core.FIELDS[type(t)]:
+            v = getattr(t, name)
+            stack.extend(v if type(v) is tuple else (v,))
+    assert (nodes, casts) == (783, 31)
