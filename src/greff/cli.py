@@ -26,10 +26,8 @@ from __future__ import annotations
 import argparse
 import functools
 import os
-import random
 import sys
 
-from . import conformance as conf
 from . import core
 from . import elaborate
 from . import eval as ev
@@ -115,6 +113,8 @@ def cmd_graduality(
     path: str, fuel: int, seed: int, cases: int, out=sys.stdout, err=sys.stderr
 ) -> int:
     """Blur the file's effect annotations and compare against the original."""
+    import random  # imported here, so that check, elab and run start without them
+    from . import conformance as conf
     program = surface.parse_program(_read(path))
     if conf.count_effect_sites(program) == 0:
         print("no effect annotation sites to blur", file=err)
@@ -133,6 +133,7 @@ def cmd_graduality(
 
 
 def cmd_conformance(fuel: int, seed: int, cases: int, out=sys.stdout, err=sys.stderr) -> int:
+    from . import conformance as conf
     report = conf.run_conformance(
         seed=seed,
         cases_per_law=cases,

@@ -27,7 +27,6 @@ import dataclasses
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from . import core
@@ -35,6 +34,7 @@ from . import elaborate
 from . import eval as ev
 from . import gen
 from . import surface as s
+from .record import record
 from .typesys import (
     DYN,
     EMPTY,
@@ -221,7 +221,7 @@ def _expand(t, sig, body_types, function, fresh) -> core.Term:
 # Cast factorization
 
 
-@dataclass(frozen=True)
+@record
 class Factorization:
     """The corners of the square a cast from a to b factors through.
 
@@ -367,7 +367,7 @@ def _blur(node, counts: dict[int, int], first: int, chosen: list[int]):
     return dataclasses.replace(node, **changed)
 
 
-@dataclass(frozen=True)
+@record
 class PrecisionPair:
     precise: s.SProgram
     imprecise: s.SProgram
@@ -466,7 +466,7 @@ def _ground_harness_ctx(
     return wrap
 
 
-@dataclass(frozen=True)
+@record
 class LawCase:
     sig: Signature
     left: core.Term
@@ -663,7 +663,7 @@ LAWS: dict[str, Callable[[int], LawCase]] = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class CaseRecord:
     check: str
     seed: int
@@ -744,9 +744,9 @@ def case_seed(seed: int, i: int) -> int:
     return seed * 100_003 + i
 
 
-@dataclass
+@record(frozen=False)
 class ConformanceReport:
-    records: list[CaseRecord] = field(default_factory=list)
+    records: list[CaseRecord]
 
     @property
     def violations(self) -> list[CaseRecord]:
@@ -765,18 +765,18 @@ def run_conformance(
     is reproducible from a single number.  Factorization and graduality
     skip seeds that draw no case, up to four times as many draws.
     """
-    report = ConformanceReport()
+    report = ConformanceReport([])
 
-    def record(r: CaseRecord):
+    def add(r: CaseRecord):
         report.records.append(r)
         if emit is not None:
             emit(r.to_json())
 
     for law in LAWS:
         for i in range(cases_per_law):
-            record(run_law_case(law, case_seed(seed, i), fuel=fuel))
+            add(run_law_case(law, case_seed(seed, i), fuel=fuel))
     for run_case in (run_factorization_case, run_graduality_case):
         drawn = (run_case(case_seed(seed, i), fuel) for i in range(4 * cases_per_law))
         for r in itertools.islice(filter(None, drawn), cases_per_law):
-            record(r)
+            add(r)
     return report

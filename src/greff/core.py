@@ -20,9 +20,10 @@ effect type at the first raise or latent-effect application.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional, Union
 
+from .record import record
 from .typesys import (
     Arrow,
     Bool,
@@ -60,34 +61,34 @@ class WellFormednessError(TypeCheckError):
 # Terms
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class BoolLit:
     value: bool
 
 
-@dataclass(frozen=True)
+@record
 class UnitLit:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class StrLit:
     value: str
 
 
-@dataclass(frozen=True)
+@record
 class Lam:
     var: str
     ann: ValueType
     body: "Term"
 
 
-@dataclass(frozen=True)
+@record
 class Fix:
     """Recursive value: fix f : A. (lam ...); unrolls one step when evaluated."""
 
@@ -96,44 +97,44 @@ class Fix:
     body: "Lam"
 
 
-@dataclass(frozen=True)
+@record
 class App:
     fn: "Term"
     arg: "Term"
 
 
-@dataclass(frozen=True)
+@record
 class Let:
     bound: "Term"
     var: str
     body: "Term"
 
 
-@dataclass(frozen=True)
+@record
 class If:
     cond: "Term"
     then: "Term"
     els: "Term"
 
 
-@dataclass(frozen=True)
+@record
 class Concat:
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
+@record
 class EmptyQueue:
     elem: ValueType
 
 
-@dataclass(frozen=True)
+@record
 class Enqueue:
     queue: "Term"
     elem: "Term"
 
 
-@dataclass(frozen=True)
+@record
 class CaseQueue:
     scrutinee: "Term"
     empty_body: "Term"
@@ -142,7 +143,7 @@ class CaseQueue:
     cons_body: "Term"
 
 
-@dataclass(frozen=True)
+@record
 class Raise:
     op: str
     req: ValueType
@@ -150,7 +151,7 @@ class Raise:
     payload: "Term"
 
 
-@dataclass(frozen=True)
+@record
 class Clause:
     op: str
     payload_var: str
@@ -160,7 +161,7 @@ class Clause:
     resp: ValueType
 
 
-@dataclass(frozen=True)
+@record
 class Handle:
     scrutinee: "Term"
     ret_var: str
@@ -182,12 +183,12 @@ class Handle:
         return None
 
 
-@dataclass(frozen=True)
+@record
 class Err:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class _Cast:
     """A cast between lo and hi, lo the more precise: an upcast takes a
     term from lo to hi, a downcast from hi to lo.  Each leaf class sets

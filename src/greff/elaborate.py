@@ -35,10 +35,10 @@ uncaught operations must already sit in the result row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import core, surface as s
+from .record import record
 from .typesys import (
     BOOL, DYN, EMPTY, STR, UNIT, Arrow, Concrete, EffectType, JoinUndefined, OpSig,
     QueueOf, Signature, ValueType, compatible, erase, gradual_join, gradual_subtype,
@@ -54,7 +54,7 @@ class ElabError(Exception):
         self.pos = pos
 
 
-@dataclass(frozen=True)
+@record
 class ModuleExports:
     """What one module makes visible: effect typings and value bindings
     (surface name to mangled core name and local type)."""
@@ -63,7 +63,7 @@ class ModuleExports:
     values: dict[str, tuple[str, ValueType]]
 
 
-@dataclass(frozen=True)
+@record
 class ElabResult:
     sig: Signature
     term: "core.Term"

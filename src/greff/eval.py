@@ -72,12 +72,13 @@ semantics with none of this machinery and serves as the cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from itertools import chain, islice, repeat
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from . import core
+from .record import record
 from .typesys import (
     Arrow,
     Dyn,
@@ -90,7 +91,7 @@ from .typesys import (
 
 DEFAULT_FUEL = 1_000_000
 
-_record = dataclass(slots=True, eq=False)
+_record = record(frozen=False, eq=False, slots=True)
 
 
 class StuckState(Exception):
@@ -101,22 +102,22 @@ class StuckState(Exception):
 # Outcomes
 
 
-@dataclass(frozen=True)
+@record
 class Value:
     value: object
 
 
-@dataclass(frozen=True)
+@record
 class Error:
     """The program stopped with a cast error."""
 
 
-@dataclass(frozen=True)
+@record
 class UncaughtRaise:
     op: str
 
 
-@dataclass(frozen=True)
+@record
 class FuelExhausted:
     steps: int
 
@@ -729,7 +730,7 @@ def _state(frames: Cells, a, b) -> MachineState:
 # Driving
 
 
-@dataclass(frozen=True)
+@record
 class RunResult:
     outcome: Outcome
     steps: int

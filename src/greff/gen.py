@@ -16,11 +16,11 @@ a core subterm is wrapped in a cast retraction with chance CAST_RATE.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import core
 from . import surface as s
+from .record import record
 from .typesys import (
     BOOL,
     DYN,
@@ -57,7 +57,7 @@ _NONE: frozenset[str] = frozenset()
 _SEnv = Mapping[str, tuple[s.SType, frozenset[str]]]
 
 
-@dataclass
+@record(frozen=False)
 class _SurfaceGen:
     rng: random.Random
     ops: dict[str, tuple[s.SType, s.SType]]  # name -> (req, resp)
@@ -299,11 +299,11 @@ def loosen(rng: random.Random, t, p: float = 0.5):
 #     body's row, and are never applied.
 
 
-@dataclass
+@record(frozen=False)
 class _CoreGen:
     rng: random.Random
     sig: Signature
-    fresh: int = field(default=0)
+    fresh: int = 0
 
     def name(self, base: str = "x") -> str:
         self.fresh += 1

@@ -17,11 +17,11 @@ proxies that cast arguments and results at application time.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
 from . import core
 from .eval import DEFAULT_FUEL, Error, FuelExhausted, Outcome, UncaughtRaise, Value
+from .record import record
 from .typesys import (
     Arrow,
     Dyn,
@@ -37,7 +37,7 @@ class ReferenceBug(Exception):
     """No case applies: unreachable on typechecked closed input."""
 
 
-@dataclass(frozen=True)
+@record
 class DepthExhausted:
     """The host stack ran out after steps units of fuel: an outcome of
     this evaluator only, since the machine keeps its stack on the heap."""
@@ -55,14 +55,14 @@ class _OutOfFuel(Exception):
 _UNIT = object()
 
 
-@dataclass(frozen=True)
+@record
 class Closure:
     var: str
     body: core.Term
     env: Mapping[str, object]
 
 
-@dataclass(frozen=True)
+@record
 class RecClosure:
     """fix f. lam with its environment; unrolls once per application."""
 
@@ -70,13 +70,13 @@ class RecClosure:
     env: Mapping[str, object]
 
 
-@dataclass(frozen=True)
+@record
 class QueueVal:
     elem: ValueType
     items: tuple[object, ...]  # oldest first
 
 
-@dataclass(frozen=True)
+@record
 class FunProxy:
     """A function value wrapped in an arrow cast, fired at application."""
 
@@ -86,14 +86,14 @@ class FunProxy:
     fn: object
 
 
-@dataclass(frozen=True)
+@record
 class Resumption:
     """Captured continuation handed to a handler clause."""
 
     resume: Callable[[object], "Result"]
 
 
-@dataclass(frozen=True)
+@record
 class Opaque:
     """Placeholder for non-ground results in Outcomes."""
 
@@ -104,19 +104,19 @@ class Opaque:
 # Results of evaluating one subterm
 
 
-@dataclass(frozen=True)
+@record
 class Done:
     value: object
 
 
-@dataclass(frozen=True)
+@record
 class Raised:
     op: str
     payload: object
     resume: Callable[[object], "Result"]
 
 
-@dataclass(frozen=True)
+@record
 class Failed:
     pass
 

@@ -45,9 +45,10 @@ Past MAX_DEPTH (100) levels the parser reports a ParseError at the token.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import NamedTuple, Optional, Union
 
+from .record import record
 from .typesys import BOOL, DYN, STR, UNIT, Arrow, Bool, Dyn, QueueOf, Str, Unit, ValueType, atom
 
 
@@ -147,14 +148,14 @@ def tokenize(src: str) -> list[Token]:
 # Surface syntax trees
 
 
-@dataclass(frozen=True)
+@record
 class _Node:
     """A tree node's source position, left out of equality, hash and repr."""
 
     pos: Optional[tuple] = field(default=None, compare=False, repr=False, kw_only=True)
 
 
-@dataclass(frozen=True)
+@record
 class SNames(_Node):
     names: tuple[str, ...]
 
@@ -170,71 +171,71 @@ SType = ValueType  # whose rows are SEffects
 SEffect = Union[Dyn, SNames]
 
 
-@dataclass(frozen=True)
+@record
 class SVar(_Node):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class SBoolLit(_Node):
     value: bool
 
 
-@dataclass(frozen=True)
+@record
 class SUnitLit(_Node):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class SStrLit(_Node):
     value: str
 
 
-@dataclass(frozen=True)
+@record
 class SLam(_Node):
     var: str
     ann: Optional[SType]
     body: "STerm"
 
 
-@dataclass(frozen=True)
+@record
 class SApp(_Node):
     fn: "STerm"
     arg: "STerm"
 
 
-@dataclass(frozen=True)
+@record
 class SLet(_Node):
     var: str
     bound: "STerm"
     body: "STerm"
 
 
-@dataclass(frozen=True)
+@record
 class SIf(_Node):
     cond: "STerm"
     then: "STerm"
     els: "STerm"
 
 
-@dataclass(frozen=True)
+@record
 class SConcat(_Node):
     left: "STerm"
     right: "STerm"
 
 
-@dataclass(frozen=True)
+@record
 class SEmptyQueue(_Node):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class SEnqueue(_Node):
     queue: "STerm"
     elem: "STerm"
 
 
-@dataclass(frozen=True)
+@record
 class SMatch(_Node):
     scrutinee: "STerm"
     empty_body: "STerm"
@@ -243,13 +244,13 @@ class SMatch(_Node):
     cons_body: "STerm"
 
 
-@dataclass(frozen=True)
+@record
 class SRaise(_Node):
     op: str
     payload: "STerm"
 
 
-@dataclass(frozen=True)
+@record
 class SClause(_Node):
     op: str
     payload_var: str
@@ -257,7 +258,7 @@ class SClause(_Node):
     body: "STerm"
 
 
-@dataclass(frozen=True)
+@record
 class SHandle(_Node):
     deep: bool
     eff_ann: SEffect
@@ -273,13 +274,13 @@ class SHandle(_Node):
         )
 
 
-@dataclass(frozen=True)
+@record
 class SAscribeType(_Node):
     term: "STerm"
     ann: SType
 
 
-@dataclass(frozen=True)
+@record
 class SAscribeEff(_Node):
     term: "STerm"
     ann: SEffect
@@ -291,14 +292,14 @@ STerm = Union[
 ]
 
 
-@dataclass(frozen=True)
+@record
 class SEffectDecl(_Node):
     name: str
     req: SType
     resp: SType
 
 
-@dataclass(frozen=True)
+@record
 class SImportEffect(_Node):
     module: str
     name: str
@@ -306,7 +307,7 @@ class SImportEffect(_Node):
     resp: SType
 
 
-@dataclass(frozen=True)
+@record
 class SImportValue(_Node):
     module: str
     name: str
@@ -314,7 +315,7 @@ class SImportValue(_Node):
     ann: SType
 
 
-@dataclass(frozen=True)
+@record
 class SDefine(_Node):
     name: str
     ann: SType
@@ -324,13 +325,13 @@ class SDefine(_Node):
 SDecl = Union[SEffectDecl, SImportEffect, SImportValue, SDefine]
 
 
-@dataclass(frozen=True)
+@record
 class SModule(_Node):
     name: str
     decls: tuple[SDecl, ...]
 
 
-@dataclass(frozen=True)
+@record
 class SProgram(_Node):
     modules: tuple[SModule, ...]
     main_decls: tuple[SDecl, ...]

@@ -38,8 +38,9 @@ typings are bounded in turn, with the response flipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
+
+from .record import record
 
 
 class JoinUndefined(Exception):
@@ -54,25 +55,25 @@ class SignatureError(Exception):
 # Syntax of types
 
 
-@dataclass(frozen=True)
+@record
 class Bool:
     def __str__(self) -> str:
         return "bool"
 
 
-@dataclass(frozen=True)
+@record
 class Unit:
     def __str__(self) -> str:
         return "1"
 
 
-@dataclass(frozen=True)
+@record
 class Str:
     def __str__(self) -> str:
         return "str"
 
 
-@dataclass(frozen=True)
+@record
 class QueueOf:
     elem: "ValueType"
 
@@ -80,7 +81,7 @@ class QueueOf:
         return f"Queue {atom(self.elem)}"
 
 
-@dataclass(frozen=True)
+@record
 class Arrow:
     dom: "ValueType"
     eff: "EffectType"
@@ -90,7 +91,7 @@ class Arrow:
         return f"{atom(self.dom)} -{self.eff}> {self.cod}"
 
 
-@dataclass(frozen=True)
+@record
 class OpSig:
     """Request/response typing of one operation: eps@req ~> resp."""
 
@@ -101,7 +102,7 @@ class OpSig:
         return f"{self.req} ~> {self.resp}"
 
 
-@dataclass(frozen=True)
+@record
 class Dyn:
     """The dynamic effect ?."""
 
@@ -109,7 +110,7 @@ class Dyn:
         return "[?]"
 
 
-@dataclass(frozen=True)
+@record
 class _OpTable:
     """A finite map from operation names to typings, kept name-sorted.
 
@@ -134,7 +135,6 @@ class _OpTable:
         return name in self._table
 
 
-@dataclass(frozen=True, init=False)
 class Concrete(_OpTable):
     """A concrete effect type: the operations it may raise, at their typings."""
 
@@ -169,7 +169,6 @@ def is_effect_type(t: Type) -> bool:
 # Signatures
 
 
-@dataclass(frozen=True, init=False)
 class Signature(_OpTable):
     """Declared operations at their non-tracking (fully erased) typings."""
 
