@@ -12,7 +12,7 @@ def _repr(self) -> str:
     return f"{self.__class__.__qualname__}({', '.join(shown)})"
 
 
-def _frozen(self, name, *value):
+def _frozen(self, name, *value):  # __setattr__ passes a value, __delattr__ none
     verb = "assign to" if value else "delete"
     raise dataclasses.FrozenInstanceError(f"cannot {verb} field {name!r}")
 
@@ -48,7 +48,7 @@ def record(cls=None, /, *, frozen=True, eq=True, slots=False):
     if "__init__" not in cls.__dict__:
         cls.__init__ = ns["__init__"]
     if eq:  # a record that can change is unhashable
-        cls.__eq__, cls.__hash__ = ns["__eq__"], ns["__hash__"] if frozen else None
+        cls.__eq__, cls.__hash__ = ns["__eq__"], (ns["__hash__"] if frozen else None)
     cls.__repr__ = _repr
     if frozen:
         cls.__setattr__ = cls.__delattr__ = _frozen

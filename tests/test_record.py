@@ -11,14 +11,16 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import pkgutil
 
 import pytest
 
+import greff
 from greff import core, record
 from greff import eval as ev
 from greff.typesys import BOOL, DYN, EMPTY, UNIT, OpSig
 
-MODULES = ("typesys", "surface", "core", "elaborate", "eval", "reference", "gen", "conformance")
+MODULES = [importlib.import_module(f"greff.{m.name}") for m in pkgutil.iter_modules(greff.__path__)]
 
 
 def _stdlib_record(cls=None, /, *, frozen=True, eq=True, slots=False):
@@ -46,7 +48,7 @@ def _twins(module) -> dict[str, type]:
 
 CLASSES = [
     (getattr(module, name), twin)
-    for module in map(importlib.import_module, (f"greff.{m}" for m in MODULES))
+    for module in MODULES
     for name, twin in _twins(module).items()
 ]
 IDS = [f"{c.__module__.removeprefix('greff.')}.{c.__name__}" for c, _ in CLASSES]
@@ -79,9 +81,12 @@ def _outcome(thunk):
         return f"{type(e).__name__}: {e}"
 
 
-def test_every_module_with_classes_has_twins():
-    assert len(CLASSES) >= 85
-    assert {c.__module__ for c, _ in CLASSES} == {f"greff.{m}" for m in MODULES}
+def test_every_dataclass_of_greff_has_a_twin():
+    found = {
+        c for m in MODULES for c in vars(m).values()
+        if isinstance(c, type) and c.__module__ == m.__name__ and dataclasses.is_dataclass(c)
+    }
+    assert len(found) > 80 and found == {c for c, _ in CLASSES}
 
 
 @pytest.mark.parametrize("cls, twin", CLASSES, ids=IDS)
@@ -115,15 +120,6 @@ def test_the_builder_matches_stdlib_dataclasses(cls, twin):
             lambda: delattr(theirs[1], name))
 
 
-def test_frozen_classes_refuse_assignment():
-    t = core.Var("x")
-    with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign to field 'name'"):
-        t.name = "y"
-    with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete field 'name'"):
-        del t.name
-    assert t == core.Var("x") and hash(t) == hash(core.Var("x"))
-
-
 def test_a_handle_sorts_its_clauses_also_on_replace():
     def clause(op):
         return core.Clause(op, "x", "k", core.UNIT, UNIT, UNIT)
@@ -132,13 +128,6 @@ def test_a_handle_sorts_its_clauses_also_on_replace():
     assert [c.op for c in h.clauses] == ["a", "b"]
     moved = dataclasses.replace(h, clauses=(clause("d"), clause("c")))
     assert [c.op for c in moved.clauses] == ["c", "d"]
-
-
-def test_a_cast_checks_precision_also_on_replace():
-    c = core.ValUpcast(UNIT, UNIT, core.UNIT)
-    assert dataclasses.replace(c, body=core.TRUE).body == core.TRUE
-    with pytest.raises(core.TypeCheckError, match="not precision-related"):
-        dataclasses.replace(c, hi=BOOL)
 
 
 def test_a_fix_closure_prints_itself_as_dots():
