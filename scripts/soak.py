@@ -18,18 +18,19 @@ import sys
 import time
 
 from greff import conformance as conf
+from greff.cli import _at_least_1
 
 
 def _rate(cases: int, seconds: float) -> str:
     return f"{cases / seconds:.1f}" if seconds else "-"
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--cases", type=int, default=300, help="cases per check family")
-    ap.add_argument("--fuel", type=int, default=200_000)
-    args = ap.parse_args()
+    ap.add_argument("--cases", type=_at_least_1, default=300, help="cases per check family")
+    ap.add_argument("--fuel", type=_at_least_1, default=200_000)
+    args = ap.parse_args(argv)
 
     seconds: dict[str, float] = collections.defaultdict(float)
     last = t0 = time.perf_counter()

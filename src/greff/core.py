@@ -20,7 +20,7 @@ effect type at the first raise or latent-effect application.
 from __future__ import annotations
 
 import operator
-from dataclasses import replace
+from dataclasses import field, replace
 from typing import Optional, Union
 
 from .record import record
@@ -62,29 +62,41 @@ class WellFormednessError(TypeCheckError):
 
 
 @record
-class Var:
+class _Node:
+    """A node's source position, left out of equality, hash and repr; the
+    surface parser sets it on each node it builds."""
+
+    pos: Optional[tuple] = field(default=None, compare=False, repr=False, kw_only=True)
+
+
+# the positioned classes are surface forms as well: the surface writes
+# every one of their fields
+
+
+@record
+class Var(_Node):
     name: str
 
 
 @record
-class BoolLit:
+class BoolLit(_Node):
     value: bool
 
 
 @record
-class UnitLit:
+class UnitLit(_Node):
     pass
 
 
 @record
-class StrLit:
+class StrLit(_Node):
     value: str
 
 
 @record
-class Lam:
+class Lam(_Node):
     var: str
-    ann: ValueType
+    ann: Optional[ValueType]  # None only in a surface tree, where it may be left out
     body: "Term"
 
 
@@ -98,27 +110,27 @@ class Fix:
 
 
 @record
-class App:
+class App(_Node):
     fn: "Term"
     arg: "Term"
 
 
 @record
-class Let:
+class Let(_Node):
     bound: "Term"
     var: str
     body: "Term"
 
 
 @record
-class If:
+class If(_Node):
     cond: "Term"
     then: "Term"
     els: "Term"
 
 
 @record
-class Concat:
+class Concat(_Node):
     left: "Term"
     right: "Term"
 
@@ -129,13 +141,13 @@ class EmptyQueue:
 
 
 @record
-class Enqueue:
+class Enqueue(_Node):
     queue: "Term"
     elem: "Term"
 
 
 @record
-class CaseQueue:
+class CaseQueue(_Node):
     scrutinee: "Term"
     empty_body: "Term"
     head_var: str

@@ -81,7 +81,7 @@ def surface_free_vars(t: s.STerm) -> frozenset[str]:
     out, stack = set(), [(t, frozenset())]
     while stack:
         node, bound = stack.pop()
-        if type(node) is s.SVar:
+        if type(node) is core.Var:
             if node.name not in bound:
                 out.add(node.name)
             continue
@@ -218,7 +218,7 @@ class _Elab:
 
     # one method per surface term class, each called as elab_term is
 
-    def _elab_var(self, t: s.SVar, gamma_eff, gamma_val, hint):
+    def _elab_var(self, t: core.Var, gamma_eff, gamma_val, hint):
         if t.name not in gamma_val:
             if t.name in gamma_eff:
                 raise ElabError(f"effect {t.name} used as a value", t.pos)
@@ -234,7 +234,7 @@ class _Elab:
             )
         return core.EmptyQueue(hint.elem), EMPTY, QueueOf(hint.elem)
 
-    def _elab_lam(self, t: s.SLam, gamma_eff, gamma_val, hint):
+    def _elab_lam(self, t: core.Lam, gamma_eff, gamma_val, hint):
         if t.ann is not None:
             dom = self.elab_type(t.ann, gamma_eff)
         elif isinstance(hint, Arrow):
@@ -247,7 +247,7 @@ class _Elab:
         body, beff, bval = self.elab_term(t.body, gamma_eff, inner, body_hint)
         return core.Lam(t.var, dom, body), EMPTY, Arrow(dom, beff, bval)
 
-    def _elab_app(self, t: s.SApp, gamma_eff, gamma_val, hint):
+    def _elab_app(self, t: core.App, gamma_eff, gamma_val, hint):
         fn, feff, fval = self.elab_term(t.fn, gamma_eff, gamma_val)
         if not isinstance(fval, Arrow):
             raise ElabError(f"cannot apply a term of type {fval}", t.pos)
@@ -265,7 +265,7 @@ class _Elab:
         arg = self.cast(fval.dom, aval, arg, t.pos)
         return core.App(fn, arg), sigma, fval.cod
 
-    def _elab_let(self, t: s.SLet, gamma_eff, gamma_val, hint):
+    def _elab_let(self, t: core.Let, gamma_eff, gamma_val, hint):
         bound, beff, bval = self.elab_term(t.bound, gamma_eff, gamma_val)
         inner = dict(gamma_val)
         inner[t.var] = (t.var, bval)
@@ -273,7 +273,7 @@ class _Elab:
         sigma, bound, body = self.sequence(t.pos, (bound, beff), (body, neff))
         return core.Let(bound, t.var, body), sigma, nval
 
-    def _elab_if(self, t: s.SIf, gamma_eff, gamma_val, hint):
+    def _elab_if(self, t: core.If, gamma_eff, gamma_val, hint):
         cond, ceff, cval = self.elab_term(t.cond, gamma_eff, gamma_val)
         if cval != BOOL:
             raise ElabError(f"condition has type {cval}, not bool", t.pos)
@@ -285,7 +285,7 @@ class _Elab:
         )
         return core.If(cond, then, els), sigma, out_val
 
-    def _elab_concat(self, t: s.SConcat, gamma_eff, gamma_val, hint):
+    def _elab_concat(self, t: core.Concat, gamma_eff, gamma_val, hint):
         left, leff, lval = self.elab_term(t.left, gamma_eff, gamma_val)
         right, reff, rval = self.elab_term(t.right, gamma_eff, gamma_val)
         if lval != STR or rval != STR:
@@ -293,7 +293,7 @@ class _Elab:
         sigma, left, right = self.sequence(t.pos, (left, leff), (right, reff))
         return core.Concat(left, right), sigma, STR
 
-    def _elab_enqueue(self, t: s.SEnqueue, gamma_eff, gamma_val, hint):
+    def _elab_enqueue(self, t: core.Enqueue, gamma_eff, gamma_val, hint):
         q_hint = hint if isinstance(hint, QueueOf) else None
         q, qeff, qval = self.elab_term(t.queue, gamma_eff, gamma_val, q_hint)
         if not isinstance(qval, QueueOf):
@@ -303,7 +303,7 @@ class _Elab:
         v = self.cast(qval.elem, vval, v, t.pos)
         return core.Enqueue(q, v), sigma, qval
 
-    def _elab_match(self, t: s.SMatch, gamma_eff, gamma_val, hint):
+    def _elab_match(self, t: core.CaseQueue, gamma_eff, gamma_val, hint):
         scr, seff, sval = self.elab_term(t.scrutinee, gamma_eff, gamma_val)
         if not isinstance(sval, QueueOf):
             raise ElabError(f"match needs a queue, got {sval}", t.pos)
@@ -475,7 +475,7 @@ class _Elab:
             raise ElabError(
                 f"recursive definition {d.name} needs an arrow annotation", d.pos
             )
-        if not isinstance(d.body, s.SLam):
+        if not isinstance(d.body, core.Lam):
             raise ElabError(
                 f"recursive definition {d.name} must be a function", d.pos
             )
@@ -518,20 +518,21 @@ class _Elab:
         return ElabResult(self.sig, term, eff, val)
 
 
-# elab_term's dispatch: each surface term class to the method for it
+# elab_term's dispatch: each surface term class to the method for it; a
+# literal is a core term as it stands
 _TERMS = {
-    s.SVar: _Elab._elab_var,
-    s.SBoolLit: lambda self, t, *_: (core.BoolLit(t.value), EMPTY, BOOL),
-    s.SUnitLit: lambda self, t, *_: (core.UnitLit(), EMPTY, UNIT),
-    s.SStrLit: lambda self, t, *_: (core.StrLit(t.value), EMPTY, STR),
+    core.Var: _Elab._elab_var,
+    core.BoolLit: lambda self, t, *_: (t, EMPTY, BOOL),
+    core.UnitLit: lambda self, t, *_: (t, EMPTY, UNIT),
+    core.StrLit: lambda self, t, *_: (t, EMPTY, STR),
     s.SEmptyQueue: _Elab._elab_empty,
-    s.SLam: _Elab._elab_lam,
-    s.SApp: _Elab._elab_app,
-    s.SLet: _Elab._elab_let,
-    s.SIf: _Elab._elab_if,
-    s.SConcat: _Elab._elab_concat,
-    s.SEnqueue: _Elab._elab_enqueue,
-    s.SMatch: _Elab._elab_match,
+    core.Lam: _Elab._elab_lam,
+    core.App: _Elab._elab_app,
+    core.Let: _Elab._elab_let,
+    core.If: _Elab._elab_if,
+    core.Concat: _Elab._elab_concat,
+    core.Enqueue: _Elab._elab_enqueue,
+    core.CaseQueue: _Elab._elab_match,
     s.SRaise: _Elab._elab_raise,
     s.SHandle: _Elab._elab_handle,
     s.SAscribeType: _Elab._elab_ascribe_type,

@@ -77,11 +77,11 @@ class _SurfaceGen:
     def value(self, ty: s.SType) -> s.STerm:
         rng = self.rng
         if isinstance(ty, Bool):
-            return s.SBoolLit(rng.random() < 0.5)
+            return core.BoolLit(rng.random() < 0.5)
         if isinstance(ty, Unit):
-            return s.SUnitLit()
+            return core.UnitLit()
         if isinstance(ty, Str):
-            return s.SStrLit(rng.choice(STRINGS))
+            return core.StrLit(rng.choice(STRINGS))
         raise ValueError(f"no surface value at {ty}")
 
     def term(
@@ -131,22 +131,22 @@ class _SurfaceGen:
         if pick == "value":
             return self.value(ty), _NONE
         if pick == "var":
-            return s.SVar(rng.choice(matches)), _NONE
+            return core.Var(rng.choice(matches)), _NONE
         if pick == "if":
             c, u1 = self.term(BOOL, allowed, env, depth - 1)
             t, u2 = self.term(ty, allowed, env, depth - 1)
             e, u3 = self.term(ty, allowed, env, depth - 1)
-            return s.SIf(c, t, e), u1 | u2 | u3
+            return core.If(c, t, e), u1 | u2 | u3
         if pick == "let":
             x = self.name()
             bty = rng.choice(GROUND)
             b, u1 = self.term(bty, allowed, env, depth - 1)
             body, u2 = self.term(ty, allowed, {**env, x: (bty, _NONE)}, depth - 1)
-            return s.SLet(x, b, body), u1 | u2
+            return core.Let(b, x, body), u1 | u2
         if pick == "concat":
             l, u1 = self.term(STR, allowed, env, depth - 1)
             r, u2 = self.term(STR, allowed, env, depth - 1)
-            return s.SConcat(l, r), u1 | u2
+            return core.Concat(l, r), u1 | u2
         if pick == "raise":
             op = rng.choice(raisable)
             payload, u = self.term(self.ops[op][0], allowed, env, depth - 1)
@@ -156,7 +156,7 @@ class _SurfaceGen:
             fty, fused = env[fname]
             assert isinstance(fty, Arrow)
             arg, u = self.term(fty.dom, allowed, env, depth - 1)
-            return s.SApp(s.SVar(fname), arg), u | fused
+            return core.App(core.Var(fname), arg), u | fused
         return self._handle(ty, allowed, env, depth)
 
     def _handle(
@@ -185,7 +185,7 @@ class _SurfaceGen:
             cenv = {**env, p: (req, _NONE), k: (resume_ty, inner)}
             if rng.random() < 0.7:
                 resp_term, u_c = self.term(resp, inner, cenv, depth - 1)
-                body: s.STerm = s.SApp(s.SVar(k), resp_term)
+                body: s.STerm = core.App(core.Var(k), resp_term)
                 u_c |= inner
             else:
                 body, u_c = self.term(ty, inner, cenv, depth - 1)
@@ -218,7 +218,7 @@ class _SurfaceGen:
             )
             row = self.row_ann(used, may_raise)
             ann = Arrow(dom, row, cod)
-            main_decls.append(s.SDefine(fname, ann, s.SLam(arg, dom, body)))
+            main_decls.append(s.SDefine(fname, ann, core.Lam(arg, dom, body)))
             static = frozenset(row.names) if isinstance(row, s.SNames) else used
             env[fname] = (ann, static)
         ty = rng.choice((BOOL, STR))

@@ -177,35 +177,23 @@ class _Ref:
     def _effcast(self, up: bool, lo: EffectType, hi: EffectType, res: Result) -> Result:
         """Push a result through an effect cast between lo and hi (lo below hi).
 
-        Values pass untouched.  A raised operation is re-raised with its
-        payload cast between the two rows' request typings, its response
-        cast back the other way, and the cast rewrapped around the rest
-        of the computation, so later raises are intercepted too.
+        Values pass untouched.  A raise crosses when the row it goes out to
+        mentions its operation: it is re-raised with its payload cast
+        between the two rows' request typings, its response cast back the
+        other way, and the cast rewrapped around the rest of the
+        computation, so later raises are intercepted too.  Otherwise a
+        downcast from ? traps it, and any other cast lets it through.
         """
         if not isinstance(res, Raised):
             return res
         op, sig = res.op, self.sig
         rewrap = lambda r: self._effcast(up, lo, hi, r)
-        if up:
-            if not _mentions(hi, op, sig):
-                # apart: an upcast's endpoints both omit the operation
-                return Raised(op, res.payload, lambda v: rewrap(res.resume(v)))
+        if _mentions(hi if up else lo, op, sig):
             inner, outer = _typing(lo, op, sig), _typing(hi, op, sig)
-            payload = _vcast(res.payload, True, inner.req, outer.req)
-            return Raised(
-                op,
-                payload,
-                lambda y: rewrap(res.resume(_vcast(y, False, inner.resp, outer.resp))),
-            )
-        if _mentions(lo, op, sig):
-            inner, outer = _typing(lo, op, sig), _typing(hi, op, sig)
-            payload = _vcast(res.payload, False, inner.req, outer.req)
-            return Raised(
-                op,
-                payload,
-                lambda y: rewrap(res.resume(_vcast(y, True, inner.resp, outer.resp))),
-            )
-        if isinstance(hi, Dyn):
+            payload = _vcast(res.payload, up, inner.req, outer.req)
+            back = lambda y: _vcast(y, not up, inner.resp, outer.resp)
+            return Raised(op, payload, lambda y: rewrap(res.resume(back(y))))
+        if not up and isinstance(hi, Dyn):
             return _FAILED  # downcast traps an operation outside its target row
         return Raised(op, res.payload, lambda v: rewrap(res.resume(v)))
 

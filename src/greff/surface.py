@@ -45,9 +45,11 @@ Past MAX_DEPTH (100) levels the parser reports a ParseError at the token.
 from __future__ import annotations
 
 import re
-from dataclasses import field
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
+from .core import (
+    App, BoolLit, CaseQueue, Concat, Enqueue, If, Lam, Let, StrLit, UnitLit, Var, _Node,
+)
 from .record import record
 from .typesys import BOOL, DYN, STR, UNIT, Arrow, Bool, Dyn, QueueOf, Str, Unit, ValueType, atom
 
@@ -149,13 +151,6 @@ def tokenize(src: str) -> list[Token]:
 
 
 @record
-class _Node:
-    """A tree node's source position, left out of equality, hash and repr."""
-
-    pos: Optional[tuple] = field(default=None, compare=False, repr=False, kw_only=True)
-
-
-@record
 class SNames(_Node):
     names: tuple[str, ...]
 
@@ -171,77 +166,15 @@ SType = ValueType  # whose rows are SEffects
 SEffect = Union[Dyn, SNames]
 
 
-@record
-class SVar(_Node):
-    name: str
-
-
-@record
-class SBoolLit(_Node):
-    value: bool
-
-
-@record
-class SUnitLit(_Node):
-    pass
-
-
-@record
-class SStrLit(_Node):
-    value: str
-
-
-@record
-class SLam(_Node):
-    var: str
-    ann: Optional[SType]
-    body: "STerm"
-
-
-@record
-class SApp(_Node):
-    fn: "STerm"
-    arg: "STerm"
-
-
-@record
-class SLet(_Node):
-    var: str
-    bound: "STerm"
-    body: "STerm"
-
-
-@record
-class SIf(_Node):
-    cond: "STerm"
-    then: "STerm"
-    els: "STerm"
-
-
-@record
-class SConcat(_Node):
-    left: "STerm"
-    right: "STerm"
+# Var, the literals, Lam, App, Let, If, Concat, Enqueue and CaseQueue are
+# core's classes, positioned; a form whose core class carries a typing the
+# surface does not write (empty's element type, a raise's or a clause's
+# typing, a handler's result) has a class of its own
 
 
 @record
 class SEmptyQueue(_Node):
     pass
-
-
-@record
-class SEnqueue(_Node):
-    queue: "STerm"
-    elem: "STerm"
-
-
-@record
-class SMatch(_Node):
-    scrutinee: "STerm"
-    empty_body: "STerm"
-    head_var: str
-    rest_var: str
-    cons_body: "STerm"
 
 
 @record
@@ -287,8 +220,8 @@ class SAscribeEff(_Node):
 
 
 STerm = Union[
-    SVar, SBoolLit, SUnitLit, SStrLit, SLam, SApp, SLet, SIf, SConcat,
-    SEmptyQueue, SEnqueue, SMatch, SRaise, SHandle, SAscribeType, SAscribeEff,
+    Var, BoolLit, UnitLit, StrLit, Lam, App, Let, If, Concat,
+    SEmptyQueue, Enqueue, CaseQueue, SRaise, SHandle, SAscribeType, SAscribeEff,
 ]
 
 
@@ -343,17 +276,17 @@ class SProgram(_Node):
 # the variables bound over it; every other field is a name or a flag
 FIELDS: dict[type, dict[str, tuple[str, ...]]] = {
     **dict.fromkeys(
-        (Bool, Unit, Str, Dyn, SNames, SVar, SBoolLit, SUnitLit, SStrLit, SEmptyQueue), {}
+        (Bool, Unit, Str, Dyn, SNames, Var, BoolLit, UnitLit, StrLit, SEmptyQueue), {}
     ),
     QueueOf: {"elem": ()},
     Arrow: {"dom": (), "eff": (), "cod": ()},
-    SLam: {"ann": (), "body": ("var",)},
-    SApp: {"fn": (), "arg": ()},
-    SLet: {"bound": (), "body": ("var",)},
-    SIf: {"cond": (), "then": (), "els": ()},
-    SConcat: {"left": (), "right": ()},
-    SEnqueue: {"queue": (), "elem": ()},
-    SMatch: {"scrutinee": (), "empty_body": (), "cons_body": ("head_var", "rest_var")},
+    Lam: {"ann": (), "body": ("var",)},
+    App: {"fn": (), "arg": ()},
+    Let: {"bound": (), "body": ("var",)},
+    If: {"cond": (), "then": (), "els": ()},
+    Concat: {"left": (), "right": ()},
+    Enqueue: {"queue": (), "elem": ()},
+    CaseQueue: {"scrutinee": (), "empty_body": (), "cons_body": ("head_var", "rest_var")},
     SRaise: {"payload": ()},
     SClause: {"body": ("payload_var", "resume_var")},
     SHandle: {
@@ -510,21 +443,21 @@ class _Parser:
                 self.pos += 1
                 ann = self.parse_type()
             self.expect(".")
-            return SLam(var, ann, self.parse_term(), pos=pos)
+            return Lam(var, ann, self.parse_term(), pos=pos)
         if form == "let":
             self.pos += 1
             var = self.ident("binder")
             self.expect("=")
             bound = self.parse_term()
             self.expect("in")
-            return SLet(var, bound, self.parse_term(), pos=pos)
+            return Let(bound, var, self.parse_term(), pos=pos)
         if form == "if":
             self.pos += 1
             cond = self.parse_term()
             self.expect("then")
             then = self.parse_term()
             self.expect("else")
-            return SIf(cond, then, self.parse_term(), pos=pos)
+            return If(cond, then, self.parse_term(), pos=pos)
         if form == "match":
             return self.parse_match()
         if form in ("handle", "shallow-handle"):
@@ -540,7 +473,7 @@ class _Parser:
         if self.words[i] != ";":
             return term
         self.pos = i + 1  # `M; N` is `let _ = M in N`
-        return SLet("_", term, self.parse_term(), pos=self.toks[i][2:])
+        return Let(term, "_", self.parse_term(), pos=self.toks[i][2:])
 
     def parse_ascribed(self) -> STerm:
         outer, self.peak = self.peak, self.depth
@@ -549,7 +482,7 @@ class _Parser:
             pos = self.toks[self.pos][2:]
             self._deepen(self.peak + 1)  # the chain so far sinks a level
             self.pos += 1
-            term = SConcat(term, self.parse_app(), pos=pos)
+            term = Concat(term, self.parse_app(), pos=pos)
         return self.asc_tail(term, outer)
 
     def asc_tail(self, term: STerm, outer: int) -> STerm:
@@ -583,7 +516,7 @@ class _Parser:
         while self._at_atom() and not self._at_clause_head():
             pos = self.toks[self.pos][2:]
             self._deepen(self.peak + 1)  # the chain so far sinks a level
-            head = SApp(head, self.parse_atom(), pos=pos)
+            head = App(head, self.parse_atom(), pos=pos)
         if outer > self.peak:
             self.peak = outer
         return head
@@ -599,28 +532,28 @@ class _Parser:
                     self.pos += 1
                     if self.at(")"):
                         self.pos += 1
-                        payload: STerm = SUnitLit(pos=pos)
+                        payload: STerm = UnitLit(pos=pos)
                     else:
                         payload = self.parse_term()
                         self.expect(")")
                     return SRaise(text, payload, pos=pos)
-                return SVar(text, pos=pos)
+                return Var(text, pos=pos)
             if text in _ATOM_WORDS:
                 self.pos += 1
                 if text == "empty":
                     return SEmptyQueue(pos=pos)
                 if text == "enqueue":
                     q = self.parse_atom()
-                    return SEnqueue(q, self.parse_atom(), pos=pos)
-                return SBoolLit(text == "true", pos=pos)
+                    return Enqueue(q, self.parse_atom(), pos=pos)
+                return BoolLit(text == "true", pos=pos)
         elif kind == "string":
             self.pos += 1
-            return SStrLit(text, pos=pos)
+            return StrLit(text, pos=pos)
         elif text == "(":
             self.pos += 1
             if self.at(")"):
                 self.pos += 1
-                return SUnitLit(pos=pos)
+                return UnitLit(pos=pos)
             inner = self.parse_term()
             self.expect(")")
             return inner
@@ -642,7 +575,7 @@ class _Parser:
         self.expect(")")
         self.expect("->")
         cons_body = self.parse_term()
-        return SMatch(scrutinee, empty_body, head_var, rest_var, cons_body, pos=pos)
+        return CaseQueue(scrutinee, empty_body, head_var, rest_var, cons_body, pos=pos)
 
     def parse_handle(self) -> STerm:
         pos, deep = self.where(), self.at("handle")
@@ -797,78 +730,75 @@ def _q(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
 
 
-def pretty_term(t: STerm) -> str:
-    if isinstance(t, SVar):
-        return t.name
-    if isinstance(t, SBoolLit):
-        return "true" if t.value else "false"
-    if isinstance(t, SUnitLit):
-        return "()"
-    if isinstance(t, SStrLit):
-        return _q(t.value)
-    if isinstance(t, SLam):
-        ann = f" : {t.ann}" if t.ann is not None else ""
-        return f"lambda {t.var}{ann}. {pretty_term(t.body)}"
-    if isinstance(t, SApp):
-        return f"{_sub(t.fn, _APP)} {_sub(t.arg, _ATOM)}"
-    if isinstance(t, SLet):
-        if t.var == "_":
-            return f"{_sub(t.bound, _ASC)}; {pretty_term(t.body)}"
-        return f"let {t.var} = {pretty_term(t.bound)} in {pretty_term(t.body)}"
-    if isinstance(t, SIf):
-        return (
-            f"if {pretty_term(t.cond)} then {pretty_term(t.then)} "
-            f"else {pretty_term(t.els)}"
-        )
-    if isinstance(t, SConcat):
-        return f"{_sub(t.left, _CAT)} ++ {_sub(t.right, _ENQ)}"
-    if isinstance(t, SEmptyQueue):
-        return "empty"
-    if isinstance(t, SEnqueue):
-        return f"enqueue {_sub(t.queue, _ATOM)} {_sub(t.elem, _ATOM)}"
-    if isinstance(t, SMatch):
-        return (
-            f"match {_sub(t.scrutinee, _ASC)} with "
-            f"empty -> ({pretty_term(t.empty_body)}) "
-            f"dequeue({t.head_var}, {t.rest_var}) -> ({pretty_term(t.cons_body)})"
-        )
-    if isinstance(t, SRaise):
-        return f"raise {t.op} {_sub(t.payload, _ATOM)}"
-    if isinstance(t, SHandle):
-        kw = "handle" if t.deep else "shallow-handle"
-        head = (
-            f"{kw} {t.eff_ann} {atom(t.type_ann)} "
-            f"{_sub(t.scrutinee, _ASC)} with ret {t.ret_var} -> ({pretty_term(t.ret_body)})"
-        )
-        for c in t.clauses:
-            head += (
-                f" {c.op}({c.payload_var}, {c.resume_var}) -> ({pretty_term(c.body)})"
-            )
-        return head
-    if isinstance(t, SAscribeType):
-        return f"{_sub(t.term, _ASC)} :: {t.ann}"
-    if isinstance(t, SAscribeEff):
-        return f"{_sub(t.term, _ASC)} :: {t.ann}"
-    raise TypeError(f"not a surface term: {t!r}")
-
-
 # precedence levels, loosest first: term, ascription, `++`, enqueue,
 # application, atom; a class not listed is a term
 _ASC, _CAT, _ENQ, _APP, _ATOM = range(1, 6)
 _LEVEL = {
-    SAscribeType: _ASC, SAscribeEff: _ASC, SConcat: _CAT, SEnqueue: _ENQ, SApp: _APP,
-    **dict.fromkeys((SVar, SBoolLit, SUnitLit, SStrLit, SEmptyQueue), _ATOM),
+    SAscribeType: _ASC, SAscribeEff: _ASC, Concat: _CAT, Enqueue: _ENQ, App: _APP,
+    **dict.fromkeys((Var, BoolLit, UnitLit, StrLit, SEmptyQueue), _ATOM),
 }
 
 
-def _sub(t: STerm, level: int) -> str:
-    """t printed at a position that requires level, in parentheses when looser."""
-    if _LEVEL.get(type(t), 0) < level:
-        return f"({pretty_term(t)})"
-    return pretty_term(t)
+def pretty_term(t: STerm, effects: frozenset[str] = frozenset()) -> str:
+    """t as source that parse_term(_, effects) reads back as t.  A variable
+    named like an effect in scope is printed in parentheses, as in
+    `(ping) ()`, which `ping ()` would not be: that raises ping."""
+
+    def sub(t: STerm, level: int = 0) -> str:
+        """t printed at a position that requires level, in parentheses when looser."""
+        text = form(t)
+        return f"({text})" if _LEVEL.get(type(t), 0) < level else text
+
+    def form(t: STerm) -> str:
+        if isinstance(t, Var):
+            return f"({t.name})" if t.name in effects else t.name
+        if isinstance(t, BoolLit):
+            return "true" if t.value else "false"
+        if isinstance(t, UnitLit):
+            return "()"
+        if isinstance(t, StrLit):
+            return _q(t.value)
+        if isinstance(t, Lam):
+            ann = f" : {t.ann}" if t.ann is not None else ""
+            return f"lambda {t.var}{ann}. {sub(t.body)}"
+        if isinstance(t, App):
+            return f"{sub(t.fn, _APP)} {sub(t.arg, _ATOM)}"
+        if isinstance(t, Let):
+            if t.var == "_":
+                return f"{sub(t.bound, _ASC)}; {sub(t.body)}"
+            return f"let {t.var} = {sub(t.bound)} in {sub(t.body)}"
+        if isinstance(t, If):
+            return f"if {sub(t.cond)} then {sub(t.then)} else {sub(t.els)}"
+        if isinstance(t, Concat):
+            return f"{sub(t.left, _CAT)} ++ {sub(t.right, _ENQ)}"
+        if isinstance(t, SEmptyQueue):
+            return "empty"
+        if isinstance(t, Enqueue):
+            return f"enqueue {sub(t.queue, _ATOM)} {sub(t.elem, _ATOM)}"
+        if isinstance(t, CaseQueue):
+            return (
+                f"match {sub(t.scrutinee, _ASC)} with empty -> ({sub(t.empty_body)}) "
+                f"dequeue({t.head_var}, {t.rest_var}) -> ({sub(t.cons_body)})"
+            )
+        if isinstance(t, SRaise):
+            return f"raise {t.op} {sub(t.payload, _ATOM)}"
+        if isinstance(t, SHandle):
+            kw = "handle" if t.deep else "shallow-handle"
+            return (
+                f"{kw} {t.eff_ann} {atom(t.type_ann)} {sub(t.scrutinee, _ASC)} "
+                f"with ret {t.ret_var} -> ({sub(t.ret_body)})"
+            ) + "".join(
+                f" {c.op}({c.payload_var}, {c.resume_var}) -> ({sub(c.body)})" for c in t.clauses
+            )
+        if isinstance(t, (SAscribeType, SAscribeEff)):
+            return f"{sub(t.term, _ASC)} :: {t.ann}"
+        raise TypeError(f"not a surface term: {t!r}")
+
+    return form(t)
 
 
-def pretty_decl(d: SDecl) -> str:
+def pretty_decl(d: SDecl, effects: frozenset[str] = frozenset()) -> str:
+    """d as source; effects are the effect names in scope before it."""
     if isinstance(d, SEffectDecl):
         return f"effect {d.name} : {atom(d.req)} ~> {atom(d.resp)}"
     if isinstance(d, SImportEffect):
@@ -877,22 +807,32 @@ def pretty_decl(d: SDecl) -> str:
         alias = f" as {d.alias}" if d.alias != d.name else ""
         return f"import {d.module}.{d.name}{alias} : {d.ann}"
     if isinstance(d, SDefine):
-        return f"define {d.name} : {d.ann} =\n  {pretty_term(d.body)}"
+        return f"define {d.name} : {d.ann} =\n  {pretty_term(d.body, effects)}"
     raise TypeError(f"not a declaration: {d!r}")
+
+
+def _pretty_decls(decls: tuple[SDecl, ...]) -> tuple[list[str], frozenset[str]]:
+    """Each of decls printed in the scope the parser reads it in, the
+    effects declared or imported before it, and the effects after them all."""
+    out, effects = [], frozenset()
+    for d in decls:
+        out.append(pretty_decl(d, effects))
+        if isinstance(d, (SEffectDecl, SImportEffect)):
+            effects |= {d.name}
+    return out, effects
 
 
 def pretty_program(p: SProgram) -> str:
     parts = []
     for m in p.modules:
         parts.append(f"module {m.name} where")
-        for d in m.decls:
-            parts.append(pretty_decl(d))
+        parts += _pretty_decls(m.decls)[0]
         parts.append("")
+    decls, effects = _pretty_decls(p.main_decls)
     parts.append("main {")
-    for d in p.main_decls:
-        parts.append("  " + pretty_decl(d).replace("\n", "\n  "))
-    if p.main_decls:
+    parts += ["  " + d.replace("\n", "\n  ") for d in decls]
+    if decls:
         parts.append("  in")
-    parts.append("  " + pretty_term(p.main_term))
+    parts.append("  " + pretty_term(p.main_term, effects))
     parts.append("}")
     return "\n".join(parts) + "\n"

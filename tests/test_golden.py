@@ -335,21 +335,21 @@ _FN_TYPE = Arrow(QueueOf(STR), _ROW, Arrow(UNIT, DYN, BOOL))
 # every printed form of a term, built from its term children: each term
 # class, with each way its flags, binders and annotations change the text
 TERM_FORMS = (
-    lambda: s.SVar("x"),
-    lambda: s.SBoolLit(True),
-    lambda: s.SBoolLit(False),
-    lambda: s.SUnitLit(),
-    lambda: s.SStrLit('a"b\\\nc'),
+    lambda: core.Var("x"),
+    lambda: core.BoolLit(True),
+    lambda: core.BoolLit(False),
+    lambda: core.UnitLit(),
+    lambda: core.StrLit('a"b\\\nc'),
     lambda: s.SEmptyQueue(),
-    lambda m: s.SLam("x", None, m),
-    lambda m: s.SLam("x", _FN_TYPE, m),
-    lambda m, n: s.SApp(m, n),
-    lambda m, n: s.SLet("x", m, n),
-    lambda m, n: s.SLet("_", m, n),
-    lambda m, n, o: s.SIf(m, n, o),
-    lambda m, n: s.SConcat(m, n),
-    lambda m, n: s.SEnqueue(m, n),
-    lambda m, n, o: s.SMatch(m, n, "h", "t", o),
+    lambda m: core.Lam("x", None, m),
+    lambda m: core.Lam("x", _FN_TYPE, m),
+    lambda m, n: core.App(m, n),
+    lambda m, n: core.Let(m, "x", n),
+    lambda m, n: core.Let(m, "_", n),
+    lambda m, n, o: core.If(m, n, o),
+    lambda m, n: core.Concat(m, n),
+    lambda m, n: core.Enqueue(m, n),
+    lambda m, n, o: core.CaseQueue(m, n, "h", "t", o),
     lambda m: s.SRaise("e", m),
     lambda m, n: s.SHandle(True, _ROW, STR, m, "r", n, ()),
     lambda m, n, o, p: s.SHandle(
@@ -378,7 +378,7 @@ def printer_terms() -> list:
         arity = form.__code__.co_argcount
         for i in range(arity):
             for sub in inner:
-                kids = [s.SVar("y")] * arity
+                kids = [core.Var("y")] * arity
                 kids[i] = sub
                 terms.append(form(*kids))
     return terms

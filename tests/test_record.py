@@ -9,9 +9,11 @@ frozenness, on sample instances of both.
 
 import ast
 import dataclasses
+import functools
 import importlib
 import inspect
 import pkgutil
+import sys
 
 import pytest
 
@@ -27,10 +29,13 @@ def _stdlib_record(cls=None, /, *, frozen=True, eq=True, slots=False):
     return dataclasses.dataclass(cls, frozen=frozen, eq=eq, slots=slots)
 
 
+@functools.cache
 def _twins(module) -> dict[str, type]:
     """The module's dataclasses, rebuilt from their source by stdlib
     dataclasses: its record calls run as dataclass calls, and each class
-    subclasses the twins of its bases."""
+    subclasses the twins of its bases, a base from another greff module
+    among them (stdlib dataclasses derives no frozen class from a
+    record-built one)."""
     ns = dict(vars(module), record=_stdlib_record)
     names = []
     for node in ast.parse(inspect.getsource(module)).body:
@@ -38,6 +43,10 @@ def _twins(module) -> dict[str, type]:
             if not dataclasses.is_dataclass(ns[node.name]):
                 continue
             names.append(node.name)
+            for base in node.bases:
+                home = sys.modules[getattr(ns[base.id], "__module__", "")]
+                if home is not module and home.__name__.startswith("greff."):
+                    ns[base.id] = _twins(home)[base.id]
         elif not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
                   and getattr(node.value.func, "id", None) == "record"):
             continue

@@ -1,0 +1,73 @@
+"""scripts/soak.py and scripts/bench_pairs.py."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_soak_prints_a_row_per_family(capsys):
+    assert _script("soak").main(["--cases", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[:5] == ["check", "cases", "holds", "inconc", "viol"]
+    rows = lines[1:lines.index("")]
+    assert len(rows) == 8
+    for row in rows:
+        check, cases, holds, inconclusive, violated = row.split()[:5]
+        assert int(cases) == int(holds) + int(inconclusive) and violated == "0", row
+
+
+@pytest.mark.parametrize("flag", ["--cases", "--fuel"])
+def test_soak_rejects_a_count_below_1(flag, capsys):
+    with pytest.raises(SystemExit) as stop:
+        _script("soak").main([flag, "0"])
+    assert stop.value.code == 2
+    assert f"argument {flag}: must be at least 1, not 0" in capsys.readouterr().err
+
+
+def _pairs(parent: list[float], change: list[float]) -> list[dict]:
+    return [{"parent": {"t": p}, "change": {"t": c}} for p, c in zip(parent, change)]
+
+
+def _rule(parent: list[float], change: list[float], better: str = "lower"):
+    return _script("bench_pairs").summary(_pairs(parent, change), {"t": better})["t"]
+
+
+def test_the_claim_rule_needs_ten_pairs():
+    got = _rule([1.0] * 9, [0.5] * 9)
+    assert got["change_better_in"] == 9 and got["pairs"] == 9
+    assert got["rule_holds"] is None
+    assert _rule([1.0] * 10, [0.5] * 10)["rule_holds"] is True
+
+
+def test_the_claim_rule_needs_nine_wins_in_ten():
+    parent = [1.0] * 10
+    assert _rule(parent, [0.5] * 9 + [1.5])["rule_holds"] is True
+    got = _rule(parent, [0.5] * 8 + [1.5] * 2)
+    assert got["change_better_in"] == 8 and got["rule_holds"] is False
+    # a tie is no win
+    assert _rule(parent, [0.5] * 8 + [1.0] * 2)["rule_holds"] is False
+
+
+def test_the_claim_rule_needs_a_median_gap_above_the_parent_iqr():
+    parent = [1.0, 1.2, 1.4, 1.6, 1.8] * 2  # median 1.4, quartiles 1.2 and 1.6
+    got = _rule(parent, [p - 0.3 for p in parent])
+    assert got["parent"]["iqr"] == pytest.approx(0.4)
+    assert got["change_better_in"] == 10 and got["rule_holds"] is False
+    assert _rule(parent, [p - 0.5 for p in parent])["rule_holds"] is True
+
+
+def test_the_claim_rule_reads_the_better_direction():
+    got = _rule([1.0] * 10, [2.0] * 10, better="higher")
+    assert got["change_better_in"] == 10 and got["rule_holds"] is True
+    assert got["median_change_pct"] == pytest.approx(100.0)
+    assert _rule([1.0] * 10, [2.0] * 10)["rule_holds"] is False

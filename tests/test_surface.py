@@ -6,14 +6,14 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greff import surface
+from greff import core, surface
+from greff.core import App, BoolLit, CaseQueue, Concat, Enqueue, If, Lam, Let, StrLit, UnitLit, Var
 from greff.surface import (
-    FIELDS, MAX_DEPTH, ParseError, SApp, SAscribeEff, SAscribeType, SBoolLit,
-    SClause, SConcat, SDefine, SEffectDecl, SEmptyQueue, SEnqueue,
-    SHandle, SIf, SImportEffect, SImportValue, SLam, SLet, SMatch, SNames,
-    SRaise, SStrLit, SUnitLit, SVar, parse_program,
-    parse_term, parse_type, pretty_program, pretty_term, tokenize,
+    FIELDS, MAX_DEPTH, ParseError, SAscribeEff, SAscribeType, SClause, SDefine,
+    SEffectDecl, SEmptyQueue, SHandle, SImportEffect, SImportValue, SNames, SRaise,
+    parse_program, parse_term, parse_type, pretty_program, pretty_term, tokenize,
 )
+from greff.elaborate import ElabError, elab_program
 from greff.typesys import BOOL, DYN, STR, UNIT, Arrow, QueueOf
 
 OPS = frozenset({"print", "yield", "fork"})
@@ -125,66 +125,66 @@ def test_effect_names_are_canonically_sorted():
 
 def test_call_sugar_raises_for_effects_and_applies_for_values():
     t = parse_term('print("a")', OPS)
-    assert t == SRaise("print", SStrLit("a"))
+    assert t == SRaise("print", StrLit("a"))
     t = parse_term('f("a")', OPS)
-    assert t == SApp(SVar("f"), SStrLit("a"))
-    assert parse_term("yield()", OPS) == SRaise("yield", SUnitLit())
+    assert t == App(Var("f"), StrLit("a"))
+    assert parse_term("yield()", OPS) == SRaise("yield", UnitLit())
 
 
 def test_explicit_raise():
-    assert parse_term("raise print x", frozenset()) == SRaise("print", SVar("x"))
+    assert parse_term("raise print x", frozenset()) == SRaise("print", Var("x"))
 
 
 def test_seq_desugars_to_wildcard_let():
     t = parse_term('print("a"); yield()', OPS)
-    assert t == SLet("_", SRaise("print", SStrLit("a")), SRaise("yield", SUnitLit()))
+    assert t == Let(SRaise("print", StrLit("a")), "_", SRaise("yield", UnitLit()))
 
 
 def test_seq_is_right_associative():
     t = parse_term("x; y; z")
-    assert t == SLet("_", SVar("x"), SLet("_", SVar("y"), SVar("z")))
+    assert t == Let(Var("x"), "_", Let(Var("y"), "_", Var("z")))
 
 
 def test_application_left_associative():
-    assert parse_term("f x y") == SApp(SApp(SVar("f"), SVar("x")), SVar("y"))
+    assert parse_term("f x y") == App(App(Var("f"), Var("x")), Var("y"))
 
 
 def test_ascription_chains():
     t = parse_term("f x :: [print] :: str", OPS)
     assert t == SAscribeType(
-        SAscribeEff(SApp(SVar("f"), SVar("x")), SNames(("print",))), STR
+        SAscribeEff(App(Var("f"), Var("x")), SNames(("print",))), STR
     )
-    assert parse_term("x :: []") == SAscribeEff(SVar("x"), SNames(()))
-    assert parse_term("x :: [?]") == SAscribeEff(SVar("x"), DYN)
+    assert parse_term("x :: []") == SAscribeEff(Var("x"), SNames(()))
+    assert parse_term("x :: [?]") == SAscribeEff(Var("x"), DYN)
 
 
 def test_concat_binds_tighter_than_ascription():
     t = parse_term('s ++ "a" :: str')
-    assert t == SAscribeType(SConcat(SVar("s"), SStrLit("a")), STR)
+    assert t == SAscribeType(Concat(Var("s"), StrLit("a")), STR)
 
 
 def test_lambda_body_extends_right():
     t = parse_term("lambda x. f x; g x")
-    assert isinstance(t, SLam)
-    assert isinstance(t.body, SLet)
+    assert isinstance(t, Lam)
+    assert isinstance(t.body, Let)
 
 
 def test_annotated_lambda():
     t = parse_term("lambda s : str. s")
-    assert t == SLam("s", STR, SVar("s"))
+    assert t == Lam("s", STR, Var("s"))
 
 
 def test_match_queue():
     t = parse_term("match q with empty -> x dequeue(v, q') -> f v q'")
-    assert t == SMatch(
-        SVar("q"), SVar("x"), "v", "q'",
-        SApp(SApp(SVar("f"), SVar("v")), SVar("q'")),
+    assert t == CaseQueue(
+        Var("q"), Var("x"), "v", "q'",
+        App(App(Var("f"), Var("v")), Var("q'")),
     )
 
 
 def test_enqueue_prefix_form():
     t = parse_term("enqueue (enqueue q' new) k")
-    assert t == SEnqueue(SEnqueue(SVar("q'"), SVar("new")), SVar("k"))
+    assert t == Enqueue(Enqueue(Var("q'"), Var("new")), Var("k"))
 
 
 def test_handle_clause_boundaries():
@@ -200,9 +200,9 @@ def test_handle_clause_boundaries():
     assert isinstance(t, SHandle)
     assert t.deep
     assert [c.op for c in t.clauses] == ["print", "yield"]
-    assert t.clauses[0].body == SApp(SVar("k"), SVar("s"))
-    assert t.clauses[1].body == SApp(SApp(SVar("g"), SVar("u")), SVar("k"))
-    assert t.ret_body == SApp(SVar("f"), SVar("x"))
+    assert t.clauses[0].body == App(Var("k"), Var("s"))
+    assert t.clauses[1].body == App(App(Var("g"), Var("u")), Var("k"))
+    assert t.ret_body == App(Var("f"), Var("x"))
 
 
 def test_shallow_handle_and_dyn_annotation():
@@ -215,17 +215,17 @@ def test_shallow_handle_and_dyn_annotation():
 
 def test_empty_clause_boundary_in_match():
     t = parse_term("match q with empty -> lambda s. s dequeue(v, q') -> v")
-    assert t.empty_body == SLam("s", None, SVar("s"))
+    assert t.empty_body == Lam("s", None, Var("s"))
 
 
 def test_a_string_is_never_a_clause_head():
     # a string literal "->" or "(" must not complete a clause head's shape
     for t in [
-        SApp(SApp(SVar("f"), SEmptyQueue()), SStrLit("->")),
-        SApp(SApp(SApp(SVar("f"), SVar("x")), SStrLit("(")), SVar("y")),
+        App(App(Var("f"), SEmptyQueue()), StrLit("->")),
+        App(App(App(Var("f"), Var("x")), StrLit("(")), Var("y")),
     ]:
         assert parse_term(pretty_term(t)) == t
-    assert parse_term('f empty "->"') == SApp(SApp(SVar("f"), SEmptyQueue()), SStrLit("->"))
+    assert parse_term('f empty "->"') == App(App(Var("f"), SEmptyQueue()), StrLit("->"))
 
 
 def test_parse_error_positions():
@@ -356,6 +356,38 @@ def test_round_trip_scheduler_program():
     assert pretty_program(parse_program(text)) == text
 
 
+# ping applied as a value, in a define body and in the main block: each
+# `(ping) x` and `f (ping) x` would read back as a raise without its parentheses
+APPLIED_EFFECT_SRC = """
+module M where
+effect ping : 1 ~> 1
+define f : (1 -[]> 1) -[]> 1 -[]> 1 = lambda g. (ping) ()
+main {
+  import M.ping : 1 ~> 1
+  import M.f : (1 -[]> 1) -[]> 1 -[]> 1
+  in
+  f (ping) (enqueue (ping) ((ping) ()))
+}
+"""
+
+
+def test_an_effect_name_applied_as_a_value_prints_back_to_the_same_tree():
+    p = parse_program(APPLIED_EFFECT_SRC)
+    ping = Var("ping")
+    assert p.modules[0].decls[1].body.body == App(ping, UnitLit())
+    assert p.main_term == App(App(Var("f"), ping), Enqueue(ping, App(ping, UnitLit())))
+    text = pretty_program(p)
+    assert parse_program(text) == p
+    assert pretty_program(parse_program(text)) == text
+    with pytest.raises(ElabError, match="effect ping used as a value"):
+        elab_program(parse_program(text))
+    # outside the scope of ping, the name needs no parentheses
+    assert pretty_term(p.main_term) == "f ping (enqueue ping (ping ()))"
+    assert pretty_term(p.main_term, frozenset({"ping"})) == (
+        "f (ping) (enqueue (ping) ((ping) ()))"
+    )
+
+
 _type_leaf = st.sampled_from([BOOL, UNIT, STR])
 _effects = st.one_of(
     st.just(DYN),
@@ -374,9 +406,9 @@ _types = st.recursive(
 
 _names = st.sampled_from(["x", "y", "f", "q'", "sch-loop", "_"])
 _term_leaf = st.one_of(
-    st.sampled_from([SUnitLit(), SBoolLit(True), SBoolLit(False), SEmptyQueue()]),
-    _names.map(SVar),
-    st.text(alphabet='ab"\\\n ', max_size=5).map(SStrLit),
+    st.sampled_from([UnitLit(), BoolLit(True), BoolLit(False), SEmptyQueue()]),
+    _names.map(Var),
+    st.text(alphabet='ab"\\\n ', max_size=5).map(StrLit),
 )
 
 
@@ -390,13 +422,13 @@ def _extend(inner):
         st.lists(clause, max_size=2, unique_by=lambda c: c.op).map(tuple),
     )
     return st.one_of(
-        st.builds(SApp, inner, inner),
-        st.builds(SLam, _names, st.none() | _types, inner),
-        st.builds(SLet, _names, inner, inner),
-        st.builds(SIf, inner, inner, inner),
-        st.builds(SConcat, inner, inner),
-        st.builds(SEnqueue, inner, inner),
-        st.builds(SMatch, inner, inner, st.just("v"), st.just("q'"), inner),
+        st.builds(App, inner, inner),
+        st.builds(Lam, _names, st.none() | _types, inner),
+        st.builds(Let, inner, _names, inner),
+        st.builds(If, inner, inner, inner),
+        st.builds(Concat, inner, inner),
+        st.builds(Enqueue, inner, inner),
+        st.builds(CaseQueue, inner, inner, st.just("v"), st.just("q'"), inner),
         st.builds(SRaise, st.sampled_from(sorted(OPS)), inner),
         st.builds(SAscribeType, inner, _types),
         st.builds(SAscribeEff, inner, _effects),
@@ -457,11 +489,11 @@ def _nodes(node):
 
 
 def _surface_classes():
-    """surface's own node classes and the typesys types its parser builds."""
+    """surface's own node classes, the core classes it builds terms of and
+    the typesys types its parser builds."""
     return [
         cls for name, cls in vars(surface).items()
-        if isinstance(cls, type) and dataclasses.is_dataclass(cls)
-        and (cls.__module__ == "greff.typesys" or name.startswith("S"))
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls) and not name.startswith("_")
     ]
 
 
@@ -482,6 +514,19 @@ def test_the_field_table_names_every_node_field_in_order(cls):
     types = {f.name: f.type for f in dataclasses.fields(cls)}
     for binders in FIELDS[cls].values():
         assert all(types[b] == "str" for b in binders)
+
+
+def test_core_and_surface_field_tables_agree_on_the_classes_they_share():
+    # the surface's entry for a core class names the same term fields with
+    # the same binders, in the same order, and adds the fields it writes a
+    # type in (a lambda's annotation)
+    shared = [cls for cls in FIELDS if cls in core.FIELDS]
+    assert len(shared) == 11
+    for cls in shared:
+        typed = {f.name for f in dataclasses.fields(cls) if "Type" in f.type}
+        terms = [(name, binders) for name, binders in FIELDS[cls].items() if name not in typed]
+        assert list(core.FIELDS[cls].items()) == terms, cls.__name__
+    assert [cls.__name__ for cls in shared if len(core.FIELDS[cls]) < len(FIELDS[cls])] == ["Lam"]
 
 
 def test_nodes_equal_hash_and_print_alike_at_any_position():
