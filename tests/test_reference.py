@@ -285,6 +285,27 @@ def test_proxy_effect_downcast_traps_leaked_raise():
     assert run(t, PING) == Error()
 
 
+def test_a_raise_crossing_a_downcast_casts_its_payload_down():
+    # put's payload, a function that raises other, crosses a downcast to a
+    # row where put takes 1 -[tick]> str: the handler's call traps it
+    tick = Concrete({"tick": OpSig(UNIT_T, UNIT_T)})
+    loose, tight = Arrow(UNIT_T, DYN, STR), Arrow(UNIT_T, tick, STR)
+    sig = Signature({"put": OpSig(loose, UNIT_T), "tick": OpSig(UNIT_T, UNIT_T),
+                     "other": OpSig(UNIT_T, UNIT_T)})
+    chatty = Lam("_", UNIT_T, EffUpcast(
+        Concrete({"other": OpSig(UNIT_T, UNIT_T)}), DYN,
+        Let(Raise("other", UNIT_T, UNIT_T, UnitLit()), "_", StrLit("x")),
+    ))
+    put = Raise("put", loose, UNIT_T, chatty)
+    row = Concrete({"put": OpSig(tight, UNIT_T)})
+    body = EffDowncast(row, DYN, EffUpcast(Concrete({"put": OpSig(loose, UNIT_T)}), DYN, put))
+    clause = Clause("put", "p", "k", App(Var("p"), UnitLit()), tight, UNIT_T)
+    t = Handle(Let(body, "_", StrLit("done")), "x", Var("x"), (clause,), tick, STR)
+    core.typecheck(sig, {}, t)
+    assert run(t, sig) == Error()
+    assert ev.run(sig, t).outcome == Error()
+
+
 # ---------------------------------------------------------------------------
 # The scheduler corpus
 
