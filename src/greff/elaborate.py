@@ -72,27 +72,29 @@ class ElabResult:
 
 
 # ---------------------------------------------------------------------------
-# surface free variables (to detect self-referential definitions)
+# self-reference (to detect recursive definitions)
 
 
-def surface_free_vars(t: s.STerm) -> frozenset[str]:
-    """A fold over the node-valued fields s.FIELDS names, carrying the
-    names bound so far; type and row fields hold no variable."""
-    out, stack = set(), [(t, frozenset())]
+def occurs_free(name: str, t: s.STerm) -> bool:
+    """Whether the variable `name` occurs free in t: a walk over the
+    node-valued fields s.FIELDS names that skips every field binding name;
+    type and row fields hold no variable."""
+    stack = [t]
     while stack:
-        node, bound = stack.pop()
+        node = stack.pop()
         if type(node) is core.Var:
-            if node.name not in bound:
-                out.add(node.name)
+            if node.name == name:
+                return True
             continue
-        for name, binders in s.FIELDS[type(node)].items():
-            v = getattr(node, name)
-            inner = bound | {getattr(node, b) for b in binders} if binders else bound
+        for field, binders in s.FIELDS[type(node)].items():
+            if binders and name in [getattr(node, b) for b in binders]:
+                continue
+            v = getattr(node, field)
             if type(v) is tuple:
-                stack += [(x, inner) for x in v]
+                stack += v
             elif v is not None:  # an unannotated lambda
-                stack.append((v, inner))
-    return frozenset(out)
+                stack.append(v)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +126,9 @@ class _Elab:
         self.delta: dict[str, ModuleExports] = {}
         self.bindings: list[tuple[str, core.Term, EffectType]] = []
         self._fresh = 0
+        # written rows by their names, for the gamma_eff they were read in
+        # (held, so no later module's dict can pass for it)
+        self._rows_of, self._rows = None, {}
 
     def fresh(self) -> str:
         name = f"%{self._fresh}"
@@ -139,12 +144,17 @@ class _Elab:
         """A written value type or row, each set of names a concrete row at
         the names' typings in gamma_eff; ? and ground types stand as written."""
         if isinstance(ty, s.SNames):
-            ops = {}
-            for name in ty.names:
-                if name not in gamma_eff:
-                    raise ElabError(f"unknown effect {name}", ty.pos)
-                ops[name] = OpSig(*gamma_eff[name])
-            return Concrete(ops)
+            if gamma_eff is not self._rows_of:  # a new module or main block
+                self._rows_of, self._rows = gamma_eff, {}
+            row = self._rows.get(ty.names)
+            if row is None:
+                ops = {}
+                for name in ty.names:
+                    if name not in gamma_eff:
+                        raise ElabError(f"unknown effect {name}", ty.pos)
+                    ops[name] = OpSig(*gamma_eff[name])
+                row = self._rows[ty.names] = Concrete(ops)
+            return row
         if isinstance(ty, QueueOf):
             return QueueOf(self.elab_type(ty.elem, gamma_eff))
         if isinstance(ty, Arrow):
@@ -170,10 +180,11 @@ class _Elab:
                 raise ElabError(f"{what} has {has} {source}, not coercible to {target}", pos)
             are = f"effects {source} are" if row else f"{source} is"
             raise ElabError(f"{are} not coercible to {target}", pos)
-        if source != erase(source):
-            term = (core.EffUpcast if row else core.ValUpcast)(source, erase(source), term)
-        if target != erase(target):
-            term = (core.EffDowncast if row else core.ValDowncast)(target, erase(target), term)
+        up, down = erase(source), erase(target)
+        if source != up:
+            term = (core.EffUpcast if row else core.ValUpcast)(source, up, term)
+        if target != down:
+            term = (core.EffDowncast if row else core.ValDowncast)(target, down, term)
         return term
 
     def sequence(self, pos, *operands, latent=()) -> list:
@@ -183,11 +194,10 @@ class _Elab:
         a value-like term at the row [], which needs no cast."""
         sigma = operands[0][1]
         try:
-            for _, row in operands[1:]:
-                if row is not sigma:  # the join of a row with itself is that row
-                    sigma = gradual_join(sigma, row)
-            for row in latent:
-                sigma = gradual_join(sigma, row)
+            for row in [row for _, row in operands[1:]] + [*latent]:
+                # [] is the join's unit, and a row joined with itself is that row
+                if row is not sigma and row is not EMPTY:
+                    sigma = row if sigma is EMPTY else gradual_join(sigma, row)
         except JoinUndefined as exc:
             raise ElabError(f"cannot combine effect rows: {exc}", pos) from exc
         out = [sigma]
@@ -458,7 +468,7 @@ class _Elab:
         if isinstance(d, s.SDefine):
             ann = self.elab_type(d.ann, gamma_eff)
             mangled = self.mangle(d.name)
-            if d.name in surface_free_vars(d.body):
+            if occurs_free(d.name, d.body):
                 bound, eff = self._elab_recursive(d, ann, mangled, gamma_eff, gamma_val)
             else:
                 body, eff, val = self.elab_term(d.body, gamma_eff, gamma_val, ann)

@@ -107,15 +107,20 @@ class _SurfaceGen:
         self, ty: s.SType, allowed: frozenset[str], env: _SEnv, depth: int
     ) -> tuple[s.STerm, frozenset[str]]:
         rng = self.rng
-        matches = sorted(n for n, (t, _) in env.items() if t == ty)
-        raisable = sorted(
-            o for o, (_, resp) in self.ops.items() if o in allowed and resp == ty
-        )
-        callable_ = sorted(
-            n
-            for n, (t, used) in env.items()
-            if isinstance(t, Arrow) and t.cod == ty and used <= allowed
-        )
+        # a class test first: == between records of two classes costs two
+        # __eq__ calls that both answer NotImplemented
+        cls = type(ty)
+        matches = [n for n, (t, _) in env.items() if type(t) is cls and (t is ty or t == ty)]
+        matches.sort()
+        raisable = [
+            o for o, (_, r) in self.ops.items() if o in allowed and type(r) is cls and r == ty
+        ]
+        raisable.sort()
+        callable_ = [
+            n for n, (t, used) in env.items()
+            if type(t) is Arrow and type(t.cod) is cls and t.cod == ty and used <= allowed
+        ]
+        callable_.sort()
         choices = ["value"]
         if matches:
             choices += ["var"] * 2
@@ -364,12 +369,13 @@ class _CoreGen:
         depth: int,
     ) -> core.Term:
         rng = self.rng
-        matches = sorted(n for n, t in env.items() if t == ty)
-        raisable = sorted(
-            o
-            for o in allowed
-            if self.sig.get(o) is not None and self.sig.get(o).resp == ty
-        )
+        cls, get = type(ty), self.sig.get  # classes first, as in _SurfaceGen._node
+        matches = [n for n, t in env.items() if type(t) is cls and (t is ty or t == ty)]
+        matches.sort()
+        raisable = [
+            o for o in allowed if (d := get(o)) is not None and type(d.resp) is cls and d.resp == ty
+        ]
+        raisable.sort()
         choices = ["value"] * 2
         if matches:
             choices += ["var"] * 2

@@ -33,7 +33,9 @@ def record(cls=None, /, *, frozen=True, eq=True, slots=False):
     params = ["self", *(_param(f) for f in args if not f.kw_only)]
     params += ["*", *kw_only] if kw_only else []
     store = "_set(self, {0!r}, {0})" if frozen else "self.{0} = {0}"
-    body = [store.format(f.name) for f in args]
+    # without slots, a field left at a default of None reads the class attribute
+    unset = "if {0} is not None: " if not slots else ""
+    body = [((unset if f.default is None else "") + store).format(f.name) for f in args]
     body += ["self.__post_init__()"] if hasattr(cls, "__post_init__") else []
     compared = [f.name for f in fields if f.compare]
     mine, theirs = (f"({''.join(f'{s}.{n},' for n in compared)})" for s in ("self", "other"))

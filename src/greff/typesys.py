@@ -243,6 +243,8 @@ _SUB, _PREC, _GRAD = "<=", "|_", "<~"
 
 def _below(t: Type, u: Type, rel: str) -> bool:
     """t rel u, for rel one of _SUB, _PREC and _GRAD."""
+    if t is u:  # all three orders are reflexive
+        return True
     if isinstance(t, (Bool, Unit, Str)):
         return t == u
     if isinstance(t, QueueOf):
@@ -309,7 +311,7 @@ def glb(t: Type, u: Type) -> Type:
 
 def _bound(t: Type, u: Type, up: bool, gradual: bool) -> Type:
     """The join of t and u when up, their meet otherwise; gradual or in <=."""
-    if isinstance(t, (Bool, Unit, Str)) and t == u:
+    if t is u or isinstance(t, (Bool, Unit, Str)) and t == u:
         return t
     if isinstance(t, QueueOf) and isinstance(u, QueueOf):
         return QueueOf(_bound(t.elem, u.elem, up, gradual))

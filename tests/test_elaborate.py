@@ -5,9 +5,10 @@ import random
 import pytest
 
 from greff import core, gen
+from greff import surface as s
 from greff.conformance import imprecisify
 from greff.elaborate import (
-    ElabError, _Elab, elab_program, elab_source, surface_free_vars,
+    ElabError, _Elab, elab_program, elab_source, occurs_free,
 )
 from greff.surface import parse_program, parse_term, parse_type
 from greff.typesys import (
@@ -611,7 +612,7 @@ def test_effect_import_requires_compatibility_not_equality():
     assert "incompatible" in str(e.value)
 
 
-def test_surface_free_vars_sees_through_binders():
+def test_occurs_free_sees_through_binders():
     # each binder hides its names in its own body, and only there: the
     # same name in a sibling field stays free
     cases = {
@@ -623,5 +624,56 @@ def test_surface_free_vars_sees_through_binders():
         "handle [] 1 a with ret x -> (x b) ping(p, k) -> (k p c)": {"a", "b", "c"},
         "handle [] 1 x with ret x -> (p k) ping(p, k) -> (k p x)": {"x", "p", "k"},
     }
+    names = set().union(*cases.values()) | {"y"}
     for src, free in cases.items():
-        assert surface_free_vars(parse_term(src, frozenset({"ping"}))) == free, src
+        t = parse_term(src, frozenset({"ping"}))
+        for name in names:
+            assert occurs_free(name, t) == (name in free), (src, name)
+
+
+def _free_vars(t) -> set:
+    """A naive fold: one case per binding form, else the union over every
+    field holding a term."""
+    if isinstance(t, core.Var):
+        return {t.name}
+    if isinstance(t, core.Lam):
+        return _free_vars(t.body) - {t.var}
+    if isinstance(t, core.Let):
+        return _free_vars(t.bound) | (_free_vars(t.body) - {t.var})
+    if isinstance(t, core.CaseQueue):
+        cons = _free_vars(t.cons_body) - {t.head_var, t.rest_var}
+        return _free_vars(t.scrutinee) | _free_vars(t.empty_body) | cons
+    if isinstance(t, s.SHandle):
+        out = _free_vars(t.scrutinee) | (_free_vars(t.ret_body) - {t.ret_var})
+        for c in t.clauses:
+            out |= _free_vars(c.body) - {c.payload_var, c.resume_var}
+        return out
+    kids = [getattr(t, f.name) for f in dataclasses.fields(t)]
+    return set().union(*(_free_vars(k) for k in kids if isinstance(k, core._Node)))
+
+
+def _every_var_name(t) -> set:
+    if isinstance(t, core.Var):
+        return {t.name}
+    kids = [getattr(t, f.name) for f in dataclasses.fields(t)]
+    kids = [k for v in kids for k in (v if isinstance(v, tuple) else (v,))]
+    return set().union(*(_every_var_name(k) for k in kids if dataclasses.is_dataclass(k)))
+
+
+def _defines():
+    programs = [gen.gen_surface_program(seed) for seed in range(300)]
+    programs += [parse_program(p.read_text()) for p in sorted(CORPUS.glob("*.greff"))]
+    for p in programs:
+        for d in [d for m in p.modules for d in m.decls] + list(p.main_decls):
+            if isinstance(d, s.SDefine):
+                yield d
+
+
+def test_occurs_free_agrees_with_a_naive_free_variable_fold():
+    recursive = 0
+    for d in _defines():
+        free = _free_vars(d.body)
+        for name in _every_var_name(d.body) | {d.name}:
+            assert occurs_free(name, d.body) == (name in free), (d.name, name)
+        recursive += d.name in free
+    assert recursive > 0  # the corpus's scheduler walks call themselves

@@ -154,3 +154,15 @@ def test_no_class_gets_generated_methods_from_dataclasses():
     # that made up most of greff's import time
     for cls, _ in CLASSES:
         assert cls.__repr__ is record._repr, cls.__qualname__
+
+
+def test_a_node_stores_its_position_only_when_given():
+    # an unpositioned node reads the class default, so nodes that gen, the
+    # elaborator and substitution build carry no position slot of their own
+    bare = core.App(core.Var("f"), core.UNIT)
+    assert "pos" not in vars(bare) and bare.pos is None
+    assert "pos" not in vars(dataclasses.replace(bare, arg=core.Var("x")))
+    placed = core.App(core.Var("f"), core.UNIT, pos=(3, 7))
+    assert vars(placed)["pos"] == (3, 7)
+    moved = dataclasses.replace(placed, arg=core.Var("x"))
+    assert moved.pos == (3, 7) and moved == core.App(core.Var("f"), core.Var("x"))

@@ -1,4 +1,4 @@
-"""scripts/soak.py and scripts/bench_pairs.py."""
+"""scripts/soak.py, scripts/bench_pairs.py and scripts/profile_workload.py."""
 
 import importlib.util
 from pathlib import Path
@@ -71,3 +71,16 @@ def test_the_claim_rule_reads_the_better_direction():
     assert got["change_better_in"] == 10 and got["rule_holds"] is True
     assert got["median_change_pct"] == pytest.approx(100.0)
     assert _rule([1.0] * 10, [2.0] * 10)["rule_holds"] is False
+
+
+@pytest.mark.parametrize("workload, scale", [("conformance", 0.01), ("frontend", 0.002)])
+def test_profile_workload_prints_module_and_function_self_times(workload, scale, capsys):
+    assert _script("profile_workload").main(["--workload", workload], scale=scale) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("self time ") and lines[2].split() == ["module", "self", "s", "share"]
+    gap = lines.index("", 3)
+    modules = {row.split()[0] for row in lines[3:gap]}
+    assert {"greff.surface", "greff.elaborate", "(other)"} <= modules
+    assert lines[gap + 1].split() == ["self", "s", "calls", "function"]
+    top = lines[gap + 2:]
+    assert len(top) == 25 and any("greff.elaborate:" in row for row in top)

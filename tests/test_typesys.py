@@ -393,3 +393,40 @@ def test_the_operation_table_is_invisible():
             got["undeclared"] = OpSig(UNIT, UNIT)
             assert (table.ops, table.names(), [table.get(n) for n in sig.names()]) == before
             assert "undeclared" not in table
+
+
+def _rebuild(t):
+    """An equal copy of t that shares no node with it."""
+    if isinstance(t, QueueOf):
+        return QueueOf(_rebuild(t.elem))
+    if isinstance(t, Arrow):
+        return Arrow(_rebuild(t.dom), _rebuild(t.eff), _rebuild(t.cod))
+    if isinstance(t, Concrete):
+        return Concrete({n: OpSig(_rebuild(o.req), _rebuild(o.resp)) for n, o in t.ops})
+    return type(t)()
+
+
+def _outcome(relation, t, u):
+    try:
+        return relation(t, u)
+    except JoinUndefined as e:
+        return f"JoinUndefined: {e}"
+
+
+def test_the_identity_short_cuts_agree_with_the_full_walk():
+    # _below and _bound answer at once when both sides are one object; an
+    # equal rebuild sharing no node takes the whole walk instead
+    from test_golden import RELATION_PAIRS, _relation_pair
+
+    types = []
+    for i in RELATION_PAIRS:
+        types += _relation_pair(random.Random(f"relations/{i}"))
+    for seed in range(300):
+        rng = random.Random(seed)
+        types.append(gen.gen_row(rng, gen.gen_signature(rng, higher_order=True)))
+    relations = (subtype, precision, gradual_subtype, gradual_join, gradual_meet, lub, glb)
+    for t in types:
+        twin = _rebuild(t)
+        assert twin == t and twin is not t
+        for relation in relations:
+            assert _outcome(relation, t, t) == _outcome(relation, t, twin), (relation, t)
