@@ -311,7 +311,7 @@ def glb(t: Type, u: Type) -> Type:
 
 def _bound(t: Type, u: Type, up: bool, gradual: bool) -> Type:
     """The join of t and u when up, their meet otherwise; gradual or in <=."""
-    if t is u or isinstance(t, (Bool, Unit, Str)) and t == u:
+    if t is u or (isinstance(t, (Bool, Unit, Str)) and t == u):
         return t
     if isinstance(t, QueueOf) and isinstance(u, QueueOf):
         return QueueOf(_bound(t.elem, u.elem, up, gradual))
