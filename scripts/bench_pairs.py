@@ -21,8 +21,18 @@ claim rule holds (at least 10 pairs, the change wins at least 9 in
 10, and the two medians are further apart than the parent's
 interquartile range); below 10 pairs the rule reads null.  The file is
 rewritten after every pair, so an interrupted batch keeps the pairs it
-finished.  With --trace 1 there are no pairs: one traced run per side,
-parent first, is stored under "traced_trace1" / WORKLOAD.
+finished.
+
+    python3 scripts/bench_pairs.py --parent REV --workload queue-loop --seed 1 \\
+        --trace 10 --out BENCH_N.json
+
+With --trace N (N >= 1) the pairs are N traced runs per side, in the
+same alternating order, and hold BENCHMARK.json's per-layer metrics; they
+go under "traced" / "WORKLOAD seed SEED" with the same summary per
+metric: each side's median, how many runs the change won, and the claim
+rule from 10 runs on.  A single traced run per side carries the host's
+drift into every per-layer timing; alternating runs spread it over both
+sides.
 
 This script imports nothing from greff.
 """
@@ -109,15 +119,19 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, help="the pairs to add; required with --trace 0")
     ap.add_argument("--out", type=Path, required=True, help="the JSON file to add the pairs to")
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--trace", type=int, default=0, metavar="N",
+                    help="0 for untraced pairs, or N >= 1 traced runs per side")
     args = ap.parse_args(argv)
+    if args.trace < 0:
+        ap.error(f"--trace must be at least 0, not {args.trace}")
     if not args.trace and not args.pairs:
         ap.error("--pairs is required with --trace 0")
 
     root = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel"))
     bench = json.loads((root / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
-    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    kind, count, trace = ("traced", args.trace, 1) if args.trace else ("pairs", args.pairs, 0)
+    metrics = {m["name"]: m["better"] for m in bench["per_layer" if trace else "end_to_end"]}
     out_path = args.out if args.out.is_absolute() else Path.cwd() / args.out
     doc = json.loads(out_path.read_text()) if out_path.exists() else {}
 
@@ -136,21 +150,15 @@ def main(argv=None) -> int:
         doc.setdefault("procedure", "scripts/bench_pairs.py: runs one at a time; "
                        "src/greff/__pycache__ removed before each run; "
                        "PYTHONDONTWRITEBYTECODE=1; odd pairs run the parent first")
-        if args.trace:
-            doc.setdefault("traced_trace1", {})[args.workload] = {
-                side: run_once(copies[side], bench["command"], args.workload,
-                               args.seed, seconds, 1) for side in ("parent", "change")}
-            out_path.write_text(json.dumps(doc, indent=1) + "\n")
-            return 0
-        entry = doc.setdefault("pairs", {}).setdefault(
+        entry = doc.setdefault(kind, {}).setdefault(
             f"{args.workload} seed {args.seed}",
             {"workload": args.workload, "seed": args.seed, "seconds": seconds, "pairs": []},
         )
         done = len(entry["pairs"])
-        for n in range(done + 1, done + args.pairs + 1):
+        for n in range(done + 1, done + count + 1):
             order = ("parent", "change") if n % 2 else ("change", "parent")
             got = {side: run_once(copies[side], bench["command"], args.workload,
-                                  args.seed, seconds, 0) for side in order}
+                                  args.seed, seconds, trace) for side in order}
             pair = {"pair": f"pair{n}", "first": order[0]}
             for side in ("parent", "change"):
                 res = got[side]
@@ -159,7 +167,10 @@ def main(argv=None) -> int:
             entry["pairs"].append(pair)
             entry["summary"] = summary(entry["pairs"], metrics)
             out_path.write_text(json.dumps(doc, indent=1) + "\n")
-            print(f"pair {n - done}/{args.pairs} done", file=sys.stderr)
+            print(f"pair {n - done}/{count} done", file=sys.stderr)
+        for name, got in entry["summary"].items():
+            print(f"{name}: {got['parent']['median']:.6g} -> {got['change']['median']:.6g}, "
+                  f"change better in {got['change_better_in']}/{got['pairs']}")
     finally:
         shutil.rmtree(tmp)
     return 0

@@ -384,23 +384,6 @@ def imprecisify(p: s.SProgram, rng: random.Random) -> Optional[PrecisionPair]:
     return PrecisionPair(p, _blur(p, counts, 0, chosen), tuple(chosen))
 
 
-def syntactic_precision(a, b) -> bool:
-    """Structural equality except annotations may be ? on the right."""
-    if isinstance(b, Dyn):
-        return isinstance(a, (s.SNames, Dyn))
-    if type(a) is not type(b) or type(a) not in s.FIELDS:
-        return a == b
-    kids = s.FIELDS[type(a)]
-    for name in kids:
-        va, vb = getattr(a, name), getattr(b, name)
-        if type(va) is tuple:
-            if len(va) != len(vb) or not all(map(syntactic_precision, va, vb)):
-                return False
-        elif not syntactic_precision(va, vb):
-            return False
-    return dataclasses.replace(a, **{name: getattr(b, name) for name in kids}) == b
-
-
 # ---------------------------------------------------------------------------
 # Law cases: each builds (sig, left, right) closed ground terms
 

@@ -11,6 +11,16 @@ cast.  Binding extends an environment; nothing is substituted while
 the machine runs, so a step costs the same however large the program
 or its data.  After Felleisen & Friedman's CEK machine.
 
+An operand that is a syntactic value is consumed in the step that needs
+it, so no frame is pushed for it only to be popped again: `v w` is one
+beta (or one proxy or resumption application), `let x = v in N` one
+let, `v ++ w` one concat, `raise op v` one raise, `handle v ...` one
+handle-value, and `if v ...` and `match v ...` one branch step, both
+when the term is first met and when a value returned to a frame leaves
+a value as the next operand.  Unrolling a fixpoint whose body is a
+lambda returns the closure in the fix step.  After Danvy & Nielsen's
+refocusing, which compresses such corridor transitions of a machine.
+
 Runtime values are the literals themselves, closures, queues backed by
 shared lists, arrow-cast proxies and resumptions.  A recursive function
 binds its own name to a fix-closure, which is not a value: looking it
@@ -48,8 +58,8 @@ a tuple, innermost first, and its control is a Ctx while a term is
 evaluated, a Raising while an operation is raised, or the value itself
 (never a Ctx or a Raising) while it is returned.  A trace line is
 built only when tracing is on: each rule tests for a trace before it
-spells its detail, and run prints the value line after an eval step
-that returned a value.
+spells its detail, and an eval step that returns the value of a value
+term prints the value line.  No step prints more than one line.
 
 Every state still denotes a closed term: reify reads it back by
 substituting environments into the terms they close over, which is
@@ -314,6 +324,11 @@ RETURN, RAISE, HALT = object(), object(), object()
 # Values of value terms
 
 _ATOMS = frozenset({core.BoolLit, core.UnitLit, core.StrLit, core.Lam, core.EmptyQueue})
+# the compound nodes that wait in a Ctx, each with its hole, its first field
+_HOLE = {
+    tt: next(iter(core.FIELDS[tt]))
+    for tt in (core.App, core.Let, core.If, core.Concat, core.CaseQueue, core.Raise, core.Handle)
+}
 
 
 def _value(t: core.Term, env: Env) -> object:
@@ -502,20 +517,6 @@ def _typing(eff: EffectType, op: str, sig: Signature) -> OpSig:
     return got
 
 
-def apart(sig: Signature, frames: Iterable[Frame], op: str) -> bool:
-    """True when no frame handles or cast-intercepts op.
-
-    An effect cast intercepts op when its upper row mentions it: by
-    precision the lower row mentions nothing the upper row does not.
-    """
-    for f in frames:
-        if type(f) is Ctx and type(f.term) is core.Handle and f.term.clause(op) is not None:
-            return False
-        if isinstance(f, EffCastFrame) and _mentions(f.hi, op, sig):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # The step function
 
@@ -535,48 +536,114 @@ class Machine:
         if tt is core.Var:
             v = env.get(t.name)
             if type(v) is FixClosure:
-                if self.trace is not None:
-                    self.trace("fix", v.fix.var)
-                return frames, v.fix.body, v.body_env
+                return self._unroll(frames, v)
             if v is None:
                 raise StuckState(f"cannot evaluate {core._brief(t)}")
-            return frames, RETURN, v
-        if tt in _ATOMS:
-            return frames, RETURN, _value(t, env)
-        if tt is core.App:
-            return (Ctx(t, env), frames), t.fn, env
-        if tt is core.Let:
-            return (Ctx(t, env), frames), t.bound, env
-        if tt is core.CaseQueue:
-            return (Ctx(t, env), frames), t.scrutinee, env
-        if tt is core.Fix:
-            if self.trace is not None:
-                self.trace("fix", t.var)
-            return frames, t.body, FixClosure(t, env).body_env
-        if tt is core.Concat:
-            return (Ctx(t, env), frames), t.left, env
-        if tt is core.If:
-            return (Ctx(t, env), frames), t.cond, env
-        if tt is core.Raise:
-            return (Ctx(t, env), frames), t.payload, env
-        if tt is core.Handle:
-            return (Ctx(t, env), frames), t.scrutinee, env
-        if tt is core.Enqueue or tt is core.ValUpcast or tt is core.ValDowncast:
+        elif tt in _ATOMS:
             v = _value(t, env)
-            if v is not None:
-                return frames, RETURN, v
-            if tt is core.Enqueue:
-                return (Ctx(t, env), frames), t.queue, env
-            f = ValCastFrame(t.up, t.lo, t.hi)
-            return (f, frames), t.body, env
-        if tt is core.EffUpcast or tt is core.EffDowncast:
-            f = EffCastFrame(t.up, t.lo, t.hi)
-            return (f, frames), t.body, env
-        if tt is core.Err:
+        elif tt in _HOLE:
+            # the hole operand, consumed at once when it is a value
+            operand = getattr(t, _HOLE[tt])
+            v = _value(operand, env)
+            if v is None:
+                return (Ctx(t, env), frames), operand, env
+            return self._fill(frames, t, env, v)
+        elif tt is core.Fix:
+            return self._unroll(frames, FixClosure(t, env))
+        elif tt is core.Enqueue or tt is core.ValUpcast or tt is core.ValDowncast:
+            v = _value(t, env)
+            if v is None:
+                if tt is core.Enqueue:
+                    q = _value(t.queue, env)
+                    if q is None:
+                        return (Ctx(t, env), frames), t.queue, env
+                    return self._fill(frames, t, env, q)
+                return (ValCastFrame(t.up, t.lo, t.hi), frames), t.body, env
+        elif tt is core.EffUpcast or tt is core.EffDowncast:
+            return (EffCastFrame(t.up, t.lo, t.hi), frames), t.body, env
+        elif tt is core.Err:
             if self.trace is not None:
                 self.trace("err", "")
             return frames, HALT, Error()
-        raise StuckState(f"cannot evaluate {t!r}")
+        else:
+            raise StuckState(f"cannot evaluate {t!r}")
+        if self.trace is not None:
+            self.trace("value", core._brief(v, _spelled))
+        return frames, RETURN, v
+
+    def _unroll(self, frames: Cells, fc: FixClosure) -> tuple:
+        """fix: the body in the environment binding the function's own
+        name; a lambda body, the usual one, is returned in the same step."""
+        if self.trace is not None:
+            self.trace("fix", fc.fix.var)
+        body = fc.fix.body
+        if type(body) is core.Lam:
+            return frames, RETURN, Closure(body, fc.body_env)
+        return frames, body, fc.body_env
+
+    def _fill(self, frames: Cells, t, env: Env, v: object) -> tuple:
+        """Plug v into the hole of t, its first operand, with env closing
+        the rest: the step a Ctx takes when v returns to it, and the one
+        _step_eval takes when t's first operand is a value already.  A
+        next operand that is a value is consumed in the same step."""
+        tt = type(t)
+        if tt is core.App:
+            w = _value(t.arg, env)
+            if w is None:
+                return (AppArg(v), frames), t.arg, env
+            return self._apply(frames, v, w)
+        if tt is core.Let:
+            if self.trace is not None:
+                self.trace("let", t.var)
+            return frames, t.body, {**env, t.var: v}
+        if tt is core.CaseQueue:
+            if type(v) is not QueueVal:
+                raise StuckState(f"not a queue value: {v!r}")
+            if v.start == v.end:
+                if self.trace is not None:
+                    self.trace("case-empty", "")
+                return frames, t.empty_body, env
+            if self.trace is not None:
+                self.trace("case-dequeue", "")
+            # the rest wins when both binders share a name
+            rest = QueueVal(v.elem, v.buf, v.start + 1, v.end)
+            env = {**env, t.head_var: v.buf[v.start], t.rest_var: rest}
+            return frames, t.cons_body, env
+        if tt is core.Concat:
+            w = _value(t.right, env)
+            if w is None:
+                return (ConcatRight(v), frames), t.right, env
+            return self._concat(frames, v, w)
+        if tt is core.Raise:
+            if self.trace is not None:
+                self.trace("raise", t.op)
+            return frames, RAISE, Raising(t.op, t.req, t.resp, v, Captured())
+        if tt is core.Handle:
+            if self.trace is not None:
+                self.trace("handle-value", "")
+            return frames, t.ret_body, {**env, t.ret_var: v}
+        if tt is core.If:
+            if type(v) is not core.BoolLit:
+                raise StuckState(f"if on a non-boolean: {core._brief(_back(v))}")
+            if self.trace is not None:
+                self.trace("if-true" if v.value else "if-false", "")
+            return frames, t.then if v.value else t.els, env
+        w = _value(t.elem, env)  # an Enqueue
+        if w is None:
+            return (EnqueueElem(v), frames), t.elem, env
+        return self._enqueue(frames, v, w)
+
+    def _concat(self, frames: Cells, v: object, w: object) -> tuple:
+        if type(v) is not core.StrLit or type(w) is not core.StrLit:
+            raise StuckState("concat on non-strings")
+        if self.trace is not None:
+            self.trace("concat", "")
+        return frames, RETURN, core.StrLit(v.value + w.value)
+
+    def _enqueue(self, frames: Cells, q: QueueVal, x: object) -> tuple:
+        if self.trace is not None:
+            self.trace("enqueue", "")
+        return frames, RETURN, q.enqueue(x)
 
     def _apply(self, frames: Cells, fn: object, arg: object) -> tuple:
         tf = type(fn)
@@ -609,45 +676,7 @@ class Machine:
         f, frames = frames
         tf = type(f)
         if tf is Ctx:
-            t, env = f.term, f.env
-            tt = type(t)
-            if tt is core.App:
-                return (AppArg(v), frames), t.arg, env
-            if tt is core.Let:
-                if self.trace is not None:
-                    self.trace("let", t.var)
-                return frames, t.body, {**env, t.var: v}
-            if tt is core.CaseQueue:
-                if type(v) is not QueueVal:
-                    raise StuckState(f"not a queue value: {v!r}")
-                if v.start == v.end:
-                    if self.trace is not None:
-                        self.trace("case-empty", "")
-                    return frames, t.empty_body, env
-                if self.trace is not None:
-                    self.trace("case-dequeue", "")
-                # the rest wins when both binders share a name
-                rest = QueueVal(v.elem, v.buf, v.start + 1, v.end)
-                env = {**env, t.head_var: v.buf[v.start], t.rest_var: rest}
-                return frames, t.cons_body, env
-            if tt is core.Concat:
-                return (ConcatRight(v), frames), t.right, env
-            if tt is core.Raise:
-                if self.trace is not None:
-                    self.trace("raise", t.op)
-                return frames, RAISE, Raising(t.op, t.req, t.resp, v, Captured())
-            if tt is core.Handle:
-                if self.trace is not None:
-                    self.trace("handle-value", "")
-                return frames, t.ret_body, {**env, t.ret_var: v}
-            if tt is core.If:
-                if type(v) is not core.BoolLit:
-                    raise StuckState(f"if on a non-boolean: {core._brief(_back(v))}")
-                if self.trace is not None:
-                    self.trace("if-true" if v.value else "if-false", "")
-                return frames, t.then if v.value else t.els, env
-            if tt is core.Enqueue:
-                return (EnqueueElem(v), frames), t.elem, env
+            return self._fill(frames, f.term, f.env, v)
         if tf is AppArg:
             return self._apply(frames, f.fn, v)
         if tf is EffCastFrame:
@@ -655,19 +684,13 @@ class Machine:
                 self.trace("eff-upcast-value" if f.up else "eff-downcast-value", "")
             return frames, RETURN, v
         if tf is ConcatRight:
-            if type(f.left) is not core.StrLit or type(v) is not core.StrLit:
-                raise StuckState("concat on non-strings")
-            if self.trace is not None:
-                self.trace("concat", "")
-            return frames, RETURN, core.StrLit(f.left.value + v.value)
+            return self._concat(frames, f.left, v)
         if tf is ValCastFrame:
             if self.trace is not None:
                 self.trace("val-upcast" if f.up else "val-downcast", "")
             return frames, RETURN, cast_value(v, f.up, f.lo, f.hi)
         if tf is EnqueueElem:
-            if self.trace is not None:
-                self.trace("enqueue", "")
-            return frames, RETURN, f.queue.enqueue(v)
+            return self._enqueue(frames, f.queue, v)
         raise StuckState(f"not a frame: {f!r}")
 
     def _step_raise(self, frames: Cells, r: Raising) -> tuple:
@@ -761,8 +784,6 @@ def run(
             frames, a, b = step_raise(frames, b)
         else:
             frames, a, b = step_eval(frames, a, b)
-            if trace is not None and a is RETURN:
-                trace("value", core._brief(b, _spelled))
         if a is HALT:
             return RunResult(b, n)
         if sample is not None and n % sample_every == 0:

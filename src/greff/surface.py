@@ -154,9 +154,8 @@ def tokenize(src: str) -> list[Token]:
 class SNames(_Node):
     names: tuple[str, ...]
 
-    def __init__(self, names, pos=None):
-        object.__setattr__(self, "names", tuple(sorted(names)))
-        object.__setattr__(self, "pos", pos)
+    def __post_init__(self):
+        object.__setattr__(self, "names", tuple(sorted(self.names)))
 
     def __str__(self) -> str:
         return "[" + ",".join(self.names) + "]"

@@ -149,7 +149,7 @@ def test_traced_probe_runs_print_their_value(tmp_path, source, n):
     code, out, err = invoke("run", str(src), "--trace")
     assert code == cli.EXIT_OK
     assert out == "a" * n + "\n"
-    assert err.startswith("fix dbl#0\nvalue (lam (acc (queue str)) ")
+    assert err.startswith("fix dbl#0\nlet dbl#0\nfix walk#1\nlet walk#1\nbeta acc\nvalue (lam (q (queue str)) ")
     # a collecting trace changes neither the outcome nor the step count
     res = elaborate.elab_source(source(n))
     lines = []
@@ -453,7 +453,7 @@ def test_conformance_batch():
 
 
 def test_conformance_out_of_fuel_is_inconclusive():
-    code, out, err = invoke("conformance", "--cases", "2", "--fuel", "5")
+    code, out, err = invoke("conformance", "--cases", "2", "--fuel", "3")
     assert code == cli.EXIT_OK
     assert "0 violations" in err
     ran = [r for r in map(json.loads, out.splitlines()) if r["left"] != "static"]

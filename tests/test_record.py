@@ -18,7 +18,7 @@ import sys
 import pytest
 
 import greff
-from greff import core, record
+from greff import core, record, surface
 from greff import eval as ev
 from greff.typesys import BOOL, DYN, EMPTY, UNIT, OpSig
 
@@ -166,3 +166,12 @@ def test_a_node_stores_its_position_only_when_given():
     assert vars(placed)["pos"] == (3, 7)
     moved = dataclasses.replace(placed, arg=core.Var("x"))
     assert moved.pos == (3, 7) and moved == core.App(core.Var("f"), core.Var("x"))
+
+
+def test_an_unpositioned_row_annotation_stores_no_position():
+    # a written row sorts its names in __post_init__ and stores a position
+    # only when given one, like every other node
+    bare = surface.SNames(("b", "a"))
+    assert vars(bare) == {"names": ("a", "b")} and bare.pos is None
+    placed = surface.SNames(("b", "a"), pos=(1, 2))
+    assert vars(placed) == {"names": ("a", "b"), "pos": (1, 2)} and placed == bare

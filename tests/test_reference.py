@@ -124,7 +124,7 @@ def test_host_stack_exhaustion_is_not_fuel():
         t = Concat(t, StrLit("a"))
     got = run(t, fuel=10**9)
     assert isinstance(got, reference.DepthExhausted) and 0 < got.steps < 10**9
-    assert ev.run(SIG0, t, fuel=10**9) == ev.RunResult(Value(StrLit("a" * 120_001)), 480_002)
+    assert ev.run(SIG0, t, fuel=10**9) == ev.RunResult(Value(StrLit("a" * 120_001)), 240_000)
 
 
 def test_uncaught_raise():

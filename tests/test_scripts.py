@@ -1,6 +1,7 @@
 """scripts/soak.py, scripts/bench_pairs.py and scripts/profile_workload.py."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,45 @@ def test_the_claim_rule_reads_the_better_direction():
     assert got["change_better_in"] == 10 and got["rule_holds"] is True
     assert got["median_change_pct"] == pytest.approx(100.0)
     assert _rule([1.0] * 10, [2.0] * 10)["rule_holds"] is False
+
+
+def test_traced_runs_alternate_and_report_medians_and_wins(tmp_path, monkeypatch, capsys):
+    bench_pairs = _script("bench_pairs")
+    runs, machine_s = [], {"parent": [1.0, 1.1, 1.2], "change": [0.9, 1.2, 1.0]}
+
+    def export(root, rev, dest):
+        dest.mkdir(parents=True)
+        return rev.ljust(40, "0")
+
+    def run_once(copy, command, workload, seed, seconds, trace):
+        runs.append((copy.name, trace))
+        side = copy.name
+        metrics = {"eval.steps": 100 if side == "parent" else 60,
+                   "eval.machine_s": machine_s[side][sum(r[0] == side for r in runs) - 1]}
+        values = {name: metrics.get(name, 0) for name in per_layer}
+        return {"metrics": {k: {"value": v} for k, v in values.items()},
+                "failed": 0, "attempted": 1}
+
+    per_layer = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "bench.json"
+    args = ["--parent", "HEAD", "--workload", "queue-loop", "--seed", "1", "--out", str(out)]
+    assert bench_pairs.main([*args, "--trace", "3"]) == 0
+    assert runs == [("parent", 1), ("change", 1), ("change", 1), ("parent", 1),
+                    ("parent", 1), ("change", 1)]
+    entry = json.loads(out.read_text())["traced"]["queue-loop seed 1"]
+    assert [p["first"] for p in entry["pairs"]] == ["parent", "change", "parent"]
+    assert set(entry["summary"]) == set(per_layer)
+    steps, machine = entry["summary"]["eval.steps"], entry["summary"]["eval.machine_s"]
+    assert (steps["parent"]["median"], steps["change"]["median"]) == (100, 60)
+    assert steps["change_better_in"] == 3 and steps["rule_holds"] is None
+    assert (machine["parent"]["median"], machine["change"]["median"]) == (1.1, 1.0)
+    assert machine["change_better_in"] == 2
+    assert "eval.steps: 100 -> 60, change better in 3/3" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        bench_pairs.main([*args, "--trace", "-1"])
 
 
 @pytest.mark.parametrize("workload, scale", [("conformance", 0.01), ("frontend", 0.002)])
