@@ -324,7 +324,8 @@ RETURN, RAISE, HALT = object(), object(), object()
 # Values of value terms
 
 _ATOMS = frozenset({core.BoolLit, core.UnitLit, core.StrLit, core.Lam, core.EmptyQueue})
-# the compound nodes that wait in a Ctx, each with its hole, its first field
+# the compound nodes that wait in a Ctx, each with its hole, its first
+# field; an enqueue waits in one too, once it turns out not to be a value
 _HOLE = {
     tt: next(iter(core.FIELDS[tt]))
     for tt in (core.App, core.Let, core.If, core.Concat, core.CaseQueue, core.Raise, core.Handle)

@@ -413,24 +413,29 @@ READBACK_TYPING_FAILURES = {
 }
 
 
-def test_readback_typing_failures_are_the_three_known():
-    kinds = (ERR_SCRUTINEE, K_AT_EMPTY_ROW, FORK_UNDER_NARROWER_ROW)
-    got = {}
+def _corpus_elaborated():
     for path in sorted(CORPUS.glob("*.greff")):
         try:
             res = elab_source(path.read_text())
         except ElabError:
             continue
-        failures = got[path.stem] = collections.Counter()
+        yield path.stem, res.sig, res.term
+
+
+def test_readback_typing_failures_are_the_three_known():
+    kinds = (ERR_SCRUTINEE, K_AT_EMPTY_ROW, FORK_UNDER_NARROWER_ROW)
+    got = {}
+    for name, sig, term in _corpus_elaborated():
+        failures = got[name] = collections.Counter()
 
         def sample(state):
             try:
-                core.typecheck(res.sig, {}, reify(state))
+                core.typecheck(sig, {}, reify(state))
             except core.TypeCheckError as e:
                 # a message of no known kind is counted whole, so it shows
                 failures[next((k for k in kinds if k in str(e)), str(e))] += 1
 
-        run(res.sig, res.term, sample=sample, sample_every=1)
+        run(sig, term, sample=sample, sample_every=1)
     assert got == READBACK_TYPING_FAILURES
 
 
@@ -580,15 +585,6 @@ def test_run_and_step_are_one_machine(name, sig, term):
     assert len(shown) == got.steps - 1
 
 
-def _corpus_elaborated():
-    for path in sorted(CORPUS.glob("*.greff")):
-        try:
-            res = elab_source(path.read_text())
-        except ElabError:
-            continue
-        yield path.stem, res.sig, res.term
-
-
 COMPRESSED = [*_corpus_elaborated(), *resumption_cases()] + [
     (f"gen-{seed}", *gen.gen_core_program(seed)[:2]) for seed in range(50)
 ]
@@ -648,15 +644,15 @@ def test_no_identity_cast_frame_is_ever_pushed():
     assert seen["stack"] and seen["captured"]
 
 
-def _resumption_returned_from(depth):
-    """A shallow handler whose clause returns its resumption k, a value
-    line of its own, with depth concats captured in k."""
-    body = Raise("ask", UNIT_T, STR, UnitLit())
-    for s in "xyz"[:depth]:
-        body = Concat(StrLit(s), body)
-    asks = Concrete({"ask": OpSig(UNIT_T, STR)})
-    clause = Clause("ask", "p", "k", Var("k"), UNIT_T, STR)
-    return Handle(body, "x", Lam("y", STR, Var("x")), (clause,), EMPTY, Arrow(STR, asks, STR), False)
+# a shallow handler whose clause returns its resumption k, a value line of
+# its own, with three concats captured in k
+RETURNED_RESUMPTION = Handle(
+    Concat(
+        StrLit("x"), Concat(StrLit("y"), Concat(StrLit("z"), Raise("ask", UNIT_T, STR, UnitLit())))
+    ),
+    "x", Lam("y", STR, Var("x")), (Clause("ask", "p", "k", Var("k"), UNIT_T, STR),),
+    EMPTY, Arrow(STR, Concrete({"ask": OpSig(UNIT_T, STR)}), STR), deep=False,
+)
 
 
 def test_the_value_line_is_the_read_back_brief_without_reading_back(monkeypatch):
@@ -679,8 +675,8 @@ def test_the_value_line_is_the_read_back_brief_without_reading_back(monkeypatch)
     # operands that are values print no value line of their own, so the
     # generated programs are many, for enough value lines
     programs = CASTING + [(f"gen-{seed}", *gen.gen_core_program(seed)[:2]) for seed in range(500)]
-    programs.append(("returned-3", ASK, _resumption_returned_from(3)))
-    core.typecheck(ASK, {}, programs[-1][2])
+    programs.append(("returned-resumption", ASK, RETURNED_RESUMPTION))
+    core.typecheck(ASK, {}, RETURNED_RESUMPTION)
     for _, sig, term in programs:
         run(sig, term, fuel=100_000, trace=trace, sample=sample, sample_every=1)
     assert not substs
