@@ -60,6 +60,11 @@ def _git(root: Path, *args: str) -> str:
     ).stdout.strip()
 
 
+def toplevel() -> Path:
+    """The root of the git checkout the script runs in."""
+    return Path(_git(Path.cwd(), "rev-parse", "--show-toplevel"))
+
+
 def export(root: Path, rev: str, dest: Path) -> str:
     """Write rev's committed files into dest; return the full commit id."""
     commit = _git(root, "rev-parse", "--verify", f"{rev}^{{commit}}")
@@ -127,7 +132,7 @@ def main(argv=None) -> int:
     if not args.trace and not args.pairs:
         ap.error("--pairs is required with --trace 0")
 
-    root = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel"))
+    root = toplevel()
     bench = json.loads((root / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     kind, count, trace = ("traced", args.trace, 1) if args.trace else ("pairs", args.pairs, 0)

@@ -18,8 +18,9 @@ let, `v ++ w` one concat, `raise op v` one raise, `handle v ...` one
 handle-value, and `if v ...` and `match v ...` one branch step, both
 when the term is first met and when a value returned to a frame leaves
 a value as the next operand.  Unrolling a fixpoint whose body is a
-lambda returns the closure in the fix step.  After Danvy & Nielsen's
-refocusing, which compresses such corridor transitions of a machine.
+lambda returns, in the fix step, the one closure its fix-closure built.
+After Danvy & Nielsen's refocusing, which compresses such corridor
+transitions of a machine.
 
 Runtime values are the literals themselves, closures, queues backed by
 shared lists, arrow-cast proxies and resumptions.  A recursive function
@@ -29,8 +30,10 @@ up unrolls the fixpoint again.
 A raised operation walks the stack one frame per step; frames that
 neither handle nor intercept the operation are captured, and when a
 handler with a matching clause is found the captured frames become a
-resumption bound to the clause's resumption variable.  Deep handlers
-add themselves as the outermost captured frame, shallow ones do not.
+resumption bound to the clause's resumption variable.  The raise step
+builds one Raising for the whole walk, and each later step of the walk
+updates it and its captured chains in place.  Deep handlers add
+themselves as the outermost captured frame, shallow ones do not.
 Applying a resumption pushes its frames back onto the stack and returns
 the argument to them, all in one step.
 
@@ -46,20 +49,22 @@ for a proxy's effects or result, nor for the response of a raise that
 crossed an effect cast.
 
 The machine runs on three registers, frames, a and b, and builds no
-state object per step: each rule returns the next three as a tuple,
-(frames, term, env) to evaluate, (frames, RETURN, value) to return,
-(frames, RAISE, raising) to raise, or (frames, HALT, outcome) at the
-end.  Registers hold chains: the frames register is None when empty or
-a pair (innermost frame, rest), so a push allocates one tuple and a pop
-unpacks one, and a raise's captured frames are two such chains.  Only
-run's sample hook sees a MachineState, built from the registers by
-_state, and reify reads it back.  A sampled state shows every chain as
-a tuple, innermost first, and its control is a Ctx while a term is
-evaluated, a Raising while an operation is raised, or the value itself
-(never a Ctx or a Raising) while it is returned.  A trace line is
-built only when tracing is on: each rule tests for a trace before it
-spells its detail, and an eval step that returns the value of a value
-term prints the value line.  No step prints more than one line.
+state object per step; a step allocates only what it keeps.  Each rule
+returns the next three registers as a tuple, (frames, term, env) to
+evaluate, (frames, RETURN, value) to return, (frames, RAISE, raising)
+to raise, or (frames, HALT, outcome) at the end.  Registers hold
+chains: the frames register is None when empty or a pair (innermost
+frame, rest), so a push allocates one tuple and a pop unpacks one, and
+a raise's captured frames are two such chains.  The Raising in the
+third register belongs to the machine alone.  Only run's sample hook
+sees a MachineState, built from the registers by _state with a copy of
+any Raising, and reify reads it back.  A sampled state shows every
+chain as a tuple, innermost first, and its control is a Ctx while a
+term is evaluated, a Raising while an operation is raised, or the
+value itself (never a Ctx or a Raising) while it is returned.  A trace
+line is built only when tracing is on: each rule tests for a trace
+before it spells its detail, and an eval step that returns the value of
+a value term prints the value line.  No step prints more than one line.
 
 Every state still denotes a closed term: reify reads it back by
 substituting environments into the terms they close over, which is
@@ -93,7 +98,6 @@ from .typesys import (
     Arrow,
     Dyn,
     EffectType,
-    OpSig,
     QueueOf,
     Signature,
     ValueType,
@@ -143,15 +147,22 @@ NO_ENV: Env = MappingProxyType({})
 Cells = Optional[tuple]
 
 
-def _cells(cells: Cells):
-    """The frames of a chain, first cell first."""
-    while cells is not None:
-        f, cells = cells
-        yield f
+def _frames(inner: Cells, outer: Cells = None) -> tuple:
+    """The frames of inner, first cell first, then those of outer, last first."""
+    frames, rest = [], []
+    while inner is not None:
+        f, inner = inner
+        frames.append(f)
+    while outer is not None:
+        f, outer = outer
+        rest.append(f)
+    rest.reverse()
+    return tuple(frames + rest)
 
 
 class Captured:
-    """The frames a raise has walked past; frames() lists them innermost first.
+    """The frames a raise has walked past; _frames(inner, outer) lists them
+    innermost first.
 
     Frames walked past join the outer chain; the response casts that
     effect casts add, where the two typings differ, join the inner one.
@@ -163,9 +174,6 @@ class Captured:
     def __init__(self, inner: Cells = None, outer: Cells = None):
         self.inner = inner  # innermost first
         self.outer = outer  # outermost first
-
-    def frames(self) -> tuple:
-        return tuple(_cells(self.inner)) + tuple(_cells(self.outer))[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +195,13 @@ class FixClosure:
     fix: core.Fix
     env: Env
     body_env: Env = field(init=False)
+    closure: Optional[Closure] = field(init=False, repr=False)  # the unrolled body, a lambda
     term: Optional[core.Term] = None
 
     def __post_init__(self):
         self.body_env = {**self.env, self.fix.var: self}
+        body = self.fix.body
+        self.closure = Closure(body, self.body_env) if type(body) is core.Lam else None
 
 
 @_record
@@ -503,22 +514,6 @@ def reify(state: MachineState) -> core.Term:
 
 
 # ---------------------------------------------------------------------------
-# Helpers
-
-
-def _mentions(eff: EffectType, op: str, sig: Signature) -> bool:
-    # the dynamic row mentions every operation the signature declares
-    return op in sig if isinstance(eff, Dyn) else op in eff
-
-
-def _typing(eff: EffectType, op: str, sig: Signature) -> OpSig:
-    got = (sig if isinstance(eff, Dyn) else eff).get(op)
-    if got is None:
-        raise StuckState(f"no typing for {op} in {eff}")
-    return got
-
-
-# ---------------------------------------------------------------------------
 # The step function
 
 
@@ -527,10 +522,6 @@ class Machine:
         self.sig = sig
         self.trace = trace
         self._fresh = 0
-
-    def fresh_resume(self) -> str:
-        self._fresh += 1
-        return f"%r{self._fresh}"
 
     def _step_eval(self, frames: Cells, t, env: Env) -> tuple:
         tt = type(t)
@@ -543,10 +534,11 @@ class Machine:
         elif tt in _ATOMS:
             v = _value(t, env)
         elif tt in _HOLE:
-            # the hole operand, consumed at once when it is a value
+            # the hole operand, consumed at once when it is a value; a
+            # variable's is read in place
             operand = getattr(t, _HOLE[tt])
-            v = _value(operand, env)
-            if v is None:
+            v = env.get(operand.name) if type(operand) is core.Var else _value(operand, env)
+            if v is None or type(v) is FixClosure:
                 return (Ctx(t, env), frames), operand, env
             return self._fill(frames, t, env, v)
         elif tt is core.Fix:
@@ -577,10 +569,9 @@ class Machine:
         name; a lambda body, the usual one, is returned in the same step."""
         if self.trace is not None:
             self.trace("fix", fc.fix.var)
-        body = fc.fix.body
-        if type(body) is core.Lam:
-            return frames, RETURN, Closure(body, fc.body_env)
-        return frames, body, fc.body_env
+        if fc.closure is not None:
+            return frames, RETURN, fc.closure
+        return frames, fc.fix.body, fc.body_env
 
     def _fill(self, frames: Cells, t, env: Env, v: object) -> tuple:
         """Plug v into the hole of t, its first operand, with env closing
@@ -589,8 +580,8 @@ class Machine:
         next operand that is a value is consumed in the same step."""
         tt = type(t)
         if tt is core.App:
-            w = _value(t.arg, env)
-            if w is None:
+            w = env.get(t.arg.name) if type(t.arg) is core.Var else _value(t.arg, env)
+            if w is None or type(w) is FixClosure:
                 return (AppArg(v), frames), t.arg, env
             return self._apply(frames, v, w)
         if tt is core.Let:
@@ -706,36 +697,43 @@ class Machine:
             if clause is not None:
                 return self._handler_beta(frames, f, clause, r)
         elif tf is EffCastFrame:
-            up = f.up
+            up, op, sig = f.up, r.op, self.sig
+            # each row's typing of op, the signature's for the dynamic row
+            lo = (sig if type(f.lo) is Dyn else f.lo).get(op)
+            hi = (sig if type(f.hi) is Dyn else f.hi).get(op)
             # the raise crosses when the row it goes out to mentions op
-            if _mentions(f.hi if up else f.lo, r.op, self.sig):
+            if (hi if up else lo) is not None:
                 if self.trace is not None:
-                    self.trace("eff-upcast-raise" if up else "eff-downcast-raise", r.op)
-                lo = _typing(f.lo, r.op, self.sig)
-                hi = _typing(f.hi, r.op, self.sig)
-                payload = cast_value(r.payload, up, lo.req, hi.req)
-                inner = r.captured.inner
-                if lo.resp != hi.resp:
-                    inner = (ValCastFrame(not up, lo.resp, hi.resp), inner)
-                captured = Captured(inner, (f, r.captured.outer))
+                    self.trace("eff-upcast-raise" if up else "eff-downcast-raise", op)
+                if lo is None or hi is None:
+                    raise StuckState(f"no typing for {op} in {f.lo if lo is None else f.hi}")
+                c = r.captured
+                if lo.req is not hi.req and lo.req != hi.req:
+                    r.payload = cast_value(r.payload, up, lo.req, hi.req)
+                if lo.resp is not hi.resp and lo.resp != hi.resp:
+                    c.inner = (ValCastFrame(not up, lo.resp, hi.resp), c.inner)
                 out = hi if up else lo
-                return frames, RAISE, Raising(r.op, out.req, out.resp, payload, captured)
-            if not up and isinstance(f.hi, Dyn):
+                r.req, r.resp = out.req, out.resp
+                c.outer = (f, c.outer)
+                return frames, RAISE, r
+            if not up and type(f.hi) is Dyn:
                 # the dynamic row let the operation out; the target traps it
                 if self.trace is not None:
                     self.trace("bad-downcast", r.op)
                 return frames, core.Err(), NO_ENV
         if self.trace is not None:
             self.trace("capture", r.op)
-        captured = Captured(r.captured.inner, (f, r.captured.outer))
-        return frames, RAISE, Raising(r.op, r.req, r.resp, r.payload, captured)
+        r.captured.outer = (f, r.captured.outer)
+        return frames, RAISE, r
 
     def _handler_beta(self, frames, f: Ctx, clause, r: Raising) -> tuple:
         h = f.term
         if self.trace is not None:
             self.trace("handler-beta", f"{r.op} deep" if h.deep else r.op)
-        captured = r.captured.frames() + ((f,) if h.deep else ())
-        k = Resumption(self.fresh_resume(), clause.resp, captured)
+        c = r.captured
+        captured = _frames(c.inner, c.outer) + ((f,) if h.deep else ())
+        self._fresh += 1
+        k = Resumption(f"%r{self._fresh}", clause.resp, captured)
         # the resumption wins when both binders share a name
         env = {**f.env, clause.payload_var: r.payload, clause.resume_var: k}
         return frames, clause.body, env
@@ -744,10 +742,11 @@ class Machine:
 def _state(frames: Cells, a, b) -> MachineState:
     """The MachineState that the registers frames, a, b stand for."""
     if a is RAISE:
-        control = Raising(b.op, b.req, b.resp, b.payload, b.captured.frames())
+        c = b.captured
+        control = Raising(b.op, b.req, b.resp, b.payload, _frames(c.inner, c.outer))
     else:
         control = b if a is RETURN else Ctx(a, b)
-    return MachineState(tuple(_cells(frames)), control)
+    return MachineState(_frames(frames), control)
 
 
 # ---------------------------------------------------------------------------

@@ -204,15 +204,11 @@ _GET = Signature({
 })
 
 
-@pytest.mark.parametrize("op, outcome, steps", [
-    ("tick", Value(StrLit("tick")), 28),
-    ("other", Error(), 18),
-], ids=["tick", "other"])
-def test_a_raise_across_two_typings_casts_its_response(op, outcome, steps):
-    # get is raised at 1 ~> (1 -[tick]> str) and crosses an effect upcast
-    # to ?, where it is typed 1 ~> (1 -[?]> str); the handler's answer
-    # comes back through a downcast to 1 -[tick]> str, which traps a
-    # function that raises anything but tick
+def _two_typings(op):
+    """get is raised at 1 ~> (1 -[tick]> str) and crosses an effect upcast
+    to ?, where it is typed 1 ~> (1 -[?]> str); the handler's answer
+    comes back through a downcast to 1 -[tick]> str, which traps a
+    function that raises anything but tick.  The answer raises op."""
     precise = Arrow(UNIT_T, _TICK, STR)
     row = Concrete({"get": OpSig(UNIT_T, precise), "tick": OpSig(UNIT_T, UNIT_T)})
     body = EffUpcast(row, DYN, App(Raise("get", UNIT_T, precise, UnitLit()), UnitLit()))
@@ -227,6 +223,15 @@ def test_a_raise_across_two_typings_casts_its_response(op, outcome, steps):
         Clause("other", "p", "k", resume, UNIT_T, UNIT_T),
     ), EMPTY, STR)
     core.typecheck(_GET, {}, h)
+    return h
+
+
+@pytest.mark.parametrize("op, outcome, steps", [
+    ("tick", Value(StrLit("tick")), 28),
+    ("other", Error(), 18),
+], ids=["tick", "other"])
+def test_a_raise_across_two_typings_casts_its_response(op, outcome, steps):
+    h = _two_typings(op)
     rules, failures, sampled = [], {}, [0]
 
     def sample(state):  # reads back the state after each step
@@ -250,6 +255,25 @@ def test_a_raise_across_two_typings_casts_its_response(op, outcome, steps):
     # err, once the downcast traps, is a handler's scrutinee
     pinned = {6: FORK_UNDER_NARROWER_ROW}
     assert failures == (pinned if op == "tick" else {**pinned, 17: ERR_SCRUTINEE})
+
+
+@pytest.mark.parametrize("op", ["tick", "other"])
+def test_a_sampled_raise_reads_back_later_as_it_did_when_sampled(op):
+    # the machine updates its Raising and the captured chains in place as
+    # the raise walks on, so the sample hook must get a copy: every kept
+    # state reads back after the run as it did when it was sampled
+    rules, kept = [], []
+
+    def sample(state):
+        kept.append((state, core.pretty(reify(state))))
+
+    run(_GET, _two_typings(op), trace=lambda rule, detail: rules.append(rule),
+        sample=sample, sample_every=1)
+    assert [core.pretty(reify(state)) for state, _ in kept] == [text for _, text in kept]
+    captured = [len(s.control.captured) for s, _ in kept if isinstance(s.control, ev.Raising)]
+    # op's raise captures a let and the answer's casts; tick's crosses three casts
+    assert max(captured) >= 2
+    assert sum(r.endswith("cast-raise") for r in rules) >= (4 if op == "tick" else 2)
 
 
 def test_fun_proxies_fire_at_application():
@@ -278,6 +302,11 @@ def test_queue_casts_distribute():
 # apart
 
 
+def _mentions(eff, op, sig):
+    # the dynamic row mentions every operation the signature declares
+    return op in sig if eff == DYN else op in eff
+
+
 def apart(sig, frames, op):
     """True when no frame handles or cast-intercepts op.
 
@@ -287,7 +316,7 @@ def apart(sig, frames, op):
     for f in frames:
         if type(f) is Ctx and type(f.term) is Handle and f.term.clause(op) is not None:
             return False
-        if isinstance(f, EffCastFrame) and ev._mentions(f.hi, op, sig):
+        if isinstance(f, EffCastFrame) and _mentions(f.hi, op, sig):
             return False
     return True
 
@@ -547,26 +576,57 @@ def test_untraced_run_never_reads_back(monkeypatch):
     assert calls == {"pretty": 0, "subst": 0, "_brief": 0, "_spelled": 0}
 
 
+def _count_builds(monkeypatch, built):
+    """Make each class of eval named in built count its constructions there."""
+    for name in built:
+        cls = getattr(ev, name)
+
+        class Counted(cls):
+            __slots__ = ()
+
+            def __init__(self, *args, _name=name):
+                built[_name] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(ev, name, Counted)
+
+
 def test_untraced_run_builds_no_state_object(monkeypatch):
     # the machine runs on its registers: a state object is built only
     # for the sample hook
     built = {"MachineState": 0}
-
-    def counting(cls):
-        class Counted(cls):
-            __slots__ = ()
-
-            def __init__(self, *args):
-                built[cls.__name__] += 1
-                super().__init__(*args)
-
-        return Counted
-
     res = elab_source((CORPUS / "threads_precise.greff").read_text())
-    for name in built:
-        monkeypatch.setattr(ev, name, counting(getattr(ev, name)))
+    _count_builds(monkeypatch, built)
     assert run(res.sig, res.term, trace=None).outcome == Value(StrLit("1a2b"))
     assert built == {"MachineState": 0}
+
+
+@pytest.mark.parametrize("source", [
+    (CORPUS / "threads_precise.greff").read_text(), queue_walk_source(16, "?"),
+], ids=["threads_precise", "queue-walk-16-?"])
+def test_a_step_builds_only_what_it_keeps(source, monkeypatch):
+    # a raise builds its Raising and Captured once and updates them in
+    # place however many frames and casts it walks past; a fix step
+    # returns the closure its fix-closure built, so closures come only
+    # from fix-closures and from lambdas evaluated
+    res = elab_source(source)
+    rules = collections.Counter()
+    want = run(res.sig, res.term, trace=lambda rule, detail: rules.update([rule]))
+    built = dict.fromkeys(["Raising", "Captured", "Closure", "FixClosure"], 0)
+    lambdas, value = [0], ev._value
+
+    def counting_value(t, env):
+        lambdas[0] += type(t) is Lam
+        return value(t, env)
+
+    _count_builds(monkeypatch, built)
+    monkeypatch.setattr(ev, "_value", counting_value)
+    assert run(res.sig, res.term) == want
+    walked = rules["capture"] + rules["eff-upcast-raise"] + rules["eff-downcast-raise"]
+    assert walked >= rules["raise"] > 0
+    assert built["Raising"] == built["Captured"] == rules["raise"]
+    assert rules["fix"] > built["FixClosure"]
+    assert built["Closure"] <= built["FixClosure"] + lambdas[0]
 
 
 ONE_MACHINE = APPLYING + [

@@ -92,6 +92,7 @@ def test_traced_runs_alternate_and_report_medians_and_wins(tmp_path, monkeypatch
                 "failed": 0, "attempted": 1}
 
     per_layer = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    monkeypatch.setattr(bench_pairs, "toplevel", lambda: ROOT)
     monkeypatch.setattr(bench_pairs, "export", export)
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     monkeypatch.chdir(ROOT)
