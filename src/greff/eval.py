@@ -148,7 +148,7 @@ Cells = Optional[tuple]
 
 
 def _frames(inner: Cells, outer: Cells = None) -> tuple:
-    """The frames of inner, first cell first, then those of outer, last first."""
+    """The frames of inner, first cell first, then those of outer, last cell first."""
     frames, rest = [], []
     while inner is not None:
         f, inner = inner

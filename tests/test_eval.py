@@ -271,7 +271,8 @@ def test_a_sampled_raise_reads_back_later_as_it_did_when_sampled(op):
         sample=sample, sample_every=1)
     assert [core.pretty(reify(state)) for state, _ in kept] == [text for _, text in kept]
     captured = [len(s.control.captured) for s, _ in kept if isinstance(s.control, ev.Raising)]
-    # op's raise captures a let and the answer's casts; tick's crosses three casts
+    # get's raise captures an application and a response cast and crosses
+    # one cast; tick's captures four frames and crosses three casts
     assert max(captured) >= 2
     assert sum(r.endswith("cast-raise") for r in rules) >= (4 if op == "tick" else 2)
 
