@@ -668,18 +668,26 @@ def _record(
     fuel: int,
     ordered: bool = False,
 ) -> CaseRecord:
-    """Run every term and judge the outcomes against the first one's."""
-    runs = [ev.run(sig, t, fuel=fuel) for t in terms]
-    outs = [r.outcome for r in runs]
-    return CaseRecord(
-        check,
-        seed,
-        verdict(outs, ordered),
-        describe_outcome(outs[0]),
-        "; ".join(describe_outcome(o) for o in outs[1:]),
-        runs[0].steps,
-        max(r.steps for r in runs[1:]),
-    )
+    """Run every term and judge the outcomes against the first one's.
+
+    A side whose run raises, which typechecked input never makes the
+    machine do, violates the case: its description names the exception
+    and its text, with no steps counted, and the batch goes on.
+    """
+    outs, said, steps = [], [], []
+    for t in terms:
+        try:
+            r = ev.run(sig, t, fuel=fuel)
+        except Exception as e:
+            outs.append(None)
+            said.append(f"crash {type(e).__name__}: {e}")
+            steps.append(0)
+        else:
+            outs.append(r.outcome)
+            said.append(describe_outcome(r.outcome))
+            steps.append(r.steps)
+    judged = "violated" if None in outs else verdict(outs, ordered)
+    return CaseRecord(check, seed, judged, said[0], "; ".join(said[1:]), steps[0], max(steps[1:]))
 
 
 def run_law_case(law: str, seed: int, fuel: int = 200_000) -> CaseRecord:

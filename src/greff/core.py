@@ -411,6 +411,8 @@ def _synth(
         _wf(sig, term.ann, "fixpoint annotation")
         if not isinstance(term.ann, Arrow):
             raise TypeCheckError("fixpoint annotation must be an arrow type")
+        if not isinstance(term.body, Lam):
+            raise TypeCheckError("fixpoint body must be a lambda")
         _, val = _synth(
             sig, gamma | {term.var: term.ann}, term.body, (None, term.ann), casts
         )

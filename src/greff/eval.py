@@ -17,15 +17,18 @@ beta (or one proxy or resumption application), `let x = v in N` one
 let, `v ++ w` one concat, `raise op v` one raise, `handle v ...` one
 handle-value, and `if v ...` and `match v ...` one branch step, both
 when the term is first met and when a value returned to a frame leaves
-a value as the next operand.  Unrolling a fixpoint whose body is a
-lambda returns, in the fix step, the one closure its fix-closure built.
-After Danvy & Nielsen's refocusing, which compresses such corridor
-transitions of a machine.
+a value as the next operand.  A variable naming a recursive function is
+such a value, so a call `f v` through the name is one beta that also
+unfolds the fixpoint.  After Danvy & Nielsen's refocusing, which
+compresses such corridor transitions of a machine.
 
 Runtime values are the literals themselves, closures, queues backed by
-shared lists, arrow-cast proxies and resumptions.  A recursive function
-binds its own name to a fix-closure, which is not a value: looking it
-up unrolls the fixpoint again.
+shared lists, arrow-cast proxies and resumptions.  Evaluating a fix
+node is one fix step: it builds a fix-closure, which builds the
+function's one closure, and returns that closure.  The fix-closure is
+only ever the binding of the function's own name in the closure's
+environment.  Reading the name reads the closure, and read back, the
+name stands for the fix term, so the closure reads back unrolled.
 
 A raised operation walks the stack one frame per step; frames that
 neither handle nor intercept the operation are captured, and when a
@@ -189,19 +192,16 @@ class Closure:
 
 @_record
 class FixClosure:
-    """fix f. lam in its environment.  Bound to f in the body's
-    environment but never a value: evaluating f unrolls it again."""
+    """fix f. lam in its environment: only ever the binding of f in the
+    body's environment, where reading f reads the closure it built."""
 
     fix: core.Fix
     env: Env
-    body_env: Env = field(init=False)
-    closure: Optional[Closure] = field(init=False, repr=False)  # the unrolled body, a lambda
+    closure: Closure = field(init=False)  # the unrolled lambda
     term: Optional[core.Term] = None
 
     def __post_init__(self):
-        self.body_env = {**self.env, self.fix.var: self}
-        body = self.fix.body
-        self.closure = Closure(body, self.body_env) if type(body) is core.Lam else None
+        self.closure = Closure(self.fix.body, {**self.env, self.fix.var: self})
 
 
 @_record
@@ -351,7 +351,7 @@ def _value(t: core.Term, env: Env) -> object:
     tt = type(t)
     if tt is core.Var:
         v = env.get(t.name)
-        return None if type(v) is FixClosure else v
+        return v.closure if type(v) is FixClosure else v
     if tt is core.Lam:
         return Closure(t, env)
     if tt is core.EmptyQueue:
@@ -525,24 +525,25 @@ class Machine:
 
     def _step_eval(self, frames: Cells, t, env: Env) -> tuple:
         tt = type(t)
-        if tt is core.Var:
-            v = env.get(t.name)
-            if type(v) is FixClosure:
-                return self._unroll(frames, v)
+        if tt is core.Var or tt in _ATOMS:
+            v = _value(t, env)
             if v is None:
                 raise StuckState(f"cannot evaluate {core._brief(t)}")
-        elif tt in _ATOMS:
-            v = _value(t, env)
         elif tt in _HOLE:
             # the hole operand, consumed at once when it is a value; a
             # variable's is read in place
             operand = getattr(t, _HOLE[tt])
             v = env.get(operand.name) if type(operand) is core.Var else _value(operand, env)
-            if v is None or type(v) is FixClosure:
+            if v is None:
                 return (Ctx(t, env), frames), operand, env
+            if type(v) is FixClosure:
+                v = v.closure
             return self._fill(frames, t, env, v)
-        elif tt is core.Fix:
-            return self._unroll(frames, FixClosure(t, env))
+        elif tt is core.Fix and type(t.body) is core.Lam:
+            # fix: the one closure its fix-closure built
+            if self.trace is not None:
+                self.trace("fix", t.var)
+            return frames, RETURN, FixClosure(t, env).closure
         elif tt is core.Enqueue or tt is core.ValUpcast or tt is core.ValDowncast:
             v = _value(t, env)
             if v is None:
@@ -564,15 +565,6 @@ class Machine:
             self.trace("value", core._brief(v, _spelled))
         return frames, RETURN, v
 
-    def _unroll(self, frames: Cells, fc: FixClosure) -> tuple:
-        """fix: the body in the environment binding the function's own
-        name; a lambda body, the usual one, is returned in the same step."""
-        if self.trace is not None:
-            self.trace("fix", fc.fix.var)
-        if fc.closure is not None:
-            return frames, RETURN, fc.closure
-        return frames, fc.fix.body, fc.body_env
-
     def _fill(self, frames: Cells, t, env: Env, v: object) -> tuple:
         """Plug v into the hole of t, its first operand, with env closing
         the rest: the step a Ctx takes when v returns to it, and the one
@@ -581,8 +573,10 @@ class Machine:
         tt = type(t)
         if tt is core.App:
             w = env.get(t.arg.name) if type(t.arg) is core.Var else _value(t.arg, env)
-            if w is None or type(w) is FixClosure:
+            if w is None:
                 return (AppArg(v), frames), t.arg, env
+            if type(w) is FixClosure:
+                w = w.closure
             return self._apply(frames, v, w)
         if tt is core.Let:
             if self.trace is not None:

@@ -95,6 +95,44 @@ def test_run_prints_a_queue_of_2048(tmp_path):
     assert out == "(enq " * 2048 + "(emptyq str)" + ' (str "a"))' * 2048 + "\n"
 
 
+# main's value is a closure whose environment binds a recursive
+# function's name: it prints as the lambda with that name read back as the
+# function's fix term
+RECURSIVE_MAIN = {
+    "count": (
+        "module Main where\n\n"
+        "define count : Queue str -[]> str =\n"
+        "  lambda q. match q with\n"
+        '    empty -> ""\n'
+        "    dequeue(x, q') -> x ++ count q'\n\n"
+        "define main : Queue str -[]> str = count\n",
+        '(lam (q (queue str)) (caseq (var q) (str "") (x q\' (concat (var x) (app (fix count#0'
+        ' (arrow (queue str) (eff) str) (lam (q (queue str)) (caseq (var q) (str "")'
+        " (x q' (concat (var x) (app (var count#0) (var q'))))))) (var q'))))))\n",
+    ),
+    "mk": (
+        "module Main where\n\n"
+        "define mk : str -[]> Queue str -[]> str =\n"
+        "  lambda s. lambda q. match q with\n"
+        "    empty -> s\n"
+        "    dequeue(x, q') -> x ++ mk s q'\n\n"
+        'define main : Queue str -[]> str = mk "z"\n',
+        '(lam (q (queue str)) (caseq (var q) (str "z") (x q\' (concat (var x) (app (app'
+        " (fix mk#0 (arrow str (eff) (arrow (queue str) (eff) str)) (lam (s str) (lam"
+        " (q (queue str)) (caseq (var q) (var s) (x q' (concat (var x) (app (app (var mk#0)"
+        ' (var s)) (var q\')))))))) (str "z")) (var q\'))))))\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECURSIVE_MAIN))
+def test_run_prints_a_recursive_function_unrolled(tmp_path, name):
+    source, printed = RECURSIVE_MAIN[name]
+    src = tmp_path / f"{name}.greff"
+    src.write_text(source)
+    assert invoke("run", str(src)) == (cli.EXIT_OK, printed, "")
+
+
 SHARED_BINDERS = {
     "dequeue": (
         "module Main where\n\n"
@@ -450,6 +488,33 @@ def test_conformance_batch():
     checks = {json.loads(line)["check"] for line in lines}
     assert "factorization" in checks and "graduality" in checks
     assert "0 violations" in err
+
+
+def test_a_side_that_crashes_is_recorded_and_the_batch_goes_on(monkeypatch):
+    from greff import conformance as conf
+
+    args = ("conformance", "--cases", "2", "--seed", "0")
+    code, plain, _ = invoke(*args)
+    assert code == cli.EXIT_OK
+    seed = conf.case_seed(0, 1)
+    crashing, run = conf.LAWS["retraction"](seed).right, ev.run
+
+    def run_or_crash(sig, term, **kw):
+        if term == crashing:
+            raise ev.StuckState("planted")
+        return run(sig, term, **kw)
+
+    monkeypatch.setattr(ev, "run", run_or_crash)
+    code, out, err = invoke(*args)
+    assert code == cli.EXIT_VIOLATION
+    assert "16 cases, 1 violations" in err
+    changed = [(a, b) for a, b in zip(plain.splitlines(), out.splitlines()) if a != b]
+    assert len(out.splitlines()) == 16 and len(changed) == 1
+    before, after = map(json.loads, changed[0])
+    assert after == {
+        **before, "verdict": "violated", "right": "crash StuckState: planted", "steps_right": 0,
+    }
+    assert (after["check"], after["seed"]) == ("retraction", seed)
 
 
 def test_conformance_out_of_fuel_is_inconclusive():

@@ -252,6 +252,7 @@ ILL_TYPED = {
         ),
         TypeCheckError,
     ),
+    "fix-of-non-lambda": (lambda: Fix("f", Arrow(U1, EMPTY, U1), Var("f")), TypeCheckError),
     "value-cast-of-rows": (lambda: ValUpcast(PRINT, DYN, UNIT), TypeCheckError),
     "effect-cast-of-types": (lambda: EffUpcast(BOOL, BOOL, TRUE), TypeCheckError),
     **{

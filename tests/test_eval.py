@@ -124,6 +124,12 @@ def test_open_term_is_stuck():
         run(SIG0, Var("ghost"))
 
 
+def test_a_fixpoint_of_a_non_lambda_is_stuck():
+    # core.typecheck refuses it, so only unchecked input gets here
+    with pytest.raises(StuckState):
+        run(SIG0, Fix("f", Arrow(UNIT_T, EMPTY, UNIT_T), Var("f")))
+
+
 # ---------------------------------------------------------------------------
 # Handler dispatch through the stack
 
@@ -607,9 +613,10 @@ def test_untraced_run_builds_no_state_object(monkeypatch):
 ], ids=["threads_precise", "queue-walk-16-?"])
 def test_a_step_builds_only_what_it_keeps(source, monkeypatch):
     # a raise builds its Raising and Captured once and updates them in
-    # place however many frames and casts it walks past; a fix step
-    # returns the closure its fix-closure built, so closures come only
-    # from fix-closures and from lambdas evaluated
+    # place however many frames and casts it walks past; only a fix step
+    # builds a fix-closure, and reading the function's name reads the
+    # closure that fix-closure built, so closures come only from
+    # fix-closures and from lambdas evaluated
     res = elab_source(source)
     rules = collections.Counter()
     want = run(res.sig, res.term, trace=lambda rule, detail: rules.update([rule]))
@@ -626,8 +633,8 @@ def test_a_step_builds_only_what_it_keeps(source, monkeypatch):
     walked = rules["capture"] + rules["eff-upcast-raise"] + rules["eff-downcast-raise"]
     assert walked >= rules["raise"] > 0
     assert built["Raising"] == built["Captured"] == rules["raise"]
-    assert rules["fix"] > built["FixClosure"]
-    assert built["Closure"] <= built["FixClosure"] + lambdas[0]
+    assert rules["fix"] == built["FixClosure"]
+    assert built["Closure"] == built["FixClosure"] + lambdas[0]
 
 
 ONE_MACHINE = APPLYING + [
@@ -780,9 +787,9 @@ def test_determinism_same_trace(name):
 # and the cast loop at ROADMAP's Baseline sizes; the reference takes
 # over a second on the cast loop at 256, so it checks only the 64
 PROBES = [
-    ("capture-walk", capture_walk_source, 256, 37_822, True),
-    ("cast-loop", cast_loop_source, 64, 5_814, True),
-    ("cast-loop", cast_loop_source, 256, 72_260, False),
+    ("capture-walk", capture_walk_source, 256, 36_800, True),
+    ("cast-loop", cast_loop_source, 64, 5_432, True),
+    ("cast-loop", cast_loop_source, 256, 70_726, False),
 ]
 
 
@@ -795,6 +802,75 @@ def test_probe_programs_run_to_their_pinned_steps(source, n, steps, differential
     assert got == ev.RunResult(Value(StrLit("a" * n)), steps)
     if differential:
         assert reference.evaluate(res.sig, res.term) == got.outcome
+
+
+@pytest.mark.parametrize("n", [64, 1024, 4096])
+def test_the_queue_walk_takes_15_steps_per_element(n):
+    # a call through a recursive name is one beta, so an element takes 15
+    # steps, walked once and doubled once; each of the k doublings that
+    # build the queue takes 7 more and the set-up 8, and each define's fix
+    # fires once, whatever n is
+    res = elab_source(queue_walk_source(n))
+    rules = collections.Counter()
+    got = run(res.sig, res.term, trace=lambda rule, detail: rules.update([rule]))
+    k = n.bit_length() - 1
+    assert got == ev.RunResult(Value(StrLit("a" * n)), 15 * n + 7 * k + 8)
+    assert rules["fix"] == 2
+
+
+_ABC = """
+define main : str =
+  count (enqueue (enqueue (enqueue (empty :: Queue str) "a") "b") "c")
+"""
+# a recursive function read as a value through its own name in its body,
+# where the name is bound to the function's fix-closure
+RECURSIVE = {
+    "stored-in-a-queue": ("abc", """module Main where
+
+define count : Queue str -[]> str =
+  lambda q. match q with
+    empty -> ""
+    dequeue(x, q') -> match enqueue (empty :: Queue (Queue str -[]> str)) count with
+      empty -> "none"
+      dequeue(f, _) -> x ++ f q'
+""" + _ABC),
+    "passed-as-an-argument": ("abc", """module Main where
+
+define apply : (Queue str -[]> str) -[]> Queue str -[]> str =
+  lambda f. lambda q. f q
+
+define count : Queue str -[]> str =
+  lambda q. match q with
+    empty -> ""
+    dequeue(x, q') -> x ++ apply count q'
+""" + _ABC),
+    "chosen-by-a-branch": ("abc", """module Main where
+
+define count : Queue str -[]> str =
+  lambda q. match q with
+    empty -> ""
+    dequeue(x, q') -> x ++ (if true then count else count) q'
+""" + _ABC),
+    "shadowing-an-earlier-define": ("secondcba", """module Main where
+
+define count : Queue str -[]> str =
+  lambda q. match q with
+    empty -> "first"
+    dequeue(x, q') -> x ++ count q'
+
+define count : Queue str -[]> str =
+  lambda q. match q with
+    empty -> "second"
+    dequeue(x, q') -> count q' ++ x
+""" + _ABC),
+}
+
+
+@pytest.mark.parametrize("want, source", RECURSIVE.values(), ids=list(RECURSIVE))
+def test_a_recursive_name_read_as_a_value_agrees_with_the_reference(want, source):
+    res = elab_source(source)
+    got = run(res.sig, res.term).outcome
+    assert got == reference.evaluate(res.sig, res.term) == Value(StrLit(want))
 
 
 def test_bad_downcast_corpus_errors():

@@ -142,9 +142,9 @@ def test_a_handle_sorts_its_clauses_also_on_replace():
 def test_a_fix_closure_prints_itself_as_dots():
     fix = core.Fix("f", UNIT, LAM)
     closure = ev.FixClosure(fix, {})
-    assert closure.body_env["f"] is closure
+    assert closure.closure.env["f"] is closure
     text = repr(closure)
-    assert text.endswith("env={}, body_env={'f': ...}, term=None)")
+    assert text.endswith("env={'f': ...}, term=None), term=None)")
     (twin,) = [t for c, t in CLASSES if c is ev.FixClosure]
     assert text == repr(twin(fix, {}))
 

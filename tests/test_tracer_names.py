@@ -101,10 +101,10 @@ def test_the_state_hook_counts_depths_of_sampled_states():
     ev = _greff("eval")
     elaborate = _greff("elaborate")
     cases = [
-        (queue_walk_source(64), (1264, 66, 1)),
-        (queue_walk_source(64, "?"), (1524, 68, 3)),
-        (capture_walk_source(64), (3344, 66, 65)),
-        (cast_loop_source(64), (5814, 195, 129)),
+        (queue_walk_source(64), (1010, 66, 1)),
+        (queue_walk_source(64, "?"), (1270, 68, 3)),
+        (capture_walk_source(64), (3090, 66, 65)),
+        (cast_loop_source(64), (5432, 195, 129)),
     ]
     for source, expected in cases:
         res = elaborate.elab_source(source)
