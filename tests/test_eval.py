@@ -806,10 +806,10 @@ def test_probe_programs_run_to_their_pinned_steps(source, n, steps, differential
 
 @pytest.mark.parametrize("n", [64, 1024, 4096])
 def test_the_queue_walk_takes_15_steps_per_element(n):
-    # a call through a recursive name is one beta, so an element takes 15
-    # steps, walked once and doubled once; each of the k doublings that
-    # build the queue takes 7 more and the set-up 8, and each define's fix
-    # fires once, whatever n is
+    # a call through a recursive name is one beta, so the walk and the
+    # doublings that build the queue take 15 steps per element between
+    # them, each of the k doublings 7 more and the set-up 8; each define's
+    # fix fires once, whatever n is
     res = elab_source(queue_walk_source(n))
     rules = collections.Counter()
     got = run(res.sig, res.term, trace=lambda rule, detail: rules.update([rule]))
