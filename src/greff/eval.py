@@ -14,13 +14,13 @@ or its data.  After Felleisen & Friedman's CEK machine.
 An operand that is a syntactic value is consumed in the step that needs
 it, so no frame is pushed for it only to be popped again: `v w` is one
 beta (or one proxy or resumption application), `let x = v in N` one
-let, `v ++ w` one concat, `raise op v` one raise, `handle v ...` one
-handle-value, and `if v ...` and `match v ...` one branch step, both
-when the term is first met and when a value returned to a frame leaves
-a value as the next operand.  A variable naming a recursive function is
-such a value, so a call `f v` through the name is one beta that also
-unfolds the fixpoint.  After Danvy & Nielsen's refocusing, which
-compresses such corridor transitions of a machine.
+let, `v ++ w` one concat, `handle v ...` one handle-value, and `if v`
+and `match v` one branch step, both when the term is first met and when
+a value returned to a frame leaves a value as the next operand.  A
+variable naming a recursive function is such a value, so a call `f v`
+through the name is one beta that also unfolds the fixpoint.  After
+Danvy & Nielsen's refocusing, which compresses such corridor
+transitions of a machine.
 
 Runtime values are the literals themselves, closures, queues backed by
 shared lists, arrow-cast proxies and resumptions.  Evaluating a fix
@@ -30,15 +30,15 @@ only ever the binding of the function's own name in the closure's
 environment.  Reading the name reads the closure, and read back, the
 name stands for the fix term, so the closure reads back unrolled.
 
-A raised operation walks the stack one frame per step; frames that
-neither handle nor intercept the operation are captured, and when a
-handler with a matching clause is found the captured frames become a
-resumption bound to the clause's resumption variable.  The raise step
-builds one Raising for the whole walk, and each later step of the walk
-updates it and its captured chains in place.  Deep handlers add
-themselves as the outermost captured frame, shallow ones do not.
-Applying a resumption pushes its frames back onto the stack and returns
-the argument to them, all in one step.
+`raise op v` walks the stack in the step that raises it, as the paper
+contracts `handle E[raise op v]` in one step: frames that neither handle
+nor intercept op are captured, and at a handler with a clause for op
+they become a resumption bound to the clause's resumption variable, in
+one handler-beta step.  The walk pauses only just past an effect cast
+it crosses, and the next step walks on.  Deep handlers add themselves
+as the outermost captured frame, shallow ones do not.  Applying a
+resumption pushes its frames back onto the stack and returns the
+argument to them, all in one step.
 
 Effect casts are transparent to returning values.  A raise crossing an
 upcast is re-raised with its payload cast between the two rows'
@@ -46,44 +46,31 @@ typings; crossing a downcast does the same when the target row
 mentions the operation and stops the program with a cast error when
 the source row is dynamic and the target omits it.  Casts between
 arrow types are inert proxy values that fire at application, casting
-the argument one way and the effects and result the other.  A cast
-frame whose ends are equal does nothing, so none is ever pushed: not
-for a proxy's effects or result, nor for the response of a raise that
-crossed an effect cast.
+the argument one way and the effects and result the other.  No cast
+frame whose ends are equal is ever pushed: not for a proxy's effects or
+result, nor for the response of a raise that crossed an effect cast.
 
 The machine runs on three registers, frames, a and b, and builds no
-state object per step; a step allocates only what it keeps.  Each rule
-returns the next three registers as a tuple, (frames, term, env) to
-evaluate, (frames, RETURN, value) to return, (frames, RAISE, raising)
-to raise, or (frames, HALT, outcome) at the end.  Registers hold
-chains: the frames register is None when empty or a pair (innermost
-frame, rest), so a push allocates one tuple and a pop unpacks one, and
-a raise's captured frames are two such chains.  The Raising in the
-third register belongs to the machine alone.  Only run's sample hook
-sees a MachineState, built from the registers by _state with a copy of
-any Raising, and reify reads it back.  A sampled state shows every
-chain as a tuple, innermost first, and its control is a Ctx while a
-term is evaluated, a Raising while an operation is raised, or the
-value itself (never a Ctx or a Raising) while it is returned.  A trace
-line is built only when tracing is on: each rule tests for a trace
-before it spells its detail, and an eval step that returns the value of
-a value term prints the value line.  No step prints more than one line.
+state object per step.  Each rule returns the next three: (frames, term,
+env) to evaluate, (frames, RETURN, value) to return, (frames, RAISE,
+paused) to walk on a paused raise, or (frames, HALT, outcome) at the
+end.  The frames register is None or a pair (innermost frame, rest), so
+a push allocates one tuple and a pop unpacks one; a paused raise is a
+tuple whose captured frames are two such chains.  Each step is one
+lookup in a table built at import: by the term's class to evaluate, by
+the frame's class to return, by the waiting term's class for a Ctx.
+Only run's sample hook sees a MachineState, built by _state: every
+chain a tuple, innermost first, and a Ctx, a Raising or the returned
+value as its control.  A trace line is built only when tracing is on,
+and a step prints at most one: its rule's, or an eval step's value line.
 
-Every state still denotes a closed term: reify reads it back by
-substituting environments into the terms they close over, which is
-done only when asked for (a final value, a sampled state, a stuck
-state's message).  A traced `value` line spells its value without
-reading it back, and shows a resumption as `<resume %rN: K frames>`.
-That term does not always typecheck.  Read back at every
-step, states of 8 of the 11 corpus programs that elaborate fail
-core.typecheck: a shallow handler whose scrutinee has become a value
-types its resumption k at the row [] (combo_III, combo_IIP, combo_PII,
-combo_PIP, threads_imprecise), `raise fork` sits under a narrower row
-(combo_IIP, combo_PIP, combo_IPI, combo_PPI), and a failed downcast
-leaves `err` as a handler's scrutinee, where the checker has no typing
-to give it (bad_downcast); ROADMAP item 9 tracks all three, and
-test_readback_typing_failures_are_the_three_known in test_eval.py reads
-back every state of those 11 programs and pins exactly these failures.
+Every state denotes a closed term: reify reads it back by substituting
+environments into the terms they close over, only when asked (a final
+value, a sampled state, a stuck state's message).  A traced `value`
+line spells its value without reading it back, and shows a resumption
+as `<resume %rN: K frames>`.  Not every state read back typechecks
+yet: ROADMAP item 9 tracks the three reasons, and
+test_readback_typing_failures_are_the_three_known pins them.
 The direct-style evaluator in reference.py implements the same
 semantics with none of this machinery and serves as the cross-check.
 """
@@ -97,14 +84,7 @@ from typing import Callable, Iterable, Mapping, Optional, Union
 
 from . import core
 from .record import record
-from .typesys import (
-    Arrow,
-    Dyn,
-    EffectType,
-    QueueOf,
-    Signature,
-    ValueType,
-)
+from .typesys import Arrow, Dyn, EffectType, QueueOf, Signature, ValueType
 
 DEFAULT_FUEL = 1_000_000
 
@@ -161,22 +141,6 @@ def _frames(inner: Cells, outer: Cells = None) -> tuple:
         rest.append(f)
     rest.reverse()
     return tuple(frames + rest)
-
-
-class Captured:
-    """The frames a raise has walked past; _frames(inner, outer) lists them
-    innermost first.
-
-    Frames walked past join the outer chain; the response casts that
-    effect casts add, where the two typings differ, join the inner one.
-    Both joins are O(1).
-    """
-
-    __slots__ = ("inner", "outer")
-
-    def __init__(self, inner: Cells = None, outer: Cells = None):
-        self.inner = inner  # innermost first
-        self.outer = outer  # outermost first
 
 
 # ---------------------------------------------------------------------------
@@ -304,19 +268,17 @@ Frame = Union[Ctx, AppArg, ConcatRight, EnqueueElem, ValCastFrame, EffCastFrame]
 
 @_record
 class Raising:
-    """An operation searching outward for its handler.
-
-    req and resp are the payload's current typings; effect casts crossed
-    on the way out rewrite them along with the payload.  captured holds
-    the frames walked so far, all apart from op: a Captured in the
-    register, a tuple innermost first in a sampled state.
-    """
+    """A raise paused just past an effect cast it crossed, as the sample
+    hook sees it.  req and resp are the payload's current typings, and
+    captured holds the frames walked so far, innermost first: the casts
+    crossed, the response casts they added, and frames that neither
+    handle nor intercept op."""
 
     op: str
     req: ValueType
     resp: ValueType
     payload: object
-    captured: Union[Captured, tuple]
+    captured: tuple
 
 
 @_record
@@ -335,12 +297,6 @@ RETURN, RAISE, HALT = object(), object(), object()
 # Values of value terms
 
 _ATOMS = frozenset({core.BoolLit, core.UnitLit, core.StrLit, core.Lam, core.EmptyQueue})
-# the compound nodes that wait in a Ctx, each with its hole, its first
-# field; an enqueue waits in one too, once it turns out not to be a value
-_HOLE = {
-    tt: next(iter(core.FIELDS[tt]))
-    for tt in (core.App, core.Let, core.If, core.Concat, core.CaseQueue, core.Raise, core.Handle)
-}
 
 
 def _value(t: core.Term, env: Env) -> object:
@@ -514,110 +470,152 @@ def reify(state: MachineState) -> core.Term:
 
 
 # ---------------------------------------------------------------------------
-# The step function
+# The rules: one function per class of term or frame
 
 
 class Machine:
+    """A run's signature, trace hook and resumption count.  Its methods
+    are the rules; _EVAL, _FILL and _RETURN below pick one per step."""
+
     def __init__(self, sig: Signature, trace: Optional[Callable[[str, str], None]] = None):
         self.sig = sig
         self.trace = trace
         self._fresh = 0
 
-    def _step_eval(self, frames: Cells, t, env: Env) -> tuple:
-        tt = type(t)
-        if tt is core.Var or tt in _ATOMS:
-            v = _value(t, env)
-            if v is None:
-                raise StuckState(f"cannot evaluate {core._brief(t)}")
-        elif tt in _HOLE:
-            # the hole operand, consumed at once when it is a value; a
-            # variable's is read in place
-            operand = getattr(t, _HOLE[tt])
-            v = env.get(operand.name) if type(operand) is core.Var else _value(operand, env)
-            if v is None:
-                return (Ctx(t, env), frames), operand, env
-            if type(v) is FixClosure:
-                v = v.closure
-            return self._fill(frames, t, env, v)
-        elif tt is core.Fix and type(t.body) is core.Lam:
-            # fix: the one closure its fix-closure built
-            if self.trace is not None:
-                self.trace("fix", t.var)
-            return frames, RETURN, FixClosure(t, env).closure
-        elif tt is core.Enqueue or tt is core.ValUpcast or tt is core.ValDowncast:
-            v = _value(t, env)
-            if v is None:
-                if tt is core.Enqueue:
-                    q = _value(t.queue, env)
-                    if q is None:
-                        return (Ctx(t, env), frames), t.queue, env
-                    return self._fill(frames, t, env, q)
-                return (ValCastFrame(t.up, t.lo, t.hi), frames), t.body, env
-        elif tt is core.EffUpcast or tt is core.EffDowncast:
-            return (EffCastFrame(t.up, t.lo, t.hi), frames), t.body, env
-        elif tt is core.Err:
-            if self.trace is not None:
-                self.trace("err", "")
-            return frames, HALT, Error()
-        else:
-            raise StuckState(f"cannot evaluate {t!r}")
+    # -- term rules, t closed by env.  A node with a hole reads its first
+    # operand in place and waits in a Ctx only for one that is no value.
+    # Given v, the rule plugs v into the hole, and a next operand that is
+    # a value is consumed in the same step.
+
+    def _eval_value(self, frames: Cells, t, env: Env) -> tuple:
+        v = _value(t, env)  # a variable, a literal, a lambda or an empty queue
+        if v is None:
+            raise StuckState(f"cannot evaluate {core._brief(t)}")
+        return self._returns(frames, v)
+
+    def _returns(self, frames: Cells, v: object) -> tuple:
         if self.trace is not None:
             self.trace("value", core._brief(v, _spelled))
         return frames, RETURN, v
 
-    def _fill(self, frames: Cells, t, env: Env, v: object) -> tuple:
-        """Plug v into the hole of t, its first operand, with env closing
-        the rest: the step a Ctx takes when v returns to it, and the one
-        _step_eval takes when t's first operand is a value already.  A
-        next operand that is a value is consumed in the same step."""
-        tt = type(t)
-        if tt is core.App:
-            w = env.get(t.arg.name) if type(t.arg) is core.Var else _value(t.arg, env)
-            if w is None:
-                return (AppArg(v), frames), t.arg, env
-            if type(w) is FixClosure:
-                w = w.closure
-            return self._apply(frames, v, w)
-        if tt is core.Let:
-            if self.trace is not None:
-                self.trace("let", t.var)
-            return frames, t.body, {**env, t.var: v}
-        if tt is core.CaseQueue:
-            if type(v) is not QueueVal:
-                raise StuckState(f"not a queue value: {v!r}")
-            if v.start == v.end:
-                if self.trace is not None:
-                    self.trace("case-empty", "")
-                return frames, t.empty_body, env
-            if self.trace is not None:
-                self.trace("case-dequeue", "")
-            # the rest wins when both binders share a name
-            rest = QueueVal(v.elem, v.buf, v.start + 1, v.end)
-            env = {**env, t.head_var: v.buf[v.start], t.rest_var: rest}
-            return frames, t.cons_body, env
-        if tt is core.Concat:
-            w = _value(t.right, env)
-            if w is None:
-                return (ConcatRight(v), frames), t.right, env
-            return self._concat(frames, v, w)
-        if tt is core.Raise:
-            if self.trace is not None:
-                self.trace("raise", t.op)
-            return frames, RAISE, Raising(t.op, t.req, t.resp, v, Captured())
-        if tt is core.Handle:
-            if self.trace is not None:
-                self.trace("handle-value", "")
-            return frames, t.ret_body, {**env, t.ret_var: v}
-        if tt is core.If:
-            if type(v) is not core.BoolLit:
-                raise StuckState(f"if on a non-boolean: {core._brief(_back(v))}")
-            if self.trace is not None:
-                self.trace("if-true" if v.value else "if-false", "")
-            return frames, t.then if v.value else t.els, env
-        w = _value(t.elem, env)  # an Enqueue
+    def _eval_app(self, frames: Cells, t: core.App, env: Env, v: object = None) -> tuple:
+        if v is None:
+            x = t.fn
+            v = env.get(x.name) if type(x) is core.Var else _value(x, env)
+            if v is None:
+                return (Ctx(t, env), frames), x, env
+            v = v.closure if type(v) is FixClosure else v
+        x = t.arg
+        w = env.get(x.name) if type(x) is core.Var else _value(x, env)
         if w is None:
-            return (EnqueueElem(v), frames), t.elem, env
-        return self._enqueue(frames, v, w)
+            return (AppArg(v), frames), x, env
+        return self._apply(frames, v, w.closure if type(w) is FixClosure else w)
+
+    def _eval_let(self, frames: Cells, t: core.Let, env: Env, v: object = None) -> tuple:
+        if v is None:
+            x = t.bound
+            v = env.get(x.name) if type(x) is core.Var else _value(x, env)
+            if v is None:
+                return (Ctx(t, env), frames), x, env
+            v = v.closure if type(v) is FixClosure else v
+        if self.trace is not None:
+            self.trace("let", t.var)
+        return frames, t.body, {**env, t.var: v}
+
+    def _eval_if(self, frames: Cells, t: core.If, env: Env, v: object = None) -> tuple:
+        if v is None and (v := _value(t.cond, env)) is None:
+            return (Ctx(t, env), frames), t.cond, env
+        if type(v) is not core.BoolLit:
+            raise StuckState(f"if on a non-boolean: {core._brief(_back(v))}")
+        if self.trace is not None:
+            self.trace("if-true" if v.value else "if-false", "")
+        return frames, t.then if v.value else t.els, env
+
+    def _eval_concat(self, frames: Cells, t: core.Concat, env: Env, v: object = None) -> tuple:
+        if v is None and (v := _value(t.left, env)) is None:
+            return (Ctx(t, env), frames), t.left, env
+        w = _value(t.right, env)
+        if w is None:
+            return (ConcatRight(v), frames), t.right, env
+        return self._concat(frames, v, w)
+
+    def _eval_enqueue(self, frames: Cells, t: core.Enqueue, env: Env, q: object = None) -> tuple:
+        if q is None:
+            if (v := _value(t, env)) is not None:
+                return self._returns(frames, v)
+            if (q := _value(t.queue, env)) is None:
+                return (Ctx(t, env), frames), t.queue, env
+        w = _value(t.elem, env)
+        if w is None:
+            return (EnqueueElem(q), frames), t.elem, env
+        return self._enqueue(frames, q, w)
+
+    def _eval_case(self, frames: Cells, t: core.CaseQueue, env: Env, v: object = None) -> tuple:
+        if v is None:
+            x = t.scrutinee
+            v = env.get(x.name) if type(x) is core.Var else _value(x, env)
+            if v is None:
+                return (Ctx(t, env), frames), x, env
+        if type(v) is not QueueVal:
+            raise StuckState(f"not a queue value: {v!r}")
+        if v.start == v.end:
+            if self.trace is not None:
+                self.trace("case-empty", "")
+            return frames, t.empty_body, env
+        if self.trace is not None:
+            self.trace("case-dequeue", "")
+        # the rest wins when both binders share a name
+        rest = QueueVal(v.elem, v.buf, v.start + 1, v.end)
+        return frames, t.cons_body, {**env, t.head_var: v.buf[v.start], t.rest_var: rest}
+
+    def _eval_raise(self, frames: Cells, t: core.Raise, env: Env, v: object = None) -> tuple:
+        if v is None:
+            x = t.payload
+            v = env.get(x.name) if type(x) is core.Var else _value(x, env)
+            if v is None:
+                return (Ctx(t, env), frames), x, env
+            v = v.closure if type(v) is FixClosure else v
+        return self._raise(frames, t.op, t.req, t.resp, v)
+
+    def _eval_handle(self, frames: Cells, t: core.Handle, env: Env, v: object = None) -> tuple:
+        if v is None and (v := _value(t.scrutinee, env)) is None:
+            return (Ctx(t, env), frames), t.scrutinee, env
+        if self.trace is not None:
+            self.trace("handle-value", "")
+        return frames, t.ret_body, {**env, t.ret_var: v}
+
+    def _eval_fix(self, frames: Cells, t: core.Fix, env: Env) -> tuple:
+        if type(t.body) is not core.Lam:
+            raise StuckState(f"cannot evaluate {core._brief(t)}")
+        if self.trace is not None:
+            self.trace("fix", t.var)
+        return frames, RETURN, FixClosure(t, env).closure  # the one closure it built
+
+    def _eval_val_cast(self, frames: Cells, t: core.ValCast, env: Env) -> tuple:
+        v = _value(t, env)  # a proxy, when its ends are arrows and its body a value
+        if v is not None:
+            return self._returns(frames, v)
+        return (ValCastFrame(t.up, t.lo, t.hi), frames), t.body, env
+
+    def _eval_eff_cast(self, frames: Cells, t: core.EffCast, env: Env) -> tuple:
+        return (EffCastFrame(t.up, t.lo, t.hi), frames), t.body, env
+
+    def _eval_err(self, frames: Cells, t: core.Err, env: Env) -> tuple:
+        if self.trace is not None:
+            self.trace("err", "")
+        return frames, HALT, Error()
+
+    # -- return steps to a cast frame, and what fills share with returns
+
+    def _return_val_cast(self, frames: Cells, f: ValCastFrame, v: object) -> tuple:
+        if self.trace is not None:
+            self.trace("val-upcast" if f.up else "val-downcast", "")
+        return frames, RETURN, cast_value(v, f.up, f.lo, f.hi)
+
+    def _return_eff_cast(self, frames: Cells, f: EffCastFrame, v: object) -> tuple:
+        if self.trace is not None:
+            self.trace("eff-upcast-value" if f.up else "eff-downcast-value", "")
+        return frames, RETURN, v
 
     def _concat(self, frames: Cells, v: object, w: object) -> tuple:
         if type(v) is not core.StrLit or type(w) is not core.StrLit:
@@ -656,88 +654,97 @@ class Machine:
             return (AppArg(fn.fn), frames), RETURN, arg
         raise StuckState(f"applied a non-function: {core._brief(_back(fn))}")
 
-    def _step_return(self, frames: Cells, v: object) -> tuple:
-        if frames is None:
-            return frames, HALT, Value(_back(v))
-        f, frames = frames
-        tf = type(f)
-        if tf is Ctx:
-            return self._fill(frames, f.term, f.env, v)
-        if tf is AppArg:
-            return self._apply(frames, f.fn, v)
-        if tf is EffCastFrame:
-            if self.trace is not None:
-                self.trace("eff-upcast-value" if f.up else "eff-downcast-value", "")
-            return frames, RETURN, v
-        if tf is ConcatRight:
-            return self._concat(frames, f.left, v)
-        if tf is ValCastFrame:
-            if self.trace is not None:
-                self.trace("val-upcast" if f.up else "val-downcast", "")
-            return frames, RETURN, cast_value(v, f.up, f.lo, f.hi)
-        if tf is EnqueueElem:
-            return self._enqueue(frames, f.queue, v)
-        raise StuckState(f"not a frame: {f!r}")
+    # -- raise steps
 
-    def _step_raise(self, frames: Cells, r: Raising) -> tuple:
-        if frames is None:
-            if self.trace is not None:
-                self.trace("uncaught", r.op)
-            return frames, HALT, UncaughtRaise(r.op)
-        f, frames = frames
-        tf = type(f)
-        if tf is Ctx and type(f.term) is core.Handle:
-            clause = f.term.clause(r.op)
-            if clause is not None:
-                return self._handler_beta(frames, f, clause, r)
-        elif tf is EffCastFrame:
-            up, op, sig = f.up, r.op, self.sig
-            # each row's typing of op, the signature's for the dynamic row
-            lo = (sig if type(f.lo) is Dyn else f.lo).get(op)
-            hi = (sig if type(f.hi) is Dyn else f.hi).get(op)
-            # the raise crosses when the row it goes out to mentions op
-            if (hi if up else lo) is not None:
-                if self.trace is not None:
-                    self.trace("eff-upcast-raise" if up else "eff-downcast-raise", op)
-                if lo is None or hi is None:
-                    raise StuckState(f"no typing for {op} in {f.lo if lo is None else f.hi}")
-                c = r.captured
-                if lo.req is not hi.req and lo.req != hi.req:
-                    r.payload = cast_value(r.payload, up, lo.req, hi.req)
-                if lo.resp is not hi.resp and lo.resp != hi.resp:
-                    c.inner = (ValCastFrame(not up, lo.resp, hi.resp), c.inner)
-                out = hi if up else lo
-                r.req, r.resp = out.req, out.resp
-                c.outer = (f, c.outer)
-                return frames, RAISE, r
-            if not up and type(f.hi) is Dyn:
-                # the dynamic row let the operation out; the target traps it
-                if self.trace is not None:
-                    self.trace("bad-downcast", r.op)
-                return frames, core.Err(), NO_ENV
+    def _raise(
+        self, frames: Cells, op: str, req: ValueType, resp: ValueType, payload: object,
+        inner: Cells = None, outer: Cells = None,
+    ) -> tuple:
+        """Walk a raise of op out through frames in one step.  Frames that
+        neither handle nor intercept op join outer, outermost first, and the
+        response casts that crossings add join inner.  The walk ends at the
+        first handler with a clause for op, at the top, at a downcast that
+        traps op, or just past an effect cast it crosses, where it pauses
+        as (op, req, resp, payload, inner, outer) for the next step."""
+        sig, handle = self.sig, core.Handle
+        while frames is not None:
+            f, frames = frames
+            tf = type(f)
+            if tf is Ctx and type(f.term) is handle:
+                h = f.term
+                clause = h.clause(op)
+                if clause is not None:
+                    if self.trace is not None:
+                        self.trace("handler-beta", f"{op} deep" if h.deep else op)
+                    self._fresh += 1
+                    # a deep handler is its resumption's outermost frame
+                    captured = _frames(inner, (f, outer) if h.deep else outer)
+                    k = Resumption(f"%r{self._fresh}", clause.resp, captured)
+                    # the resumption wins when both binders share a name
+                    env = {**f.env, clause.payload_var: payload, clause.resume_var: k}
+                    return frames, clause.body, env
+            elif tf is EffCastFrame:
+                up = f.up
+                # each row's typing of op, the signature's for the dynamic row
+                lo = (sig if type(f.lo) is Dyn else f.lo).get(op)
+                hi = (sig if type(f.hi) is Dyn else f.hi).get(op)
+                # the raise crosses when the row it goes out to mentions op
+                if (hi if up else lo) is not None:
+                    if self.trace is not None:
+                        self.trace("eff-upcast-raise" if up else "eff-downcast-raise", op)
+                    if lo is None or hi is None:
+                        raise StuckState(f"no typing for {op} in {f.lo if lo is None else f.hi}")
+                    if lo.req is not hi.req and lo.req != hi.req:
+                        payload = cast_value(payload, up, lo.req, hi.req)
+                    if lo.resp is not hi.resp and lo.resp != hi.resp:
+                        inner = (ValCastFrame(not up, lo.resp, hi.resp), inner)
+                    out = hi if up else lo
+                    return frames, RAISE, (op, out.req, out.resp, payload, inner, (f, outer))
+                if not up and type(f.hi) is Dyn:
+                    # the dynamic row let the operation out; the target traps it
+                    if self.trace is not None:
+                        self.trace("bad-downcast", op)
+                    return frames, core.Err(), NO_ENV
+            outer = (f, outer)
         if self.trace is not None:
-            self.trace("capture", r.op)
-        r.captured.outer = (f, r.captured.outer)
-        return frames, RAISE, r
+            self.trace("uncaught", op)
+        return frames, HALT, UncaughtRaise(op)
 
-    def _handler_beta(self, frames, f: Ctx, clause, r: Raising) -> tuple:
-        h = f.term
-        if self.trace is not None:
-            self.trace("handler-beta", f"{r.op} deep" if h.deep else r.op)
-        c = r.captured
-        captured = _frames(c.inner, c.outer) + ((f,) if h.deep else ())
-        self._fresh += 1
-        k = Resumption(f"%r{self._fresh}", clause.resp, captured)
-        # the resumption wins when both binders share a name
-        env = {**f.env, clause.payload_var: r.payload, clause.resume_var: k}
-        return frames, clause.body, env
+
+def _stuck(machine: Machine, frames: Cells, x: object, *rest) -> tuple:
+    raise StuckState(f"no rule for a {type(x).__name__}")
+
+
+# the rule for each step: an eval step's by its term's class, a return's by
+# the frame's class or, for a Ctx, by its term's class
+_EVAL = {
+    **dict.fromkeys((core.Var, core.BoolLit, core.UnitLit, core.StrLit), Machine._eval_value),
+    core.Lam: Machine._eval_value, core.EmptyQueue: Machine._eval_value,
+    core.App: Machine._eval_app, core.Let: Machine._eval_let, core.If: Machine._eval_if,
+    core.Concat: Machine._eval_concat, core.Enqueue: Machine._eval_enqueue,
+    core.CaseQueue: Machine._eval_case, core.Raise: Machine._eval_raise,
+    core.Handle: Machine._eval_handle, core.Fix: Machine._eval_fix, core.Err: Machine._eval_err,
+    **dict.fromkeys((core.ValUpcast, core.ValDowncast), Machine._eval_val_cast),
+    **dict.fromkeys((core.EffUpcast, core.EffDowncast), Machine._eval_eff_cast),
+}
+# the nodes that wait in a Ctx, whose rules take the operand's value as v
+_FILL = {tt: _EVAL[tt] for tt in (
+    core.App, core.Let, core.If, core.Concat, core.Enqueue, core.CaseQueue, core.Raise, core.Handle
+)}
+_RETURN = {
+    AppArg: lambda m, frames, f, v: m._apply(frames, f.fn, v),
+    ConcatRight: lambda m, frames, f, v: m._concat(frames, f.left, v),
+    EnqueueElem: lambda m, frames, f, v: m._enqueue(frames, f.queue, v),
+    ValCastFrame: Machine._return_val_cast,
+    EffCastFrame: Machine._return_eff_cast,
+}
 
 
 def _state(frames: Cells, a, b) -> MachineState:
     """The MachineState that the registers frames, a, b stand for."""
     if a is RAISE:
-        c = b.captured
-        control = Raising(b.op, b.req, b.resp, b.payload, _frames(c.inner, c.outer))
+        op, req, resp, payload, inner, outer = b
+        control = Raising(op, req, resp, payload, _frames(inner, outer))
     else:
         control = b if a is RETURN else Ctx(a, b)
     return MachineState(_frames(frames), control)
@@ -767,17 +774,23 @@ def run(
     the soundness suite uses it to retypecheck intermediate states.
     """
     machine = Machine(sig, trace)
-    step_eval, step_return, step_raise = (
-        machine._step_eval, machine._step_return, machine._step_raise
-    )
+    eval_rule, fill_rule, return_rule = _EVAL.get, _FILL.get, _RETURN.get
+    walk = machine._raise
     frames, a, b = None, term, NO_ENV
     for n in range(1, fuel + 1):
         if a is RETURN:
-            frames, a, b = step_return(frames, b)
+            if frames is None:
+                return RunResult(Value(_back(b)), n)
+            f, frames = frames
+            if type(f) is Ctx:
+                t = f.term
+                frames, a, b = fill_rule(type(t), _stuck)(machine, frames, t, f.env, b)
+            else:
+                frames, a, b = return_rule(type(f), _stuck)(machine, frames, f, b)
         elif a is RAISE:
-            frames, a, b = step_raise(frames, b)
+            frames, a, b = walk(frames, *b)
         else:
-            frames, a, b = step_eval(frames, a, b)
+            frames, a, b = eval_rule(type(a), _stuck)(machine, frames, a, b)
         if a is HALT:
             return RunResult(b, n)
         if sample is not None and n % sample_every == 0:

@@ -112,19 +112,19 @@ class _SurfaceGen:
         cls = type(ty)
         matches = [n for n, (t, _) in env.items() if type(t) is cls and (t is ty or t == ty)]
         matches.sort()
-        raisable = [
-            o for o, (_, r) in self.ops.items() if o in allowed and type(r) is cls and r == ty
-        ]
-        raisable.sort()
-        callable_ = [
-            n for n, (t, used) in env.items()
-            if type(t) is Arrow and type(t.cod) is cls and t.cod == ty and used <= allowed
-        ]
-        callable_.sort()
         choices = ["value"]
         if matches:
             choices += ["var"] * 2
         if depth > 0:
+            raisable = [
+                o for o, (_, r) in self.ops.items() if o in allowed and type(r) is cls and r == ty
+            ]
+            raisable.sort()
+            callable_ = [
+                n for n, (t, used) in env.items()
+                if type(t) is Arrow and type(t.cod) is cls and t.cod == ty and used <= allowed
+            ]
+            callable_.sort()
             choices += ["if", "let", "handle"]
             if isinstance(ty, Str):
                 choices.append("concat")
@@ -372,14 +372,15 @@ class _CoreGen:
         cls, get = type(ty), self.sig.get  # classes first, as in _SurfaceGen._node
         matches = [n for n, t in env.items() if type(t) is cls and (t is ty or t == ty)]
         matches.sort()
-        raisable = [
-            o for o in allowed if (d := get(o)) is not None and type(d.resp) is cls and d.resp == ty
-        ]
-        raisable.sort()
         choices = ["value"] * 2
         if matches:
             choices += ["var"] * 2
         if depth > 0:
+            raisable = [
+                o for o in allowed
+                if (d := get(o)) is not None and type(d.resp) is cls and d.resp == ty
+            ]
+            raisable.sort()
             choices += ["if", "let", "apply", "handle"]
             if isinstance(ty, Str):
                 choices += ["concat", "fold"]

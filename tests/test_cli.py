@@ -196,6 +196,16 @@ def test_traced_probe_runs_print_their_value(tmp_path, source, n):
     assert len(lines) == len(err.splitlines())
 
 
+def test_the_capture_walk_at_2048_runs_within_the_default_fuel(tmp_path):
+    # each print raise reaches its handler in one step, however many
+    # concats it captures, so the walk takes about 13 steps per element
+    src = tmp_path / "walk.greff"
+    src.write_text(capture_walk_source(2048))
+    code, out, err = invoke("run", str(src))
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out == "a" * 2048 + "\n"
+
+
 # ---------------------------------------------------------------------------
 # check / elab
 

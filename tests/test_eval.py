@@ -3,6 +3,7 @@
 import collections
 import pathlib
 import re
+import typing
 
 import pytest
 
@@ -113,6 +114,26 @@ def test_uncaught_raise_outcome():
     assert run(PING, Raise("ping", UNIT_T, UNIT_T, UnitLit())).outcome == UncaughtRaise("ping")
 
 
+def test_each_class_of_term_and_frame_has_one_rule(monkeypatch):
+    assert set(ev._EVAL) == set(typing.get_args(core.Term))
+    assert set(ev._FILL) == {getattr(core, name) for name in WAITING_NODES}
+    assert set(ev._RETURN) | {Ctx} == set(typing.get_args(ev.Frame))
+    # a class missing from a table is a stuck state, not a KeyError
+    with pytest.raises(StuckState, match="no rule for a Clause"):
+        run(SIG0, Clause("ask", "p", "k", UnitLit(), UNIT_T, UNIT_T))
+    ab = Concat(StrLit("a"), StrLit("b"))
+    for table, cls, term, outcome in [
+        (ev._EVAL, Err, Err(), Error()),
+        (ev._FILL, Let, Let(ab, "x", Var("x")), Value(StrLit("ab"))),
+        (ev._RETURN, EffCastFrame, EffUpcast(EMPTY, DYN, ab), Value(StrLit("ab"))),
+    ]:
+        assert run(SIG0, term).outcome == outcome
+        with monkeypatch.context() as m:
+            m.delitem(table, cls)
+            with pytest.raises(StuckState, match=f"no rule for a {cls.__name__}"):
+                run(SIG0, term)
+
+
 def test_fuel_exhausted_reports_steps():
     loop = Fix("f", Arrow(UNIT_T, EMPTY, UNIT_T), Lam("u", UNIT_T, App(Var("f"), Var("u"))))
     out = run(SIG0, App(loop, UnitLit()), fuel=100).outcome
@@ -202,6 +223,76 @@ def test_raise_crossing_upcast_then_downcast_is_caught():
     assert run(PING, h).outcome == Value(BoolLit(True))
 
 
+def _raise_steps(sig, term):
+    """The run; the state from which the first raise is evaluated; and for
+    each step from there on, the rules it fired and the state it left,
+    None after the last step."""
+    steps, fired = [], []
+
+    def sample(state):
+        steps.append((tuple(fired), state))
+        fired.clear()
+
+    got = run(sig, term, trace=lambda rule, detail: fired.append(rule), sample=sample,
+              sample_every=1)
+    steps.append((tuple(fired), None))
+    start = next(i for i, (_, s) in enumerate(steps)
+                 if type(s.control) is Ctx and type(s.control.term) is Raise)
+    return got, steps[start][1], steps[start + 1:]
+
+
+def _under_concats(n, body):
+    for _ in range(n):
+        body = Concat(StrLit("a"), body)
+    return body
+
+
+@pytest.mark.parametrize("n", [1, 10, 1000])
+def test_a_raise_reaches_its_handler_in_one_step_past_any_number_of_frames(n):
+    term = _ask_handler(_under_concats(n, Raise("ask", UNIT_T, STR, UnitLit())), deep=True)
+    got, before, walk = _raise_steps(ASK, term)
+    assert got.outcome == Value(StrLit("a" * (n + 1)))
+    assert len(before.frames) == n + 1  # the concats and the handler
+    rules, after = walk[0]
+    assert rules == ("handler-beta",) and after.frames == ()
+
+
+def test_a_raise_takes_one_step_per_effect_cast_it_crosses_plus_one():
+    raised = Let(Raise("ping", UNIT_T, UNIT_T, UnitLit()), "u", Var("u"))
+    body = EffDowncast(PING_ROW, DYN, Let(EffUpcast(PING_ROW, DYN, raised), "v", Var("v")))
+    h = Handle(
+        Let(body, "w", BoolLit(False)), "x", Var("x"),
+        (Clause("ping", "p", "k", BoolLit(True), UNIT_T, UNIT_T),), EMPTY, BOOL,
+    )
+    core.typecheck(PING, {}, h)
+    got, _, walk = _raise_steps(PING, h)
+    assert got.outcome == reference.evaluate(PING, h) == Value(BoolLit(True))
+    assert [rules for rules, _ in walk[:3]] == [
+        ("eff-upcast-raise",), ("eff-downcast-raise",), ("handler-beta",)
+    ]
+    # paused just past each cast, with the let inside it and the cast captured
+    paused = [state.control for _, state in walk[:2]]
+    assert [len(r.captured) for r in paused if type(r) is ev.Raising] == [2, 4]
+
+
+def test_an_uncaught_raise_is_one_step():
+    # past a thousand concats and a handler for another operation
+    sig = Signature({"ask": OpSig(UNIT_T, STR), "ping": OpSig(UNIT_T, UNIT_T)})
+
+    def term(n):
+        return Handle(
+            _under_concats(n, Raise("ask", UNIT_T, STR, UnitLit())), "x", Var("x"),
+            (Clause("ping", "p", "k", StrLit("p"), UNIT_T, UNIT_T),),
+            Concrete({"ask": OpSig(UNIT_T, STR)}), STR,
+        )
+
+    core.typecheck(sig, {}, term(10))  # the checker does not recurse 1000 deep
+    got, before, walk = _raise_steps(sig, term(1000))
+    assert got.outcome == UncaughtRaise("ask")
+    assert len(before.frames) == 1001
+    assert walk == [(("uncaught",), None)]
+
+
 _TICK = Concrete({"tick": OpSig(UNIT_T, UNIT_T)})
 _GET = Signature({
     "get": OpSig(UNIT_T, Arrow(UNIT_T, DYN, STR)),
@@ -233,8 +324,8 @@ def _two_typings(op):
 
 
 @pytest.mark.parametrize("op, outcome, steps", [
-    ("tick", Value(StrLit("tick")), 28),
-    ("other", Error(), 18),
+    ("tick", Value(StrLit("tick")), 24),
+    ("other", Error(), 14),
 ], ids=["tick", "other"])
 def test_a_raise_across_two_typings_casts_its_response(op, outcome, steps):
     h = _two_typings(op)
@@ -259,8 +350,8 @@ def test_a_raise_across_two_typings_casts_its_response(op, outcome, steps):
     # get crosses the upcast, it carries the ? side's typing under the
     # precise row, as raise fork does in the corpus; and the other case's
     # err, once the downcast traps, is a handler's scrutinee
-    pinned = {6: FORK_UNDER_NARROWER_ROW}
-    assert failures == (pinned if op == "tick" else {**pinned, 17: ERR_SCRUTINEE})
+    pinned = {4: FORK_UNDER_NARROWER_ROW}
+    assert failures == (pinned if op == "tick" else {**pinned, 13: ERR_SCRUTINEE})
 
 
 @pytest.mark.parametrize("op", ["tick", "other"])
@@ -351,8 +442,10 @@ def test_apart_blocked_by_effect_casts():
 
 
 def test_raising_captured_frames_stay_apart():
-    # walk a raise through a let and an unrelated handler; every captured
-    # frame must satisfy its apartness rule
+    # walk a raise through a let and an unrelated handler; every frame a
+    # handled raise captured, all but a deep handler's own, must satisfy
+    # its apartness rule.  The walk is one step, so the frames are read
+    # from the resumption each handler-beta binds
     sig = Signature({"ask": OpSig(UNIT_T, STR), "ping": OpSig(UNIT_T, BOOL)})
     inner = Handle(
         Let(Raise("ask", UNIT_T, STR, UnitLit()), "s", Var("s")),
@@ -363,15 +456,24 @@ def test_raising_captured_frames_stay_apart():
         STR,
     )
     outer = _ask_handler(inner, deep=True)
-    seen = []
+    handled, seen = [], []
+
+    def trace(rule, detail):
+        if rule == "handler-beta":
+            handled.append(detail)
 
     def sample(state):
-        if isinstance(state.control, ev.Raising):
-            assert apart(sig, state.control.captured, state.control.op)
-            seen.append(state.control.op)
+        if len(handled) > len(seen):  # the state a handler-beta left
+            op, _, deep = handled[-1].partition(" ")
+            name = f"%r{len(handled)}"  # the resumption it bound
+            (k,) = (v for v in state.control.env.values() if type(v) is ev.Resumption and v.var == name)
+            captured = k.frames[:-1] if deep else k.frames
+            assert apart(sig, captured, op)
+            seen.append((op, len(captured)))
 
-    assert run(sig, outer, sample=sample, sample_every=1).outcome == Value(StrLit("a"))
-    assert "ask" in seen
+    assert run(sig, outer, trace=trace, sample=sample, sample_every=1).outcome == Value(StrLit("a"))
+    # the let and the ping handler
+    assert seen == [("ask", 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -612,15 +714,15 @@ def test_untraced_run_builds_no_state_object(monkeypatch):
     (CORPUS / "threads_precise.greff").read_text(), queue_walk_source(16, "?"),
 ], ids=["threads_precise", "queue-walk-16-?"])
 def test_a_step_builds_only_what_it_keeps(source, monkeypatch):
-    # a raise builds its Raising and Captured once and updates them in
-    # place however many frames and casts it walks past; only a fix step
+    # a raise builds nothing but its resumption, however many frames it
+    # walks past, and no Raising unless it is sampled; only a fix step
     # builds a fix-closure, and reading the function's name reads the
     # closure that fix-closure built, so closures come only from
     # fix-closures and from lambdas evaluated
     res = elab_source(source)
     rules = collections.Counter()
     want = run(res.sig, res.term, trace=lambda rule, detail: rules.update([rule]))
-    built = dict.fromkeys(["Raising", "Captured", "Closure", "FixClosure"], 0)
+    built = dict.fromkeys(["Raising", "Resumption", "Closure", "FixClosure"], 0)
     lambdas, value = [0], ev._value
 
     def counting_value(t, env):
@@ -630,9 +732,8 @@ def test_a_step_builds_only_what_it_keeps(source, monkeypatch):
     _count_builds(monkeypatch, built)
     monkeypatch.setattr(ev, "_value", counting_value)
     assert run(res.sig, res.term) == want
-    walked = rules["capture"] + rules["eff-upcast-raise"] + rules["eff-downcast-raise"]
-    assert walked >= rules["raise"] > 0
-    assert built["Raising"] == built["Captured"] == rules["raise"]
+    assert built["Raising"] == 0
+    assert built["Resumption"] == rules["handler-beta"] > 0
     assert rules["fix"] == built["FixClosure"]
     assert built["Closure"] == built["FixClosure"] + lambdas[0]
 
@@ -784,12 +885,15 @@ def test_determinism_same_trace(name):
 
 
 # (program, N, steps, checked against the reference): the capture walk
-# and the cast loop at ROADMAP's Baseline sizes; the reference takes
-# over a second on the cast loop at 256, so it checks only the 64
+# and the cast loop at ROADMAP's Baseline sizes, and the capture walk at
+# 1024 and 2048 too; the reference takes over a second on the cast loop
+# at 256, so it checks only the 64
 PROBES = [
-    ("capture-walk", capture_walk_source, 256, 36_800, True),
-    ("cast-loop", cast_loop_source, 64, 5_432, True),
-    ("cast-loop", cast_loop_source, 256, 70_726, False),
+    ("capture-walk", capture_walk_source, 256, 3_392, True),
+    ("capture-walk", capture_walk_source, 1024, 13_390, False),
+    ("capture-walk", capture_walk_source, 2048, 26_709, False),
+    ("cast-loop", cast_loop_source, 64, 5_304, True),
+    ("cast-loop", cast_loop_source, 256, 70_214, False),
 ]
 
 
@@ -804,18 +908,28 @@ def test_probe_programs_run_to_their_pinned_steps(source, n, steps, differential
         assert reference.evaluate(res.sig, res.term) == got.outcome
 
 
+def test_capture_walk_steps_per_element_stay_flat():
+    # a raise reaches its handler in one step however many frames it
+    # captures, so the steps the probe pins grow linearly in N
+    per_element = [steps / n for name, _, n, steps, _ in PROBES if name == "capture-walk"]
+    assert len(per_element) == 3
+    assert max(per_element) < 1.2 * min(per_element)
+
+
 @pytest.mark.parametrize("n", [64, 1024, 4096])
-def test_the_queue_walk_takes_15_steps_per_element(n):
-    # a call through a recursive name is one beta, so the walk and the
-    # doublings that build the queue take 15 steps per element between
-    # them, each of the k doublings 7 more and the set-up 8; each define's
-    # fix fires once, whatever n is
+def test_the_queue_walk_takes_13_steps_per_element(n):
+    # a call through a recursive name is one beta and a raise reaches its
+    # handler in one step, so the walk and the doublings that build the
+    # queue take 13 steps per element between them, each of the k
+    # doublings 7 more and the set-up 8; each define's fix fires once,
+    # whatever n is
     res = elab_source(queue_walk_source(n))
     rules = collections.Counter()
     got = run(res.sig, res.term, trace=lambda rule, detail: rules.update([rule]))
     k = n.bit_length() - 1
-    assert got == ev.RunResult(Value(StrLit("a" * n)), 15 * n + 7 * k + 8)
+    assert got == ev.RunResult(Value(StrLit("a" * n)), 13 * n + 7 * k + 8)
     assert rules["fix"] == 2
+    assert rules["handler-beta"] == n
 
 
 _ABC = """
