@@ -356,9 +356,10 @@ def test_a_raise_across_two_typings_casts_its_response(op, outcome, steps):
 
 @pytest.mark.parametrize("op", ["tick", "other"])
 def test_a_sampled_raise_reads_back_later_as_it_did_when_sampled(op):
-    # the machine updates its Raising and the captured chains in place as
-    # the raise walks on, so the sample hook must get a copy: every kept
-    # state reads back after the run as it did when it was sampled
+    # a raise paused at a cast shares its captured chains with the later
+    # steps of its walk, so no state the sample hook kept may change as
+    # the raise walks on: every kept state reads back after the run as it
+    # did when it was sampled
     rules, kept = [], []
 
     def sample(state):
