@@ -297,6 +297,8 @@ RETURN, RAISE, HALT = object(), object(), object()
 # Values of value terms
 
 _ATOMS = frozenset({core.BoolLit, core.UnitLit, core.StrLit, core.Lam, core.EmptyQueue})
+# the classes of the terms that may be syntactic values
+_VALUE_FORMS = _ATOMS | {core.Var, core.Enqueue, core.ValUpcast, core.ValDowncast}
 
 
 def _value(t: core.Term, env: Env) -> object:
@@ -308,6 +310,8 @@ def _value(t: core.Term, env: Env) -> object:
     if tt is core.Var:
         v = env.get(t.name)
         return v.closure if type(v) is FixClosure else v
+    if tt not in _VALUE_FORMS:
+        return None
     if tt is core.Lam:
         return Closure(t, env)
     if tt is core.EmptyQueue:
@@ -318,12 +322,11 @@ def _value(t: core.Term, env: Env) -> object:
         q = _value(t.queue, env)
         x = None if q is None else _value(t.elem, env)
         return None if x is None else q.enqueue(x)
-    if tt is core.ValUpcast or tt is core.ValDowncast:
-        # casts between arrow types wrap values into proxies
-        if isinstance(t.lo, Arrow) and isinstance(t.hi, Arrow):
-            v = _value(t.body, env)
-            if v is not None:
-                return Proxy(t.up, t.lo, t.hi, v)
+    # a value cast: one between arrow types wraps a value into a proxy
+    if isinstance(t.lo, Arrow) and isinstance(t.hi, Arrow):
+        v = _value(t.body, env)
+        if v is not None:
+            return Proxy(t.up, t.lo, t.hi, v)
     return None
 
 

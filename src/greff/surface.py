@@ -35,6 +35,9 @@ stops when the upcoming tokens look like a clause head (`name(x, k) ->`,
 produce those token shapes.  A string literal such as "->" or "(" never
 stands for punctuation there.
 
+The lexer keeps token kinds, texts and start offsets in parallel lists; a
+line and column are worked out only for a node built or an error raised.
+
 Nesting is limited, so that every later phase stays within Python's default
 recursion limit.  Each term, argument or type parsed inside another is one
 level deeper (a pair of parentheses costs two), and each link of a `++`,
@@ -45,6 +48,8 @@ Past MAX_DEPTH (100) levels the parser reports a ParseError at the token.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from collections.abc import Sequence
 from typing import NamedTuple, Union
 
 from .core import (
@@ -78,6 +83,9 @@ KEYWORDS = {
 # match fails.  An identifier is words of `[^\W\d]\w*` joined by single
 # dashes, then primes.  `[^\W\d]` also admits numerals that are not
 # letters (`½`, `²`), so `tokenize` checks non-ASCII identifiers itself.
+# `eof` matches only at the end; when blanks or a comment end the input,
+# the match that takes them is followed by a second, empty `eof` match,
+# and `tokenize` keeps only the first.
 _TOKEN = re.compile(
     r"""\s*(?:--[^\n]*\s*)*
     (?:(?P<ident>[^\W\d]\w*(?:-[^\W\d]\w*)*'*)
@@ -91,6 +99,7 @@ _TOKEN = re.compile(
 _OPEN_STRING = re.compile(r'"(?:[^"\\]|\\.)*', re.DOTALL)
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _ESCAPES = {"n": "\n", "t": "\t"}
+_NEWLINE = re.compile("\n")
 
 
 class Token(NamedTuple):
@@ -100,50 +109,63 @@ class Token(NamedTuple):
     col: int
 
 
+class Tokens(Sequence):
+    """tokenize's result: the tokens' kinds, texts and start offsets in
+    parallel lists, a string's text with its quotes and escapes so that no
+    string reads as a word.  An item is a Token, with the string's value and
+    a line and column found by bisecting the offsets of src's newlines."""
+
+    def __init__(self, src: str, kinds: list[str], texts: list[str], starts: list[int]):
+        self.kinds, self.texts, self.starts = kinds, texts, starts
+        self.newlines = [-1, *[m.start() for m in _NEWLINE.finditer(src)]]
+
+    def where(self, start: int) -> tuple[int, int]:
+        """The line and column of offset start."""
+        line = bisect_left(self.newlines, start)
+        return line, start - self.newlines[line - 1]
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, i: int) -> Token:
+        kind, text = self.kinds[i], self.texts[i]
+        text = _unquote(text) if kind == "string" else text
+        return Token(kind, text, *self.where(self.starts[i]))
+
+
+def _unquote(text: str) -> str:
+    """The value of a string token's text."""
+    text = text[1:-1]
+    return _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), text) if "\\" in text else text
+
+
 def _is_ident_start(c: str) -> bool:
     return c.isalpha() or c == "_"
 
 
-def tokenize(src: str) -> list[Token]:
-    out: list[Token] = []
-    new = tuple.__new__  # Token(...) without the named tuple's own __new__
-    line, line_start = 1, 0
-    nl = src.find("\n")  # the first newline at or after the last token start
-    if nl < 0:
-        nl = len(src)
-    for m in _TOKEN.finditer(src):
-        kind = m.lastgroup
-        start, end = m.span(kind)
-        if start > nl:  # lines are counted between token starts
-            line_start = src.rfind("\n", nl, start) + 1
-            line += src.count("\n", nl, line_start)
-            nl = src.find("\n", start)
-            if nl < 0:
-                nl = len(src)
-        col = start - line_start + 1
-        text = src[start:end]
-        if kind == "ident":
-            if not text.isascii():
+def tokenize(src: str) -> Tokens:
+    matches = list(_TOKEN.finditer(src))
+    if len(matches) > 1 and matches[-2].lastgroup == "eof":
+        del matches[-1]
+    kinds = [m.lastgroup for m in matches]
+    texts = [m[k] for m, k in zip(matches, kinds)]
+    starts = [m.start(k) for m, k in zip(matches, kinds)]
+    tokens = Tokens(src, kinds, texts, starts)
+    if "bad" in kinds or not src.isascii():  # raise at the first offending token
+        for kind, text, start in zip(kinds, texts, starts):
+            if kind == "ident" and not text.isascii():
                 if not _is_ident_start(text[0]):
-                    raise ParseError(f"unexpected character {text[0]!r}", line, col)
+                    raise ParseError(f"unexpected character {text[0]!r}", *tokens.where(start))
                 for k, c in enumerate(text):
                     if c == "-" and not _is_ident_start(text[k + 1]):
-                        raise ParseError("unexpected character '-'", line, col + k)
-        elif kind == "string":
-            text = text[1:-1]
-            if "\\" in text:
-                text = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), text)
-        elif kind == "bad":
-            if text != '"':
-                raise ParseError(f"unexpected character {text!r}", line, col)
-            if _OPEN_STRING.match(src, start).end() < len(src):  # ends in a lone backslash
-                line, col = src.count("\n") + 1, len(src) - src.rfind("\n")
-                raise ParseError("dangling escape in string", line, col)
-            raise ParseError("unterminated string literal", line, col)
-        out.append(new(Token, (kind, text, line, col)))
-        if kind == "eof":  # the match after it would be an empty eof again
-            break
-    return out
+                        raise ParseError("unexpected character '-'", *tokens.where(start + k))
+            elif kind == "bad":
+                if text != '"':
+                    raise ParseError(f"unexpected character {text!r}", *tokens.where(start))
+                if _OPEN_STRING.match(src, start).end() < len(src):  # ends in a lone backslash
+                    raise ParseError("dangling escape in string", *tokens.where(len(src)))
+                raise ParseError("unterminated string literal", *tokens.where(start))
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -309,27 +331,12 @@ _LOOKAHEAD = 6  # the most tokens past the current one that the parser peeks
 _ATOM_WORDS = frozenset({"true", "false", "empty", "enqueue"})  # keywords that start atoms
 
 
-def _nested(parse):
-    """parse, one nesting level deeper; see the module docstring."""
-
-    def nested(self):
-        depth = self.depth = self.depth + 1
-        if depth > self.peak:
-            self._deepen(depth)
-        node = parse(self)
-        self.depth = depth - 1
-        return node
-
-    return nested
-
-
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: Tokens):
+        self.tokens = tokens
         # eof sentinels past the end, so that lookahead needs no bounds check
-        self.toks = toks = tokens + tokens[-1:] * _LOOKAHEAD
-        # each token's text if it is punctuation or a word, else None, so
-        # that testing for a word is one index and one compare
-        self.words = [t[1] if t[0] in ("punct", "ident") else None for t in toks]
+        self.kinds = tokens.kinds + tokens.kinds[-1:] * _LOOKAHEAD
+        self.texts = tokens.texts + tokens.texts[-1:] * _LOOKAHEAD
         self.pos = 0
         # nesting levels: the current one, and the deepest reached since
         # the innermost chain began (the deepest overall outside chains)
@@ -337,29 +344,33 @@ class _Parser:
         self.effects: set[str] = set()
 
     # -- token plumbing; a token is consumed by `self.pos += 1`, only ever
-    # after a test that it is not eof
+    # after a test that it is not eof, and a string's text keeps its quotes,
+    # so that testing for a word is one index and one compare
 
     def where(self) -> tuple[int, int]:
-        return self.toks[self.pos][2:]
+        return self.tokens.where(self.tokens.starts[self.pos])
 
     def at(self, text: str, k: int = 0) -> bool:
-        return self.words[self.pos + k] == text
+        return self.texts[self.pos + k] == text
 
     def expect(self, text: str) -> None:
-        if self.words[self.pos] != text:
-            t = self.toks[self.pos]
-            raise ParseError(f"expected {text!r}, found {t.text or t.kind!r}", t.line, t.col)
+        if self.texts[self.pos] != text:
+            self._expected(repr(text))
         self.pos += 1
 
     def ident(self, what="identifier") -> str:
-        t = self.toks[self.pos]
-        if t.kind != "ident" or t.text in KEYWORDS:
-            raise ParseError(f"expected {what}, found {t.text or t.kind!r}", t.line, t.col)
+        text = self.texts[self.pos]
+        if self.kinds[self.pos] != "ident" or text in KEYWORDS:
+            self._expected(what)
         self.pos += 1
-        return t.text
+        return text
 
     def _err(self, msg: str):
         raise ParseError(msg, *self.where())
+
+    def _expected(self, what: str):
+        t = self.tokens[self.pos]
+        raise ParseError(f"expected {what}, found {t.text or t.kind!r}", t.line, t.col)
 
     def _deepen(self, peak: int):
         if peak > MAX_DEPTH:
@@ -368,34 +379,45 @@ class _Parser:
 
     # -- types
 
-    @_nested
     def parse_type(self) -> SType:
-        left = self.type_atom()
-        if self.at("-["):
-            self.pos += 1
-            eff = self.effect_names()
-            self.expect("]>")
-            return Arrow(left, eff, self.parse_type())
-        return left
+        depth = self.depth = self.depth + 1
+        if depth > self.peak:
+            self._deepen(depth)
+        try:
+            left = self.type_atom()
+            if self.at("-["):
+                self.pos += 1
+                eff = self.effect_names()
+                self.expect("]>")
+                return Arrow(left, eff, self.parse_type())
+            return left
+        finally:
+            self.depth = depth - 1
 
-    @_nested
     def type_atom(self) -> SType:
-        t, word = self.toks[self.pos], self.words[self.pos]
-        if t.kind == "one":
-            self.pos += 1
-            return UNIT
-        if word == "bool" or word == "str":
-            self.pos += 1
-            return BOOL if word == "bool" else STR
-        if word == "Queue":
-            self.pos += 1
-            return QueueOf(self.type_atom())
-        if word == "(":
-            self.pos += 1
-            inner = self.parse_type()
-            self.expect(")")
-            return inner
-        self._err(f"expected a type, found {t.text or t.kind!r}")
+        depth = self.depth = self.depth + 1
+        if depth > self.peak:
+            self._deepen(depth)
+        try:
+            i = self.pos
+            word = self.texts[i]
+            if self.kinds[i] == "one":
+                self.pos += 1
+                return UNIT
+            if word == "bool" or word == "str":
+                self.pos += 1
+                return BOOL if word == "bool" else STR
+            if word == "Queue":
+                self.pos += 1
+                return QueueOf(self.type_atom())
+            if word == "(":
+                self.pos += 1
+                inner = self.parse_type()
+                self.expect(")")
+                return inner
+            self._expected("a type")
+        finally:
+            self.depth = depth - 1
 
     def effect_names(self) -> SEffect:
         pos = self.where()
@@ -403,7 +425,7 @@ class _Parser:
             self.pos += 1
             return DYN
         names = []
-        while self.toks[self.pos].kind == "ident":
+        while self.kinds[self.pos] == "ident":
             names.append(self.ident("effect name"))
             if not self.at(","):
                 break
@@ -413,80 +435,88 @@ class _Parser:
     # -- clause-head lookahead (see module docstring)
 
     def _at_clause_head(self) -> bool:
-        toks, words, i = self.toks, self.words, self.pos
-        w0, w1 = words[i], words[i + 1]
-        return toks[i].kind == "ident" and (
-            (w0 == "ret" and toks[i + 1].kind == "ident" and words[i + 2] == "->")
+        kinds, texts, i = self.kinds, self.texts, self.pos
+        w0, w1 = texts[i], texts[i + 1]
+        return kinds[i] == "ident" and (
+            (w0 == "ret" and kinds[i + 1] == "ident" and texts[i + 2] == "->")
             or (w0 == "empty" and w1 == "->")
             or (
                 w1 == "("
-                and toks[i + 2].kind == "ident"
-                and words[i + 3] == ","
-                and toks[i + 4].kind == "ident"
-                and words[i + 5] == ")"
-                and words[i + 6] == "->"
+                and kinds[i + 2] == "ident"
+                and texts[i + 3] == ","
+                and kinds[i + 4] == "ident"
+                and texts[i + 5] == ")"
+                and texts[i + 6] == "->"
             )
         )
 
     # -- terms
 
-    @_nested
     def parse_term(self) -> STerm:
-        i = self.pos
-        pos, form = self.toks[i][2:], self.words[i]
-        if form == "lambda":
-            self.pos += 1
-            var = self.ident("parameter")
-            ann = None
-            if self.at(":"):
+        depth = self.depth = self.depth + 1
+        if depth > self.peak:
+            self._deepen(depth)
+        try:
+            form = self.texts[self.pos]
+            if form == "lambda":
+                pos = self.where()
                 self.pos += 1
-                ann = self.parse_type()
-            self.expect(".")
-            return Lam(var, ann, self.parse_term(), pos=pos)
-        if form == "let":
-            self.pos += 1
-            var = self.ident("binder")
-            self.expect("=")
-            bound = self.parse_term()
-            self.expect("in")
-            return Let(bound, var, self.parse_term(), pos=pos)
-        if form == "if":
-            self.pos += 1
-            cond = self.parse_term()
-            self.expect("then")
-            then = self.parse_term()
-            self.expect("else")
-            return If(cond, then, self.parse_term(), pos=pos)
-        if form == "match":
-            return self.parse_match()
-        if form in ("handle", "shallow-handle"):
-            return self.parse_handle()
-        if form == "raise":
-            outer, self.peak = self.peak, self.depth
-            self.pos += 1
-            op = self.ident("effect name")
-            term = self.asc_tail(SRaise(op, self.parse_atom(), pos=pos), outer)
-        else:
-            term = self.parse_ascribed()
-        i = self.pos
-        if self.words[i] != ";":
-            return term
-        self.pos = i + 1  # `M; N` is `let _ = M in N`
-        return Let(term, "_", self.parse_term(), pos=self.toks[i][2:])
+                var = self.ident("parameter")
+                ann = None
+                if self.at(":"):
+                    self.pos += 1
+                    ann = self.parse_type()
+                self.expect(".")
+                return Lam(var, ann, self.parse_term(), pos=pos)
+            if form == "let":
+                pos = self.where()
+                self.pos += 1
+                var = self.ident("binder")
+                self.expect("=")
+                bound = self.parse_term()
+                self.expect("in")
+                return Let(bound, var, self.parse_term(), pos=pos)
+            if form == "if":
+                pos = self.where()
+                self.pos += 1
+                cond = self.parse_term()
+                self.expect("then")
+                then = self.parse_term()
+                self.expect("else")
+                return If(cond, then, self.parse_term(), pos=pos)
+            if form == "match":
+                return self.parse_match()
+            if form in ("handle", "shallow-handle"):
+                return self.parse_handle()
+            if form == "raise":
+                pos = self.where()
+                outer, self.peak = self.peak, self.depth
+                self.pos += 1
+                op = self.ident("effect name")
+                term = self.asc_tail(SRaise(op, self.parse_atom(), pos=pos), outer)
+            else:
+                term = self.parse_ascribed()
+            if self.texts[self.pos] != ";":
+                return term
+            pos = self.where()
+            self.pos += 1  # `M; N` is `let _ = M in N`
+            return Let(term, "_", self.parse_term(), pos=pos)
+        finally:
+            self.depth = depth - 1
 
     def parse_ascribed(self) -> STerm:
         outer, self.peak = self.peak, self.depth
         term = self.parse_app()
-        while self.words[self.pos] == "++":
-            pos = self.toks[self.pos][2:]
+        while self.texts[self.pos] == "++":
+            pos = self.where()
             self._deepen(self.peak + 1)  # the chain so far sinks a level
             self.pos += 1
             term = Concat(term, self.parse_app(), pos=pos)
         return self.asc_tail(term, outer)
 
     def asc_tail(self, term: STerm, outer: int) -> STerm:
-        while self.words[self.pos] == "::":
-            pos = self.toks[self.pos][2:]
+        while self.texts[self.pos] == "::":
+            pos = self.where()
             self._deepen(self.peak + 1)  # the chain so far sinks a level
             self.pos += 1
             if self.at("["):
@@ -501,62 +531,68 @@ class _Parser:
         return term
 
     def _at_atom(self) -> bool:
-        t = self.toks[self.pos]
-        if t.kind == "ident":
-            if t.text in KEYWORDS:
-                return t.text in _ATOM_WORDS
+        i = self.pos
+        kind, text = self.kinds[i], self.texts[i]
+        if kind == "ident":
+            if text in KEYWORDS:
+                return text in _ATOM_WORDS
             # `main {` starts the main block, not a variable
-            return t.text != "main" or self.words[self.pos + 1] != "{"
-        return t.kind == "string" or t.text == "("
+            return text != "main" or self.texts[i + 1] != "{"
+        return kind == "string" or text == "("
 
     def parse_app(self) -> STerm:
         outer, self.peak = self.peak, self.depth
         head = self.parse_atom()
         while self._at_atom() and not self._at_clause_head():
-            pos = self.toks[self.pos][2:]
+            pos = self.where()
             self._deepen(self.peak + 1)  # the chain so far sinks a level
             head = App(head, self.parse_atom(), pos=pos)
         if outer > self.peak:
             self.peak = outer
         return head
 
-    @_nested
     def parse_atom(self) -> STerm:
-        t = self.toks[self.pos]
-        kind, text, pos = t.kind, t.text, t[2:]
-        if kind == "ident":
-            if text not in KEYWORDS:
-                self.pos += 1
-                if text in self.effects and self.at("("):
+        depth = self.depth = self.depth + 1
+        if depth > self.peak:
+            self._deepen(depth)
+        try:
+            i = self.pos
+            kind, text, pos = self.kinds[i], self.texts[i], self.where()
+            if kind == "ident":
+                if text not in KEYWORDS:
                     self.pos += 1
-                    if self.at(")"):
+                    if text in self.effects and self.at("("):
                         self.pos += 1
-                        payload: STerm = UnitLit(pos=pos)
-                    else:
-                        payload = self.parse_term()
-                        self.expect(")")
-                    return SRaise(text, payload, pos=pos)
-                return Var(text, pos=pos)
-            if text in _ATOM_WORDS:
+                        if self.at(")"):
+                            self.pos += 1
+                            payload: STerm = UnitLit(pos=pos)
+                        else:
+                            payload = self.parse_term()
+                            self.expect(")")
+                        return SRaise(text, payload, pos=pos)
+                    return Var(text, pos=pos)
+                if text in _ATOM_WORDS:
+                    self.pos += 1
+                    if text == "empty":
+                        return SEmptyQueue(pos=pos)
+                    if text == "enqueue":
+                        q = self.parse_atom()
+                        return Enqueue(q, self.parse_atom(), pos=pos)
+                    return BoolLit(text == "true", pos=pos)
+            elif kind == "string":
                 self.pos += 1
-                if text == "empty":
-                    return SEmptyQueue(pos=pos)
-                if text == "enqueue":
-                    q = self.parse_atom()
-                    return Enqueue(q, self.parse_atom(), pos=pos)
-                return BoolLit(text == "true", pos=pos)
-        elif kind == "string":
-            self.pos += 1
-            return StrLit(text, pos=pos)
-        elif text == "(":
-            self.pos += 1
-            if self.at(")"):
+                return StrLit(_unquote(text), pos=pos)
+            elif text == "(":
                 self.pos += 1
-                return UnitLit(pos=pos)
-            inner = self.parse_term()
-            self.expect(")")
-            return inner
-        self._err(f"expected a term, found {text or kind!r}")
+                if self.at(")"):
+                    self.pos += 1
+                    return UnitLit(pos=pos)
+                inner = self.parse_term()
+                self.expect(")")
+                return inner
+            self._expected("a term")
+        finally:
+            self.depth = depth - 1
 
     def parse_match(self) -> STerm:
         pos = self.where()
@@ -609,7 +645,7 @@ class _Parser:
     # -- declarations and programs
 
     def parse_decl(self) -> SDecl:
-        pos, word = self.where(), self.words[self.pos]
+        pos, word = self.where(), self.texts[self.pos]
         if word == "effect":
             self.pos += 1
             name = self.ident("effect name")
@@ -644,11 +680,10 @@ class _Parser:
             ann = self.parse_type()
             self.expect("=")
             return SDefine(name, ann, self.parse_term(), pos=pos)
-        t = self.toks[self.pos]
-        self._err(f"expected a declaration, found {t.text or t.kind!r}")
+        self._expected("a declaration")
 
     def _at_decl(self) -> bool:
-        return self.words[self.pos] in ("effect", "import", "define")
+        return self.texts[self.pos] in ("effect", "import", "define")
 
     def parse_module(self) -> SModule:
         pos = self.where()
@@ -697,8 +732,8 @@ class _Parser:
         return program
 
     def _end(self, what: str) -> None:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
+        if self.kinds[self.pos] != "eof":
+            t = self.tokens[self.pos]
             raise ParseError(f"unexpected {t.text!r} after {what}", t.line, t.col)
 
 

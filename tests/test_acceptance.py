@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from greff import cli, conformance as conf, core, elaborate, eval as ev, gen, reference
-from greff.typesys import EMPTY, subtype
+from greff.typesys import subtype
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 

@@ -14,14 +14,12 @@ from greff.typesys import (
     DYN,
     Arrow,
     Bool,
-    Concrete,
     Dyn,
     OpSig,
     QueueOf,
     Signature,
     Str,
     Unit,
-    erase,
     gradual_subtype,
     precision,
     subtype,

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from greff import gen
 from greff.core import (
     App,
-    BoolLit,
     CaseQueue,
     Clause,
     Concat,

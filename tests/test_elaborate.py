@@ -12,7 +12,7 @@ from greff.elaborate import (
 )
 from greff.surface import parse_program, parse_term, parse_type
 from greff.typesys import (
-    Arrow, Bool, Concrete, DYN, EMPTY, OpSig, QueueOf, Signature, Str, Unit,
+    Arrow, Bool, Concrete, DYN, EMPTY, OpSig, QueueOf, Str, Unit,
     is_value_type, subtype,
 )
 

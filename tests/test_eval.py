@@ -789,6 +789,30 @@ def test_value_operands_are_consumed_in_the_step_that_needs_them():
     assert set(tops) == {"App", "Let", "If", "Concat", "Enqueue", "Raise", "Handle"}
 
 
+def test_a_term_of_a_form_that_is_never_a_value_has_no_value():
+    # one term of each class of core.Term but the nine whose terms may be
+    # values, each with values for operands, so that its class alone
+    # keeps it from being one
+    unit, lam = core.UNIT, Lam("x", UNIT_T, Var("x"))
+    never = [
+        Fix("f", Arrow(UNIT_T, EMPTY, UNIT_T), lam),
+        App(lam, unit),
+        Let(unit, "x", unit),
+        If(BoolLit(True), unit, unit),
+        Concat(StrLit("a"), StrLit("b")),
+        CaseQueue(EmptyQueue(UNIT_T), unit, "h", "t", unit),
+        Raise("ping", UNIT_T, UNIT_T, unit),
+        Handle(unit, "x", Var("x"), (), EMPTY, UNIT_T),
+        Err(),
+        EffUpcast(EMPTY, DYN, unit),
+        EffDowncast(EMPTY, DYN, unit),
+    ]
+    may_be = {Var, BoolLit, UnitLit, StrLit, Lam, EmptyQueue, Enqueue, ValUpcast, ValDowncast}
+    assert {type(t) for t in never} == set(typing.get_args(core.Term)) - may_be
+    for t in never:
+        assert ev._value(t, NO_ENV) is None, type(t).__name__
+
+
 # the corpus mixes, the resumption cases and the queue walk at ?: raises
 # cross effect casts, and proxies fire, at equal response, codomain or
 # latent typings

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from greff import core, elaborate, eval as ev, gen, reference, surface
 from greff.typesys import Concrete, Dyn, precision, wellformed
 

@@ -5,7 +5,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "greff"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "greff"
+# greff's modules, named as before; then the tests and the scripts
+MODULES = [*sorted(SRC.glob("*.py")), *sorted(ROOT.glob("tests/*.py")),
+           *sorted(ROOT.glob("scripts/*.py"))]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -20,6 +24,8 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return [name for name in bound if name not in read]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES, ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}"
+)
 def test_a_module_imports_only_what_it_uses(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []

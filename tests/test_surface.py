@@ -4,13 +4,13 @@ import dataclasses
 import pathlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from greff import core, surface
+from greff import core, gen, surface
 from greff.core import App, BoolLit, CaseQueue, Concat, Enqueue, If, Lam, Let, StrLit, UnitLit, Var
 from greff.surface import (
     FIELDS, MAX_DEPTH, ParseError, SAscribeEff, SAscribeType, SClause, SDefine,
-    SEffectDecl, SEmptyQueue, SHandle, SImportEffect, SImportValue, SNames, SRaise,
+    SEmptyQueue, SHandle, SImportEffect, SImportValue, SNames, SRaise,
     parse_program, parse_term, parse_type, pretty_program, pretty_term, tokenize,
 )
 from greff.elaborate import ElabError, elab_program
@@ -95,6 +95,48 @@ def test_lex_edge_cases(src, expected):
     except ParseError as e:
         got = str(e)
     assert got == expected
+
+
+def _check_positions(src: str) -> None:
+    """Each token of src starts with its text at its offset, and its line
+    and column are those counted afresh from the offset."""
+    toks = tokenize(src)
+    assert all(src.startswith(text, i) for text, i in zip(toks.texts, toks.starts))
+    assert [(t.line, t.col) for t in toks] == [
+        (src.count("\n", 0, i) + 1, i - src.rfind("\n", 0, i)) for i in toks.starts
+    ]
+
+
+def test_positions_of_the_golden_programs_match_a_fresh_count():
+    from test_golden import ELAB_SEEDS
+
+    sources = [pretty_program(gen.gen_surface_program(seed)) for seed in ELAB_SEEDS]
+    corpus = sorted((pathlib.Path(__file__).parent.parent / "corpus").glob("*.greff"))
+    sources += [path.read_text(encoding="utf-8") for path in corpus]
+    assert len(sources) == 312
+    for src in sources:
+        _check_positions(src)
+
+
+# pieces that lex whichever way they are joined: blanks, newlines,
+# comments, strings that hold a newline or escapes, a non-ASCII word;
+# then, last, a comment that may end the input
+LEX_PIECES = [
+    "x", "q'", "sch-loop", "é", "1", "(", "->", "::", '"s"', '"a\\"b\\\\"', '"a\nb"',
+    " ", "\t", "\n", "\r\n", "-- c\n",
+]
+LEX_TEXTS = st.builds(
+    lambda pieces, last: "".join(pieces) + last,
+    st.lists(st.sampled_from(LEX_PIECES), max_size=40), st.sampled_from(["", "-- c", " --"]),
+)
+
+
+@given(LEX_TEXTS)
+@example("")
+@example("x\r\n\ty -- to the end")
+@example('"a\nb"\r\n\t-- c\n-- d')
+def test_positions_match_a_fresh_count(src):
+    _check_positions(src)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +274,27 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as e:
         parse_term("lambda . x")
     assert "1:8" in str(e.value)
+
+
+# a program of 1,999 lines, then the last line of a 2,000-line input
+LINES_BEFORE_LAST = "module M where\n" + "".join(
+    f'define f{i} : str = "on line {i + 2}"\n' for i in range(1997)
+) + "-- the last line follows\n"
+
+
+@pytest.mark.parametrize("last, message", [
+    ("main { () } x", "2000:13: unexpected 'x' after program"),
+    ("main { ( }", "2000:10: expected a term, found '}'"),
+    ('main { "a" ++ # }', "2000:15: unexpected character '#'"),
+    ("main { a-½ }", "2000:9: unexpected character '-'"),
+    ('main { "abc }', "2000:8: unterminated string literal"),
+    ('main { "a\\', "2000:11: dangling escape in string"),
+])
+def test_an_error_on_the_last_of_2000_lines_is_placed_there(last, message):
+    assert LINES_BEFORE_LAST.count("\n") == 1999
+    with pytest.raises(ParseError) as e:
+        parse_program(LINES_BEFORE_LAST + last)
+    assert str(e.value) == message
 
 
 def test_reject_trailing_tokens():
